@@ -45,10 +45,9 @@ pub struct CaseResult {
 ///    independently of the tableau, and runs a small seeded
 ///    fault-injection campaign ([`assert_campaign`]) so the program's
 ///    runtime traces are simulation-checked too;
-/// 4. cross-checks the work-stealing build engine against the retained
-///    level-synchronized engine on this seed's tableau, and — with the
-///    `slow-reference` feature — both against the naive reference
-///    kernel.
+/// 4. with the `slow-reference` feature, cross-checks the work-stealing
+///    build engine (at 2 worker threads) against the sequential
+///    naive-kernel reference build on this seed's tableau.
 ///
 /// # Panics
 ///
@@ -67,7 +66,6 @@ pub fn run_seed(seed: u64) -> CaseResult {
         } = random_problem(&mut XorShift64::new(seed));
         cross_check_build(seed, &name, &mut p3);
     }
-    cross_check_engines(seed, &name);
 
     let o1 = synthesize_with_threads(&mut p1, THREAD_MATRIX[0]);
     match o1 {
@@ -312,7 +310,8 @@ pub fn assert_tableaux_identical(
 }
 
 /// The closure, fault spec, and root label a problem's tableau is built
-/// from — shared setup of the build cross-checks.
+/// from.
+#[cfg(feature = "slow-reference")]
 fn tableau_inputs(
     problem: &mut ftsyn::SynthesisProblem,
 ) -> (
@@ -336,31 +335,17 @@ fn tableau_inputs(
     (closure, fault_spec, root)
 }
 
-/// Cross-checks the work-stealing engine against the retained
-/// level-synchronized engine on this seed's tableau, both
-/// multi-threaded so the scheduler actually runs.
-pub fn cross_check_engines(seed: u64, name: &str) {
-    use ftsyn::tableau::{build_level_sync, build_with_threads};
-
-    let GeneratedCase {
-        problem: mut p, ..
-    } = random_problem(&mut XorShift64::new(seed));
-    let (closure, fault_spec, root) = tableau_inputs(&mut p);
-    let (ws, _) = build_with_threads(&closure, &p.props, root.clone(), &fault_spec, 2);
-    let (ls, _) = build_level_sync(&closure, &p.props, root, &fault_spec, 2);
-    assert_tableaux_identical(&format!("seed {seed} ({name}) build engines"), &ws, &ls);
-}
-
-/// Cross-checks the optimized build kernel against the pre-optimization
-/// reference kernel on this problem's tableau (both single-threaded, so
-/// the comparison isolates the kernels).
+/// Cross-checks the optimized build — kernels and work-stealing
+/// scheduler, at 2 worker threads so the scheduler actually runs —
+/// against the pre-optimization reference kernels on their own
+/// sequential harness, on this problem's tableau.
 #[cfg(feature = "slow-reference")]
 pub fn cross_check_build(seed: u64, name: &str, problem: &mut ftsyn::SynthesisProblem) {
     use ftsyn::tableau::{build_reference, build_with_threads};
 
     let (closure, fault_spec, root) = tableau_inputs(problem);
-    let (fast, _) = build_with_threads(&closure, &problem.props, root.clone(), &fault_spec, 1);
-    let (reference, _) = build_reference(&closure, &problem.props, root, &fault_spec, 1);
+    let (fast, _) = build_with_threads(&closure, &problem.props, root.clone(), &fault_spec, 2);
+    let reference = build_reference(&closure, &problem.props, root, &fault_spec);
     assert_tableaux_identical(
         &format!("seed {seed} ({name}) build kernels"),
         &fast,

@@ -19,7 +19,8 @@
 //!   `ftsyn-kripke` model checker as an independent oracle (`⊨` and
 //!   `⊨ₙ`, via [`ftsyn::check_program`]). With the `slow-reference`
 //!   feature, each case additionally cross-checks the optimized tableau
-//!   build against the pre-optimization reference kernel.
+//!   build (work-stealing, 2 threads) against the pre-optimization
+//!   reference kernels on their own sequential harness.
 //! - **Fault-injection campaigns** ([`campaign`], `tests/campaign.rs`):
 //!   synthesized programs are *run* under seeded randomized simulation
 //!   with injected faults, asserting the runtime counterpart of their

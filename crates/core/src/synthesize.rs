@@ -517,12 +517,12 @@ fn synthesize_impl(
             stats.build_time = t_build.elapsed();
             stats.build_profile = a.profile;
             stats.tableau_nodes = a.nodes;
-            let checkpoint = a.checkpoint.map(|ck| *ck);
-            if let (Some(sink), Some(ck)) = (on_checkpoint, &checkpoint) {
-                sink(ck);
+            let checkpoint = *a.checkpoint;
+            if let Some(sink) = on_checkpoint {
+                sink(&checkpoint);
             }
             return Ok((
-                aborted(Phase::Build, a.reason, checkpoint, stats, start),
+                aborted(Phase::Build, a.reason, Some(checkpoint), stats, start),
                 a.fills,
             ));
         }

@@ -48,8 +48,9 @@ impl FailureKind {
         FailureKind::ExtractionGap,
     ];
 
-    /// Stable machine-readable name (used as a JSON key by `bench_json`
-    /// and in the `experiments` failure table).
+    /// Stable machine-readable name (used by
+    /// [`Verification::failure_summary`] and in the `experiments`
+    /// failure table).
     pub fn name(self) -> &'static str {
         match self {
             FailureKind::Spec => "spec",

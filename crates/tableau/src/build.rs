@@ -13,9 +13,9 @@
 //!
 //! # Deterministic work-stealing expansion scheduler
 //!
-//! The default engine ([`build`], [`build_with_threads`],
-//! [`build_with_cache`]) chunks expansion work into fixed-size batches
-//! carrying dense sequence ids. Worker threads
+//! The engine ([`build`], [`build_with_threads`],
+//! [`build_shared_cache_governed`]) chunks expansion work into
+//! fixed-size batches carrying dense sequence ids. Worker threads
 //! (`std::thread::scope`, no external dependencies) pull batches from
 //! per-worker queues and *steal* from the most loaded other queue when
 //! theirs runs dry — so a worker that finishes its share of one BFS
@@ -31,11 +31,9 @@
 //! edge order, intern order — is bit-identical at every thread count.
 //! See `DESIGN.md` §8 for the full argument.
 //!
-//! The previous level-synchronized engine is retained verbatim as
-//! [`build_level_sync`] (same output, barrier per BFS level, classic
-//! `Blocks` minimal filter) so benchmarks can compare engine
-//! generations head-to-head, and as the harness of the
-//! [`build_reference`] naive-kernel oracle.
+//! The `build_reference` oracle (tests and the `slow-reference`
+//! feature) runs the naive kernels through its own sequential
+//! breadth-first harness, independent of the scheduler.
 
 use crate::cache::{CacheFill, ExpansionCache};
 use crate::checkpoint::{spec_fingerprint, Checkpoint, PendingBatch};
@@ -51,9 +49,9 @@ use std::sync::{Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 /// A tableau construction stopped by its [`Governor`]: the reason plus
-/// the partial [`BuildProfile`] and node count accumulated so far —
-/// and, for the work-stealing engine, a resumable [`Checkpoint`] of the
-/// exact abort point plus the deferred cache fills computed so far.
+/// the partial [`BuildProfile`] and node count accumulated so far, a
+/// resumable [`Checkpoint`] of the exact abort point, and the deferred
+/// cache fills computed so far.
 #[derive(Debug)]
 pub struct BuildAbort {
     /// Which budget tripped (or which worker panicked).
@@ -62,15 +60,11 @@ pub struct BuildAbort {
     pub profile: BuildProfile,
     /// Tableau nodes interned when the build stopped.
     pub nodes: usize,
-    /// Resumable snapshot of the abort point. `Some` for the
-    /// work-stealing engine ([`build_governed`],
-    /// [`build_shared_cache_governed`], [`build_resume_governed`]);
-    /// `None` for the retained level-synchronized engine, which is not
-    /// resumable.
-    pub checkpoint: Option<Box<Checkpoint>>,
+    /// Resumable snapshot of the abort point (see
+    /// [`build_resume_governed`]).
+    pub checkpoint: Box<Checkpoint>,
     /// `Blocks`/`Tiles` results computed before the abort, still worth
-    /// warming a cache with (the work-stealing engine defers fills to
-    /// its caller; empty for engines that apply fills themselves).
+    /// warming a cache with (fills are deferred to the caller).
     pub fills: Vec<CacheFill>,
 }
 
@@ -183,15 +177,12 @@ fn fault_or_label(
 /// Frontier/parallelism statistics of one tableau construction.
 #[derive(Clone, Debug, Default)]
 pub struct BuildProfile {
-    /// Breadth-first levels until the frontier emptied. (The
-    /// work-stealing engine has no level barriers, but tracks each
-    /// node's BFS level as bookkeeping; the value matches the
-    /// level-synchronized engine exactly.)
+    /// Breadth-first levels until the frontier emptied. (The scheduler
+    /// has no level barriers, but tracks each node's BFS level as
+    /// bookkeeping.)
     pub levels: usize,
     /// Levels wide enough for parallel expansion (≥ the minimum
-    /// parallel frontier, with more than one thread). For the
-    /// level-synchronized engine these are the levels that actually ran
-    /// on worker threads.
+    /// parallel frontier, with more than one thread).
     pub parallel_levels: usize,
     /// Total nodes expanded (= final node count).
     pub nodes_expanded: usize,
@@ -199,14 +190,12 @@ pub struct BuildProfile {
     pub max_frontier: usize,
     /// Worker threads the build was allowed to use.
     pub threads: usize,
-    /// Scheduler batches executed (0 for the level-synchronized
-    /// engine, which schedules whole levels).
+    /// Scheduler batches executed.
     pub batches: usize,
     /// Batches a worker took from another worker's queue instead of
     /// its own.
     pub steals: usize,
-    /// Batches executed per worker (empty for single-threaded or
-    /// level-synchronized builds).
+    /// Batches executed per worker (empty for single-threaded builds).
     pub worker_batches: Vec<usize>,
     /// Time each worker spent parked waiting for work.
     pub worker_idle: Vec<Duration>,
@@ -259,46 +248,29 @@ enum Kernel {
     /// The optimized kernels in [`crate::expand`] (plus the memo cache
     /// when one is supplied) — the work-stealing engine's kernels.
     Fast,
-    /// The [`crate::expand`] kernels with the classic `Blocks` minimal
-    /// filter, frozen with the retained level-synchronized engine
-    /// ([`build_level_sync`]) so head-to-heads compare engine
-    /// generations.
-    Classic,
     /// The pre-optimization kernels in [`crate::expand_naive`], kept as
     /// a timing/equivalence oracle.
     #[cfg(any(test, feature = "slow-reference"))]
     Reference,
 }
 
-/// The tableau-side facts expansion needs about one node, taken as an
-/// explicit snapshot so the work-stealing workers never borrow the
-/// mutably growing tableau.
-#[derive(Clone, Copy)]
-struct NodeView<'a> {
-    kind: NodeKind,
-    dummy: bool,
-    label: &'a LabelSet,
-}
-
-/// The pure half of expanding one node: everything that only *reads*
-/// tableau state (through a [`NodeView`] snapshot). Safe to run
-/// concurrently for any set of nodes; cache lookups share the table
-/// immutably (counters are atomic) and cache *inserts* are deferred as
-/// [`CacheFill`]s.
+/// The pure half of expanding one non-dummy node (dummy OR-nodes have
+/// their successor pinned at creation and are never expanded): it only
+/// reads a snapshot of the node's kind and label, never the tableau.
+/// Safe to run concurrently for any set of nodes; cache lookups share
+/// the table immutably (counters are atomic) and cache *inserts* are
+/// deferred as [`CacheFill`]s.
 fn expand_task(
     closure: &Closure,
     props: &PropTable,
     faults: &FaultSpec,
-    view: NodeView<'_>,
+    kind: NodeKind,
+    label: &LabelSet,
     cache: Option<&ExpansionCache>,
     kernel: Kernel,
 ) -> (Vec<Step>, Option<CacheFill>) {
-    let label = view.label;
-    match view.kind {
+    match kind {
         NodeKind::Or => {
-            if view.dummy {
-                return (Vec::new(), None); // successors pinned at creation
-            }
             let mut fill = None;
             let bs = match cache.and_then(|c| c.lookup_blocks(label)) {
                 Some(cached) => cached.clone(),
@@ -368,31 +340,9 @@ fn expand_task(
     }
 }
 
-/// [`expand_task`] reading its snapshot from a tableau node — the
-/// level-synchronized engine's entry point (its workers share the
-/// tableau immutably between level barriers).
-fn expand_node(
-    t: &Tableau,
-    closure: &Closure,
-    props: &PropTable,
-    faults: &FaultSpec,
-    id: NodeId,
-    cache: Option<&ExpansionCache>,
-    kernel: Kernel,
-) -> (Vec<Step>, Option<CacheFill>) {
-    let n = t.node(id);
-    let view = NodeView {
-        kind: n.kind,
-        dummy: n.dummy,
-        label: &n.label,
-    };
-    expand_task(closure, props, faults, view, cache, kernel)
-}
-
 fn run_blocks(closure: &Closure, label: &LabelSet, kernel: Kernel) -> Vec<LabelSet> {
     match kernel {
         Kernel::Fast => blocks(closure, label),
-        Kernel::Classic => crate::expand::blocks_classic(closure, label),
         #[cfg(any(test, feature = "slow-reference"))]
         Kernel::Reference => crate::expand_naive::blocks_naive(closure, label),
     }
@@ -400,17 +350,14 @@ fn run_blocks(closure: &Closure, label: &LabelSet, kernel: Kernel) -> Vec<LabelS
 
 fn run_tiles(closure: &Closure, props: &PropTable, label: &LabelSet, kernel: Kernel) -> Vec<Tile> {
     match kernel {
-        // `Tiles` never grew a second filter; Fast and Classic share it.
-        Kernel::Fast | Kernel::Classic => tiles(closure, props, label),
+        Kernel::Fast => tiles(closure, props, label),
         #[cfg(any(test, feature = "slow-reference"))]
         Kernel::Reference => crate::expand_naive::tiles_naive(closure, props, label),
     }
 }
 
-/// Frontiers below this size are expanded inline by the
-/// level-synchronized engine (thread spawn overhead would dominate);
-/// the work-stealing engine uses the same threshold only as the
-/// [`BuildProfile::parallel_levels`] bookkeeping cutoff.
+/// The narrowest BFS level counted in [`BuildProfile::parallel_levels`]
+/// (bookkeeping only: the scheduler has no level barriers).
 const MIN_PARALLEL_FRONTIER: usize = 4;
 
 /// Expansion tasks per work-stealing batch. Small enough to spread a
@@ -447,45 +394,26 @@ pub fn build_with_threads(
         faults,
         threads,
         None,
-        Kernel::Fast,
         None,
     )
     .unwrap_or_else(|a| panic!("ungoverned tableau build aborted: {}", a.reason));
     (t, profile)
 }
 
-/// [`build_with_threads`] under a [`Governor`]: the committer polls the
-/// state cap and the realtime triggers after every in-order batch
-/// commit, and a worker panic is contained (`catch_unwind`) instead of
-/// taking the process down. On abort the workers are drained and shut
-/// down cleanly and the partial profile is returned. With an unlimited
-/// governor the result is identical to [`build_with_threads`].
-pub fn build_governed(
-    closure: &Closure,
-    props: &PropTable,
-    root_label: LabelSet,
-    faults: &FaultSpec,
-    threads: usize,
-    gov: &Governor,
-) -> Result<(Tableau, BuildProfile), Box<BuildAbort>> {
-    build_ws_core(
-        closure,
-        props,
-        WsStart::Fresh(root_label),
-        faults,
-        threads,
-        None,
-        Kernel::Fast,
-        Some(gov),
-    )
-    .map(|(t, profile, _)| (t, profile))
-}
-
 /// The full-service build entry: optional *shared* cache reference
 /// (lookups only — the deferred [`CacheFill`]s are returned for the
 /// caller to apply, so many concurrent builds can warm one table) and
-/// optional [`Governor`]. On a governed abort the [`BuildAbort`]
-/// carries a resumable [`Checkpoint`].
+/// optional [`Governor`]. The cache never changes the result (the
+/// kernels are pure); hits only occur for labels already expanded by
+/// *earlier* builds through the same cache (see [`ExpansionCache`]).
+///
+/// Under a governor the committer polls the state cap and the realtime
+/// triggers after every in-order batch commit, and a worker panic is
+/// contained (`catch_unwind`) instead of taking the process down. On
+/// abort the workers are drained and shut down cleanly, and the
+/// [`BuildAbort`] carries the partial profile and a resumable
+/// [`Checkpoint`]. With an unlimited governor the result is identical
+/// to [`build_with_threads`].
 pub fn build_shared_cache_governed(
     closure: &Closure,
     props: &PropTable,
@@ -502,7 +430,6 @@ pub fn build_shared_cache_governed(
         faults,
         threads,
         cache,
-        Kernel::Fast,
         gov,
     )
 }
@@ -531,111 +458,63 @@ pub fn build_resume_governed(
         faults,
         threads,
         cache,
-        Kernel::Fast,
         gov,
     )
 }
 
-/// [`build_with_threads`] with a cross-build `Blocks`/`Tiles` memo
-/// cache. The cache never changes the result (the kernels are pure);
-/// hits only occur for labels already expanded by *earlier* builds
-/// through the same cache (see [`ExpansionCache`]).
-pub fn build_with_cache(
-    closure: &Closure,
-    props: &PropTable,
-    root_label: LabelSet,
-    faults: &FaultSpec,
-    threads: usize,
-    cache: &mut ExpansionCache,
-) -> (Tableau, BuildProfile) {
-    let (t, profile, fills) = build_ws_core(
-        closure,
-        props,
-        WsStart::Fresh(root_label),
-        faults,
-        threads,
-        Some(&*cache),
-        Kernel::Fast,
-        None,
-    )
-    .unwrap_or_else(|a| panic!("ungoverned tableau build aborted: {}", a.reason));
-    for fill in fills {
-        cache.apply_fill(fill);
-    }
-    (t, profile)
-}
-
-/// The retained previous-generation engine: level-synchronized parallel
-/// expansion (barrier per BFS level) with the classic `Blocks` minimal
-/// filter. Produces a tableau bit-identical to [`build_with_threads`];
-/// kept public so benchmarks can compare engine generations
-/// head-to-head.
-pub fn build_level_sync(
-    closure: &Closure,
-    props: &PropTable,
-    root_label: LabelSet,
-    faults: &FaultSpec,
-    threads: usize,
-) -> (Tableau, BuildProfile) {
-    build_level_core(
-        closure,
-        props,
-        root_label,
-        faults,
-        threads,
-        None,
-        Kernel::Classic,
-        None,
-    )
-    .unwrap_or_else(|a| panic!("ungoverned tableau build aborted: {}", a.reason))
-}
-
-/// [`build_level_sync`] under a [`Governor`]: polls after every level
-/// barrier and contains worker panics, like [`build_governed`] does for
-/// the work-stealing engine.
-pub fn build_level_sync_governed(
-    closure: &Closure,
-    props: &PropTable,
-    root_label: LabelSet,
-    faults: &FaultSpec,
-    threads: usize,
-    gov: &Governor,
-) -> Result<(Tableau, BuildProfile), Box<BuildAbort>> {
-    build_level_core(
-        closure,
-        props,
-        root_label,
-        faults,
-        threads,
-        None,
-        Kernel::Classic,
-        Some(gov),
-    )
-}
-
 /// [`build_with_threads`] running the pre-optimization
-/// [`crate::expand_naive`] kernels on the level-synchronized harness —
-/// the timing/equivalence oracle for both engines. Must produce a
-/// bit-identical tableau.
+/// [`crate::expand_naive`] kernels — the timing/equivalence oracle for
+/// the engine. Runs on its own sequential, ungoverned, cache-free
+/// breadth-first harness, independent of the work-stealing scheduler:
+/// each dequeued node's successors are interned and wired in step
+/// order. Must produce a bit-identical tableau.
 #[cfg(any(test, feature = "slow-reference"))]
 pub fn build_reference(
     closure: &Closure,
     props: &PropTable,
     root_label: LabelSet,
     faults: &FaultSpec,
-    threads: usize,
-) -> (Tableau, BuildProfile) {
-    build_level_core(
-        closure,
-        props,
-        root_label,
-        faults,
-        threads,
-        None,
-        Kernel::Reference,
-        None,
-    )
-    .unwrap_or_else(|a| panic!("ungoverned tableau build aborted: {}", a.reason))
+) -> Tableau {
+    let mut t = Tableau::with_root(root_label);
+    let mut queue = VecDeque::from([t.root()]);
+    while let Some(id) = queue.pop_front() {
+        let node = t.node(id);
+        let (steps, _) = expand_task(
+            closure,
+            props,
+            faults,
+            node.kind,
+            &node.label,
+            None,
+            Kernel::Reference,
+        );
+        for step in steps {
+            let (kind, (target, fresh)) = match step {
+                Step::And { label, hash } => {
+                    (EdgeKind::Unlabeled, t.intern_and_hashed(label, hash))
+                }
+                Step::Or { proc, label, hash } => {
+                    (EdgeKind::Proc(proc), t.intern_or_hashed(label, hash))
+                }
+                Step::Fault {
+                    action,
+                    label,
+                    hash,
+                } => (EdgeKind::Fault(action), t.intern_or_hashed(label, hash)),
+                Step::Dummy => {
+                    let dummy = t.new_dummy_or(t.node(id).label.clone());
+                    t.add_edge(id, EdgeKind::Dummy, dummy);
+                    t.add_edge(dummy, EdgeKind::Unlabeled, id);
+                    continue;
+                }
+            };
+            t.add_edge(id, kind, target);
+            if fresh {
+                queue.push_back(target);
+            }
+        }
+    }
+    t
 }
 
 /// The planned materialization of one [`Step`] after interning: which
@@ -651,207 +530,6 @@ enum Planned {
     },
     /// Draw the dummy self-loop pair through dummy node `dummy`.
     DummyPair { dummy: NodeId },
-}
-
-/// One level's pure-expansion output — per frontier node its [`Step`]s
-/// plus an optional deferred cache fill — or the first panicking
-/// worker's message.
-type LevelExpansions = Result<Vec<(Vec<Step>, Option<CacheFill>)>, String>;
-
-/// The retained level-synchronized engine (kept byte-for-byte as the
-/// previous generation; see [`build_level_sync`]).
-#[allow(clippy::too_many_arguments)] // internal core shared by four public entry points
-fn build_level_core(
-    closure: &Closure,
-    props: &PropTable,
-    root_label: LabelSet,
-    faults: &FaultSpec,
-    threads: usize,
-    mut cache: Option<&mut ExpansionCache>,
-    kernel: Kernel,
-    gov: Option<&Governor>,
-) -> Result<(Tableau, BuildProfile), Box<BuildAbort>> {
-    let threads = threads.max(1);
-    let mut profile = BuildProfile {
-        threads,
-        ..BuildProfile::default()
-    };
-    let counters_before = cache.as_deref().map_or((0, 0), ExpansionCache::counters);
-    let mut t = Tableau::with_root(root_label);
-    let mut frontier = vec![t.root()];
-    let mut abort: Option<AbortReason> = None;
-
-    while !frontier.is_empty() {
-        profile.levels += 1;
-        profile.max_frontier = profile.max_frontier.max(frontier.len());
-        profile.nodes_expanded += frontier.len();
-
-        // Pure expansion of the whole level, possibly on worker threads.
-        // Worker bodies are wrapped in `catch_unwind`: a panicking
-        // worker becomes a structured abort instead of a process abort.
-        let t0 = Instant::now();
-        let shared_cache: Option<&ExpansionCache> = cache.as_deref();
-        let expansions: LevelExpansions =
-            if threads > 1 && frontier.len() >= MIN_PARALLEL_FRONTIER {
-                profile.parallel_levels += 1;
-                let chunk = frontier.len().div_ceil(threads);
-                std::thread::scope(|scope| {
-                    let handles: Vec<_> = frontier
-                        .chunks(chunk)
-                        .map(|ids| {
-                            let t = &t;
-                            scope.spawn(move || {
-                                catch_unwind(AssertUnwindSafe(|| {
-                                    ids.iter()
-                                        .map(|&id| {
-                                            expand_node(
-                                                t,
-                                                closure,
-                                                props,
-                                                faults,
-                                                id,
-                                                shared_cache,
-                                                kernel,
-                                            )
-                                        })
-                                        .collect::<Vec<_>>()
-                                }))
-                            })
-                        })
-                        .collect();
-                    // Joining in spawn order keeps results in frontier
-                    // order, so the apply phase is deterministic.
-                    let mut out = Vec::new();
-                    let mut panicked: Option<String> = None;
-                    for h in handles {
-                        match h.join().unwrap_or_else(Err) {
-                            Ok(v) => out.extend(v),
-                            Err(payload) => {
-                                if panicked.is_none() {
-                                    panicked = Some(panic_message(payload));
-                                }
-                            }
-                        }
-                    }
-                    match panicked {
-                        Some(message) => Err(message),
-                        None => Ok(out),
-                    }
-                })
-            } else {
-                Ok(frontier
-                    .iter()
-                    .map(|&id| expand_node(&t, closure, props, faults, id, shared_cache, kernel))
-                    .collect())
-            };
-        profile.expand_time += t0.elapsed();
-        let expansions = match expansions {
-            Ok(e) => e,
-            Err(message) => {
-                abort = Some(AbortReason::WorkerPanic { message });
-                break;
-            }
-        };
-
-        // Sequential application in frontier order. Two passes, both in
-        // frontier/step order so node numbering matches the historic
-        // interleaved apply exactly: (A) intern every successor label
-        // (this alone defines node ids — edges never create nodes),
-        // (B) draw the edges and collect the next frontier.
-        let t0 = Instant::now();
-        let mut planned: Vec<(NodeId, Vec<Planned>)> = Vec::with_capacity(frontier.len());
-        for (&id, (steps, fill)) in frontier.iter().zip(expansions) {
-            if let (Some(c), Some(fill)) = (cache.as_deref_mut(), fill) {
-                c.apply_fill(fill);
-            }
-            let mut plans = Vec::with_capacity(steps.len());
-            for step in steps {
-                let plan = match step {
-                    Step::And { label, hash } => {
-                        profile.intern_probes += 1;
-                        let (target, fresh) = t.intern_and_hashed(label, hash);
-                        Planned::Edge {
-                            kind: EdgeKind::Unlabeled,
-                            target,
-                            fresh,
-                        }
-                    }
-                    Step::Or { proc, label, hash } => {
-                        profile.intern_probes += 1;
-                        let (target, fresh) = t.intern_or_hashed(label, hash);
-                        Planned::Edge {
-                            kind: EdgeKind::Proc(proc),
-                            target,
-                            fresh,
-                        }
-                    }
-                    Step::Fault {
-                        action,
-                        label,
-                        hash,
-                    } => {
-                        profile.intern_probes += 1;
-                        let (target, fresh) = t.intern_or_hashed(label, hash);
-                        Planned::Edge {
-                            kind: EdgeKind::Fault(action),
-                            target,
-                            fresh,
-                        }
-                    }
-                    Step::Dummy => Planned::DummyPair {
-                        dummy: t.new_dummy_or(t.node(id).label.clone()),
-                    },
-                };
-                plans.push(plan);
-            }
-            planned.push((id, plans));
-        }
-        profile.intern_time += t0.elapsed();
-
-        let mut next = Vec::new();
-        for (id, plans) in planned {
-            for plan in plans {
-                match plan {
-                    Planned::Edge {
-                        kind,
-                        target,
-                        fresh,
-                    } => {
-                        t.add_edge(id, kind, target);
-                        if fresh {
-                            next.push(target);
-                        }
-                    }
-                    Planned::DummyPair { dummy } => {
-                        t.add_edge(id, EdgeKind::Dummy, dummy);
-                        t.add_edge(dummy, EdgeKind::Unlabeled, id);
-                    }
-                }
-            }
-        }
-        profile.apply_time += t0.elapsed();
-        frontier = next;
-        if let Err(reason) = poll_build(gov, t.len()) {
-            abort = Some(reason);
-            break;
-        }
-    }
-    let counters_after = cache.as_deref().map_or((0, 0), ExpansionCache::counters);
-    profile.cache_hits = counters_after.0 - counters_before.0;
-    profile.cache_misses = counters_after.1 - counters_before.1;
-    match abort {
-        Some(reason) => Err(Box::new(BuildAbort {
-            reason,
-            nodes: t.len(),
-            profile,
-            // The level-synchronized engine predates checkpointing and
-            // applies its fills per level; it is kept verbatim as the
-            // previous generation, so its aborts are not resumable.
-            checkpoint: None,
-            fills: Vec::new(),
-        })),
-        None => Ok((t, profile)),
-    }
 }
 
 /// One node to expand, snapshotted at discovery time (kind and label
@@ -946,7 +624,6 @@ fn make_batch(t: &Tableau, seq: usize, level: usize, chunk: &[NodeId]) -> Batch 
 /// commit. The batch body runs under `catch_unwind`: a panic is
 /// recorded in the scheduler state (first panic wins) and the worker
 /// exits; the committer turns it into a structured abort.
-#[allow(clippy::too_many_arguments)] // internal scheduler plumbing
 fn worker_loop(
     sched: &Scheduler,
     w: usize,
@@ -954,7 +631,6 @@ fn worker_loop(
     props: &PropTable,
     faults: &FaultSpec,
     cache: Option<&ExpansionCache>,
-    kernel: Kernel,
     gov: Option<&Governor>,
 ) {
     loop {
@@ -991,12 +667,15 @@ fn worker_loop(
                 .tasks
                 .iter()
                 .map(|task| {
-                    let view = NodeView {
-                        kind: task.kind,
-                        dummy: false,
-                        label: &task.label,
-                    };
-                    expand_task(closure, props, faults, view, cache, kernel)
+                    expand_task(
+                        closure,
+                        props,
+                        faults,
+                        task.kind,
+                        &task.label,
+                        cache,
+                        Kernel::Fast,
+                    )
                 })
                 .collect::<BatchOutput>()
         }));
@@ -1030,9 +709,8 @@ fn worker_loop(
     }
 }
 
-/// Applies one batch's expansion output in task order — the same two
-/// passes as the level-synchronized engine, per batch instead of per
-/// level: (A) intern every successor label (this alone defines node
+/// Applies one batch's expansion output in task order, in two passes:
+/// (A) intern every successor label (this alone defines node
 /// ids), (B) draw the edges and collect fresh nodes. Interleaving edge
 /// passes between batches' intern passes cannot perturb the result:
 /// node ids depend only on the intern-operation sequence and edge
@@ -1155,8 +833,8 @@ enum WsStart {
 /// are chunked into new batches in discovery order and injected with
 /// the next sequence ids, so the global commit order equals the BFS
 /// frontier order of a sequential build — which is what makes the
-/// output bit-identical at every thread count (and to the
-/// level-synchronized engine).
+/// output bit-identical at every thread count (and to the sequential
+/// `build_reference` oracle).
 ///
 /// The cache is taken by shared reference (so concurrent builds may
 /// warm one table) and the deferred [`CacheFill`]s are *returned*, on
@@ -1170,7 +848,6 @@ enum WsStart {
 /// deterministic counters. Resuming replays the identical commit
 /// sequence, so the finished tableau is bit-identical to an
 /// uninterrupted run at every thread count.
-#[allow(clippy::too_many_arguments)] // internal core shared by the public entry points
 fn build_ws_core(
     closure: &Closure,
     props: &PropTable,
@@ -1178,7 +855,6 @@ fn build_ws_core(
     faults: &FaultSpec,
     threads: usize,
     cache: Option<&ExpansionCache>,
-    kernel: Kernel,
     gov: Option<&Governor>,
 ) -> Result<(Tableau, BuildProfile, Vec<CacheFill>), Box<BuildAbort>> {
     let threads = threads.max(1);
@@ -1263,12 +939,15 @@ fn build_ws_core(
                     .tasks
                     .iter()
                     .map(|task| {
-                        let view = NodeView {
-                            kind: task.kind,
-                            dummy: false,
-                            label: &task.label,
-                        };
-                        expand_task(closure, props, faults, view, cache, kernel)
+                        expand_task(
+                            closure,
+                            props,
+                            faults,
+                            task.kind,
+                            &task.label,
+                            cache,
+                            Kernel::Fast,
+                        )
                     })
                     .collect::<BatchOutput>()
             }));
@@ -1318,7 +997,7 @@ fn build_ws_core(
             for w in 0..threads {
                 let sched = &sched;
                 scope.spawn(move || {
-                    worker_loop(sched, w, closure, props, faults, shared_cache, kernel, gov)
+                    worker_loop(sched, w, closure, props, faults, shared_cache, gov)
                 });
             }
             // The committer: consume results strictly in sequence
@@ -1434,7 +1113,7 @@ fn build_ws_core(
                 reason,
                 nodes,
                 profile,
-                checkpoint: Some(Box::new(checkpoint)),
+                checkpoint: Box::new(checkpoint),
                 fills,
             }))
         }
@@ -1613,8 +1292,7 @@ mod tests {
     /// The tableau is bit-identical for every worker-thread count
     /// (labels, kinds, and edges in the same order at the same ids),
     /// with and without fault actions, through the sharded intern
-    /// tables — and identical to the retained level-synchronized
-    /// engine at every thread count.
+    /// tables.
     #[test]
     fn build_is_deterministic_across_thread_counts() {
         for spec in ["p & AG(EX1 true & EX2 true)", "AG(EX1 true) & AF p & EF q"] {
@@ -1637,16 +1315,6 @@ mod tests {
                     // a frontier, so compare against the sequential
                     // profile, not the node count.
                     assert_eq!(prof.nodes_expanded, seq_prof.nodes_expanded);
-                }
-                for threads in [1, 2, 4, 8] {
-                    let (level, level_prof) =
-                        build_level_sync(&cl, &props, root.clone(), &faults, threads);
-                    assert_same_tableau(spec, &seq, &level);
-                    assert_eq!(level_prof.levels, seq_prof.levels);
-                    assert_eq!(level_prof.nodes_expanded, seq_prof.nodes_expanded);
-                    // The level-synchronized engine schedules whole
-                    // levels, not batches.
-                    assert_eq!(level_prof.batches, 0);
                 }
             }
         }
@@ -1676,17 +1344,18 @@ mod tests {
         }
     }
 
-    /// The optimized build and the [`build_reference`] oracle (naive
-    /// kernels) produce bit-identical tableaux at every thread count.
+    /// The work-stealing build at every thread count and the
+    /// sequential [`build_reference`] oracle (naive kernels, its own
+    /// harness) produce bit-identical tableaux.
     #[test]
     fn build_matches_reference_kernels() {
         for spec in ["p & AG(EX1 true & EX2 true)", "AG(EX1 true) & AF p & EF q"] {
             let (_, props, cl, root) = simple_setup(spec, 2);
             let faults = flip_p_faults(&props, &cl);
-            let (fast, _) = build_with_threads(&cl, &props, root.clone(), &faults, 1);
-            for threads in [1, 4] {
-                let (oracle, _) = build_reference(&cl, &props, root.clone(), &faults, threads);
-                assert_same_tableau(spec, &fast, &oracle);
+            let oracle = build_reference(&cl, &props, root.clone(), &faults);
+            for threads in [1, 2, 4, 8] {
+                let (fast, _) = build_with_threads(&cl, &props, root.clone(), &faults, threads);
+                assert_same_tableau(&format!("{spec}@{threads}"), &oracle, &fast);
             }
         }
     }
@@ -1707,13 +1376,21 @@ mod tests {
                 max_states: Some(12),
                 ..Budget::default()
             });
-            let abort = build_governed(&cl, &props, root.clone(), &faults, threads, &gov)
-                .expect_err("cap of 12 must trip");
+            let abort = build_shared_cache_governed(
+                &cl,
+                &props,
+                root.clone(),
+                &faults,
+                threads,
+                None,
+                Some(&gov),
+            )
+            .expect_err("cap of 12 must trip");
             assert!(matches!(
                 abort.reason,
                 AbortReason::StateCapExceeded { cap: 12, .. }
             ));
-            let ck = *abort.checkpoint.expect("work-stealing aborts are resumable");
+            let ck = *abort.checkpoint;
             assert!(ck.tableau_nodes() >= 12);
             let ck = Checkpoint::decode(&ck.encode()).expect("blob round-trips");
             ck.validate(
@@ -1756,8 +1433,16 @@ mod tests {
                 max_states: Some(8),
                 ..Budget::default()
             });
-            let a1 = build_governed(&cl, &props, root.clone(), &faults, threads, &caps)
-                .expect_err("cap of 8 trips");
+            let a1 = build_shared_cache_governed(
+                &cl,
+                &props,
+                root.clone(),
+                &faults,
+                threads,
+                None,
+                Some(&caps),
+            )
+            .expect_err("cap of 8 trips");
             let raised = Governor::with_budget(Budget {
                 max_states: Some(2 * full.len() / 3),
                 ..Budget::default()
@@ -1769,7 +1454,7 @@ mod tests {
                 threads,
                 None,
                 Some(&raised),
-                *a1.checkpoint.unwrap(),
+                *a1.checkpoint,
             )
             .expect_err("two-thirds cap trips again");
             let (resumed, _, _) = build_resume_governed(
@@ -1779,7 +1464,7 @@ mod tests {
                 threads,
                 None,
                 Some(&Governor::unlimited()),
-                *a2.checkpoint.unwrap(),
+                *a2.checkpoint,
             )
             .expect("final resume completes");
             assert_same_tableau(&format!("chain@{threads}"), &full, &resumed);
@@ -1787,8 +1472,16 @@ mod tests {
             // Panic abort: the panicked batch was never committed and
             // must re-run on resume.
             let booby = Governor::unlimited().inject_worker_panic_at_batch(2);
-            let a3 = build_governed(&cl, &props, root.clone(), &faults, threads, &booby)
-                .expect_err("injected panic aborts");
+            let a3 = build_shared_cache_governed(
+                &cl,
+                &props,
+                root.clone(),
+                &faults,
+                threads,
+                None,
+                Some(&booby),
+            )
+            .expect_err("injected panic aborts");
             assert!(matches!(a3.reason, AbortReason::WorkerPanic { .. }));
             let (after_panic, _, _) = build_resume_governed(
                 &cl,
@@ -1797,7 +1490,7 @@ mod tests {
                 threads,
                 None,
                 Some(&Governor::unlimited()),
-                *a3.checkpoint.unwrap(),
+                *a3.checkpoint,
             )
             .expect("resume after panic completes");
             assert_same_tableau(&format!("panic-resume@{threads}"), &full, &after_panic);

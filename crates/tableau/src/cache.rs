@@ -5,7 +5,8 @@
 //! valuations, so different specifications over the same propositions
 //! keep producing the same perturbed labels). An [`ExpansionCache`]
 //! owned by the caller can therefore be threaded through any number of
-//! [`build_with_cache`](crate::build_with_cache) calls.
+//! [`build_shared_cache_governed`](crate::build_shared_cache_governed)
+//! calls.
 //!
 //! The memo is sound only across builds that share the same *closure*:
 //! a `LabelSet` key is a bitset of closure formula indices, so the
@@ -242,7 +243,7 @@ impl ExpansionCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::build::{build_with_cache, build_with_threads};
+    use crate::build::{build_shared_cache_governed, build_with_threads};
     use crate::expand::Tile;
     use crate::FaultSpec;
     use ftsyn_ctl::{parse::parse, Closure, FormulaArena, Owner, PropTable};
@@ -413,19 +414,37 @@ mod tests {
         let (props, cl, root) = setup("p & AG(EX1 true) & AF(q)");
         let (plain, _) = build_with_threads(&cl, &props, root.clone(), &FaultSpec::none(), 1);
         let mut cache = ExpansionCache::new();
-        let (cold, cold_prof) =
-            build_with_cache(&cl, &props, root.clone(), &FaultSpec::none(), 1, &mut cache);
-        let filled = cache.len();
+        let (cold, cold_prof, fills) = build_shared_cache_governed(
+            &cl,
+            &props,
+            root.clone(),
+            &FaultSpec::none(),
+            1,
+            Some(&cache),
+            None,
+        )
+        .expect("ungoverned build completes");
+        for fill in fills {
+            cache.apply_fill(fill);
+        }
         assert_eq!(
             cold_prof.cache_hits, 0,
             "interning makes every label unique within one build"
         );
         assert!(cold_prof.cache_misses > 0);
-        let (warm, warm_prof) =
-            build_with_cache(&cl, &props, root, &FaultSpec::none(), 4, &mut cache);
+        let (warm, warm_prof, fills) = build_shared_cache_governed(
+            &cl,
+            &props,
+            root,
+            &FaultSpec::none(),
+            4,
+            Some(&cache),
+            None,
+        )
+        .expect("ungoverned build completes");
+        assert!(fills.is_empty(), "warm build adds no entries");
         assert!(warm_prof.cache_hits > 0);
         assert_eq!(warm_prof.cache_misses, 0, "warm build is fully served");
-        assert_eq!(cache.len(), filled, "warm build adds no entries");
         for t in [&cold, &warm] {
             assert_eq!(plain.len(), t.len());
             for id in plain.node_ids() {

@@ -20,32 +20,6 @@ use std::collections::HashSet;
 /// process `i`, each adding `EXᵢ true` — otherwise the `AX` obligations
 /// would be vacuous for lack of successors.
 pub fn blocks(closure: &Closure, label: &LabelSet) -> Vec<LabelSet> {
-    blocks_with(closure, label, FilterKind::Accepted)
-}
-
-/// [`blocks`] with the classic all-smaller-labels minimal filter —
-/// retained verbatim with the level-synchronized build kernel so that
-/// engine head-to-heads compare frozen generations (same policy as
-/// [`crate::expand_naive`] for `build_reference`). The output is
-/// identical to [`blocks`]; only the filter's comparison count differs.
-pub(crate) fn blocks_classic(closure: &Closure, label: &LabelSet) -> Vec<LabelSet> {
-    blocks_with(closure, label, FilterKind::Classic)
-}
-
-/// Which minimal-superset filter a `blocks` run uses. Both compute the
-/// same predicate (see the filter comments below), so the output —
-/// contents *and* order — is identical either way.
-#[derive(Clone, Copy)]
-enum FilterKind {
-    /// Scan every strictly-smaller label (quadratic in practice on
-    /// fault-heavy problems; frozen with the level-sync kernel).
-    Classic,
-    /// Scan only already-accepted *minimal* strictly-smaller labels
-    /// (the work-stealing engine's filter).
-    Accepted,
-}
-
-fn blocks_with(closure: &Closure, label: &LabelSet, filter: FilterKind) -> Vec<LabelSet> {
     let mut done: Vec<LabelSet> = Vec::new();
     let mut done_set: HashSet<LabelSet> = HashSet::new();
     // Branch = (accumulated label, unexpanded α/elementary, unexpanded β).
@@ -204,70 +178,46 @@ fn blocks_with(closure: &Closure, label: &LabelSet, filter: FilterKind) -> Vec<L
     // tableau (and the final model) small.
     //
     // A strict subset has strictly smaller cardinality, so only labels
-    // from smaller size classes can shadow `a`. Both filters exploit
-    // this by sorting candidate indices by size; they differ in *which*
-    // smaller labels they compare against:
-    //
-    // * `Classic` scans every strictly-smaller label (the historic
-    //   filter, frozen with the level-sync kernel). Cheap when output
-    //   skews to one size class, quadratic when it does not — which is
-    //   exactly what fault-successor-heavy OR labels produce (many
-    //   distinct size classes of partially-determined branches).
-    //
-    // * `Accepted` processes labels in ascending size order and
-    //   compares each only against the strictly-smaller labels *already
-    //   accepted as minimal*. Equivalent predicate: if any smaller
-    //   label `b ⊆ a` exists, take a minimum-size such `b*` — nothing
-    //   strictly smaller is a subset of `b*` (it would also be a
-    //   smaller subset of `a`), so `b*` itself is accepted, and the
-    //   accepted-only scan finds it. Equal-size labels never shadow
-    //   each other (strict subsets are strictly smaller), so the
-    //   unstable sort's tie order is irrelevant. The minimal set is
-    //   typically ~10x smaller than the candidate set, which turns the
-    //   dominant cost of `Blocks` on fault-heavy problems into noise.
+    // from smaller size classes can shadow `a`. Labels are processed in
+    // ascending size order and each is compared only against the
+    // strictly-smaller labels *already accepted as minimal*. That is the
+    // same predicate as scanning every smaller label: if any smaller
+    // label `b ⊆ a` exists, take a minimum-size such `b*` — nothing
+    // strictly smaller is a subset of `b*` (it would also be a smaller
+    // subset of `a`), so `b*` itself is accepted, and the accepted-only
+    // scan finds it. Equal-size labels never shadow each other (strict
+    // subsets are strictly smaller), so the unstable sort's tie order is
+    // irrelevant. The minimal set is typically ~10x smaller than the
+    // candidate set, which turns the dominant cost of `Blocks` on
+    // fault-heavy problems (many distinct size classes of
+    // partially-determined branches) into noise.
     let sizes: Vec<usize> = out.iter().map(LabelSet::len).collect();
     let mut by_size: Vec<usize> = (0..out.len()).collect();
     by_size.sort_unstable_by_key(|&i| sizes[i]);
-    match filter {
-        FilterKind::Classic => out
+    let mut keep = vec![false; out.len()];
+    // Monotone one-word summaries: a failing fingerprint test refutes
+    // `out[j] ⊆ out[i]` without touching the words, and a passing one
+    // changes nothing — the kept set is identical.
+    let fps: Vec<u64> = out.iter().map(LabelSet::fingerprint).collect();
+    // Indices of accepted minimal labels, in ascending size order (the
+    // processing order).
+    let mut accepted: Vec<usize> = Vec::new();
+    for &i in &by_size {
+        let shadowed = accepted
             .iter()
-            .enumerate()
-            .filter(|&(i, a)| {
-                !by_size
-                    .iter()
-                    .take_while(|&&j| sizes[j] < sizes[i])
-                    .any(|&j| out[j].is_subset(a))
-            })
-            .map(|(_, a)| a.clone())
-            .collect(),
-        FilterKind::Accepted => {
-            let mut keep = vec![false; out.len()];
-            // Monotone one-word summaries: a failing fingerprint test
-            // refutes `out[j] ⊆ out[i]` without touching the words, and
-            // a passing one changes nothing — the kept set is identical.
-            let fps: Vec<u64> = out.iter().map(LabelSet::fingerprint).collect();
-            // Indices of accepted minimal labels, in ascending size
-            // order (the processing order).
-            let mut accepted: Vec<usize> = Vec::new();
-            for &i in &by_size {
-                let shadowed = accepted
-                    .iter()
-                    .take_while(|&&j| sizes[j] < sizes[i])
-                    .any(|&j| fps[j] & !fps[i] == 0 && out[j].is_subset(&out[i]));
-                if !shadowed {
-                    keep[i] = true;
-                    accepted.push(i);
-                }
-            }
-            // Emit in the original candidate order, exactly like the
-            // classic filter.
-            out.iter()
-                .enumerate()
-                .filter(|&(i, _)| keep[i])
-                .map(|(_, a)| a.clone())
-                .collect()
+            .take_while(|&&j| sizes[j] < sizes[i])
+            .any(|&j| fps[j] & !fps[i] == 0 && out[j].is_subset(&out[i]));
+        if !shadowed {
+            keep[i] = true;
+            accepted.push(i);
         }
     }
+    // Emit in the original candidate order.
+    out.iter()
+        .enumerate()
+        .filter(|&(i, _)| keep[i])
+        .map(|(_, a)| a.clone())
+        .collect()
 }
 
 /// One `Tiles` successor requirement of an AND-node.
@@ -465,25 +415,6 @@ mod tests {
         for b in &bs {
             let has_ex_true = (0..2).any(|i| b.contains(cl.ex_true(i)));
             assert!(has_ex_true);
-        }
-    }
-
-    /// The accepted-only minimal filter and the classic all-smaller
-    /// scan produce identical output — contents *and* order.
-    #[test]
-    fn accepted_filter_matches_classic_filter() {
-        for spec in [
-            "AF p | AF q",
-            "AG(p | q) & AF r",
-            "(p | q) & (~p | r) & AF q",
-            "AG(EX1 true & EX2 true) & (p | ~q) & AF(q | r)",
-        ] {
-            let (_props, cl, labels) = setup(&[spec], 2);
-            assert_eq!(
-                blocks(&cl, &labels[0]),
-                blocks_classic(&cl, &labels[0]),
-                "{spec}"
-            );
         }
     }
 

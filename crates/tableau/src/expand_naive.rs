@@ -3,9 +3,9 @@
 //! acceleration work.
 //!
 //! These are the oracle for the optimized kernels in [`crate::expand`]:
-//! equivalence tests (and the `slow-reference` bench head-to-head)
-//! assert that the fast path produces bit-identical label sets. The
-//! propositional consistency check here deliberately re-derives the
+//! equivalence tests and the `build_reference` cross-check assert that
+//! the fast path produces bit-identical label sets. The propositional
+//! consistency check here deliberately re-derives the
 //! literal table from the label via a `HashMap` walk — the exact
 //! pre-optimization behavior — rather than using the precomputed
 //! literal masks of [`ftsyn_ctl::Closure::is_prop_consistent`].

@@ -191,8 +191,8 @@ pub enum Phase {
 }
 
 impl Phase {
-    /// Stable machine-readable name (used as a JSON value by
-    /// `bench_json` and in CLI output).
+    /// Stable machine-readable name (used as a JSON value by the
+    /// service and in CLI output).
     pub fn name(self) -> &'static str {
         match self {
             Phase::Build => "build",

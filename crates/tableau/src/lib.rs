@@ -35,9 +35,8 @@ mod scan;
 #[cfg(any(test, feature = "slow-reference"))]
 pub use build::build_reference;
 pub use build::{
-    build, build_governed, build_level_sync, build_level_sync_governed, build_resume_governed,
-    build_shared_cache_governed, build_with_cache, build_with_threads, valuation_of, BuildAbort,
-    BuildProfile, FaultSpec,
+    build, build_resume_governed, build_shared_cache_governed, build_with_threads, valuation_of,
+    BuildAbort, BuildProfile, FaultSpec,
 };
 pub use cache::{CacheFill, CacheLimits, ExpansionCache};
 pub use checkpoint::{
