@@ -6,7 +6,7 @@ use ftsyn::ctl::Closure;
 use ftsyn::guarded::interp::explore;
 use ftsyn::guarded::sim::{simulate, SimConfig};
 use ftsyn::kripke::{Checker, Semantics};
-use ftsyn::tableau::{apply_deletion_rules, blocks, build as build_tableau, FaultSpec};
+use ftsyn::tableau::{apply_deletion_rules, blocks, build as build_tableau};
 use ftsyn::{problems::mutex, synthesize, Tolerance};
 use std::hint::black_box;
 
@@ -32,15 +32,7 @@ fn bench_tableau_phases(c: &mut Criterion) {
     c.bench_function("substrate/tableau-build+delete-mutex-failstop", |b| {
         b.iter(|| {
             let mut p = mutex::with_fail_stop(2, Tolerance::Masking);
-            let roots = p.closure_roots();
-            let closure = Closure::build(&mut p.arena, &p.props, &roots);
-            let tol = p.tolerance_label_sets(&closure);
-            let fs = FaultSpec {
-                actions: p.faults.clone(),
-                tolerance_labels: tol,
-            };
-            let mut root_label = closure.empty_label();
-            root_label.insert(closure.index_of(roots[0]).unwrap());
+            let (closure, fs, root_label) = p.tableau_inputs();
             let mut t = build_tableau(&closure, &p.props, root_label, &fs);
             black_box(apply_deletion_rules(&mut t, &closure).total())
         })

@@ -66,17 +66,40 @@ fn daemon_session(
     crash_point: Option<&str>,
     input: &str,
 ) -> (bool, HashMap<String, Value>, String) {
+    daemon_session_in_steps(dir, extra_args, crash_point, &[input])
+}
+
+/// [`daemon_session`] fed in `steps`: every step but the last is
+/// written only after the daemon has answered each request of the
+/// previous step. The daemon replies in completion order, so this is
+/// how a test orders requests that would otherwise race (a listing and
+/// a resume that claims the listed checkpoint).
+fn daemon_session_in_steps(
+    dir: &Path,
+    extra_args: &[&str],
+    crash_point: Option<&str>,
+    steps: &[&str],
+) -> (bool, HashMap<String, Value>, String) {
     let mut child = spawn_daemon(dir, extra_args, crash_point);
-    child
-        .stdin
-        .take()
-        .unwrap()
-        .write_all(input.as_bytes())
-        .expect("write daemon stdin");
+    let mut stdin = child.stdin.take().unwrap();
+    let mut stdout = BufReader::new(child.stdout.take().unwrap());
+    let mut lines = Vec::new();
+    let (last, awaited) = steps.split_last().expect("at least one step");
+    for step in awaited {
+        stdin.write_all(step.as_bytes()).expect("write daemon stdin");
+        stdin.flush().expect("flush daemon stdin");
+        for _ in step.lines().filter(|l| !l.trim().is_empty()) {
+            let mut line = String::new();
+            stdout.read_line(&mut line).expect("read daemon reply");
+            lines.push(line);
+        }
+    }
+    stdin.write_all(last.as_bytes()).expect("write daemon stdin");
+    drop(stdin);
+    lines.extend(stdout.lines().map(|l| l.expect("read daemon reply")));
     let out = child.wait_with_output().expect("wait for daemon");
-    let stdout = String::from_utf8(out.stdout).unwrap();
     let mut replies = HashMap::new();
-    for line in stdout.lines() {
+    for line in lines.iter().filter(|l| !l.trim().is_empty()) {
         let v = json::parse(line).unwrap_or_else(|e| panic!("bad response line {line:?}: {e}"));
         let id = v.get("id").and_then(Value::as_str).unwrap().to_owned();
         replies.insert(id, v);
@@ -120,12 +143,14 @@ fn aborting_request(id: &str, threads: usize) -> String {
 /// Restarts against `dir` and resumes checkpoint `from`; asserts the
 /// listing offers it and the resumed program matches `expected`.
 fn assert_restart_resumes(dir: &Path, from: &str, threads: usize, expected: &str) {
-    let input = format!(
-        "{{\"id\":\"ls\",\"op\":\"list-checkpoints\"}}\n\
-         {{\"id\":\"r2\",\"op\":\"resume\",\"from\":\"{from}\",\"threads\":{threads}}}\n\
+    // The listing is answered before the resume is sent: a resume in
+    // flight could claim the checkpoint before the listing runs.
+    let resume = format!(
+        "{{\"id\":\"r2\",\"op\":\"resume\",\"from\":\"{from}\",\"threads\":{threads}}}\n\
          {{\"id\":\"end\",\"op\":\"shutdown\"}}\n"
     );
-    let (ok, replies, stderr) = daemon_session(dir, &[], None, &input);
+    let steps = ["{\"id\":\"ls\",\"op\":\"list-checkpoints\"}\n", resume.as_str()];
+    let (ok, replies, stderr) = daemon_session_in_steps(dir, &[], None, &steps);
     assert!(ok, "restarted daemon exited abnormally: {stderr}");
     assert!(
         stderr.contains(&format!("recovered checkpoint \"{from}\"")),

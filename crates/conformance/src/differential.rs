@@ -309,32 +309,6 @@ pub fn assert_tableaux_identical(
     }
 }
 
-/// The closure, fault spec, and root label a problem's tableau is built
-/// from.
-#[cfg(feature = "slow-reference")]
-fn tableau_inputs(
-    problem: &mut ftsyn::SynthesisProblem,
-) -> (
-    ftsyn::ctl::Closure,
-    ftsyn::tableau::FaultSpec,
-    ftsyn::ctl::LabelSet,
-) {
-    use ftsyn::ctl::Closure;
-    use ftsyn::tableau::FaultSpec;
-
-    let roots = problem.closure_roots();
-    let spec = roots[0];
-    let closure = Closure::build(&mut problem.arena, &problem.props, &roots);
-    let tolerance_labels = problem.tolerance_label_sets(&closure);
-    let fault_spec = FaultSpec {
-        actions: problem.faults.clone(),
-        tolerance_labels,
-    };
-    let mut root = closure.empty_label();
-    root.insert(closure.index_of(spec).expect("spec is a closure root"));
-    (closure, fault_spec, root)
-}
-
 /// Cross-checks the optimized build — kernels and work-stealing
 /// scheduler, at 2 worker threads so the scheduler actually runs —
 /// against the pre-optimization reference kernels on their own
@@ -343,7 +317,7 @@ fn tableau_inputs(
 pub fn cross_check_build(seed: u64, name: &str, problem: &mut ftsyn::SynthesisProblem) {
     use ftsyn::tableau::{build_reference, build_with_threads};
 
-    let (closure, fault_spec, root) = tableau_inputs(problem);
+    let (closure, fault_spec, root) = problem.tableau_inputs();
     let (fast, _) = build_with_threads(&closure, &problem.props, root.clone(), &fault_spec, 2);
     let reference = build_reference(&closure, &problem.props, root, &fault_spec);
     assert_tableaux_identical(

@@ -15,7 +15,9 @@
 //!   every CEGIS program with both oracles, and pins byte determinism
 //!   of the CEGIS engine across the 1/2/8 thread matrix.
 
+use ftsyn::guarded::interp::explore;
 use ftsyn::guarded::sim::CampaignConfig;
+use ftsyn::kripke::State;
 use ftsyn::problems::{barrier, mutex, readers_writers};
 use ftsyn::{
     cegis_synthesize, check_program, synthesize_with_engine, Engine, SynthesisOutcome,
@@ -23,6 +25,7 @@ use ftsyn::{
 };
 use ftsyn_conformance::campaign::assert_campaign;
 use ftsyn_conformance::differential::{run_seed_cegis, BackendCaseResult};
+use std::collections::HashSet;
 
 /// Synthesizes `problem` with the CEGIS engine and holds the result to
 /// the same bar as the tableau goldens: solved, internally verified,
@@ -197,6 +200,28 @@ fn engine_dispatch_runs_both_backends() {
         let s = outcome.unwrap_solved();
         assert!(s.verification.ok(), "{}: {:?}", engine.name(), s.verification.failures);
         assert_eq!(s.artifacts.is_some(), engine == Engine::Tableau);
+    }
+}
+
+/// CEGIS reports the off-model count its extraction measured: an
+/// independent recount (explore the program under the faults, count the
+/// explored states that are not model states) agrees with the profile.
+#[test]
+fn cegis_reports_its_real_off_model_count() {
+    for procs in [2, 3] {
+        let mut problem = mutex::with_fail_stop(procs, Tolerance::Masking);
+        let s = cegis_synthesize(&mut problem, ThreadPlan::uniform(1), None).unwrap_solved();
+        let ex = explore(&s.program, &problem.faults, &problem.props)
+            .expect("the CEGIS program is executable");
+        let on_model: HashSet<&State> = s.model.state_ids().map(|id| s.model.state(id)).collect();
+        let off_model = ex
+            .kripke
+            .state_ids()
+            .filter(|&id| !on_model.contains(ex.kripke.state(id)))
+            .count();
+        let profile = &s.stats.extract_profile;
+        assert_eq!(profile.explored_states, ex.kripke.len(), "mutex{procs}");
+        assert_eq!(profile.off_model_states, off_model, "mutex{procs}");
     }
 }
 

@@ -485,6 +485,42 @@ fn unlimited_governor_cegis_is_byte_identical_to_ungoverned() {
     );
 }
 
+/// The CEGIS certificate runs the tableau pipeline's build, but keeps
+/// its own phase bookkeeping. On barrier3-failstop-impossible the
+/// bounded search fails, so the certificate decides; under a state cap
+/// CEGIS aborts that build in `Phase::Cegis` with no checkpoint at every
+/// thread count, while the tableau engine aborts the same build in
+/// `Phase::Build` with one.
+#[test]
+fn cegis_certificate_abort_stays_in_the_cegis_phase() {
+    use ftsyn::problems::barrier;
+    use ftsyn::{synthesize_with_engine, Engine};
+    let budget = Budget {
+        max_states: Some(10),
+        ..Budget::default()
+    };
+    for &threads in &THREAD_MATRIX {
+        for (engine, phase) in [(Engine::Cegis, Phase::Cegis), (Engine::Tableau, Phase::Build)] {
+            let mut p = barrier::with_fail_stop_impossible(3);
+            let gov = Governor::with_budget(budget.clone());
+            let plan = ThreadPlan::uniform(threads);
+            let SynthesisOutcome::Aborted(a) = synthesize_with_engine(&mut p, engine, plan, Some(&gov))
+            else {
+                panic!("{} at {threads} threads: expected an abort", engine.name())
+            };
+            let what = format!("{} at {threads} threads", engine.name());
+            assert_eq!(a.phase, phase, "{what}");
+            assert_eq!(gov.current_phase(), phase, "{what}");
+            assert_eq!(
+                a.reason.to_string(),
+                "state cap of 10 exceeded (10 tableau nodes)",
+                "{what}"
+            );
+            assert_eq!(a.checkpoint.is_some(), engine == Engine::Tableau, "{what}");
+        }
+    }
+}
+
 /// A refinement cap of zero must degrade to a *structured* extraction
 /// gap (a `FailureKind::ExtractionGap` verification failure — the CLI's
 /// exit-3 path), never a silently-wrong program: the three-process
@@ -511,12 +547,28 @@ fn zero_refine_round_cap_degrades_to_a_structured_extraction_gap() {
     assert_eq!(s.stats.extract_profile.refinement_rounds, 0);
     assert!(!s.verification.extraction_ok);
     assert!(!s.verification.ok());
+    let gap = s
+        .verification
+        .failures
+        .iter()
+        .find(|f| f.kind == FailureKind::ExtractionGap)
+        .unwrap_or_else(|| {
+            panic!(
+                "expected an ExtractionGap failure, got: {}",
+                s.verification.failure_summary()
+            )
+        });
+    // The message names the cap, the checks that still fail on the
+    // explored structure, and both sizes.
+    let sizes = format!(
+        " ({} explored vs {} model states)",
+        s.stats.extract_profile.explored_states, s.stats.extract_profile.model_states
+    );
     assert!(
-        s.verification
-            .failures
-            .iter()
-            .any(|f| f.kind == FailureKind::ExtractionGap),
-        "expected an ExtractionGap failure, got: {}",
-        s.verification.failure_summary()
+        gap.message
+            .starts_with("extraction verification still rejects after 0 refinement round(s): ")
+            && gap.message.ends_with(&sizes),
+        "{}",
+        gap.message
     );
 }

@@ -13,25 +13,16 @@
 //!    the fast engine's output is byte-identical to the preserved
 //!    pre-optimization greedy engine on the same input.
 
-use ftsyn::ctl::Closure;
 use ftsyn::kripke::FtKripke;
 use ftsyn::problems::mutex;
-use ftsyn::tableau::{apply_deletion_rules_mode, build, FaultSpec};
+use ftsyn::tableau::{apply_deletion_rules_mode, build};
 use ftsyn::{semantic_minimize_with_threads, unravel_mode, SynthesisProblem, Tolerance};
 use ftsyn_conformance::differential::THREAD_MATRIX;
 
 /// Runs the pipeline up to (but not including) minimization — the
 /// exact input `synthesize` hands to the minimizer.
 fn pre_minimization_model(problem: &mut SynthesisProblem) -> FtKripke {
-    let roots = problem.closure_roots();
-    let spec_formula = roots[0];
-    let closure = Closure::build(&mut problem.arena, &problem.props, &roots);
-    let fault_spec = FaultSpec {
-        actions: problem.faults.clone(),
-        tolerance_labels: problem.tolerance_label_sets(&closure),
-    };
-    let mut root_label = closure.empty_label();
-    root_label.insert(closure.index_of(spec_formula).unwrap());
+    let (closure, fault_spec, root_label) = problem.tableau_inputs();
     let mut tableau = build(&closure, &problem.props, root_label, &fault_spec);
     apply_deletion_rules_mode(&mut tableau, &closure, problem.mode);
     assert!(tableau.alive(tableau.root()), "problem is synthesizable");

@@ -47,7 +47,7 @@
 //!    blocking store, so no candidate is ever examined twice.
 //!
 //! Every accepted candidate passes `verify_semantic` (the three
-//! requirements of Section 3, model-checked) *and* the full extraction
+//! requirements of Section 3, model-checked) *and* step 5 of the tableau
 //! pipeline — shared-variable introduction, skeleton extraction, the
 //! explore/re-verify refinement loop — so a CEGIS "solved" outcome
 //! carries exactly the guarantees of a tableau one. When the bounded
@@ -57,6 +57,12 @@
 //! not within the bound). The engine never claims an impossibility it
 //! cannot prove.
 //!
+//! Acceptance calls the tableau pipeline's step-5 function, and the
+//! certificate calls its build and deletion functions (all in
+//! `synthesize.rs`), so both engines measure and verify alike. Only the
+//! phase bookkeeping differs: CEGIS stays in [`Phase::Cegis`]
+//! throughout, and its aborts carry no checkpoint.
+//!
 //! # Determinism
 //!
 //! The search is sequential, and every collection it iterates is
@@ -64,60 +70,33 @@
 //! the candidate sequence — and therefore the outcome, the profile
 //! counters, and any cap abort — is identical at every thread count.
 
-use crate::extract::{
-    extract_program, introduce_shared_variables, refine_guards, ExtractProfile,
-    DEFAULT_EXTRACT_REFINE_ROUNDS,
-};
 use crate::problem::{SynthesisProblem, Tolerance};
 use crate::synthesize::{
-    aborted, Impossibility, SynthesisOutcome, SynthesisStats, Synthesized, ThreadPlan,
+    aborted, certificate_build, certificate_delete, extract_stage, Impossibility,
+    SynthesisOutcome, SynthesisStats, Synthesized, ThreadPlan,
 };
 use crate::verify::{verify_semantic, verify_semantic_ok};
-use ftsyn_ctl::{Closure, Formula, FormulaArena, FormulaId, Owner, PropId, PropTable};
-use ftsyn_guarded::fault_set_size;
-use ftsyn_guarded::interp::explore;
+use ftsyn_ctl::{Formula, FormulaArena, FormulaId, Owner, PropId, PropTable};
 use ftsyn_kripke::{FtKripke, PropSet, State, StateId, TransKind};
-use ftsyn_tableau::{
-    apply_deletion_rules_governed, apply_deletion_rules_profiled, build_shared_cache_governed,
-    AbortReason, CertMode, FaultSpec, Governor, Phase,
-};
+use ftsyn_tableau::{AbortReason, CertMode, Governor, Phase};
 use std::collections::{HashMap, HashSet};
 use std::time::Instant;
 
-/// Tuning knobs of the bounded search. The defaults are generous enough
-/// for the golden corpus; tests tighten them to exercise the structured
-/// exhaustion and abort paths.
-#[derive(Clone, Debug)]
-pub struct CegisConfig {
-    /// Ceiling for the obligation-queue bound. The bound never needs to
-    /// exceed the number of `AF` conjuncts (queue entries are distinct
-    /// clauses), so the effective maximum is
-    /// `min(max_bound, #AF-conjuncts)`.
-    pub max_bound: usize,
-    /// Engine-internal ceiling on candidates examined across all bounds
-    /// (independent of any [`ftsyn_tableau::Budget`] cap); reaching it
-    /// routes to the certificate instead of aborting.
-    pub max_candidates: usize,
-    /// Ceiling on admissible valuations; larger universes route to the
-    /// tableau certificate (the bounded search would thrash).
-    pub max_universe: usize,
-    /// Ceiling on base-graph states per bound.
-    pub max_states: usize,
-    /// Maximum single-edge children proposed per counterexample.
-    pub max_children: usize,
-}
-
-impl Default for CegisConfig {
-    fn default() -> CegisConfig {
-        CegisConfig {
-            max_bound: 8,
-            max_candidates: 512,
-            max_universe: 4096,
-            max_states: 50_000,
-            max_children: 12,
-        }
-    }
-}
+/// Ceiling for the obligation-queue bound. The bound never needs to
+/// exceed the number of `AF` conjuncts (queue entries are distinct
+/// clauses), so the effective maximum is `min(MAX_BOUND, #AF-conjuncts)`.
+const MAX_BOUND: usize = 8;
+/// Ceiling on candidates examined across all bounds (independent of any
+/// [`ftsyn_tableau::Budget`] cap); reaching it routes to the
+/// certificate instead of aborting.
+const MAX_CANDIDATES: usize = 512;
+/// Ceiling on admissible valuations; larger universes route to the
+/// tableau certificate (the bounded search would thrash).
+const MAX_UNIVERSE: usize = 4096;
+/// Ceiling on base-graph states per bound.
+const MAX_STATES: usize = 50_000;
+/// Maximum single-edge children proposed per counterexample.
+const MAX_CHILDREN: usize = 12;
 
 /// Deterministic counters of one CEGIS run, reported through
 /// [`SynthesisStats::cegis_profile`] and bench JSON. Identical at every
@@ -149,15 +128,6 @@ pub struct CegisProfile {
     pub certificate_nodes: usize,
 }
 
-/// [`cegis_synthesize_with_config`] under the default [`CegisConfig`].
-pub fn cegis_synthesize(
-    problem: &mut SynthesisProblem,
-    plan: ThreadPlan,
-    gov: Option<&Governor>,
-) -> SynthesisOutcome {
-    cegis_synthesize_with_config(problem, plan, gov, &CegisConfig::default())
-}
-
 /// Runs the CEGIS bounded-synthesis engine on `problem`.
 ///
 /// Returns [`SynthesisOutcome::Solved`] with a fully verified model and
@@ -166,36 +136,28 @@ pub fn cegis_synthesize(
 /// certificate root), or [`SynthesisOutcome::Aborted`] with
 /// [`Phase::Cegis`] when a budget trips or the bounded space is
 /// exhausted while the certificate shows the spec satisfiable.
-pub fn cegis_synthesize_with_config(
+pub fn cegis_synthesize(
     problem: &mut SynthesisProblem,
     plan: ThreadPlan,
     gov: Option<&Governor>,
-    config: &CegisConfig,
 ) -> SynthesisOutcome {
     let start = Instant::now();
     if let Some(g) = gov {
         g.enter_phase(Phase::Cegis);
     }
-    let mut stats = SynthesisStats {
-        fault_size: fault_set_size(&problem.faults),
-        ..SynthesisStats::default()
-    };
-    let spec_formula = problem.spec.formula(&mut problem.arena);
-    stats.spec_length = problem.arena.length(spec_formula);
+    let mut stats = SynthesisStats::for_problem(problem);
     let mut profile = CegisProfile::default();
 
-    let outcome = search(problem, plan, gov, config, &mut stats, &mut profile);
+    let outcome = search(problem, plan, gov, &mut stats, &mut profile);
     stats.cegis_profile = profile;
     match outcome {
         Search::Solved(mut solved) => {
-            stats.elapsed = start.elapsed();
-            stats.residual_time = stats.elapsed.saturating_sub(stats.phase_total());
+            stats.finish(start);
             solved.stats = stats;
             SynthesisOutcome::Solved(solved)
         }
         Search::Impossible => {
-            stats.elapsed = start.elapsed();
-            stats.residual_time = stats.elapsed.saturating_sub(stats.phase_total());
+            stats.finish(start);
             SynthesisOutcome::Impossible(Impossibility { stats })
         }
         Search::Aborted(reason) => aborted(Phase::Cegis, reason, None, stats, start),
@@ -212,7 +174,6 @@ fn search(
     problem: &mut SynthesisProblem,
     plan: ThreadPlan,
     gov: Option<&Governor>,
-    config: &CegisConfig,
     stats: &mut SynthesisStats,
     profile: &mut CegisProfile,
 ) -> Search {
@@ -221,7 +182,7 @@ fn search(
     profile.opaque_conjuncts = classified.opaque;
 
     let universe = if classified.init_propositional && classified.af.len() <= 32 {
-        Universe::build(problem, &classified, config)
+        Universe::build(problem, &classified)
     } else {
         // A non-propositional initial condition (or an obligation set
         // beyond any sensible bound) leaves the enumerator nothing
@@ -240,11 +201,11 @@ fn search(
             // structure — see the module docs.
             return Search::Impossible;
         }
-        let max_bound = config.max_bound.min(classified.af.len());
+        let max_bound = MAX_BOUND.min(classified.af.len());
         for bound in 0..=max_bound {
             profile.max_bound_tried = bound;
             exhausted_bound = bound;
-            let Some(base) = BaseGraph::build(problem, &classified, u, bound, config) else {
+            let Some(base) = BaseGraph::build(problem, &classified, u, bound) else {
                 continue; // unrepresentable (or too large) at this bound
             };
             profile.peak_base_states = profile.peak_base_states.max(base.states.len());
@@ -253,7 +214,6 @@ fn search(
                 &classified,
                 u,
                 &base,
-                config,
                 gov,
                 &mut candidates,
                 profile,
@@ -273,72 +233,21 @@ fn search(
     }
 
     // ---- Negative certificate ------------------------------------------
-    // The bounded space is spent. Build the tableau certificate: a dead
-    // root is a complete impossibility proof (Corollary 7.2); an alive
-    // root means the bound was too small — a structured abort, never a
-    // false "impossible".
-    let roots = problem.closure_roots();
-    let spec_formula = roots[0];
-    let t_build = Instant::now();
-    let closure = Closure::build(&mut problem.arena, &problem.props, &roots);
-    stats.closure_size = closure.len();
-    let tol_labels = problem.tolerance_label_sets(&closure);
-    let fault_spec = FaultSpec {
-        actions: problem.faults.clone(),
-        tolerance_labels: tol_labels,
+    // The bounded space is spent. Build the tableau certificate (steps
+    // 1–2 of the tableau pipeline, the same code): a dead root is a
+    // complete impossibility proof (Corollary 7.2); an alive root means
+    // the bound was too small — a structured abort, never a false
+    // "impossible". The governor stays in `Phase::Cegis` throughout.
+    let inputs = problem.tableau_inputs();
+    let mut tableau = match certificate_build(problem, &inputs, None, None, plan.build, gov, stats)
+    {
+        Ok((tableau, _)) => tableau,
+        Err(a) => return Search::Aborted(a.reason),
     };
-    let mut root_label = closure.empty_label();
-    root_label.insert(
-        closure
-            .index_of(spec_formula)
-            .expect("spec is a closure root"),
-    );
-    let build_result = build_shared_cache_governed(
-        &closure,
-        &problem.props,
-        root_label,
-        &fault_spec,
-        plan.build.max(1),
-        None,
-        gov,
-    );
-    let (mut tableau, build_profile, _fills) = match build_result {
-        Ok(ok) => ok,
-        Err(a) => {
-            stats.build_time = t_build.elapsed();
-            stats.build_profile = a.profile;
-            stats.tableau_nodes = a.nodes;
-            return Search::Aborted(a.reason);
-        }
-    };
-    stats.build_time = t_build.elapsed();
-    stats.build_profile = build_profile;
-    stats.tableau_nodes = tableau.len();
     profile.certificate_nodes = tableau.len();
-    let t_del = Instant::now();
-    let deletion_result = match gov {
-        Some(g) => apply_deletion_rules_governed(&mut tableau, &closure, problem.mode, g),
-        None => Ok(apply_deletion_rules_profiled(
-            &mut tableau,
-            &closure,
-            problem.mode,
-        )),
-    };
-    let (deletion, deletion_profile) = match deletion_result {
-        Ok(ok) => ok,
-        Err(a) => {
-            stats.deletion = a.stats;
-            stats.deletion_profile = a.profile;
-            stats.deletion_time = t_del.elapsed();
-            return Search::Aborted(a.reason);
-        }
-    };
-    stats.deletion = deletion;
-    stats.deletion_profile = deletion_profile;
-    stats.deletion_time = t_del.elapsed();
-    let (alive_and, alive_or) = tableau.alive_counts();
-    stats.alive_and = alive_and;
-    stats.alive_or = alive_or;
+    if let Err(reason) = certificate_delete(problem, &inputs.0, &mut tableau, gov, stats) {
+        return Search::Aborted(reason);
+    }
     if !tableau.alive(tableau.root()) {
         return Search::Impossible;
     }
@@ -667,7 +576,6 @@ impl Universe {
     fn build(
         problem: &SynthesisProblem,
         cls: &Classified,
-        config: &CegisConfig,
     ) -> Option<Universe> {
         let arena = &problem.arena;
         let props = &problem.props;
@@ -740,7 +648,7 @@ impl Universe {
         // Product (group 0 outermost), filtered by the full admission
         // tier.
         let total: usize = local.iter().map(Vec::len).product();
-        if total > config.max_universe * 16 {
+        if total > MAX_UNIVERSE * 16 {
             return None;
         }
         let mut vals: Vec<PropSet> = Vec::new();
@@ -761,7 +669,7 @@ impl Universe {
                     || cls.global_clauses.iter().all(|c| ag_inv_holds(arena, c, &v)))
             {
                 vals.push(v);
-                if vals.len() > config.max_universe {
+                if vals.len() > MAX_UNIVERSE {
                     return None;
                 }
             }
@@ -967,7 +875,6 @@ impl BaseGraph {
         cls: &Classified,
         u: &Universe,
         bound: usize,
-        config: &CegisConfig,
     ) -> Option<BaseGraph> {
         let arena = &problem.arena;
         let fault_free = problem.mode == CertMode::FaultFree;
@@ -1007,7 +914,7 @@ impl BaseGraph {
 
         let mut cursor = 0usize;
         while cursor < states.len() {
-            if states.len() > config.max_states {
+            if states.len() > MAX_STATES {
                 return None;
             }
             let sid = cursor as u32;
@@ -1413,7 +1320,6 @@ fn propose_children(
     base: &BaseGraph,
     cand: &Candidate,
     deleted: &[u32],
-    config: &CegisConfig,
 ) -> Vec<Vec<u32>> {
     let arena = &problem.arena;
     let fault_free = problem.mode == CertMode::FaultFree;
@@ -1605,7 +1511,7 @@ fn propose_children(
         }
     }
     singles.sort_unstable();
-    for (_, _, e) in singles.into_iter().take(config.max_children) {
+    for (_, _, e) in singles.into_iter().take(MAX_CHILDREN) {
         let mut d = deleted.to_vec();
         d.push(e);
         d.sort_unstable();
@@ -1632,7 +1538,6 @@ fn explore_bound(
     cls: &Classified,
     u: &Universe,
     base: &BaseGraph,
-    config: &CegisConfig,
     gov: Option<&Governor>,
     candidates: &mut usize,
     profile: &mut CegisProfile,
@@ -1653,7 +1558,7 @@ fn explore_bound(
                 return BoundResult::Aborted(reason);
             }
         }
-        if *candidates >= config.max_candidates {
+        if *candidates >= MAX_CANDIDATES {
             return BoundResult::CapHit;
         }
         *candidates += 1;
@@ -1672,7 +1577,7 @@ fn explore_bound(
             }
         }
         profile.oracle_rejections += 1;
-        let children = propose_children(problem, cls, u, base, &cand, &deleted, config);
+        let children = propose_children(problem, cls, u, base, &cand, &deleted);
         for child in children.into_iter().rev() {
             if !blocked.contains(&child) {
                 stack.push(child);
@@ -1688,58 +1593,24 @@ enum AcceptOutcome {
     Aborted(AbortReason),
 }
 
-/// Runs the full acceptance pipeline on a checker-approved candidate:
-/// shared-variable introduction, extraction, and the explore/re-verify
-/// refinement loop of the tableau pipeline — the same oracle, the same
-/// guarantees.
+/// Runs step 5 of the tableau pipeline — the same code — on a
+/// checker-approved candidate: shared-variable introduction,
+/// extraction, and the explore/re-verify refinement loop. A program
+/// that step 5 cannot verify rejects the candidate.
 fn accept(
     problem: &mut SynthesisProblem,
     mut model: FtKripke,
     gov: Option<&Governor>,
     stats: &mut SynthesisStats,
 ) -> AcceptOutcome {
-    let t_ext = Instant::now();
-    let intro = introduce_shared_variables(&mut model);
-    let mut program = extract_program(&model, &problem.props, problem.arena.num_procs(), &intro);
-    let mut extract_profile = ExtractProfile {
-        model_states: model.len(),
-        shared_vars: intro.vars.len(),
-        ..ExtractProfile::default()
+    let extraction = match extract_stage(problem, &mut model, gov, stats) {
+        Ok(e) => e,
+        Err(reason) => return AcceptOutcome::Aborted(reason),
     };
-    let refine_cap = gov
-        .and_then(|g| g.budget().max_extract_refine_rounds)
-        .unwrap_or(DEFAULT_EXTRACT_REFINE_ROUNDS);
-    let verified = loop {
-        if let Some(g) = gov {
-            if let Err(reason) = g.check_realtime() {
-                stats.extract_time += t_ext.elapsed();
-                stats.extract_profile = extract_profile;
-                return AcceptOutcome::Aborted(reason);
-            }
-        }
-        let Ok(ex) = explore(&program, &problem.faults, &problem.props) else {
-            break false;
-        };
-        extract_profile.explored_states = ex.kripke.len();
-        if verify_semantic_ok(problem, &ex.kripke) {
-            break true;
-        }
-        if extract_profile.refinement_rounds >= refine_cap {
-            break false;
-        }
-        let changed = refine_guards(problem, &model, &intro, &mut program);
-        extract_profile.refinement_rounds += 1;
-        extract_profile.refined_arcs += changed;
-        if changed == 0 {
-            break false;
-        }
-    };
-    stats.extract_time += t_ext.elapsed();
-    if !verified {
+    if extraction.failure.is_some() {
         return AcceptOutcome::Rejected;
     }
-    extract_profile.verified = true;
-    stats.extract_profile = extract_profile;
+    stats.extract_profile = extraction.profile;
     let t_ver = Instant::now();
     let verification = verify_semantic(problem, &model);
     stats.verify_time += t_ver.elapsed();
@@ -1749,7 +1620,7 @@ fn accept(
     stats.program_transitions = model.edge_count() - stats.fault_transitions;
     AcceptOutcome::Solved(Box::new(Synthesized {
         model,
-        program,
+        program: extraction.program,
         artifacts: None,
         stats: SynthesisStats::default(), // replaced by the caller
         verification,

@@ -63,7 +63,7 @@ mod verify;
 
 pub mod problems;
 
-pub use cegis::{cegis_synthesize, cegis_synthesize_with_config, CegisConfig, CegisProfile};
+pub use cegis::{cegis_synthesize, CegisProfile};
 pub use check::{check_program, CheckError, CheckReport};
 pub use extract::{
     extract_program, introduce_shared_variables, refine_guards, ExtractProfile,

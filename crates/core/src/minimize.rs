@@ -875,7 +875,7 @@ pub fn semantic_minimize_with_threads(
     model: FtKripke,
     threads: usize,
 ) -> (FtKripke, Vec<StateId>, MinimizeProfile) {
-    minimize_core(problem, model, threads, None)
+    semantic_minimize_governed(problem, model, threads, None)
         .unwrap_or_else(|a| panic!("ungoverned minimize aborted: {}", a.reason))
 }
 
@@ -888,22 +888,14 @@ pub struct MinimizeAbort {
     pub profile: MinimizeProfile,
 }
 
-/// [`semantic_minimize_with_threads`] under a [`Governor`]: the attempt
-/// cap bounds each round's candidate scan so that exactly `cap`
-/// candidates are decided in scan order before the abort — bit-identical
-/// counters at every thread count — and the deadline/cancel flag is
-/// polled before every candidate verification.
-/// `max_minimize_attempts: Some(n)` performs exactly `n` attempts.
+/// [`semantic_minimize_with_threads`] under an optional [`Governor`]
+/// (`None` never aborts): the attempt cap bounds each round's candidate
+/// scan so that exactly `cap` candidates are decided in scan order
+/// before the abort — bit-identical counters at every thread count —
+/// and the deadline/cancel flag is polled before every candidate
+/// verification. `max_minimize_attempts: Some(n)` performs exactly `n`
+/// attempts.
 pub fn semantic_minimize_governed(
-    problem: &mut SynthesisProblem,
-    model: FtKripke,
-    threads: usize,
-    gov: &Governor,
-) -> Result<(FtKripke, Vec<StateId>, MinimizeProfile), MinimizeAbort> {
-    minimize_core(problem, model, threads, Some(gov))
-}
-
-fn minimize_core(
     problem: &mut SynthesisProblem,
     model: FtKripke,
     threads: usize,
@@ -1170,9 +1162,8 @@ mod tests {
     use crate::synthesize;
     use crate::unravel::unravel_mode;
     use crate::verify::verify_semantic;
-    use ftsyn_ctl::Closure;
     use ftsyn_kripke::TransKind;
-    use ftsyn_tableau::{apply_deletion_rules_mode, build, Budget, FaultSpec};
+    use ftsyn_tableau::{apply_deletion_rules_mode, build, Budget};
 
     /// Structural identity of two models, id-for-id: states (valuations
     /// and shared variables), edges in insertion order, and initial
@@ -1187,15 +1178,7 @@ mod tests {
     /// Replicates the pipeline up to the pre-minimization model (the
     /// input `semantic_minimize` sees during synthesis).
     fn pre_minimization_model(problem: &mut SynthesisProblem) -> FtKripke {
-        let roots = problem.closure_roots();
-        let spec_formula = roots[0];
-        let closure = Closure::build(&mut problem.arena, &problem.props, &roots);
-        let fault_spec = FaultSpec {
-            actions: problem.faults.clone(),
-            tolerance_labels: problem.tolerance_label_sets(&closure),
-        };
-        let mut root_label = closure.empty_label();
-        root_label.insert(closure.index_of(spec_formula).unwrap());
+        let (closure, fault_spec, root_label) = problem.tableau_inputs();
         let mut tableau = build(&closure, &problem.props, root_label, &fault_spec);
         apply_deletion_rules_mode(&mut tableau, &closure, problem.mode);
         assert!(tableau.alive(tableau.root()), "problem is synthesizable");
@@ -1417,7 +1400,7 @@ mod tests {
                     ..Budget::default()
                 });
                 let abort =
-                    semantic_minimize_governed(&mut mk(), pre.clone(), threads, &gov)
+                    semantic_minimize_governed(&mut mk(), pre.clone(), threads, Some(&gov))
                         .expect_err("cap below total attempts must abort");
                 assert_eq!(
                     format!("{}", abort.reason),
@@ -1440,7 +1423,7 @@ mod tests {
             max_minimize_attempts: Some(full.attempts),
             ..Budget::default()
         });
-        let (_, _, p) = semantic_minimize_governed(&mut mk(), pre, 2, &gov)
+        let (_, _, p) = semantic_minimize_governed(&mut mk(), pre, 2, Some(&gov))
             .expect("exact cap admits the full run");
         assert_eq!(p.attempts, full.attempts);
         assert_eq!(p.merges, full.merges);

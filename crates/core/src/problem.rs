@@ -3,7 +3,7 @@
 
 use ftsyn_ctl::{Closure, FormulaArena, FormulaId, LabelSet, PropTable, Spec};
 use ftsyn_guarded::FaultAction;
-use ftsyn_tableau::CertMode;
+use ftsyn_tableau::{CertMode, FaultSpec};
 #[cfg(feature = "serde")]
 use serde::{Deserialize, Serialize};
 
@@ -138,6 +138,22 @@ impl SynthesisProblem {
             roots.extend(self.label_tol_formulas(tol));
         }
         roots
+    }
+
+    /// Step 0 of the method, the inputs of every tableau build: the
+    /// closure over [`SynthesisProblem::closure_roots`], the fault
+    /// specification with each action's tolerance label, and the root
+    /// label `{spec}`.
+    pub fn tableau_inputs(&mut self) -> (Closure, FaultSpec, LabelSet) {
+        let roots = self.closure_roots();
+        let closure = Closure::build(&mut self.arena, &self.props, &roots);
+        let fault_spec = FaultSpec {
+            actions: self.faults.clone(),
+            tolerance_labels: self.tolerance_label_sets(&closure),
+        };
+        let mut root_label = closure.empty_label();
+        root_label.insert(closure.index_of(roots[0]).expect("spec is a closure root"));
+        (closure, fault_spec, root_label)
     }
 
     /// Converts the `Label_a(spec)` of every fault action into closure

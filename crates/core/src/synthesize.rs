@@ -1,26 +1,27 @@
 //! The end-to-end synthesis pipeline (Section 5.2, steps 1–5).
 
+use crate::cegis::{cegis_synthesize, CegisProfile};
 use crate::extract::{
     extract_program, introduce_shared_variables, refine_guards, ExtractProfile,
     DEFAULT_EXTRACT_REFINE_ROUNDS,
 };
-use crate::minimize::{
-    semantic_minimize_governed, semantic_minimize_with_threads, MinimizeProfile,
-};
-use crate::cegis::{cegis_synthesize, CegisProfile};
+use crate::minimize::{semantic_minimize_governed, MinimizeProfile};
 use crate::problem::SynthesisProblem;
-use crate::unravel::{unravel_governed, unravel_mode, Unraveled};
-use crate::verify::{verify, verify_semantic, verify_semantic_ok, Failure, FailureKind, Verification};
-use ftsyn_ctl::Closure;
-use ftsyn_guarded::interp::{explore, Config};
-use ftsyn_guarded::{fault_set_size, Program};
-use ftsyn_kripke::{bisimulation_quotient, FtKripke};
-use ftsyn_tableau::{
-    apply_deletion_rules_governed, apply_deletion_rules_profiled, build_resume_governed,
-    build_shared_cache_governed, spec_fingerprint, AbortReason, BuildProfile, CacheFill,
-    Checkpoint, CheckpointError, DeletionProfile, DeletionStats, ExpansionCache, FaultSpec,
-    Governor, NodeId, Phase, Tableau,
+use crate::unravel::{unravel_governed, Unraveled};
+use crate::verify::{
+    verify, verify_semantic, verify_semantic_ok, Failure, FailureKind, Verification,
 };
+use ftsyn_ctl::{Closure, LabelSet};
+use ftsyn_guarded::interp::{explore, ExploreError};
+use ftsyn_guarded::{fault_set_size, Program};
+use ftsyn_kripke::{bisimulation_quotient, FtKripke, State};
+use ftsyn_tableau::{
+    apply_deletion_rules_governed, build_resume_governed, build_shared_cache_governed,
+    spec_fingerprint, AbortReason, BuildAbort, BuildProfile, CacheFill, Checkpoint,
+    CheckpointError, DeletionProfile, DeletionStats, ExpansionCache, FaultSpec, Governor, NodeId,
+    Phase, Tableau,
+};
+use std::collections::HashSet;
 use std::time::{Duration, Instant};
 
 /// Size and timing measurements of one synthesis run (the quantities the
@@ -92,6 +93,24 @@ impl SynthesisStats {
             + self.minimize_time
             + self.extract_time
             + self.verify_time
+    }
+
+    /// Fresh stats for a run on `problem`, with the input sizes
+    /// (`|spec|`, `|F|`) filled in.
+    pub(crate) fn for_problem(problem: &mut SynthesisProblem) -> SynthesisStats {
+        let spec = problem.spec.formula(&mut problem.arena);
+        SynthesisStats {
+            spec_length: problem.arena.length(spec),
+            fault_size: fault_set_size(&problem.faults),
+            ..SynthesisStats::default()
+        }
+    }
+
+    /// Closes the books on a run that began at `start`: the wall-clock
+    /// total, and the part of it no phase accounts for.
+    pub(crate) fn finish(&mut self, start: Instant) {
+        self.elapsed = start.elapsed();
+        self.residual_time = self.elapsed.saturating_sub(self.phase_total());
     }
 }
 
@@ -258,10 +277,7 @@ pub fn synthesize(problem: &mut SynthesisProblem) -> SynthesisOutcome {
 /// [`synthesize`] with an explicit worker-thread budget shared by all
 /// parallel phases (1 = fully sequential). The outcome is bit-identical
 /// for every thread count; the stats record how the work was scheduled.
-pub fn synthesize_with_threads(
-    problem: &mut SynthesisProblem,
-    threads: usize,
-) -> SynthesisOutcome {
+pub fn synthesize_with_threads(problem: &mut SynthesisProblem, threads: usize) -> SynthesisOutcome {
     synthesize_planned(problem, ThreadPlan::uniform(threads), None)
 }
 
@@ -423,8 +439,7 @@ pub(crate) fn aborted(
     mut stats: SynthesisStats,
     start: Instant,
 ) -> SynthesisOutcome {
-    stats.elapsed = start.elapsed();
-    stats.residual_time = stats.elapsed.saturating_sub(stats.phase_total());
+    stats.finish(start);
     let failures = match &reason {
         AbortReason::WorkerPanic { message } => vec![Failure::pipeline(
             FailureKind::WorkerPanic,
@@ -441,6 +456,201 @@ pub(crate) fn aborted(
     }))
 }
 
+/// Step 1, shared by both engines: builds the tableau over the step-0
+/// `inputs` (see [`SynthesisProblem::tableau_inputs`]), or resumes the
+/// build from `resume`. Fills the closure size, build time, build
+/// profile and node count of `stats`, on an abort too. The caller owns
+/// the phase bookkeeping and whatever it does with an abort's
+/// checkpoint.
+pub(crate) fn certificate_build(
+    problem: &SynthesisProblem,
+    inputs: &(Closure, FaultSpec, LabelSet),
+    resume: Option<Checkpoint>,
+    cache: Option<&ExpansionCache>,
+    threads: usize,
+    gov: Option<&Governor>,
+    stats: &mut SynthesisStats,
+) -> Result<(Tableau, Vec<CacheFill>), Box<BuildAbort>> {
+    let (closure, fault_spec, root_label) = inputs;
+    stats.closure_size = closure.len();
+    let t_build = Instant::now();
+    let threads = threads.max(1);
+    let result = match resume {
+        Some(ck) => {
+            build_resume_governed(closure, &problem.props, fault_spec, threads, cache, gov, ck)
+        }
+        None => build_shared_cache_governed(
+            closure,
+            &problem.props,
+            root_label.clone(),
+            fault_spec,
+            threads,
+            cache,
+            gov,
+        ),
+    };
+    stats.build_time = t_build.elapsed();
+    match result {
+        Ok((tableau, profile, fills)) => {
+            stats.build_profile = profile;
+            stats.tableau_nodes = tableau.len();
+            Ok((tableau, fills))
+        }
+        Err(mut a) => {
+            stats.build_profile = std::mem::take(&mut a.profile);
+            stats.tableau_nodes = a.nodes;
+            Err(a)
+        }
+    }
+}
+
+/// Step 2, shared by both engines: applies the deletion rules to
+/// `tableau`. Fills the deletion counters, profile and time and the
+/// alive-node counts of `stats`, on an abort too. A dead root afterwards
+/// is the impossibility certificate of Corollary 7.2.
+pub(crate) fn certificate_delete(
+    problem: &SynthesisProblem,
+    closure: &Closure,
+    tableau: &mut Tableau,
+    gov: Option<&Governor>,
+    stats: &mut SynthesisStats,
+) -> Result<(), AbortReason> {
+    let t_del = Instant::now();
+    let result = apply_deletion_rules_governed(tableau, closure, problem.mode, gov);
+    stats.deletion_time = t_del.elapsed();
+    (stats.alive_and, stats.alive_or) = tableau.alive_counts();
+    match result {
+        Ok((deletion, profile)) => {
+            stats.deletion = deletion;
+            stats.deletion_profile = profile;
+            Ok(())
+        }
+        Err(a) => {
+            stats.deletion = a.stats;
+            stats.deletion_profile = a.profile;
+            Err(a.reason)
+        }
+    }
+}
+
+/// The result of step 5 on one model.
+pub(crate) struct Extraction {
+    /// The extracted (and possibly guard-refined) program.
+    pub program: Program,
+    /// Counters of the extraction and its verification loop.
+    pub profile: ExtractProfile,
+    /// Why the extracted program failed verification; `None` when it
+    /// passed.
+    pub failure: Option<ExtractionGap>,
+}
+
+/// Why the program step 5 extracted failed its re-verification.
+pub(crate) enum ExtractionGap {
+    /// The program could not be explored under the faults.
+    NotExecutable(ExploreError),
+    /// The explored structure still violated the semantic requirements
+    /// at the refinement round cap.
+    CapReached(FtKripke),
+    /// ... or after a refinement round that changed no guard.
+    NoProgress(FtKripke),
+}
+
+impl ExtractionGap {
+    /// The [`FailureKind::ExtractionGap`] message. Summarising a
+    /// rejection re-runs the full semantic check on the explored
+    /// structure, so only the tableau path, which reports it, pays.
+    fn message(self, problem: &mut SynthesisProblem, profile: &ExtractProfile) -> String {
+        let (explored, what) = match self {
+            ExtractionGap::NotExecutable(e) => {
+                return format!("extracted program is not executable: {e}")
+            }
+            ExtractionGap::CapReached(k) => (
+                k,
+                format!(
+                    "extraction verification still rejects after {} refinement round(s)",
+                    profile.refinement_rounds
+                ),
+            ),
+            ExtractionGap::NoProgress(k) => (k, "extraction refinement made no progress".into()),
+        };
+        let summary = verify_semantic(problem, &explored).failure_summary();
+        format!(
+            "{what}: {summary} ({} explored vs {} model states)",
+            explored.len(),
+            profile.model_states
+        )
+    }
+}
+
+/// Step 5, shared by both engines: introduces the shared variables into
+/// `model`, extracts the program, then explores it under the faults and
+/// re-checks the semantic requirements on what it generates
+/// (Corollary 7.1's "execution of P generates M_F", established
+/// mechanically instead of assumed). On rejection, the guards of the
+/// arcs implicated by the off-model counterexample configurations are
+/// strengthened from the displacement fixpoint and the check repeats,
+/// up to a governor-visible round cap. A loop that does not converge
+/// reports an [`ExtractionGap`] instead of a silently-wrong program.
+///
+/// Adds its wall time to `stats.extract_time`; an abort also leaves the
+/// partial profile in `stats.extract_profile`.
+pub(crate) fn extract_stage(
+    problem: &mut SynthesisProblem,
+    model: &mut FtKripke,
+    gov: Option<&Governor>,
+    stats: &mut SynthesisStats,
+) -> Result<Extraction, AbortReason> {
+    let t_ext = Instant::now();
+    let intro = introduce_shared_variables(model);
+    let model: &FtKripke = model;
+    let mut program = extract_program(model, &problem.props, problem.arena.num_procs(), &intro);
+    let mut profile = ExtractProfile {
+        model_states: model.len(),
+        shared_vars: intro.vars.len(),
+        ..ExtractProfile::default()
+    };
+    let refine_cap = gov
+        .and_then(|g| g.budget().max_extract_refine_rounds)
+        .unwrap_or(DEFAULT_EXTRACT_REFINE_ROUNDS);
+    let model_contents: HashSet<&State> = model.state_ids().map(|s| model.state(s)).collect();
+    let failure = loop {
+        if let Some(Err(reason)) = gov.map(Governor::check_realtime) {
+            stats.extract_time += t_ext.elapsed();
+            stats.extract_profile = profile;
+            return Err(reason);
+        }
+        let ex = match explore(&program, &problem.faults, &problem.props) {
+            Ok(ex) => ex,
+            Err(e) => break Some(ExtractionGap::NotExecutable(e)),
+        };
+        profile.explored_states = ex.kripke.len();
+        profile.off_model_states = ex
+            .kripke
+            .state_ids()
+            .filter(|&s| !model_contents.contains(ex.kripke.state(s)))
+            .count();
+        if verify_semantic_ok(problem, &ex.kripke) {
+            profile.verified = true;
+            break None;
+        }
+        if profile.refinement_rounds >= refine_cap {
+            break Some(ExtractionGap::CapReached(ex.kripke));
+        }
+        let changed = refine_guards(problem, model, &intro, &mut program);
+        profile.refinement_rounds += 1;
+        profile.refined_arcs += changed;
+        if changed == 0 {
+            break Some(ExtractionGap::NoProgress(ex.kripke));
+        }
+    };
+    stats.extract_time += t_ext.elapsed();
+    Ok(Extraction {
+        program,
+        profile,
+        failure,
+    })
+}
+
 fn synthesize_impl(
     problem: &mut SynthesisProblem,
     plan: ThreadPlan,
@@ -448,30 +658,10 @@ fn synthesize_impl(
     session: SynthesisSession<'_>,
 ) -> Result<(SynthesisOutcome, Vec<CacheFill>), CheckpointError> {
     let start = Instant::now();
-    let mut stats = SynthesisStats {
-        fault_size: fault_set_size(&problem.faults),
-        ..SynthesisStats::default()
-    };
+    let mut stats = SynthesisStats::for_problem(problem);
 
     // Step 0: closure over the spec and all tolerance labels.
-    let roots = problem.closure_roots();
-    let spec_formula = roots[0];
-    stats.spec_length = problem.arena.length(spec_formula);
-    let closure = Closure::build(&mut problem.arena, &problem.props, &roots);
-    stats.closure_size = closure.len();
-
-    // Step 1: tableau.
-    let tol_labels = problem.tolerance_label_sets(&closure);
-    let fault_spec = FaultSpec {
-        actions: problem.faults.clone(),
-        tolerance_labels: tol_labels,
-    };
-    let mut root_label = closure.empty_label();
-    root_label.insert(
-        closure
-            .index_of(spec_formula)
-            .expect("spec is a closure root"),
-    );
+    let inputs = problem.tableau_inputs();
     let SynthesisSession {
         cache,
         resume,
@@ -480,43 +670,22 @@ fn synthesize_impl(
     if let Some(ck) = &resume {
         // No silent resume of a stale blob: the checkpoint must carry
         // the fingerprint of exactly this problem's build inputs.
+        let (closure, fault_spec, root_label) = &inputs;
         ck.validate(
-            spec_fingerprint(&closure, &problem.props, &root_label, &fault_spec),
+            spec_fingerprint(closure, &problem.props, root_label, fault_spec),
             closure.len(),
             root_label.words().len(),
         )?;
     }
+
+    // Step 1: tableau.
     if let Some(g) = gov {
         g.enter_phase(Phase::Build);
     }
-    let t_build = Instant::now();
-    let threads = plan.build.max(1);
-    let build_result = match resume {
-        Some(ck) => build_resume_governed(
-            &closure,
-            &problem.props,
-            &fault_spec,
-            threads,
-            cache,
-            gov,
-            ck,
-        ),
-        None => build_shared_cache_governed(
-            &closure,
-            &problem.props,
-            root_label,
-            &fault_spec,
-            threads,
-            cache,
-            gov,
-        ),
-    };
-    let (mut tableau, build_profile, fills) = match build_result {
+    let build = certificate_build(problem, &inputs, resume, cache, plan.build, gov, &mut stats);
+    let (mut tableau, fills) = match build {
         Ok(ok) => ok,
         Err(a) => {
-            stats.build_time = t_build.elapsed();
-            stats.build_profile = a.profile;
-            stats.tableau_nodes = a.nodes;
             let checkpoint = *a.checkpoint;
             if let Some(sink) = on_checkpoint {
                 sink(&checkpoint);
@@ -527,52 +696,18 @@ fn synthesize_impl(
             ));
         }
     };
-    stats.build_time = t_build.elapsed();
-    stats.build_profile = build_profile;
-    stats.tableau_nodes = tableau.len();
+    let (closure, _, _) = inputs;
 
     // Step 2: deletion rules.
     if let Some(g) = gov {
         g.enter_phase(Phase::Deletion);
     }
-    let t_del = Instant::now();
-    let deletion_result = match gov {
-        Some(g) => apply_deletion_rules_governed(&mut tableau, &closure, problem.mode, g),
-        None => Ok(apply_deletion_rules_profiled(
-            &mut tableau,
-            &closure,
-            problem.mode,
-        )),
-    };
-    let (deletion, deletion_profile) = match deletion_result {
-        Ok(ok) => ok,
-        Err(a) => {
-            stats.deletion = a.stats;
-            stats.deletion_profile = a.profile;
-            stats.deletion_time = t_del.elapsed();
-            let (alive_and, alive_or) = tableau.alive_counts();
-            stats.alive_and = alive_and;
-            stats.alive_or = alive_or;
-            return Ok((
-                aborted(Phase::Deletion, a.reason, None, stats, start),
-                fills,
-            ));
-        }
-    };
-    stats.deletion = deletion;
-    stats.deletion_profile = deletion_profile;
-    stats.deletion_time = t_del.elapsed();
-    let (alive_and, alive_or) = tableau.alive_counts();
-    stats.alive_and = alive_and;
-    stats.alive_or = alive_or;
-
+    if let Err(reason) = certificate_delete(problem, &closure, &mut tableau, gov, &mut stats) {
+        return Ok((aborted(Phase::Deletion, reason, None, stats, start), fills));
+    }
     if !tableau.alive(tableau.root()) {
-        stats.elapsed = start.elapsed();
-        stats.residual_time = stats.elapsed.saturating_sub(stats.phase_total());
-        return Ok((
-            SynthesisOutcome::Impossible(Impossibility { stats }),
-            fills,
-        ));
+        stats.finish(start);
+        return Ok((SynthesisOutcome::Impossible(Impossibility { stats }), fills));
     }
 
     // Steps 3–4: fragments and unraveling.
@@ -585,23 +720,14 @@ fn synthesize_impl(
         g.enter_phase(Phase::Unravel);
     }
     let t_unr = Instant::now();
-    let unravel_result = match gov {
-        Some(g) => unravel_governed(&tableau, &closure, &problem.props, c0, problem.mode, g),
-        None => Ok(unravel_mode(
-            &tableau,
-            &closure,
-            &problem.props,
-            c0,
-            problem.mode,
-        )),
-    };
-    let unraveled = match unravel_result {
-        Ok(u) => u,
-        Err(reason) => {
-            stats.unravel_time = t_unr.elapsed();
-            return Ok((aborted(Phase::Unravel, reason, None, stats, start), fills));
-        }
-    };
+    let unraveled =
+        match unravel_governed(&tableau, &closure, &problem.props, c0, problem.mode, gov) {
+            Ok(u) => u,
+            Err(reason) => {
+                stats.unravel_time = t_unr.elapsed();
+                return Ok((aborted(Phase::Unravel, reason, None, stats, start), fills));
+            }
+        };
     // Quotient by labeled bisimulation: the unraveling duplicates states
     // (one copy per fragment occurrence); the quotient collapses
     // behaviorally identical copies. CTL satisfaction under both
@@ -632,22 +758,18 @@ fn synthesize_impl(
         g.enter_phase(Phase::Minimize);
     }
     let t_min = Instant::now();
-    let minimize_result = match gov {
-        Some(g) => semantic_minimize_governed(problem, pre_unr.model, plan.minimize, g),
-        None => Ok(semantic_minimize_with_threads(
-            problem,
-            pre_unr.model,
-            plan.minimize,
-        )),
-    };
-    let (model, merge_map, minimize_profile) = match minimize_result {
-        Ok(ok) => ok,
-        Err(a) => {
-            stats.minimize_profile = a.profile;
-            stats.minimize_time = t_min.elapsed();
-            return Ok((aborted(Phase::Minimize, a.reason, None, stats, start), fills));
-        }
-    };
+    let (mut model, merge_map, minimize_profile) =
+        match semantic_minimize_governed(problem, pre_unr.model, plan.minimize, gov) {
+            Ok(ok) => ok,
+            Err(a) => {
+                stats.minimize_profile = a.profile;
+                stats.minimize_time = t_min.elapsed();
+                return Ok((
+                    aborted(Phase::Minimize, a.reason, None, stats, start),
+                    fills,
+                ));
+            }
+        };
     stats.minimize_profile = minimize_profile;
     // Re-tag the minimized states: each final state keeps the tableau
     // node of the first pre-minimization state merged into it. (Labels
@@ -668,91 +790,21 @@ fn synthesize_impl(
     stats.model_states = model.len();
     stats.fault_transitions = model.fault_edge_count();
     stats.program_transitions = model.edge_count() - stats.fault_transitions;
-    let mut model = model;
 
-    // Step 5: shared variables and program extraction, followed by the
-    // in-pipeline extraction-verification loop. The interpreter
-    // regenerates the extracted program's global structure under faults
-    // and the semantic checks run on it (Corollary 7.1's "execution of
-    // P generates M_F", now established mechanically instead of
-    // assumed). On rejection, the guards of the arcs implicated by the
-    // off-model counterexample configurations are strengthened from the
-    // displacement fixpoint and the check repeats, up to a
-    // governor-visible round cap; a non-converging loop degrades the
-    // verification with a structured `ExtractionGap` failure instead of
-    // returning a silently-wrong program.
+    // Step 5: shared variables, program extraction, and the
+    // explore/re-verify refinement loop. A non-converging loop degrades
+    // the verification with a structured `ExtractionGap` failure.
     if let Some(g) = gov {
         g.enter_phase(Phase::Extract);
     }
-    let t_ext = Instant::now();
-    let intro = introduce_shared_variables(&mut model);
-    let mut program = extract_program(&model, &problem.props, problem.arena.num_procs(), &intro);
-    let mut extract_profile = ExtractProfile {
-        model_states: model.len(),
-        shared_vars: intro.vars.len(),
-        ..ExtractProfile::default()
+    let Extraction {
+        program,
+        profile,
+        failure,
+    } = match extract_stage(problem, &mut model, gov, &mut stats) {
+        Ok(e) => e,
+        Err(reason) => return Ok((aborted(Phase::Extract, reason, None, stats, start), fills)),
     };
-    let refine_cap = gov
-        .and_then(|g| g.budget().max_extract_refine_rounds)
-        .unwrap_or(DEFAULT_EXTRACT_REFINE_ROUNDS);
-    let model_contents: std::collections::HashSet<&ftsyn_kripke::State> =
-        model.state_ids().map(|s| model.state(s)).collect();
-    let mut extraction_failure: Option<String> = None;
-    loop {
-        if let Some(g) = gov {
-            if let Err(reason) = g.check_realtime() {
-                stats.extract_time = t_ext.elapsed();
-                stats.extract_profile = extract_profile;
-                return Ok((aborted(Phase::Extract, reason, None, stats, start), fills));
-            }
-        }
-        let ex = match explore(&program, &problem.faults, &problem.props) {
-            Ok(ex) => ex,
-            Err(e) => {
-                extraction_failure = Some(format!("extracted program is not executable: {e}"));
-                break;
-            }
-        };
-        extract_profile.explored_states = ex.kripke.len();
-        let off_configs: Vec<Config> = ex
-            .kripke
-            .state_ids()
-            .filter(|&s| !model_contents.contains(ex.kripke.state(s)))
-            .map(|s| ex.configs[s.index()].clone())
-            .collect();
-        extract_profile.off_model_states = off_configs.len();
-        if verify_semantic_ok(problem, &ex.kripke) {
-            extract_profile.verified = true;
-            break;
-        }
-        if extract_profile.refinement_rounds >= refine_cap {
-            let summary = verify_semantic(problem, &ex.kripke).failure_summary();
-            extraction_failure = Some(format!(
-                "extraction verification still rejects after {} refinement round(s): \
-                 {summary} ({} explored vs {} model states)",
-                extract_profile.refinement_rounds,
-                ex.kripke.len(),
-                model.len(),
-            ));
-            break;
-        }
-        let changed = refine_guards(problem, &model, &intro, &mut program);
-        extract_profile.refinement_rounds += 1;
-        extract_profile.refined_arcs += changed;
-        if changed == 0 {
-            let summary = verify_semantic(problem, &ex.kripke).failure_summary();
-            extraction_failure = Some(format!(
-                "extraction refinement made no progress: {summary} \
-                 ({} explored vs {} model states)",
-                ex.kripke.len(),
-                model.len(),
-            ));
-            break;
-        }
-    }
-    drop(model_contents);
-    stats.extract_profile = extract_profile;
-    stats.extract_time = t_ext.elapsed();
 
     // Final verification of the minimized model: the three semantic
     // requirements of Section 3 re-checked on the exact structure the
@@ -763,15 +815,16 @@ fn synthesize_impl(
     let t_ver = Instant::now();
     let mut verification = verify_semantic(problem, &model);
     verification.merge_pre_minimization(full_verification);
-    if let Some(msg) = extraction_failure {
+    if let Some(gap) = failure {
         verification.extraction_ok = false;
-        verification
-            .failures
-            .push(Failure::pipeline(FailureKind::ExtractionGap, msg));
+        verification.failures.push(Failure::pipeline(
+            FailureKind::ExtractionGap,
+            gap.message(problem, &profile),
+        ));
     }
+    stats.extract_profile = profile;
     stats.verify_time += t_ver.elapsed();
-    stats.elapsed = start.elapsed();
-    stats.residual_time = stats.elapsed.saturating_sub(stats.phase_total());
+    stats.finish(start);
 
     Ok((
         SynthesisOutcome::Solved(Box::new(Synthesized {

@@ -60,24 +60,14 @@ pub fn unravel_mode(
     c0: NodeId,
     mode: CertMode,
 ) -> Unraveled {
-    unravel_core(t, closure, props, c0, mode, None)
+    unravel_governed(t, closure, props, c0, mode, None)
         .unwrap_or_else(|reason| panic!("ungoverned unravel aborted: {reason}"))
 }
 
-/// [`unravel_mode`] under a [`Governor`]: polls the deadline and cancel
-/// flag every [`REALTIME_POLL_INTERVAL`] frontier pops.
+/// [`unravel_mode`] under an optional [`Governor`] (`None` never
+/// aborts): polls the deadline and cancel flag every
+/// [`REALTIME_POLL_INTERVAL`] frontier pops.
 pub fn unravel_governed(
-    t: &Tableau,
-    closure: &Closure,
-    props: &PropTable,
-    c0: NodeId,
-    mode: CertMode,
-    gov: &Governor,
-) -> Result<Unraveled, AbortReason> {
-    unravel_core(t, closure, props, c0, mode, Some(gov))
-}
-
-fn unravel_core(
     t: &Tableau,
     closure: &Closure,
     props: &PropTable,

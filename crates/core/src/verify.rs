@@ -494,7 +494,7 @@ mod tests {
     use crate::problems::mutex;
     use crate::unravel::unravel_mode;
     use ftsyn_guarded::{BoolExpr, FaultAction, PropAssign};
-    use ftsyn_tableau::{apply_deletion_rules_mode, build, FaultSpec};
+    use ftsyn_tableau::{apply_deletion_rules_mode, build};
 
     /// Regression test for the string-grep failure filter this module's
     /// structured kinds replaced: a *non-label* failure pushed through
@@ -507,15 +507,7 @@ mod tests {
 
         // Replicate the pipeline up to the pre-minimization model verify()
         // is specified on: closure → tableau → deletion → unraveling.
-        let roots = problem.closure_roots();
-        let spec_formula = roots[0];
-        let closure = Closure::build(&mut problem.arena, &problem.props, &roots);
-        let fault_spec = FaultSpec {
-            actions: problem.faults.clone(),
-            tolerance_labels: problem.tolerance_label_sets(&closure),
-        };
-        let mut root_label = closure.empty_label();
-        root_label.insert(closure.index_of(spec_formula).unwrap());
+        let (closure, fault_spec, root_label) = problem.tableau_inputs();
         let mut tableau = build(&closure, &problem.props, root_label, &fault_spec);
         apply_deletion_rules_mode(&mut tableau, &closure, problem.mode);
         assert!(tableau.alive(tableau.root()), "mutex is synthesizable");

@@ -43,10 +43,10 @@ pub mod corpus;
 pub mod json;
 pub mod store;
 
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 use std::io::{BufRead, Write};
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::time::Duration;
 
@@ -344,8 +344,16 @@ pub struct Service {
     cache_limits: CacheLimits,
     checkpoints: Mutex<CheckpointMap>,
     active: Mutex<HashMap<String, Arc<Governor>>>,
-    /// Signalled whenever a request leaves `active`; pipelined `resume`
-    /// ops wait here for their `from` request to finish.
+    /// Pipeline requests [`serve`] has read but not yet answered: their
+    /// read sequence numbers, by id. A worker registers in `active`
+    /// only once it runs, so a pipelined `resume` also waits for the
+    /// requests read before it.
+    pending: Mutex<HashMap<String, BTreeSet<u64>>>,
+    /// The next read sequence number [`Service::announce`] hands out.
+    next_read: AtomicU64,
+    /// Signalled whenever a request leaves `active` or `pending`;
+    /// pipelined `resume` ops wait here for their `from` request to
+    /// finish.
     idle: Condvar,
     /// Global admission control: worker slots, bounded wait queue,
     /// load shedding.
@@ -390,6 +398,8 @@ impl Service {
             cache_limits: CacheLimits::unlimited(),
             checkpoints: Mutex::new(CheckpointMap::default()),
             active: Mutex::new(HashMap::new()),
+            pending: Mutex::new(HashMap::new()),
+            next_read: AtomicU64::new(0),
             idle: Condvar::new(),
             admission: AdmissionGovernor::new(AdmissionConfig::default()),
             recovery: None,
@@ -609,17 +619,51 @@ impl Service {
         )
     }
 
-    /// Blocks until no request named `id` is active. Requests park
-    /// their checkpoint in the store *before* deregistering, so once
-    /// this returns the store reflects `id`'s final state.
-    fn wait_for(&self, id: &str) {
+    /// Blocks until no request named `id` is active, nor pending with a
+    /// read sequence number below `read` (read by [`serve`] before the
+    /// caller, not yet answered). Waiting only on earlier reads keeps
+    /// pipelined resumes free of cycles. Requests park their checkpoint
+    /// in the store *before* deregistering, so once this returns the
+    /// store reflects `id`'s final state.
+    fn wait_for(&self, id: &str, read: u64) {
         let mut active = lock(&self.active);
-        while active.contains_key(id) {
+        while active.contains_key(id)
+            || lock(&self.pending)
+                .get(id)
+                .is_some_and(|reads| reads.range(..read).next().is_some())
+        {
             active = self
                 .idle
                 .wait(active)
                 .unwrap_or_else(|e| e.into_inner());
         }
+    }
+
+    /// Records that [`serve`] read pipeline request `id`, before its
+    /// worker starts, and returns the request's read sequence number.
+    fn announce(&self, id: &str) -> u64 {
+        let read = self.next_read.fetch_add(1, Ordering::Relaxed);
+        lock(&self.pending)
+            .entry(id.to_owned())
+            .or_default()
+            .insert(read);
+        read
+    }
+
+    /// Clears the [`Service::announce`] numbered `read` once `id` has
+    /// answered.
+    fn retire(&self, id: &str, read: u64) {
+        // `wait_for` checks `pending` under the `active` lock, so taking
+        // it here means no waiter misses the wakeup.
+        let _active = lock(&self.active);
+        let mut pending = lock(&self.pending);
+        if let Some(reads) = pending.get_mut(id) {
+            reads.remove(&read);
+            if reads.is_empty() {
+                pending.remove(id);
+            }
+        }
+        self.idle.notify_all();
     }
 
     /// Resumes the checkpoint stored under `from`, publishing any new
@@ -629,23 +673,24 @@ impl Service {
     /// sent the resume line without waiting for the abort response),
     /// this blocks until it finishes.
     pub fn resume(&self, id: &str, from: &str, threads: usize, budget: Option<Budget>) -> Reply {
-        self.resume_admitted(id, from, threads, budget, false)
+        self.resume_admitted(id, from, threads, budget, None)
     }
 
     /// [`Service::resume`] with the admission decision already made
-    /// (see [`Service::submit_admitted`]).
+    /// (see [`Service::submit_admitted`]): `read` is the request's read
+    /// sequence number when [`serve`] admitted it.
     fn resume_admitted(
         &self,
         id: &str,
         from: &str,
         threads: usize,
         budget: Option<Budget>,
-        admitted: bool,
+        read: Option<u64>,
     ) -> Reply {
-        if !admitted && self.is_shutting_down() {
+        if read.is_none() && self.is_shutting_down() {
             return Reply::error("shutting-down", "service is shutting down".to_owned());
         }
-        self.wait_for(from);
+        self.wait_for(from, read.unwrap_or(u64::MAX));
         // Fail a miss fast, but do NOT consume the checkpoint yet: it
         // stays parked (and durable) until admission actually grants a
         // slot, so a shed or expired resume loses nothing — the retry
@@ -1069,20 +1114,21 @@ pub fn parse_op(line: &str) -> Result<Op, (String, String)> {
 
 /// Executes a parsed operation against the service.
 pub fn dispatch(service: &Service, op: Op) -> Reply {
-    dispatch_admitted(service, op, false)
+    dispatch_admitted(service, op, None)
 }
 
 /// [`dispatch`] with the admission decision made by the caller: the
-/// serve loop admits ops in read order, before spawning the worker.
-fn dispatch_admitted(service: &Service, op: Op, admitted: bool) -> Reply {
+/// serve loop admits ops in read order, before spawning the worker,
+/// and passes the op's read sequence number as `read`.
+fn dispatch_admitted(service: &Service, op: Op, read: Option<u64>) -> Reply {
     match op {
-        Op::Synthesize(req) => service.submit_admitted(req, admitted),
+        Op::Synthesize(req) => service.submit_admitted(req, read.is_some()),
         Op::Resume {
             id,
             from,
             threads,
             budget,
-        } => service.resume_admitted(&id, &from, threads, budget, admitted),
+        } => service.resume_admitted(&id, &from, threads, budget, read),
         Op::Cancel { target, .. } => {
             if service.cancel(&target) {
                 Reply::Cancelled
@@ -1186,10 +1232,20 @@ pub fn serve<R: BufRead, W: Write + Send>(
                         let _ = w.flush();
                         continue;
                     }
+                    // Announced in read order, so a resume read later
+                    // waits for this request even if its worker has
+                    // not started yet.
+                    let read = match op {
+                        Op::Synthesize(_) | Op::Resume { .. } => Some(service.announce(op.id())),
+                        _ => None,
+                    };
                     let out = &out;
                     scope.spawn(move || {
                         let id = op.id().to_owned();
-                        let reply = dispatch_admitted(service, op, true);
+                        let reply = dispatch_admitted(service, op, read);
+                        if let Some(read) = read {
+                            service.retire(&id, read);
+                        }
                         let mut w = lock(out);
                         let _ = writeln!(w, "{}", reply.to_line(&id));
                         let _ = w.flush();
@@ -1514,6 +1570,48 @@ mod tests {
         assert_eq!(
             statuses.get("end").map(String::as_str),
             Some("shutting-down")
+        );
+    }
+
+    #[test]
+    fn pipelined_resumes_wait_only_for_earlier_reads() {
+        // Resumes naming each other, or their own id, must not wait in
+        // a cycle: each waits only for requests read before it, so all
+        // four miss (nothing was checkpointed) and the loop exits.
+        let svc = Service::new();
+        let input = concat!(
+            r#"{"id":"a","op":"resume","from":"b"}"#,
+            "\n",
+            r#"{"id":"b","op":"resume","from":"a"}"#,
+            "\n",
+            r#"{"id":"x","op":"resume","from":"x"}"#,
+            "\n",
+            r#"{"id":"x","op":"resume","from":"x"}"#,
+            "\n",
+            r#"{"id":"end","op":"shutdown"}"#,
+            "\n",
+        );
+        let mut output = Vec::new();
+        serve(&svc, input.as_bytes(), &mut output).unwrap();
+        let text = String::from_utf8(output).unwrap();
+        let mut codes = Vec::new();
+        for line in text.lines() {
+            let v = json::parse(line).unwrap();
+            let id = v.get("id").and_then(Value::as_str).unwrap().to_owned();
+            if id != "end" {
+                codes.push((id, v.get("code").and_then(Value::as_str).map(str::to_owned)));
+            }
+        }
+        codes.sort();
+        let miss = Some("unknown-checkpoint".to_owned());
+        assert_eq!(
+            codes,
+            [
+                ("a".to_owned(), miss.clone()),
+                ("b".to_owned(), miss.clone()),
+                ("x".to_owned(), miss.clone()),
+                ("x".to_owned(), miss),
+            ]
         );
     }
 

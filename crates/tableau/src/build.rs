@@ -258,8 +258,8 @@ enum Kernel {
 /// their successor pinned at creation and are never expanded): it only
 /// reads a snapshot of the node's kind and label, never the tableau.
 /// Safe to run concurrently for any set of nodes; cache lookups share
-/// the table immutably (counters are atomic) and cache *inserts* are
-/// deferred as [`CacheFill`]s.
+/// the table immutably and cache *inserts* are deferred as
+/// [`CacheFill`]s.
 fn expand_task(
     closure: &Closure,
     props: &PropTable,
@@ -738,10 +738,9 @@ fn commit_batch(
     for (task, (steps, fill)) in batch.tasks.iter().zip(output) {
         // Per-task cache accounting: tasks are never dummy, so with a
         // cache present each task performed exactly one lookup, and a
-        // deferred fill exists iff that lookup missed. Counting here
-        // (instead of diffing the cache's global atomic counters) keeps
-        // the profile deterministic even when concurrent builds share
-        // one cache.
+        // deferred fill exists iff that lookup missed. Counting per
+        // task keeps the profile deterministic even when concurrent
+        // builds share one cache.
         if cache_enabled {
             if fill.is_some() {
                 profile.cache_misses += 1;

@@ -21,15 +21,13 @@
 //! hiding it — warm-cache wins show up only from the second build over
 //! a given label population onwards.
 //!
-//! Lookups run concurrently on expansion worker threads (shared
-//! reference, atomic counters); inserts are deferred to the sequential
-//! apply phase via [`CacheFill`] records, so the map itself needs no
-//! locking.
+//! Lookups run concurrently on expansion worker threads through a
+//! shared reference; inserts are deferred to the sequential apply phase
+//! via [`CacheFill`] records, so the map itself needs no locking.
 
 use crate::expand::Tile;
 use ftsyn_ctl::LabelSet;
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Size caps for an [`ExpansionCache`]. `None` means uncapped. A capped
 /// cache evicts whole entries in *admission order* (oldest fill first)
@@ -105,8 +103,6 @@ pub enum CacheFill {
 pub struct ExpansionCache {
     blocks: HashMap<LabelSet, Vec<LabelSet>>,
     tiles: HashMap<LabelSet, Vec<Tile>>,
-    hits: AtomicUsize,
-    misses: AtomicUsize,
     /// Fill-admission order, the eviction order under [`CacheLimits`].
     /// Every queue entry is present in its map until evicted (eviction
     /// is the only removal path).
@@ -124,28 +120,14 @@ impl ExpansionCache {
         ExpansionCache::default()
     }
 
-    /// The memoized `Blocks` result for `label`, if present. Counts a
-    /// hit or a miss either way.
+    /// The memoized `Blocks` result for `label`, if present.
     pub fn lookup_blocks(&self, label: &LabelSet) -> Option<&Vec<LabelSet>> {
-        Self::count(&self.hits, &self.misses, self.blocks.get(label))
+        self.blocks.get(label)
     }
 
     /// The memoized `Tiles` result for `label`, if present.
     pub fn lookup_tiles(&self, label: &LabelSet) -> Option<&Vec<Tile>> {
-        Self::count(&self.hits, &self.misses, self.tiles.get(label))
-    }
-
-    fn count<'a, T>(
-        hits: &AtomicUsize,
-        misses: &AtomicUsize,
-        found: Option<&'a T>,
-    ) -> Option<&'a T> {
-        if found.is_some() {
-            hits.fetch_add(1, Ordering::Relaxed);
-        } else {
-            misses.fetch_add(1, Ordering::Relaxed);
-        }
-        found
+        self.tiles.get(label)
     }
 
     /// Applies a deferred insert (first result for a label wins; the
@@ -221,14 +203,6 @@ impl ExpansionCache {
         self.blocks.is_empty() && self.tiles.is_empty()
     }
 
-    /// Lifetime lookup counters `(hits, misses)`.
-    pub fn counters(&self) -> (usize, usize) {
-        (
-            self.hits.load(Ordering::Relaxed),
-            self.misses.load(Ordering::Relaxed),
-        )
-    }
-
     /// Approximate retained payload bytes (the `max_bytes` accounting).
     pub fn bytes(&self) -> usize {
         self.bytes
@@ -276,16 +250,21 @@ mod tests {
         let cache = ExpansionCache::new();
         let key = label(&cl, &[0]);
         assert!(cache.is_empty());
-        assert!(cache.lookup_blocks(&key).is_none());
-        assert_eq!(cache.counters(), (0, 1), "a lookup on empty is a miss");
+        assert!(
+            cache.lookup_blocks(&key).is_none(),
+            "a lookup on empty is a miss"
+        );
 
         let mut cache = cache;
         let result = vec![label(&cl, &[0, 1])];
         cache.apply_fill(CacheFill::Blocks(key.clone(), result.clone()));
         assert_eq!(cache.len(), (1, 0));
         assert!(!cache.is_empty());
-        assert_eq!(cache.lookup_blocks(&key), Some(&result));
-        assert_eq!(cache.counters(), (1, 1), "the filled label now hits");
+        assert_eq!(
+            cache.lookup_blocks(&key),
+            Some(&result),
+            "the filled label now hits"
+        );
     }
 
     #[test]
@@ -299,7 +278,6 @@ mod tests {
         // keyed per kernel, matching node-kind-specific expansion.
         assert!(cache.lookup_blocks(&key).is_none());
         assert_eq!(cache.lookup_tiles(&key), Some(&vec![Tile::Dummy]));
-        assert_eq!(cache.counters(), (1, 1));
     }
 
     /// `apply_fill` keeps the first result for a label. The kernels are
@@ -318,30 +296,6 @@ mod tests {
         cache.apply_fill(CacheFill::Blocks(key.clone(), second));
         assert_eq!(cache.len(), (1, 0), "duplicate fill adds no entry");
         assert_eq!(cache.lookup_blocks(&key), Some(&first));
-    }
-
-    /// Lookups are shared-reference and must account correctly when
-    /// issued from concurrent expansion workers (the scheduler hands
-    /// every worker `&ExpansionCache` for the whole build).
-    #[test]
-    fn concurrent_lookups_account_exactly() {
-        let (_, cl, _) = setup("p & q");
-        let mut cache = ExpansionCache::new();
-        let present = label(&cl, &[0]);
-        let absent = label(&cl, &[1]);
-        cache.apply_fill(CacheFill::Blocks(present.clone(), vec![]));
-        let cache = &cache;
-        std::thread::scope(|s| {
-            for _ in 0..4 {
-                s.spawn(|| {
-                    for _ in 0..100 {
-                        assert!(cache.lookup_blocks(&present).is_some());
-                        assert!(cache.lookup_blocks(&absent).is_none());
-                    }
-                });
-            }
-        });
-        assert_eq!(cache.counters(), (400, 400));
     }
 
     /// Entry-cap eviction removes entries strictly in admission order,

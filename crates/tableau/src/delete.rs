@@ -462,11 +462,8 @@ pub fn apply_deletion_rules_profiled(
     closure: &Closure,
     mode: CertMode,
 ) -> (DeletionStats, DeletionProfile) {
-    let mut stats = DeletionStats::default();
-    let mut profile = DeletionProfile::default();
-    deletion_core(t, closure, mode, None, &mut stats, &mut profile)
-        .unwrap_or_else(|reason| panic!("ungoverned deletion aborted: {reason}"));
-    (stats, profile)
+    apply_deletion_rules_governed(t, closure, mode, None)
+        .unwrap_or_else(|a| panic!("ungoverned deletion aborted: {}", a.reason))
 }
 
 /// Partial results of a governed deletion run that exceeded its budget:
@@ -482,20 +479,21 @@ pub struct DeletionAbort {
     pub profile: DeletionProfile,
 }
 
-/// [`apply_deletion_rules_profiled`] under a [`Governor`]: the work cap
-/// is checked against `worklist_pops + cert_builds` (both deterministic
-/// — the deletion engine is single-threaded), the deadline/cancel flag
-/// at bounded intervals. On abort the tableau is left mid-deletion and
-/// should be discarded.
+/// [`apply_deletion_rules_profiled`] under an optional [`Governor`]
+/// (`None` never aborts): the work cap is checked against
+/// `worklist_pops + cert_builds` (both deterministic — the deletion
+/// engine is single-threaded), the deadline/cancel flag at bounded
+/// intervals. On abort the tableau is left mid-deletion and should be
+/// discarded.
 pub fn apply_deletion_rules_governed(
     t: &mut Tableau,
     closure: &Closure,
     mode: CertMode,
-    gov: &Governor,
+    gov: Option<&Governor>,
 ) -> Result<(DeletionStats, DeletionProfile), Box<DeletionAbort>> {
     let mut stats = DeletionStats::default();
     let mut profile = DeletionProfile::default();
-    match deletion_core(t, closure, mode, Some(gov), &mut stats, &mut profile) {
+    match deletion_core(t, closure, mode, gov, &mut stats, &mut profile) {
         Ok(()) => Ok((stats, profile)),
         Err(reason) => Err(Box::new(DeletionAbort {
             reason,

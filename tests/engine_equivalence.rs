@@ -8,24 +8,14 @@
 use ftsyn::ctl::Closure;
 use ftsyn::problems::{barrier, mutex, readers_writers};
 use ftsyn::tableau::{
-    apply_deletion_rules_mode, apply_deletion_rules_naive_mode, build, CertMode, FaultSpec,
-    Tableau,
+    apply_deletion_rules_mode, apply_deletion_rules_naive_mode, build, CertMode, Tableau,
 };
 use ftsyn::{SynthesisProblem, Tolerance};
 
 /// Builds the closure and tableau `T₀` of a problem, exactly as the
 /// synthesis pipeline does before the deletion phase.
 fn tableau_of(problem: &mut SynthesisProblem) -> (Closure, Tableau) {
-    let roots = problem.closure_roots();
-    let spec = roots[0];
-    let closure = Closure::build(&mut problem.arena, &problem.props, &roots);
-    let tolerance_labels = problem.tolerance_label_sets(&closure);
-    let fault_spec = FaultSpec {
-        actions: problem.faults.clone(),
-        tolerance_labels,
-    };
-    let mut root = closure.empty_label();
-    root.insert(closure.index_of(spec).expect("spec is a closure root"));
+    let (closure, fault_spec, root) = problem.tableau_inputs();
     let t = build(&closure, &problem.props, root, &fault_spec);
     (closure, t)
 }
