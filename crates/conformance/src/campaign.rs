@@ -115,7 +115,7 @@ pub fn assert_campaign(
         if safety_checked {
             for (i, id) in ids.iter().enumerate() {
                 assert!(
-                    safe[id.index()],
+                    safe.contains(*id),
                     "{name} (seed {:#x}): safety violated at trace point {i} \
                      (state {})",
                     sc.seed,
@@ -131,7 +131,7 @@ pub fn assert_campaign(
                 report.convergence_probes += 1;
                 for (i, id) in ids.iter().enumerate().skip(start) {
                     assert!(
-                        good[id.index()],
+                        good.contains(*id),
                         "{name} (seed {:#x}): no convergence — AG(global) \
                          still false at point {i}, {} steps after the last \
                          fault (state {})",

@@ -32,6 +32,10 @@
 //!   count, a governed-unlimited run must be byte-identical to an
 //!   ungoverned one, and an injected worker panic must surface as a
 //!   structured abort with no poisoned scheduler state left behind.
+//! - **Step-5 kernel references** ([`mod@reference`], `tests/kernels.rs`):
+//!   the straightforward program explorer and `Vec<bool>` CTL labeler,
+//!   against which the optimized `explore` and `Checker` must agree
+//!   element for element.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -40,4 +44,5 @@ pub mod campaign;
 pub mod differential;
 pub mod generate;
 pub mod golden;
+pub mod reference;
 pub mod render;

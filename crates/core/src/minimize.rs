@@ -54,7 +54,7 @@ use crate::verify::semantics_of;
 use ftsyn_ctl::{Formula, FormulaArena, FormulaId};
 use ftsyn_guarded::FaultAction;
 use ftsyn_kripke::{
-    Checker, FtKripke, LabelCache, PropSet, Semantics, StateId, StateRole, TransKind,
+    Checker, FtKripke, LabelCache, PropSet, Semantics, StateId, StateRole, StateSet, TransKind,
 };
 use ftsyn_tableau::{earliest_success, AbortReason, Governor};
 use std::collections::HashMap;
@@ -816,7 +816,7 @@ fn decide_on(
             std::cell::RefCell::new(HashMap::new());
     }
     let mut ck = Checker::new(cand, env.reqs.semantics);
-    let mut ag_memo: HashMap<FormulaId, Vec<bool>> = HashMap::new();
+    let mut ag_memo: HashMap<FormulaId, StateSet> = HashMap::new();
     let verdict = KILLS.with(|kills| {
         let mut kills = kills.borrow_mut();
         for (_, parts, sites) in &mut ag_open {
@@ -831,7 +831,7 @@ fn decide_on(
                     let vp = ck.eval(env.arena, p).clone();
                     ck.ag_of(&vp)
                 });
-                if sites.iter().any(|&c| !ag[c.index()]) {
+                if sites.iter().any(|&c| !ag.contains(c)) {
                     *kills.entry(p).or_insert(0) += 1;
                     return false;
                 }

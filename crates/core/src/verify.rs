@@ -2,11 +2,12 @@
 //! fault-closure theorems of Section 7, re-checked on every produced
 //! structure with the CTL model checker.
 
-use crate::problem::SynthesisProblem;
+use crate::problem::{SynthesisProblem, Tolerance};
 use crate::unravel::Unraveled;
-use ftsyn_ctl::Closure;
-use ftsyn_kripke::{Checker, Semantics, StateRole, TransKind};
+use ftsyn_ctl::{Closure, FormulaId};
+use ftsyn_kripke::{Checker, PropSet, Semantics, StateRole, TransKind};
 use ftsyn_tableau::{valuation_of, CertMode, Tableau};
+use std::collections::HashMap;
 use std::fmt;
 
 /// Category of a verification failure — which theorem or requirement
@@ -300,8 +301,10 @@ fn verify_semantic_impl(
         }
     }
 
-    // (2) Perturbed states satisfy their tolerance labels.
+    // (2) Perturbed states satisfy their tolerance labels. Each distinct
+    // tolerance's label formulas are interned once, on first need.
     let roles = model.classify();
+    let mut labels: Vec<(Tolerance, Vec<FormulaId>)> = Vec::new();
     for s in model.state_ids() {
         if roles[s.index()] != StateRole::Perturbed {
             continue;
@@ -318,7 +321,14 @@ fn verify_semantic_impl(
             }
         }
         for tol in tols {
-            for f in problem.label_tol_formulas(tol) {
+            let at = match labels.iter().position(|(t, _)| *t == tol) {
+                Some(at) => at,
+                None => {
+                    labels.push((tol, problem.label_tol_formulas(tol)));
+                    labels.len() - 1
+                }
+            };
+            for &f in &labels[at].1 {
                 if !ck.holds(&problem.arena, f, s) {
                     v.perturbed_satisfy_tolerance = false;
                     if !collect {
@@ -337,16 +347,25 @@ fn verify_semantic_impl(
     }
 
     // (3) Fault closure: every enabled action is represented, outcome by
-    // outcome, at every state.
+    // outcome, at every state. The enabled actions' outcomes depend only
+    // on the valuation, so they are computed once per distinct one.
+    let mut outcomes: HashMap<&PropSet, Vec<(usize, Vec<PropSet>)>> = HashMap::new();
     for s in model.state_ids() {
         let valuation = &model.state(s).props;
-        for (ai, action) in problem.faults.iter().enumerate() {
-            if !action.enabled(valuation) {
-                continue;
-            }
-            for phi in action.outcomes(valuation, problem.props.len()) {
+        let enabled = outcomes.entry(valuation).or_insert_with(|| {
+            problem
+                .faults
+                .iter()
+                .enumerate()
+                .filter(|(_, action)| action.enabled(valuation))
+                .map(|(ai, action)| (ai, action.outcomes(valuation, problem.props.len())))
+                .collect()
+        });
+        for (ai, phis) in enabled.iter() {
+            let (ai, action) = (*ai, &problem.faults[*ai]);
+            for phi in phis {
                 let covered = model.succ(s).iter().any(|e| {
-                    e.kind == TransKind::Fault(ai) && model.state(e.to).props == phi
+                    e.kind == TransKind::Fault(ai) && model.state(e.to).props == *phi
                 });
                 if !covered {
                     v.fault_closed = false;

@@ -7,22 +7,29 @@
 //! resulting structure with the synthesized model (the argument of
 //! Corollary 7.1 that "execution of the extracted program P does indeed
 //! generate M_F").
+//!
+//! The explorer is the inner loop of step 5, so its per-state work is
+//! kept to word operations:
+//!
+//! * a configuration is one flat `u32` row (local-state indices, then
+//!   shared values), hashed once per edge and never cloned per edge;
+//! * every arc guard is lowered once into disjunctive normal form: cubes
+//!   of literals over the valuation's bit words and the shared values;
+//! * a global state's valuation, candidate arcs and fault outcomes
+//!   depend only on its local-state vector, so they are resolved once
+//!   per distinct vector (`LocalView`) — at most `Π|locals|` of them,
+//!   against tens of thousands of explored states. Per state, only the
+//!   shared-variable literals of the surviving cubes are tested.
 
-use crate::action::{FaultAction, SharedCorruption};
+use crate::action::FaultAction;
+use crate::expr::BoolExpr;
 use crate::program::Program;
+use crate::SharedCorruption;
 use ftsyn_ctl::{Owner, PropTable};
 use ftsyn_kripke::{FtKripke, PropSet, State, StateId, TransKind};
 use std::collections::HashMap;
 use std::fmt;
-
-/// A runtime configuration: local-state indices plus shared values.
-#[derive(Clone, Debug, PartialEq, Eq, Hash)]
-pub struct Config {
-    /// Current local-state index of each process.
-    pub locals: Vec<usize>,
-    /// Current shared-variable values.
-    pub shared: Vec<u32>,
-}
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Errors during exploration.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -65,14 +72,11 @@ impl std::error::Error for ExploreError {}
 /// this repository are far smaller).
 const MAX_STATES: usize = 1_000_000;
 
-/// Result of exploring a program: the generated structure plus the
-/// configuration of every state.
+/// Result of exploring a program.
 #[derive(Clone, Debug)]
 pub struct Exploration {
     /// The generated fault-tolerant Kripke structure.
     pub kripke: FtKripke,
-    /// Configuration corresponding to each state id.
-    pub configs: Vec<Config>,
 }
 
 /// Explores the reachable global-state space of `program` under
@@ -83,6 +87,11 @@ pub struct Exploration {
 /// valuation, each process's new local state is resolved by matching the
 /// perturbed valuation restricted to that process's propositions.
 ///
+/// States are numbered in discovery order of a depth-first worklist;
+/// from each state the enabled arcs are taken process by process in arc
+/// order, then the fault outcomes action by action, each followed by its
+/// shared-variable corruption branches ([`corrupt_branches`]).
+///
 /// # Errors
 ///
 /// See [`ExploreError`].
@@ -91,117 +100,399 @@ pub fn explore(
     faults: &[FaultAction],
     props: &PropTable,
 ) -> Result<Exploration, ExploreError> {
-    let mut kripke = FtKripke::new();
-    let mut configs: Vec<Config> = Vec::new();
-    let mut by_config: HashMap<Config, StateId> = HashMap::new();
+    let np = program.processes.len();
+    let width = np + program.init_shared.len();
+    let words = program.num_props.div_ceil(64).max(1);
+    let shared = program.init_shared.len();
+    let mut ex = Explorer {
+        program,
+        faults,
+        props,
+        proc_masks: (0..np)
+            .map(|i| {
+                PropSet::from_iter_with_capacity(
+                    props.len(),
+                    props.iter().filter(|&p| props.owner(p) == Owner::Process(i)),
+                )
+            })
+            .collect(),
+        arcs: program
+            .processes
+            .iter()
+            .enumerate()
+            .flat_map(|(pi, proc)| {
+                proc.arcs.iter().map(move |arc| LoweredArc {
+                    process: pi,
+                    from: arc.from,
+                    to: arc.to as u32,
+                    cubes: dnf(&arc.guard, true, words, shared),
+                    assigns: arc
+                        .assigns
+                        .iter()
+                        .copied()
+                        .filter(|&(v, _)| v < shared)
+                        .collect(),
+                })
+            })
+            .collect(),
+        corruptions: faults.iter().map(|a| Corruption::new(program, a)).collect(),
+        kripke: FtKripke::new(),
+        configs: Vec::new(),
+        ids: HashMap::default(),
+        state_view: Vec::new(),
+        views: Vec::new(),
+        view_ids: HashMap::new(),
+    };
 
-    // Per-process proposition masks for fault-outcome mapping.
-    let proc_masks: Vec<PropSet> = (0..program.processes.len())
-        .map(|i| {
-            PropSet::from_iter_with_capacity(
-                props.len(),
-                props.iter().filter(|&p| props.owner(p) == Owner::Process(i)),
-            )
-        })
+    let mut next: Vec<u32> = program
+        .init_locals
+        .iter()
+        .map(|&l| l as u32)
+        .chain(program.init_shared.iter().copied())
         .collect();
-
-    let init = Config {
-        locals: program.init_locals.clone(),
-        shared: program.init_shared.clone(),
-    };
-    let intern = |cfg: Config,
-                      kripke: &mut FtKripke,
-                      configs: &mut Vec<Config>,
-                      by_config: &mut HashMap<Config, StateId>|
-     -> Result<StateId, ExploreError> {
-        if let Some(&id) = by_config.get(&cfg) {
-            return Ok(id);
-        }
-        let st = State {
-            props: program.valuation(&cfg.locals),
-            shared: cfg.shared.clone(),
-        };
-        if kripke.find_state(&st).is_some() {
-            return Err(ExploreError::AmbiguousState);
-        }
-        let id = kripke.intern_state(st);
-        by_config.insert(cfg.clone(), id);
-        configs.push(cfg);
-        if configs.len() > MAX_STATES {
-            return Err(ExploreError::StateSpaceTooLarge(MAX_STATES));
-        }
-        Ok(id)
-    };
-
-    let init_id = intern(init, &mut kripke, &mut configs, &mut by_config)?;
-    kripke.add_init(init_id);
+    let (init_id, _) = ex.intern(&next)?;
+    ex.kripke.add_init(init_id);
     let mut work = vec![init_id];
+    let mut cur = vec![0u32; width];
 
     while let Some(sid) = work.pop() {
-        let cfg = configs[sid.index()].clone();
-        let valuation = program.valuation(&cfg.locals);
+        let row = sid.index() * width;
+        cur.copy_from_slice(&ex.configs[row..row + width]);
+        let view = ex.state_view[sid.index()] as usize;
 
-        // Program transitions: any enabled arc of any process.
-        for (pi, proc) in program.processes.iter().enumerate() {
-            for arc in &proc.arcs {
-                if arc.from != cfg.locals[pi] || !arc.guard.eval(&valuation, &cfg.shared) {
+        // Program transitions: the view's candidate arcs whose guard
+        // holds on the shared values.
+        for k in 0..ex.views[view].moves.len() {
+            let pi = {
+                let (ai, live) = &ex.views[view].moves[k];
+                let arc = &ex.arcs[*ai];
+                if !live.iter().any(|&c| arc.cubes[c].shared_holds(&cur[np..])) {
                     continue;
                 }
-                let mut next = cfg.clone();
-                next.locals[pi] = arc.to;
+                next.copy_from_slice(&cur);
+                next[arc.process] = arc.to;
                 for &(v, k) in &arc.assigns {
-                    if v < next.shared.len() {
-                        next.shared[v] = k;
-                    }
+                    next[np + v] = k;
                 }
-                let before = configs.len();
-                let tid = intern(next, &mut kripke, &mut configs, &mut by_config)?;
-                if configs.len() > before {
-                    work.push(tid);
-                }
-                kripke.add_edge(sid, TransKind::Proc(pi), tid);
+                arc.process
+            };
+            let (tid, fresh) = ex.intern(&next)?;
+            if fresh {
+                work.push(tid);
             }
+            ex.kripke.add_edge(sid, TransKind::Proc(pi), tid);
         }
 
-        // Fault transitions.
-        for (fi, action) in faults.iter().enumerate() {
-            if !action.enabled(&valuation) {
-                continue;
-            }
-            for outcome in action.outcomes(&valuation, props.len()) {
-                // Resolve each process's new local state.
-                let mut locals = Vec::with_capacity(program.processes.len());
-                for (pi, proc) in program.processes.iter().enumerate() {
-                    let local_val = outcome.intersect(&proc_masks[pi]);
-                    match proc.state_by_props(&local_val) {
-                        Some(li) => locals.push(li),
-                        None => {
-                            return Err(ExploreError::UnmappableFaultOutcome {
-                                action: action.name().to_owned(),
-                                process: pi,
-                            })
-                        }
-                    }
+        // Fault transitions: the view's resolved outcomes, each under
+        // every shared-variable corruption branch of its action.
+        for k in 0..ex.views[view].faults.len() {
+            let fi = match &ex.views[view].faults[k] {
+                (fi, Ok(locals)) => {
+                    next[..np].copy_from_slice(locals);
+                    *fi
                 }
-                // Shared-variable corruption branches (Section 5.3).
-                let shared_branches = corrupt_branches(program, &cfg.shared, action);
-                for shared in shared_branches {
-                    let next = Config {
-                        locals: locals.clone(),
-                        shared,
-                    };
-                    let before = configs.len();
-                    let tid = intern(next, &mut kripke, &mut configs, &mut by_config)?;
-                    if configs.len() > before {
-                        work.push(tid);
-                    }
-                    kripke.add_edge(sid, TransKind::Fault(fi), tid);
+                (fi, Err(process)) => {
+                    return Err(ExploreError::UnmappableFaultOutcome {
+                        action: faults[*fi].name().to_owned(),
+                        process: *process,
+                    })
                 }
+            };
+            next[np..].copy_from_slice(&cur[np..]);
+            for b in 0..ex.corruptions[fi].branches.len() {
+                let corruption = &ex.corruptions[fi];
+                for (&v, &k) in corruption.vars.iter().zip(&corruption.branches[b]) {
+                    next[np + v] = k;
+                }
+                let (tid, fresh) = ex.intern(&next)?;
+                if fresh {
+                    work.push(tid);
+                }
+                ex.kripke.add_edge(sid, TransKind::Fault(fi), tid);
             }
         }
     }
 
-    Ok(Exploration { kripke, configs })
+    Ok(Exploration { kripke: ex.kripke })
+}
+
+/// The exploration state: the lowered program, the structure under
+/// construction, the configuration of every state and the
+/// per-local-vector memo.
+struct Explorer<'a> {
+    program: &'a Program,
+    faults: &'a [FaultAction],
+    props: &'a PropTable,
+    /// Per-process proposition masks for fault-outcome mapping.
+    proc_masks: Vec<PropSet>,
+    /// Every arc of every process, in process then arc order.
+    arcs: Vec<LoweredArc>,
+    /// Per fault action.
+    corruptions: Vec<Corruption>,
+    kripke: FtKripke,
+    /// Configuration rows, one per state id, back to back.
+    configs: Vec<u32>,
+    ids: HashMap<Box<[u32]>, StateId, BuildHasherDefault<WordHasher>>,
+    /// Index into `views` of each state's local-state vector.
+    state_view: Vec<u32>,
+    views: Vec<LocalView>,
+    view_ids: HashMap<Box<[u32]>, u32>,
+}
+
+/// What a local-state vector determines on its own: its valuation; the
+/// candidate moves — each arc leaving a current local state (in arc
+/// order), with the cubes of its guard whose propositional part holds,
+/// so only their shared-variable literals remain to be tested per
+/// state; and for every enabled fault action in order, each outcome
+/// resolved to a local-state vector (or the first process it leaves
+/// unmappable).
+struct LocalView {
+    props: PropSet,
+    moves: Vec<(usize, Vec<usize>)>,
+    faults: Vec<(usize, Resolved)>,
+}
+
+/// A fault outcome resolved to a local-state vector, or the first process
+/// it leaves without a matching local state.
+type Resolved = Result<Box<[u32]>, usize>;
+
+impl Explorer<'_> {
+    /// The state of configuration `cfg`, interning it if new (`true`).
+    fn intern(&mut self, cfg: &[u32]) -> Result<(StateId, bool), ExploreError> {
+        if let Some(&id) = self.ids.get(cfg) {
+            return Ok((id, false));
+        }
+        let np = self.program.processes.len();
+        let view = self.view(&cfg[..np]);
+        let st = State {
+            props: self.views[view as usize].props.clone(),
+            shared: cfg[np..].to_vec(),
+        };
+        let id = self
+            .kripke
+            .intern_fresh(st)
+            .map_err(|_| ExploreError::AmbiguousState)?;
+        self.ids.insert(cfg.into(), id);
+        self.configs.extend_from_slice(cfg);
+        self.state_view.push(view);
+        if self.kripke.len() > MAX_STATES {
+            return Err(ExploreError::StateSpaceTooLarge(MAX_STATES));
+        }
+        Ok((id, true))
+    }
+
+    /// The memoized view of a local-state vector.
+    fn view(&mut self, locals: &[u32]) -> u32 {
+        if let Some(&v) = self.view_ids.get(locals) {
+            return v;
+        }
+        let program = self.program;
+        let idx: Vec<usize> = locals.iter().map(|&l| l as usize).collect();
+        let props = program.valuation(&idx);
+        let moves = self
+            .arcs
+            .iter()
+            .enumerate()
+            .filter(|(_, arc)| arc.from == idx[arc.process])
+            .map(|(ai, arc)| {
+                let live = (0..arc.cubes.len())
+                    .filter(|&c| arc.cubes[c].props_hold(props.words()))
+                    .collect::<Vec<usize>>();
+                (ai, live)
+            })
+            .filter(|(_, live)| !live.is_empty())
+            .collect();
+        let mut faults = Vec::new();
+        for (fi, action) in self.faults.iter().enumerate() {
+            if !action.enabled(&props) {
+                continue;
+            }
+            for outcome in action.outcomes(&props, self.props.len()) {
+                let resolved = program
+                    .processes
+                    .iter()
+                    .zip(&self.proc_masks)
+                    .enumerate()
+                    .map(|(pi, (proc, mask))| {
+                        proc.state_by_props(&outcome.intersect(mask))
+                            .map(|l| l as u32)
+                            .ok_or(pi)
+                    })
+                    .collect();
+                faults.push((fi, resolved));
+            }
+        }
+        let v = self.views.len() as u32;
+        self.views.push(LocalView {
+            props,
+            moves,
+            faults,
+        });
+        self.view_ids.insert(locals.into(), v);
+        v
+    }
+}
+
+/// An arc with its guard lowered to disjunctive normal form: it is
+/// enabled iff some cube holds.
+struct LoweredArc {
+    process: usize,
+    from: usize,
+    to: u32,
+    cubes: Vec<Cube>,
+    /// Assignments to existing shared variables, in program order.
+    assigns: Vec<(usize, u32)>,
+}
+
+/// A conjunction of literals: `pos` bits set and `neg` bits clear in the
+/// valuation words, shared variables equal to (`eq`) or different from
+/// (`ne`) constants.
+#[derive(Clone)]
+struct Cube {
+    pos: Vec<u64>,
+    neg: Vec<u64>,
+    eq: Vec<(usize, u32)>,
+    ne: Vec<(usize, u32)>,
+}
+
+impl Cube {
+    fn top(words: usize) -> Cube {
+        Cube {
+            pos: vec![0; words],
+            neg: vec![0; words],
+            eq: Vec::new(),
+            ne: Vec::new(),
+        }
+    }
+
+    fn and(&self, other: &Cube) -> Cube {
+        Cube {
+            pos: or_words(&self.pos, &other.pos),
+            neg: or_words(&self.neg, &other.neg),
+            eq: self.eq.iter().chain(&other.eq).copied().collect(),
+            ne: self.ne.iter().chain(&other.ne).copied().collect(),
+        }
+    }
+
+    /// The propositional literals hold on the valuation words `val`.
+    fn props_hold(&self, val: &[u64]) -> bool {
+        self.pos.iter().zip(val).all(|(m, w)| w & m == *m)
+            && self.neg.iter().zip(val).all(|(m, w)| w & m == 0)
+    }
+
+    /// The shared-variable literals hold on `shared`.
+    fn shared_holds(&self, shared: &[u32]) -> bool {
+        self.eq.iter().all(|&(v, k)| shared[v] == k) && self.ne.iter().all(|&(v, k)| shared[v] != k)
+    }
+}
+
+fn or_words(a: &[u64], b: &[u64]) -> Vec<u64> {
+    a.iter().zip(b).map(|(x, y)| x | y).collect()
+}
+
+/// The cubes of `e` (of `¬e` when `positive` is false), exact for every
+/// [`BoolExpr`]: negations are pushed to the literals, and a proposition
+/// or shared variable beyond the valuation's capacity reads false, as
+/// in [`BoolExpr::eval`]. Conjunctions of disjunctions multiply out;
+/// program guards are disjunctions of literal conjunctions with at most
+/// one nested disjunction, so their lowering stays linear in size.
+fn dnf(e: &BoolExpr, positive: bool, words: usize, shared: usize) -> Vec<Cube> {
+    let constant = |b: bool| {
+        if b == positive {
+            vec![Cube::top(words)]
+        } else {
+            Vec::new()
+        }
+    };
+    match e {
+        BoolExpr::Const(b) => constant(*b),
+        BoolExpr::Prop(p) if p.index() / 64 >= words => constant(false),
+        BoolExpr::Prop(p) => {
+            let mut c = Cube::top(words);
+            let bits = if positive { &mut c.pos } else { &mut c.neg };
+            bits[p.index() / 64] |= 1 << (p.index() % 64);
+            vec![c]
+        }
+        BoolExpr::VarEq(v, _) if *v >= shared => constant(false),
+        BoolExpr::VarEq(v, k) => {
+            let mut c = Cube::top(words);
+            if positive { &mut c.eq } else { &mut c.ne }.push((*v, *k));
+            vec![c]
+        }
+        BoolExpr::Not(inner) => dnf(inner, !positive, words, shared),
+        BoolExpr::And(es) | BoolExpr::Or(es) => {
+            if matches!(e, BoolExpr::And(_)) == positive {
+                es.iter().fold(vec![Cube::top(words)], |acc, x| {
+                    let rhs = dnf(x, positive, words, shared);
+                    acc.iter()
+                        .flat_map(|a| rhs.iter().map(move |b| a.and(b)))
+                        .collect()
+                })
+            } else {
+                es.iter()
+                    .flat_map(|x| dnf(x, positive, words, shared))
+                    .collect()
+            }
+        }
+    }
+}
+
+/// An action's shared-variable corruption: the variables it writes and,
+/// per branch in [`corrupt_branches`] order, the values written. Both
+/// are independent of the state the action fires in.
+struct Corruption {
+    vars: Vec<usize>,
+    branches: Vec<Vec<u32>>,
+}
+
+impl Corruption {
+    fn new(program: &Program, action: &FaultAction) -> Corruption {
+        let mut vars: Vec<usize> = action
+            .corrupt_shared()
+            .iter()
+            .map(|&(v, _)| v)
+            .filter(|&v| v < program.init_shared.len())
+            .collect();
+        vars.sort_unstable();
+        vars.dedup();
+        let branches = corrupt_branches(program, &program.init_shared, action)
+            .into_iter()
+            .map(|b| vars.iter().map(|&v| b[v]).collect())
+            .collect();
+        Corruption { vars, branches }
+    }
+}
+
+/// A multiply-rotate hash over whole words (the `FxHash` scheme) for
+/// configuration rows, which are hashed once per explored edge and are
+/// up to a hundred words long. Rows are not outside input the default
+/// keyed hash would guard: the program being explored already decides
+/// how much work exploring it takes.
+#[derive(Default)]
+struct WordHasher(u64);
+
+impl Hasher for WordHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        let mut chunks = bytes.chunks_exact(8);
+        for c in &mut chunks {
+            self.write_u64(u64::from_le_bytes(c.try_into().expect("8-byte chunk")));
+        }
+        for &b in chunks.remainder() {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, w: u64) {
+        self.0 = (self.0.rotate_left(5) ^ w).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+
+    fn write_usize(&mut self, w: usize) {
+        self.write_u64(w as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
 }
 
 /// All shared-value vectors resulting from an action's corruption list,

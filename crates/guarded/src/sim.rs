@@ -6,7 +6,6 @@
 //! fault — the runtime counterparts of masking and nonmasking tolerance.
 
 use crate::action::{FaultAction, SharedCorruption};
-use crate::interp::Config;
 use crate::program::Program;
 use ftsyn_ctl::{Owner, PropTable};
 use ftsyn_kripke::PropSet;
@@ -177,26 +176,24 @@ pub fn simulate(
         })
         .collect();
 
-    let mut state = Config {
-        locals: program.init_locals.clone(),
-        shared: program.init_shared.clone(),
-    };
+    let mut locals = program.init_locals.clone();
+    let mut shared = program.init_shared.clone();
     let mut trace = Trace {
-        valuations: vec![program.valuation(&state.locals)],
-        shared: vec![state.shared.clone()],
+        valuations: vec![program.valuation(&locals)],
+        shared: vec![shared.clone()],
         steps: Vec::new(),
         last_fault: None,
     };
     let mut faults_fired = 0usize;
 
     for _ in 0..cfg.steps {
-        let valuation = program.valuation(&state.locals);
+        let valuation = program.valuation(&locals);
 
         // Enabled program moves.
         let mut moves: Vec<(usize, usize)> = Vec::new(); // (process, arc idx)
         for (pi, proc) in program.processes.iter().enumerate() {
             for (ai, arc) in proc.arcs.iter().enumerate() {
-                if arc.from == state.locals[pi] && arc.guard.eval(&valuation, &state.shared) {
+                if arc.from == locals[pi] && arc.guard.eval(&valuation, &shared) {
                     moves.push((pi, ai));
                 }
             }
@@ -222,11 +219,11 @@ pub fn simulate(
             let outcomes = action.outcomes(&valuation, props.len());
             let outcome = &outcomes[rng.below(outcomes.len())];
             // Resolve local states; skip the fault if unmappable.
-            let mut locals = Vec::with_capacity(program.processes.len());
+            let mut resolved = Vec::with_capacity(program.processes.len());
             let mut ok = true;
             for (pi, proc) in program.processes.iter().enumerate() {
                 match proc.state_by_props(&outcome.intersect(&proc_masks[pi])) {
-                    Some(li) => locals.push(li),
+                    Some(li) => resolved.push(li),
                     None => {
                         ok = false;
                         break;
@@ -234,10 +231,10 @@ pub fn simulate(
                 }
             }
             if ok {
-                state.locals = locals;
+                locals = resolved;
                 for &(var, ref how) in action.corrupt_shared() {
-                    if var < state.shared.len() {
-                        state.shared[var] = match how {
+                    if var < shared.len() {
+                        shared[var] = match how {
                             SharedCorruption::Value(k) => program.clamp_shared(var, *k),
                             SharedCorruption::Arbitrary => {
                                 let dom = program.shared[var].domain.max(1);
@@ -249,8 +246,8 @@ pub fn simulate(
                 trace.last_fault = Some(trace.steps.len());
                 trace.steps.push(SimStep::Fault { index: fi });
                 faults_fired += 1;
-                trace.valuations.push(program.valuation(&state.locals));
-                trace.shared.push(state.shared.clone());
+                trace.valuations.push(program.valuation(&locals));
+                trace.shared.push(shared.clone());
                 continue;
             }
         }
@@ -261,15 +258,15 @@ pub fn simulate(
         }
         let (pi, ai) = moves[rng.below(moves.len())];
         let arc = &program.processes[pi].arcs[ai];
-        state.locals[pi] = arc.to;
+        locals[pi] = arc.to;
         for &(v, k) in &arc.assigns {
-            if v < state.shared.len() {
-                state.shared[v] = k;
+            if v < shared.len() {
+                shared[v] = k;
             }
         }
         trace.steps.push(SimStep::Proc { index: pi });
-        trace.valuations.push(program.valuation(&state.locals));
-        trace.shared.push(state.shared.clone());
+        trace.valuations.push(program.valuation(&locals));
+        trace.shared.push(shared.clone());
     }
 
     trace

@@ -24,7 +24,8 @@
 //! used by the decision procedure, so we implement the standard
 //! `j ∈ [0 : (i−1)]` reading.)
 
-use crate::structure::{FtKripke, StateId};
+use crate::stateset::StateSet;
+use crate::structure::{FtKripke, StateId, TransKind};
 use ftsyn_ctl::{Formula, FormulaArena, FormulaId};
 use std::collections::HashMap;
 
@@ -64,16 +65,31 @@ pub enum Semantics {
 pub struct Checker<'m> {
     model: &'m FtKripke,
     semantics: Semantics,
-    memo: HashMap<FormulaId, Vec<bool>>,
+    memo: HashMap<FormulaId, StateSet>,
+    /// Each proposition's states, indexed on the first literal
+    /// evaluated.
+    prop_sets: Option<Vec<StateSet>>,
+    /// Each process's program edges `(source, target)`, indexed on the
+    /// first nexttime evaluated.
+    proc_edges: Option<Vec<Vec<(StateId, StateId)>>>,
+    /// Each state's path-successor count, computed on the first
+    /// `A[gUh]`/`E[gWh]` evaluated.
+    path_out: Option<Vec<u32>>,
 }
 
 impl<'m> Checker<'m> {
-    /// Creates a checker for `model` under the given semantics.
+    /// Creates a checker for `model` under the given semantics. Nothing
+    /// is precomputed here (the semantic minimizer builds one checker
+    /// per candidate model); the edge indexes the modalities share are
+    /// built on first use, each in one pass over the edges.
     pub fn new(model: &'m FtKripke, semantics: Semantics) -> Checker<'m> {
         Checker {
             model,
             semantics,
             memo: HashMap::new(),
+            prop_sets: None,
+            proc_edges: None,
+            path_out: None,
         }
     }
 
@@ -89,22 +105,11 @@ impl<'m> Checker<'m> {
 
     /// Whether `f` holds at state `s`.
     pub fn holds(&mut self, arena: &FormulaArena, f: FormulaId, s: StateId) -> bool {
-        self.eval(arena, f)[s.index()]
+        self.eval(arena, f).contains(s)
     }
 
-    /// Whether `f` holds at every state in `states`.
-    pub fn holds_at_all(
-        &mut self,
-        arena: &FormulaArena,
-        f: FormulaId,
-        states: impl IntoIterator<Item = StateId>,
-    ) -> bool {
-        let v = self.eval(arena, f).clone();
-        states.into_iter().all(|s| v[s.index()])
-    }
-
-    /// The set of states (as a bool-per-state vector) satisfying `f`.
-    pub fn eval(&mut self, arena: &FormulaArena, f: FormulaId) -> &Vec<bool> {
+    /// The set of states satisfying `f`.
+    pub fn eval(&mut self, arena: &FormulaArena, f: FormulaId) -> &StateSet {
         if !self.memo.contains_key(&f) {
             let v = self.compute(arena, f);
             self.memo.insert(f, v);
@@ -112,82 +117,83 @@ impl<'m> Checker<'m> {
         &self.memo[&f]
     }
 
-    fn compute(&mut self, arena: &FormulaArena, f: FormulaId) -> Vec<bool> {
-        let n = self.model.len();
+    /// Evaluates `a` and `b`, then borrows both satisfaction sets.
+    fn eval2(&mut self, arena: &FormulaArena, a: FormulaId, b: FormulaId) -> (&StateSet, &StateSet) {
+        self.eval(arena, a);
+        self.eval(arena, b);
+        (&self.memo[&a], &self.memo[&b])
+    }
+
+    fn compute(&mut self, arena: &FormulaArena, f: FormulaId) -> StateSet {
+        let (m, sem) = (self.model, self.semantics);
+        let n = m.len();
         match arena.get(f) {
-            Formula::True => vec![true; n],
-            Formula::False => vec![false; n],
-            Formula::Prop(p) => self
-                .model
-                .state_ids()
-                .map(|s| self.model.state(s).props.contains(p))
-                .collect(),
-            Formula::NegProp(p) => self
-                .model
-                .state_ids()
-                .map(|s| !self.model.state(s).props.contains(p))
-                .collect(),
+            Formula::True => StateSet::full(n),
+            Formula::False => StateSet::empty(n),
+            Formula::Prop(p) | Formula::NegProp(p) => {
+                let sets = self.prop_sets.get_or_insert_with(|| prop_sets(m));
+                let x = sets.get(p.index()).cloned().unwrap_or_else(|| StateSet::empty(n));
+                if matches!(arena.get(f), Formula::NegProp(_)) {
+                    x.complement()
+                } else {
+                    x
+                }
+            }
             Formula::And(a, b) => {
-                let va = self.eval(arena, a).clone();
-                let vb = self.eval(arena, b);
-                va.iter().zip(vb.iter()).map(|(x, y)| *x && *y).collect()
+                let (va, vb) = self.eval2(arena, a, b);
+                let mut x = va.clone();
+                x.intersect_with(vb);
+                x
             }
             Formula::Or(a, b) => {
-                let va = self.eval(arena, a).clone();
-                let vb = self.eval(arena, b);
-                va.iter().zip(vb.iter()).map(|(x, y)| *x || *y).collect()
+                let (va, vb) = self.eval2(arena, a, b);
+                let mut x = va.clone();
+                x.union_with(vb);
+                x
             }
-            Formula::Ax(i, g) => {
-                let vg = self.eval(arena, g).clone();
-                self.model
-                    .state_ids()
-                    .map(|s| {
-                        self.model
-                            .succ(s)
-                            .iter()
-                            .filter(|e| e.kind == crate::structure::TransKind::Proc(i))
-                            .all(|e| vg[e.to.index()])
-                    })
-                    .collect()
-            }
-            Formula::Ex(i, g) => {
-                let vg = self.eval(arena, g).clone();
-                self.model
-                    .state_ids()
-                    .map(|s| {
-                        self.model
-                            .succ(s)
-                            .iter()
-                            .filter(|e| e.kind == crate::structure::TransKind::Proc(i))
-                            .any(|e| vg[e.to.index()])
-                    })
-                    .collect()
-            }
-            Formula::Au(g, h) => {
-                let vg = self.eval(arena, g).clone();
-                let vh = self.eval(arena, h).clone();
-                self.au_set(&vg, &vh)
+            // EXᵢ g: the sources of process-i edges into g. AXᵢ g: the
+            // complement of the sources of process-i edges leaving g.
+            Formula::Ex(i, g) | Formula::Ax(i, g) => {
+                let ax = matches!(arena.get(f), Formula::Ax(..));
+                self.eval(arena, g);
+                let edges = self.proc_edges.get_or_insert_with(|| proc_edges(m));
+                let vg = &self.memo[&g];
+                let mut x = StateSet::empty(n);
+                for &(s, t) in edges.get(i).map_or(&[][..], Vec::as_slice) {
+                    if vg.contains(t) != ax {
+                        x.insert(s);
+                    }
+                }
+                if ax {
+                    x.complement()
+                } else {
+                    x
+                }
             }
             Formula::Eu(g, h) => {
-                let vg = self.eval(arena, g).clone();
-                let vh = self.eval(arena, h).clone();
-                self.eu_set(&vg, &vh)
+                let (vg, vh) = self.eval2(arena, g, h);
+                eu_set(m, sem, vg, vh)
             }
             Formula::Aw(g, h) => {
                 // A[gWh] = ¬E[¬g U ¬h]
-                let vg = self.eval(arena, g).clone();
-                let vh = self.eval(arena, h).clone();
-                let ng: Vec<bool> = vg.iter().map(|x| !x).collect();
-                let nh: Vec<bool> = vh.iter().map(|x| !x).collect();
-                self.eu_set(&ng, &nh).iter().map(|x| !x).collect()
+                let (vg, vh) = self.eval2(arena, g, h);
+                eu_set(m, sem, &vg.complement(), &vh.complement()).complement()
             }
-            Formula::Ew(g, h) => {
+            Formula::Au(g, h) | Formula::Ew(g, h) => {
                 // E[gWh] = ¬A[¬g U ¬h]
-                let vg = self.eval(arena, g).clone();
-                let vh = self.eval(arena, h).clone();
-                let ng: Vec<bool> = vg.iter().map(|x| !x).collect();
-                let nh: Vec<bool> = vh.iter().map(|x| !x).collect();
-                self.au_set(&ng, &nh).iter().map(|x| !x).collect()
+                let ew = matches!(arena.get(f), Formula::Ew(..));
+                self.eval(arena, g);
+                self.eval(arena, h);
+                let out = self
+                    .path_out
+                    .get_or_insert_with(|| path_out_degrees(m, sem))
+                    .clone();
+                let (vg, vh) = (&self.memo[&g], &self.memo[&h]);
+                if ew {
+                    au_set(m, sem, &vg.complement(), &vh.complement(), out).complement()
+                } else {
+                    au_set(m, sem, vg, vh, out)
+                }
             }
         }
     }
@@ -195,7 +201,7 @@ impl<'m> Checker<'m> {
     /// Consumes the checker and returns its accumulated per-state
     /// labeling as a [`LabelCache`]. Evaluate every formula of interest
     /// with [`Checker::eval`] first; the cache then holds the exact
-    /// satisfaction vector of each evaluated formula *and all of its
+    /// satisfaction set of each evaluated formula *and all of its
     /// subformulae* (evaluation is bottom-up and memoized).
     pub fn into_cache(self) -> LabelCache {
         LabelCache { labels: self.memo }
@@ -210,33 +216,33 @@ impl<'m> Checker<'m> {
             .all(|s| self.path_succ(s).next().is_some())
     }
 
-    /// `E[gUh]` over explicit satisfaction vectors (no arena needed):
-    /// the least-fixpoint machinery of [`Checker::eval`], exposed so
-    /// callers holding precomputed vectors can run one modality without
-    /// mutating a formula arena.
-    pub fn eu_of(&self, g: &[bool], h: &[bool]) -> Vec<bool> {
-        self.eu_set(g, h)
+    /// `E[gUh]` over explicit satisfaction sets (no arena needed): the
+    /// least-fixpoint machinery of [`Checker::eval`], exposed so callers
+    /// holding precomputed sets can run one modality without mutating a
+    /// formula arena.
+    pub fn eu_of(&self, g: &StateSet, h: &StateSet) -> StateSet {
+        eu_set(self.model, self.semantics, g, h)
     }
 
-    /// `A[gUh]` over explicit satisfaction vectors.
-    pub fn au_of(&self, g: &[bool], h: &[bool]) -> Vec<bool> {
-        self.au_set(g, h)
+    /// `A[gUh]` over explicit satisfaction sets.
+    pub fn au_of(&self, g: &StateSet, h: &StateSet) -> StateSet {
+        let out = path_out_degrees(self.model, self.semantics);
+        au_set(self.model, self.semantics, g, h, out)
     }
 
-    /// `EF h` over an explicit satisfaction vector.
-    pub fn ef_of(&self, h: &[bool]) -> Vec<bool> {
-        self.eu_set(&vec![true; self.model.len()], h)
+    /// `EF h` over an explicit satisfaction set.
+    pub fn ef_of(&self, h: &StateSet) -> StateSet {
+        self.eu_of(&StateSet::full(self.model.len()), h)
     }
 
-    /// `AF h` over an explicit satisfaction vector.
-    pub fn af_of(&self, h: &[bool]) -> Vec<bool> {
-        self.au_set(&vec![true; self.model.len()], h)
+    /// `AF h` over an explicit satisfaction set.
+    pub fn af_of(&self, h: &StateSet) -> StateSet {
+        self.au_of(&StateSet::full(self.model.len()), h)
     }
 
-    /// `AG h` over an explicit satisfaction vector (`¬EF¬h`).
-    pub fn ag_of(&self, h: &[bool]) -> Vec<bool> {
-        let nh: Vec<bool> = h.iter().map(|x| !x).collect();
-        self.ef_of(&nh).iter().map(|x| !x).collect()
+    /// `AG h` over an explicit satisfaction set (`¬EF¬h`).
+    pub fn ag_of(&self, h: &StateSet) -> StateSet {
+        self.ef_of(&h.complement()).complement()
     }
 
     fn path_succ(&self, s: StateId) -> impl Iterator<Item = StateId> + '_ {
@@ -247,90 +253,137 @@ impl<'m> Checker<'m> {
             .filter(move |e| include_faults || !e.kind.is_fault())
             .map(|e| e.to)
     }
+}
 
-    /// Least fixpoint for `E[gUh]`:
-    /// `X = h ∪ (g ∩ pre∃(X))`.
-    fn eu_set(&self, g: &[bool], h: &[bool]) -> Vec<bool> {
-        let n = self.model.len();
-        let mut x: Vec<bool> = h.to_vec();
-        // Worklist over predecessors.
-        let mut work: Vec<StateId> = (0..n as u32).map(StateId).filter(|s| x[s.index()]).collect();
-        let include_faults = self.semantics == Semantics::IncludeFaults;
-        while let Some(t) = work.pop() {
-            for e in self.model.pred(t) {
-                if !include_faults && e.kind.is_fault() {
-                    continue;
-                }
-                let s = e.to; // source
-                if !x[s.index()] && g[s.index()] {
-                    x[s.index()] = true;
-                    work.push(s);
-                }
+/// The path-predecessors of `t` under `semantics` (pred edges hold the
+/// source in `to`).
+fn path_pred(m: &FtKripke, semantics: Semantics, t: StateId) -> impl Iterator<Item = StateId> + '_ {
+    let include_faults = semantics == Semantics::IncludeFaults;
+    m.pred(t)
+        .iter()
+        .filter(move |e| include_faults || !e.kind.is_fault())
+        .map(|e| e.to)
+}
+
+/// Least fixpoint for `E[gUh]`: `X = h ∪ (g ∩ pre∃(X))`, by a worklist
+/// over predecessors.
+fn eu_set(m: &FtKripke, semantics: Semantics, g: &StateSet, h: &StateSet) -> StateSet {
+    let mut x = h.clone();
+    let mut work: Vec<StateId> = x.iter().collect();
+    while let Some(t) = work.pop() {
+        for s in path_pred(m, semantics, t) {
+            if g.contains(s) && x.insert(s) {
+                work.push(s);
             }
         }
-        x
     }
+    x
+}
 
-    /// Least fixpoint for `A[gUh]`:
-    /// `X = h ∪ (g ∩ {s : succ(s) ≠ ∅ ∧ succ(s) ⊆ X})`.
-    ///
-    /// Dead-end states satisfy `A[gUh]` iff `h` holds there (the only
-    /// fullpath is the single-state path).
-    fn au_set(&self, g: &[bool], h: &[bool]) -> Vec<bool> {
-        let n = self.model.len();
-        let mut x: Vec<bool> = h.to_vec();
-        // remaining[s] = number of path-successors of s not yet in X.
-        let mut remaining: Vec<usize> = (0..n as u32)
-            .map(StateId)
-            .map(|s| self.path_succ(s).count())
-            .collect();
-        let has_succ: Vec<bool> = remaining.iter().map(|&c| c > 0).collect();
-        let include_faults = self.semantics == Semantics::IncludeFaults;
-        let mut work: Vec<StateId> = (0..n as u32).map(StateId).filter(|s| x[s.index()]).collect();
-        while let Some(t) = work.pop() {
-            for e in self.model.pred(t) {
-                if !include_faults && e.kind.is_fault() {
-                    continue;
+/// Every proposition's set of states (up to the highest proposition
+/// true anywhere).
+fn prop_sets(m: &FtKripke) -> Vec<StateSet> {
+    let mut sets: Vec<StateSet> = Vec::new();
+    for s in m.state_ids() {
+        for (w, &word) in m.state(s).props.words().iter().enumerate() {
+            let mut rest = word;
+            while rest != 0 {
+                let p = w * 64 + rest.trailing_zeros() as usize;
+                rest &= rest - 1;
+                if sets.len() <= p {
+                    sets.resize_with(p + 1, || StateSet::empty(m.len()));
                 }
-                let s = e.to; // source
-                remaining[s.index()] = remaining[s.index()].saturating_sub(1);
-                if !x[s.index()] && g[s.index()] && has_succ[s.index()] && remaining[s.index()] == 0
-                {
-                    x[s.index()] = true;
-                    work.push(s);
-                }
+                sets[p].insert(s);
             }
         }
-        x
     }
+    sets
+}
+
+/// Every process's program edges `(source, target)`, in source order.
+fn proc_edges(m: &FtKripke) -> Vec<Vec<(StateId, StateId)>> {
+    let mut by_proc: Vec<Vec<(StateId, StateId)>> = Vec::new();
+    for s in m.state_ids() {
+        for e in m.succ(s) {
+            if let TransKind::Proc(i) = e.kind {
+                if by_proc.len() <= i {
+                    by_proc.resize_with(i + 1, Vec::new);
+                }
+                by_proc[i].push((s, e.to));
+            }
+        }
+    }
+    by_proc
+}
+
+/// Every state's number of path-successor edges under `semantics`.
+fn path_out_degrees(m: &FtKripke, semantics: Semantics) -> Vec<u32> {
+    let include_faults = semantics == Semantics::IncludeFaults;
+    m.state_ids()
+        .map(|s| {
+            m.succ(s)
+                .iter()
+                .filter(|e| include_faults || !e.kind.is_fault())
+                .count() as u32
+        })
+        .collect()
+}
+
+/// Least fixpoint for `A[gUh]`:
+/// `X = h ∪ (g ∩ {s : succ(s) ≠ ∅ ∧ succ(s) ⊆ X})`, given each state's
+/// path-successor count in `remaining` (consumed as the count of
+/// successors not yet in `X`).
+///
+/// Dead-end states satisfy `A[gUh]` iff `h` holds there (the only
+/// fullpath is the single-state path): their count starts at zero and
+/// is never decremented, so they only enter `X` through `h`.
+fn au_set(
+    m: &FtKripke,
+    semantics: Semantics,
+    g: &StateSet,
+    h: &StateSet,
+    mut remaining: Vec<u32>,
+) -> StateSet {
+    let mut x = h.clone();
+    let mut work: Vec<StateId> = x.iter().collect();
+    while let Some(t) = work.pop() {
+        for s in path_pred(m, semantics, t) {
+            let r = &mut remaining[s.index()];
+            *r -= 1;
+            if *r == 0 && g.contains(s) && x.insert(s) {
+                work.push(s);
+            }
+        }
+    }
+    x
 }
 
 /// A frozen per-state CTL labeling captured from a [`Checker`] run:
-/// formula id → satisfaction vector over the model the checker was
-/// built on. The cache owns plain data (no borrow of the model), so it
-/// can outlive the checker and be shared across worker threads; the
+/// formula id → satisfaction set over the model the checker was built
+/// on. The cache owns plain data (no borrow of the model), so it can
+/// outlive the checker and be shared across worker threads; the
 /// semantic minimizer uses one cache per accepted model to transfer
 /// base-model truths onto merge candidates instead of re-checking them.
 #[derive(Clone, Debug, Default)]
 pub struct LabelCache {
-    labels: HashMap<FormulaId, Vec<bool>>,
+    labels: HashMap<FormulaId, StateSet>,
 }
 
 impl LabelCache {
-    /// The satisfaction vector of `f`, if `f` was evaluated (directly
-    /// or as a subformula) before the cache was captured.
-    pub fn get(&self, f: FormulaId) -> Option<&[bool]> {
-        self.labels.get(&f).map(|v| v.as_slice())
+    /// The satisfaction set of `f`, if `f` was evaluated (directly or as
+    /// a subformula) before the cache was captured.
+    pub fn get(&self, f: FormulaId) -> Option<&StateSet> {
+        self.labels.get(&f)
     }
 
     /// Whether `f` holds at `s`, if `f` is cached.
     pub fn holds(&self, f: FormulaId, s: StateId) -> Option<bool> {
-        self.labels.get(&f).map(|v| v[s.index()])
+        self.labels.get(&f).map(|v| v.contains(s))
     }
 
     /// Whether `f` is cached and holds at *every* state of the model.
     pub fn all_true(&self, f: FormulaId) -> bool {
-        self.labels.get(&f).is_some_and(|v| v.iter().all(|&x| x))
+        self.labels.get(&f).is_some_and(StateSet::is_full)
     }
 
     /// Ids of all cached formulae (arbitrary order).

@@ -72,7 +72,7 @@ impl<'m> Checker<'m> {
         let mut rank = vec![u32::MAX; n];
         let mut work: Vec<StateId> = Vec::new();
         for s in self.model().state_ids() {
-            if vh[s.index()] {
+            if vh.contains(s) {
                 rank[s.index()] = 0;
                 work.push(s);
             }
@@ -87,7 +87,7 @@ impl<'m> Checker<'m> {
                         continue;
                     }
                     let s = e.to;
-                    if rank[s.index()] == u32::MAX && vg[s.index()] {
+                    if rank[s.index()] == u32::MAX && vg.contains(s) {
                         rank[s.index()] = r;
                         next.push(s);
                     }
@@ -151,8 +151,7 @@ impl<'m> Checker<'m> {
             // iff it is in the largest set X with:
             //   ¬h ∧ (¬g ∨ dead-end ∨ ∃succ ∈ X).
             // That is a greatest fixpoint; compute it directly.
-            let n = self.model().len();
-            let mut x: Vec<bool> = (0..n).map(|i| !vh[i]).collect();
+            let mut x: Vec<bool> = self.model().state_ids().map(|s| !vh.contains(s)).collect();
             let mut changed = true;
             while changed {
                 changed = false;
@@ -161,7 +160,7 @@ impl<'m> Checker<'m> {
                         continue;
                     }
                     let succs = self.path_successors(s);
-                    let keeps = !vg[s.index()]
+                    let keeps = !vg.contains(s)
                         || succs.is_empty()
                         || succs.iter().any(|t| x[t.index()]);
                     if !keeps {
@@ -182,8 +181,7 @@ impl<'m> Checker<'m> {
         pos.insert(from, 0);
         let mut cur = from;
         loop {
-            let i = cur.index();
-            if !vg[i] && !vh[i] {
+            if !vg.contains(cur) && !vh.contains(cur) {
                 return Some(EvidencePath {
                     states: path,
                     loop_start: None,
@@ -230,7 +228,7 @@ impl<'m> Checker<'m> {
         queue.push_back(from);
         seen[from.index()] = true;
         let mut target = None;
-        if !vh[from.index()] {
+        if !vh.contains(from) {
             target = Some(from);
         }
         while let Some(s) = queue.pop_front() {
@@ -241,7 +239,7 @@ impl<'m> Checker<'m> {
                 if !seen[t.index()] {
                     seen[t.index()] = true;
                     prev[t.index()] = Some(s);
-                    if !vh[t.index()] {
+                    if !vh.contains(t) {
                         target = Some(t);
                         break;
                     }

@@ -12,7 +12,8 @@
 //!   classification of Section 2.4 ([`StateRole`]);
 //! * a memoizing CTL model checker for both the plain satisfaction
 //!   relation and the fault-free-relativized `⊨ₙ` ([`Checker`],
-//!   [`Semantics`]).
+//!   [`Semantics`]), labeling with bitset satisfaction sets
+//!   ([`StateSet`]).
 //!
 //! The synthesis engine uses the checker to *verify* every model it
 //! produces (the paper's Theorem 7.1.9 soundness statement is re-checked
@@ -25,10 +26,12 @@ mod checker;
 mod evidence;
 mod minimize;
 mod state;
+mod stateset;
 mod structure;
 
 pub use checker::{Checker, LabelCache, Semantics};
 pub use evidence::EvidencePath;
 pub use minimize::{bisimulation_quotient, Quotient};
 pub use state::{PropSet, State};
+pub use stateset::StateSet;
 pub use structure::{Edge, FtKripke, StateId, StateRole, TransKind};

@@ -91,6 +91,12 @@ impl PropSet {
         })
     }
 
+    /// The underlying bit words: proposition `p` is bit `p % 64` of word
+    /// `p / 64`.
+    pub fn words(&self) -> &[u64] {
+        &self.bits
+    }
+
     /// Restricts to the propositions in `keep`.
     #[must_use]
     pub fn intersect(&self, keep: &PropSet) -> PropSet {

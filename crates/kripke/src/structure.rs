@@ -104,6 +104,29 @@ impl FtKripke {
         id
     }
 
+    /// Interns a state that must be new: returns its fresh id, or the id
+    /// of the equal state already interned (leaving the structure
+    /// unchanged). One hash per call, where [`FtKripke::find_state`]
+    /// followed by [`FtKripke::intern_state`] costs two.
+    ///
+    /// # Errors
+    ///
+    /// Returns the existing id if an equal state is already interned.
+    pub fn intern_fresh(&mut self, s: State) -> Result<StateId, StateId> {
+        use std::collections::hash_map::Entry;
+        let id = StateId(self.states.len() as u32);
+        match self.index.entry(s) {
+            Entry::Occupied(e) => Err(*e.get()),
+            Entry::Vacant(e) => {
+                self.states.push(e.key().clone());
+                e.insert(id);
+                self.succ.push(Vec::new());
+                self.pred.push(Vec::new());
+                Ok(id)
+            }
+        }
+    }
+
     /// Adds a state without interning (duplicates allowed). Used by the
     /// synthesis unraveling, where distinct states may share a valuation
     /// until shared variables are introduced.

@@ -56,7 +56,7 @@ fn arbitrary_corruption_preserves_all_properties() {
         let sat = ckn.eval(&problem.arena, imp).clone();
         for st in m.state_ids() {
             assert!(
-                sat[st.index()],
+                sat.contains(st),
                 "state {} starves after x-corruption",
                 m.state(st).display(&problem.props)
             );
