@@ -1,5 +1,6 @@
-//! Shared helpers for the `ftsyn` benchmark suite and the paper
-//! experiment harness (`cargo run -p ftsyn-bench --bin experiments`).
+//! Problem builders for the paper experiment harness
+//! (`cargo run --release -p ftsyn-bench --bin experiments`), which
+//! regenerates `EXPERIMENTS.md`.
 
 #![allow(missing_docs)]
 

@@ -5,8 +5,10 @@
 
 use crate::campaign::assert_campaign;
 use crate::generate::{random_problem, GeneratedCase};
+use crate::reference::build_reference;
 use crate::render::render_solved;
 use ftsyn::guarded::sim::CampaignConfig;
+use ftsyn::tableau::build_with_threads;
 use ftsyn::{
     check_program, synthesize_with_engine, synthesize_with_threads, AbortReason, Engine,
     SynthesisOutcome, SynthesisProblem, ThreadPlan,
@@ -45,9 +47,9 @@ pub struct CaseResult {
 ///    independently of the tableau, and runs a small seeded
 ///    fault-injection campaign ([`assert_campaign`]) so the program's
 ///    runtime traces are simulation-checked too;
-/// 4. with the `slow-reference` feature, cross-checks the work-stealing
-///    build engine (at 2 worker threads) against the sequential
-///    naive-kernel reference build on this seed's tableau.
+/// 4. cross-checks the work-stealing build engine (at 2 worker
+///    threads) against the sequential naive-kernel reference build on
+///    this seed's tableau ([`cross_check_build`]).
 ///
 /// # Panics
 ///
@@ -59,13 +61,7 @@ pub fn run_seed(seed: u64) -> CaseResult {
         problem: mut p1,
     } = random_problem(&mut XorShift64::new(seed));
 
-    #[cfg(feature = "slow-reference")]
-    {
-        let GeneratedCase {
-            problem: mut p3, ..
-        } = random_problem(&mut XorShift64::new(seed));
-        cross_check_build(seed, &name, &mut p3);
-    }
+    cross_check_build(seed, &name, &mut random_problem(&mut XorShift64::new(seed)).problem);
 
     let o1 = synthesize_with_threads(&mut p1, THREAD_MATRIX[0]);
     match o1 {
@@ -294,7 +290,8 @@ fn render_backend_outcome(problem: &SynthesisProblem, outcome: &SynthesisOutcome
 }
 
 /// Asserts two tableaux are bit-identical: same nodes in the same
-/// order, same labels, kinds, successor lists, and alive flags.
+/// order, same labels, kinds, successor and predecessor lists, and
+/// alive flags.
 pub fn assert_tableaux_identical(
     what: &str,
     a: &ftsyn::tableau::Tableau,
@@ -305,6 +302,7 @@ pub fn assert_tableaux_identical(
         assert_eq!(a.node(id).label, b.node(id).label, "{what}: label at {id:?}");
         assert_eq!(a.node(id).kind, b.node(id).kind, "{what}: kind at {id:?}");
         assert_eq!(a.node(id).succ, b.node(id).succ, "{what}: edges at {id:?}");
+        assert_eq!(a.node(id).pred, b.node(id).pred, "{what}: in-edges at {id:?}");
         assert_eq!(a.alive(id), b.alive(id), "{what}: alive flag at {id:?}");
     }
 }
@@ -313,10 +311,7 @@ pub fn assert_tableaux_identical(
 /// scheduler, at 2 worker threads so the scheduler actually runs —
 /// against the pre-optimization reference kernels on their own
 /// sequential harness, on this problem's tableau.
-#[cfg(feature = "slow-reference")]
-pub fn cross_check_build(seed: u64, name: &str, problem: &mut ftsyn::SynthesisProblem) {
-    use ftsyn::tableau::{build_reference, build_with_threads};
-
+pub fn cross_check_build(seed: u64, name: &str, problem: &mut SynthesisProblem) {
     let (closure, fault_spec, root) = problem.tableau_inputs();
     let (fast, _) = build_with_threads(&closure, &problem.props, root.clone(), &fault_spec, 2);
     let reference = build_reference(&closure, &problem.props, root, &fault_spec);

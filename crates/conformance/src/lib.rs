@@ -17,10 +17,10 @@
 //!   synthesized *twice* per seed — run-to-run determinism is asserted
 //!   byte-for-byte — and every synthesized program is re-checked by the
 //!   `ftsyn-kripke` model checker as an independent oracle (`⊨` and
-//!   `⊨ₙ`, via [`ftsyn::check_program`]). With the `slow-reference`
-//!   feature, each case additionally cross-checks the optimized tableau
-//!   build (work-stealing, 2 threads) against the pre-optimization
-//!   reference kernels on their own sequential harness.
+//!   `⊨ₙ`, via [`ftsyn::check_program`]). Each case also cross-checks
+//!   the optimized tableau build (work-stealing, 2 threads) against the
+//!   pre-optimization reference kernels on their own sequential
+//!   harness.
 //! - **Fault-injection campaigns** ([`campaign`], `tests/campaign.rs`):
 //!   synthesized programs are *run* under seeded randomized simulation
 //!   with injected faults, asserting the runtime counterpart of their
@@ -32,10 +32,12 @@
 //!   count, a governed-unlimited run must be byte-identical to an
 //!   ungoverned one, and an injected worker panic must surface as a
 //!   structured abort with no poisoned scheduler state left behind.
-//! - **Step-5 kernel references** ([`mod@reference`], `tests/kernels.rs`):
-//!   the straightforward program explorer and `Vec<bool>` CTL labeler,
-//!   against which the optimized `explore` and `Checker` must agree
-//!   element for element.
+//! - **Reference oracles** ([`mod@reference`]): the straightforward
+//!   engines the optimized ones replaced — tableau expansion and
+//!   construction, deletion and fulfillment, minimization, and the
+//!   step-5 explorer and CTL labeler — each checked under plain
+//!   `cargo test`. Only tests depend on this crate, so release
+//!   binaries never compile the oracles.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

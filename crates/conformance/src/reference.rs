@@ -1,14 +1,31 @@
-//! Reference kernels for the step-5 re-verification: the
-//! straightforward interleaving explorer and the `Vec<bool>` CTL
-//! labeler that `ftsyn_guarded::interp::explore` and
-//! `ftsyn_kripke::Checker` replaced. They are kept here, outside the
-//! production crates, only as oracles: `tests/kernels.rs` requires the
-//! optimized kernels to reproduce them element for element.
+//! Reference implementations: the straightforward engines the
+//! optimized ones replaced, kept outside the production crates only as
+//! oracles (so release binaries never compile them). Each follows its
+//! definition as literally as possible, and each optimized engine must
+//! reproduce its oracle exactly:
 //!
-//! Both follow the definitions as literally as possible: the explorer
-//! re-resolves every fault outcome and walks every guard tree at every
-//! state, and the labeler computes each satisfaction vector from fresh
-//! copies of its operands.
+//! - `Blocks`/`Tiles` and the tableau build: `tests/tableau_kernels.rs`
+//!   and every fuzz seed ([`crate::differential::run_seed`]);
+//! - deletion and fulfillment, in both certificate modes: the root
+//!   `tests/engine_equivalence.rs`;
+//! - minimization and its attempt-cap abort: `tests/minimize.rs`;
+//! - the step-5 explorer and `Vec<bool>` CTL labeler: `tests/kernels.rs`.
+//!   The explorer re-resolves every fault outcome and walks every guard
+//!   tree at every state; the labeler computes each satisfaction vector
+//!   from fresh copies of its operands.
+
+mod build;
+mod delete;
+mod expand;
+mod minimize;
+
+pub use build::build_reference;
+pub use delete::{
+    apply_deletion_rules_naive_mode, au_fulfillment_naive, eu_fulfillment_naive,
+    live_eventualities_sweep,
+};
+pub use expand::{blocks_naive, naive_is_prop_consistent, tiles_naive};
+pub use minimize::{merged, semantic_minimize_reference, semantic_minimize_reference_governed};
 
 use ftsyn::ctl::{Formula, FormulaArena, FormulaId, Owner, PropTable};
 use ftsyn::guarded::interp::{corrupt_branches, ExploreError};

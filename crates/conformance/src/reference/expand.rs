@@ -1,16 +1,16 @@
-//! Reference (`slow-reference`) implementations of the `Blocks` and
-//! `Tiles` expansions, kept verbatim from before the build-phase
-//! acceleration work.
-//!
-//! These are the oracle for the optimized kernels in [`crate::expand`]:
-//! equivalence tests and the `build_reference` cross-check assert that
+//! The `Blocks` and `Tiles` expansions as they were before the
+//! build-phase acceleration work, kept verbatim as the oracle for the
+//! optimized kernels in `ftsyn_tableau` (`blocks`, `tiles`,
+//! `Closure::is_prop_consistent`): `tests/tableau_kernels.rs` and the
+//! [`build_reference`](super::build_reference) cross-check assert that
 //! the fast path produces bit-identical label sets. The propositional
-//! consistency check here deliberately re-derives the
-//! literal table from the label via a `HashMap` walk — the exact
-//! pre-optimization behavior — rather than using the precomputed
-//! literal masks of [`ftsyn_ctl::Closure::is_prop_consistent`].
+//! consistency check here deliberately re-derives the literal table
+//! from the label via a `HashMap` walk — the exact pre-optimization
+//! behavior — rather than using the closure's precomputed literal
+//! masks.
 
-use ftsyn_ctl::{Closure, ClosureIdx, EntryKind, Expansion, LabelSet, PropId};
+use ftsyn::ctl::{Closure, ClosureIdx, EntryKind, Expansion, LabelSet, Owner, PropId, PropTable};
+use ftsyn::tableau::Tile;
 use std::collections::{HashMap, HashSet};
 
 /// Propositional consistency via a per-call `HashMap` over the label's
@@ -33,7 +33,7 @@ pub fn naive_is_prop_consistent(closure: &Closure, label: &LabelSet) -> bool {
     true
 }
 
-/// Pre-optimization `Blocks(d)` (see [`crate::expand::blocks`] for the
+/// Pre-optimization `Blocks(d)` (see `ftsyn_tableau::blocks` for the
 /// algorithm documentation; the two must stay output-identical).
 pub fn blocks_naive(closure: &Closure, label: &LabelSet) -> Vec<LabelSet> {
     let mut done: Vec<LabelSet> = Vec::new();
@@ -176,13 +176,8 @@ pub fn blocks_naive(closure: &Closure, label: &LabelSet) -> Vec<LabelSet> {
 }
 
 /// Pre-optimization `Tiles(c)` with the original O(n²) `Vec::contains`
-/// dedup (see [`crate::expand::tiles`]).
-pub fn tiles_naive(
-    closure: &Closure,
-    props: &ftsyn_ctl::PropTable,
-    label: &LabelSet,
-) -> Vec<crate::expand::Tile> {
-    use crate::expand::Tile;
+/// dedup (see `ftsyn_tableau::tiles`).
+pub fn tiles_naive(closure: &Closure, props: &PropTable, label: &LabelSet) -> Vec<Tile> {
     let mut ax_bodies: Vec<Vec<ClosureIdx>> = Vec::new();
     let mut ex_bodies: Vec<Vec<ClosureIdx>> = Vec::new();
     let ensure = |v: &mut Vec<Vec<ClosureIdx>>, i: usize| {
@@ -224,7 +219,7 @@ pub fn tiles_naive(
             // kernel shares it across the process's tiles.
             for p in props.iter() {
                 match props.owner(p) {
-                    ftsyn_ctl::Owner::Process(j) if j != proc => {
+                    Owner::Process(j) if j != proc => {
                         let positive = label.iter().any(|idx| {
                             matches!(
                                 closure.entry(idx).kind,

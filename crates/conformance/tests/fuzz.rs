@@ -2,10 +2,9 @@
 //! synthesized across the full worker-thread matrix (1, 2, and 8
 //! threads; run-to-run and scheduler determinism asserted
 //! byte-for-byte) and every synthesized program re-checked by the
-//! model checker as an independent oracle. With `--features
-//! slow-reference` every case also cross-checks the work-stealing build
-//! engine (at 2 worker threads) against the sequential naive-kernel
-//! reference build.
+//! model checker as an independent oracle. Every case also
+//! cross-checks the work-stealing build engine (at 2 worker threads)
+//! against the sequential naive-kernel reference build.
 //!
 //! The seed matrix is fixed (1..=60) so CI runs are reproducible; a
 //! failing seed can be replayed with

@@ -385,3 +385,49 @@ fn serve_pipe_answers_one_request_per_engine() {
     let r1 = by_id["r1"].get("message").and_then(Value::as_str).unwrap();
     assert!(r1.contains("tableau-only"), "{r1}");
 }
+
+/// Hostile nesting gets a structured reply, and the daemon answers the
+/// lines after it instead of overflowing a stack: a line of 50,000 `[`
+/// (parsed on the reader thread) is a `bad-request`, and an inline
+/// spec whose `init:` formula is wrapped in 10,000 parentheses (parsed
+/// on a worker thread by the CLI's spec parser) is a `bad-spec`.
+#[test]
+fn deeply_nested_requests_are_refused_and_the_daemon_keeps_serving() {
+    let svc = Service::new().with_spec_parser(Box::new(|text: &str| {
+        ftsyn_cli::parse_problem(text).map_err(|e| e.to_string())
+    }));
+    let spec = include_str!("../../../specs/reset_task.ftsyn");
+    let deep_init = format!("init: {}idle & ~cnt0{}", "(".repeat(10_000), ")".repeat(10_000));
+    let deep_spec = spec.replace("init: idle & ~cnt0", &deep_init);
+    assert_ne!(deep_spec, spec, "the spec's init line moved");
+    let input = [
+        "[".repeat(50_000),
+        json::ObjBuilder::new()
+            .str("id", "deep")
+            .str("op", "synthesize")
+            .str("spec", &deep_spec)
+            .build(),
+        r#"{"id":"next","op":"synthesize","problem":"mutex2-failstop-masking","threads":1}"#.into(),
+        r#"{"id":"end","op":"shutdown"}"#.into(),
+    ]
+    .join("\n");
+    let mut output = Vec::new();
+    serve(&svc, input.as_bytes(), &mut output).unwrap();
+    let replies: Vec<Value> = String::from_utf8(output)
+        .unwrap()
+        .lines()
+        .map(|line| json::parse(line).unwrap())
+        .collect();
+    let field = |id: &str, k: &str| {
+        let reply = replies
+            .iter()
+            .find(|v| v.get("id").and_then(Value::as_str) == Some(id));
+        reply.and_then(|v| v.get(k)).and_then(Value::as_str).unwrap_or_default()
+    };
+    assert_eq!(field("", "code"), "bad-request", "{replies:?}");
+    assert!(field("", "message").contains("nesting deeper than"), "{replies:?}");
+    assert_eq!(field("deep", "code"), "bad-spec", "{replies:?}");
+    assert!(field("deep", "message").contains("nested deeper than"), "{replies:?}");
+    assert_eq!(field("next", "status"), "solved");
+    assert_eq!(field("end", "status"), "shutting-down");
+}

@@ -1,20 +1,20 @@
-//! Randomized equivalence tests for the optimized expansion kernels.
+//! Equivalence tests for the optimized tableau kernels and build
+//! engine against the oracles in `ftsyn_conformance::reference`.
 //!
 //! Random specifications (and random label sets over their closures)
 //! are generated by a seeded [`XorShift64`] stream (the offline
 //! environment has no proptest); every assertion prints the case
 //! index, so a failing case is reproducible by construction.
-//!
-//! This lives in a `cfg(test)` unit module rather than an integration
-//! test because the [`crate::expand_naive`] oracle is only compiled
-//! under `cfg(any(test, feature = "slow-reference"))`, and a crate
-//! cannot enable its own features from its dev-dependencies.
 
-use crate::cache::ExpansionCache;
-use crate::expand::{blocks, tiles};
-use crate::expand_naive::{blocks_naive, naive_is_prop_consistent, tiles_naive};
-use crate::{build_shared_cache_governed, build_with_threads, FaultSpec};
-use ftsyn_ctl::{parse::parse, Closure, FormulaArena, LabelSet, Owner, PropTable};
+use ftsyn::ctl::{parse::parse, Closure, FormulaArena, LabelSet, Owner, PropTable};
+use ftsyn::guarded::{BoolExpr, FaultAction, PropAssign};
+use ftsyn::tableau::{
+    blocks, build_shared_cache_governed, build_with_threads, tiles, ExpansionCache, FaultSpec,
+};
+use ftsyn_conformance::differential::assert_tableaux_identical;
+use ftsyn_conformance::reference::{
+    blocks_naive, build_reference, naive_is_prop_consistent, tiles_naive,
+};
 use ftsyn_prng::XorShift64;
 
 const NUM_PROCS: usize = 2;
@@ -141,13 +141,33 @@ fn cached_build_matches_uncached() {
             warm_prof.cache_hits > 0 && warm_prof.cache_misses == 0,
             "case {case}: warm build must be served from the cache: {warm_prof:?}"
         );
-        for t in [&cold, &warm] {
-            assert_eq!(plain.len(), t.len(), "case {case}: node counts differ");
-            for id in plain.node_ids() {
-                assert_eq!(plain.node(id).label, t.node(id).label, "case {case} {id:?}");
-                assert_eq!(plain.node(id).kind, t.node(id).kind);
-                assert_eq!(plain.node(id).succ, t.node(id).succ);
-            }
+        assert_tableaux_identical(&format!("case {case} cold"), &plain, &cold);
+        assert_tableaux_identical(&format!("case {case} warm"), &plain, &warm);
+    }
+}
+
+/// The work-stealing build at every thread count and the sequential
+/// [`build_reference`] oracle (naive kernels, its own harness) produce
+/// bit-identical tableaux, with a fault action that flips `p` whenever
+/// it holds.
+#[test]
+fn build_matches_reference_kernels() {
+    for spec in ["p & AG(EX1 true & EX2 true)", "AG(EX1 true) & AF p & EF q"] {
+        let mut props = PropTable::new();
+        let p = props.add("p", Owner::Process(0)).unwrap();
+        props.add("q", Owner::Process(0)).unwrap();
+        let mut arena = FormulaArena::new(2);
+        let f = parse(&mut arena, &mut props, spec, true).unwrap();
+        let cl = Closure::build(&mut arena, &props, &[f]);
+        let mut root = cl.empty_label();
+        root.insert(cl.index_of(f).unwrap());
+        let action =
+            FaultAction::new("flip-p", BoolExpr::Prop(p), vec![(p, PropAssign::False)]).unwrap();
+        let faults = FaultSpec::uniform(vec![action], cl.empty_label());
+        let oracle = build_reference(&cl, &props, root.clone(), &faults);
+        for threads in [1, 2, 4, 8] {
+            let (fast, _) = build_with_threads(&cl, &props, root.clone(), &faults, threads);
+            assert_tableaux_identical(&format!("{spec}@{threads}"), &oracle, &fast);
         }
     }
 }

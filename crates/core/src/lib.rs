@@ -74,8 +74,6 @@ pub use minimize::{
     semantic_minimize, semantic_minimize_governed, semantic_minimize_profiled,
     semantic_minimize_with_threads, MinimizeAbort, MinimizeProfile,
 };
-#[cfg(any(test, feature = "slow-reference"))]
-pub use minimize::{semantic_minimize_reference, semantic_minimize_reference_governed};
 pub use problem::{SynthesisProblem, Tolerance, ToleranceAssignment};
 pub use synthesize::{
     default_threads, synthesize, synthesize_governed, synthesize_planned, synthesize_resume,

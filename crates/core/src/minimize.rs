@@ -14,10 +14,10 @@
 //!
 //! # Engine
 //!
-//! The naive engine (kept as [`semantic_minimize_reference`] behind the
-//! `slow-reference` feature) re-labels the *entire* candidate model for
-//! every candidate merge — a full CTL fixpoint pass over every formula
-//! of the requirement closure, tens of thousands of times. That made
+//! The naive engine (kept as an oracle in `ftsyn_conformance`)
+//! re-labels the *entire* candidate model for every candidate merge —
+//! a full CTL fixpoint pass over every formula of the requirement
+//! closure, tens of thousands of times. That made
 //! minimization ~90% of end-to-end synthesis wall-clock. This engine
 //! commits the **same merge sequence** (verified bit-for-bit by the
 //! conformance layer) through three levers:
@@ -1028,133 +1028,6 @@ pub fn semantic_minimize_governed(
     Ok((model, total_map, profile))
 }
 
-/// The pre-optimization greedy engine, kept verbatim as the oracle the
-/// fast engine is byte-compared against (conformance `minimize` suite;
-/// enabled for tests and under the `slow-reference` feature). One full
-/// semantic verification per candidate merge.
-#[cfg(any(test, feature = "slow-reference"))]
-mod reference {
-    use super::{MinimizeAbort, MinimizeProfile};
-    use crate::problem::SynthesisProblem;
-    use crate::verify::verify_semantic_ok;
-    use ftsyn_kripke::{FtKripke, PropSet, StateId};
-    use ftsyn_tableau::Governor;
-    use std::collections::HashMap;
-
-    pub(super) fn merged(
-        m: &FtKripke,
-        from: StateId,
-        into: StateId,
-    ) -> (FtKripke, Vec<StateId>) {
-        let mut out = FtKripke::new();
-        // Old id -> new id (from maps to into's new id).
-        let mut map: HashMap<StateId, StateId> = HashMap::new();
-        for s in m.state_ids() {
-            if s == from {
-                continue;
-            }
-            let n = out.push_state(m.state(s).clone());
-            map.insert(s, n);
-        }
-        map.insert(from, map[&into]);
-        for s in m.state_ids() {
-            let ns = map[&s];
-            for e in m.succ(s) {
-                out.add_edge(ns, e.kind, map[&e.to]);
-            }
-        }
-        for &i in m.init_states() {
-            out.add_init(map[&i]);
-        }
-        let mapping = m.state_ids().map(|s| map[&s]).collect();
-        (out, mapping)
-    }
-
-    /// Reference form of [`super::semantic_minimize_profiled`]: same
-    /// model, same mapping, same attempts/merges counters, one full
-    /// candidate verification per attempt.
-    pub fn semantic_minimize_reference(
-        problem: &mut SynthesisProblem,
-        model: FtKripke,
-    ) -> (FtKripke, Vec<StateId>, MinimizeProfile) {
-        minimize_core(problem, model, None)
-            .unwrap_or_else(|a| panic!("ungoverned minimize aborted: {}", a.reason))
-    }
-
-    /// Reference form of [`super::semantic_minimize_governed`]
-    /// (single-threaded; the attempt cap and the deadline/cancel flag
-    /// are polled before every candidate verification).
-    pub fn semantic_minimize_reference_governed(
-        problem: &mut SynthesisProblem,
-        model: FtKripke,
-        gov: &Governor,
-    ) -> Result<(FtKripke, Vec<StateId>, MinimizeProfile), MinimizeAbort> {
-        minimize_core(problem, model, Some(gov))
-    }
-
-    fn minimize_core(
-        problem: &mut SynthesisProblem,
-        model: FtKripke,
-        gov: Option<&Governor>,
-    ) -> Result<(FtKripke, Vec<StateId>, MinimizeProfile), MinimizeAbort> {
-        let mut profile = MinimizeProfile {
-            threads: 1,
-            ..MinimizeProfile::default()
-        };
-        let mut model = model;
-        let mut total_map: Vec<StateId> = model.state_ids().collect();
-        'outer: loop {
-            let roles = model.classify();
-            let mut group_index: HashMap<(PropSet, bool), usize> = HashMap::new();
-            let mut groups: Vec<Vec<StateId>> = Vec::new();
-            for s in model.state_ids() {
-                let normal = roles[s.index()] == ftsyn_kripke::StateRole::Normal;
-                let key = (model.state(s).props.clone(), normal);
-                let gi = *group_index.entry(key).or_insert_with(|| {
-                    groups.push(Vec::new());
-                    groups.len() - 1
-                });
-                groups[gi].push(s);
-            }
-            let mut candidates: Vec<(StateId, StateId)> = Vec::new();
-            for members in &groups {
-                for (i, &a) in members.iter().enumerate() {
-                    for &b in &members[i + 1..] {
-                        candidates.push((b, a)); // merge later copy into earlier
-                    }
-                }
-            }
-            for (from, into) in candidates {
-                if let Some(g) = gov {
-                    if let Err(reason) = g
-                        .check_minimize_attempts(profile.attempts)
-                        .and_then(|()| g.check_realtime())
-                    {
-                        return Err(MinimizeAbort { reason, profile });
-                    }
-                }
-                let (cand, step_map) = merged(&model, from, into);
-                profile.attempts += 1;
-                // Early-exit verdict: same predicates as `verify_semantic`,
-                // but a rejected candidate stops at its first violation.
-                if verify_semantic_ok(problem, &cand) {
-                    profile.merges += 1;
-                    model = cand;
-                    for t in total_map.iter_mut() {
-                        *t = step_map[t.index()];
-                    }
-                    continue 'outer;
-                }
-            }
-            break;
-        }
-        Ok((model, total_map, profile))
-    }
-}
-
-#[cfg(any(test, feature = "slow-reference"))]
-pub use reference::{semantic_minimize_reference, semantic_minimize_reference_governed};
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1163,17 +1036,7 @@ mod tests {
     use crate::unravel::unravel_mode;
     use crate::verify::verify_semantic;
     use ftsyn_kripke::TransKind;
-    use ftsyn_tableau::{apply_deletion_rules_mode, build, Budget};
-
-    /// Structural identity of two models, id-for-id: states (valuations
-    /// and shared variables), edges in insertion order, and initial
-    /// states. `FtKripke` has no `PartialEq`; the Debug rendering of
-    /// these components is a faithful fingerprint.
-    fn fingerprint(m: &FtKripke) -> String {
-        let states: Vec<_> = m.state_ids().map(|s| m.state(s)).collect();
-        let succ: Vec<_> = m.state_ids().map(|s| m.succ(s)).collect();
-        format!("{:?}|{states:?}|{succ:?}", m.init_states())
-    }
+    use ftsyn_tableau::{apply_deletion_rules_mode, build};
 
     /// Replicates the pipeline up to the pre-minimization model (the
     /// input `semantic_minimize` sees during synthesis).
@@ -1217,27 +1080,6 @@ mod tests {
             .find(|&s| out.state(s).props.contains(ftsyn_ctl::PropId(1)))
             .unwrap();
         assert!(out.succ(nb1).iter().any(|e| e.to == nb1));
-    }
-
-    /// The arithmetic `merged` must be byte-identical to the reference
-    /// engine's map-based construction — on every candidate pair of a
-    /// real pipeline model, not just a toy.
-    #[test]
-    fn fast_merged_is_byte_identical_to_reference_merged() {
-        let mut problem = mutex::with_fail_stop(2, crate::Tolerance::Masking);
-        let model = pre_minimization_model(&mut problem);
-        let ids: Vec<StateId> = model.state_ids().collect();
-        let mut pairs = 0;
-        for (i, &a) in ids.iter().enumerate() {
-            for &b in ids.iter().skip(i + 1).take(3) {
-                let (fast, fast_map) = merged(&model, b, a);
-                let (slow, slow_map) = reference::merged(&model, b, a);
-                assert_eq!(fingerprint(&fast), fingerprint(&slow), "{b:?}->{a:?}");
-                assert_eq!(fast_map, slow_map, "{b:?}->{a:?}");
-                pairs += 1;
-            }
-        }
-        assert!(pairs > 10, "enough pairs exercised: {pairs}");
     }
 
     #[test]
@@ -1300,59 +1142,6 @@ mod tests {
         );
     }
 
-    /// The heart of the PR's correctness claim: on real pipeline models
-    /// the fast engine commits the same merge sequence as the reference
-    /// engine — byte-identical minimized model, identical mapping,
-    /// identical attempt/merge counts — at 1, 2, and 8 threads.
-    #[test]
-    fn engine_matches_reference_on_pipeline_models() {
-        type ProblemMaker = fn() -> SynthesisProblem;
-        let problems: Vec<(&str, ProblemMaker)> = vec![
-            ("mutex2-failstop", || {
-                mutex::with_fail_stop(2, crate::Tolerance::Masking)
-            }),
-            ("mutex2-nonmasking", || {
-                mutex::with_fail_stop(2, crate::Tolerance::Nonmasking)
-            }),
-            ("phil3", || mutex::dining_philosophers(3)),
-        ];
-        for (name, mk) in problems {
-            let mut problem = mk();
-            let pre = pre_minimization_model(&mut problem);
-            let (ref_model, ref_map, ref_profile) =
-                semantic_minimize_reference(&mut problem, pre.clone());
-            let ref_fp = fingerprint(&ref_model);
-            for threads in [1, 2, 8] {
-                let mut problem = mk();
-                // Re-derive the same formulas on the fresh problem.
-                let _ = pre_minimization_model(&mut problem);
-                let (model, map, profile) =
-                    semantic_minimize_with_threads(&mut problem, pre.clone(), threads);
-                assert_eq!(
-                    fingerprint(&model),
-                    ref_fp,
-                    "{name}: model diverges at {threads} threads"
-                );
-                assert_eq!(map, ref_map, "{name}: mapping diverges at {threads} threads");
-                assert_eq!(
-                    profile.attempts, ref_profile.attempts,
-                    "{name}: attempts diverge at {threads} threads"
-                );
-                assert_eq!(
-                    profile.merges, ref_profile.merges,
-                    "{name}: merges diverge at {threads} threads"
-                );
-                assert_eq!(
-                    profile.pruned_candidates
-                        + profile.incremental_relabels
-                        + profile.full_checks,
-                    profile.attempts,
-                    "{name}: decision-path counters partition the attempts"
-                );
-            }
-        }
-    }
-
     /// Deterministic counters must not depend on the thread count even
     /// though speculation does: pin the exact slice the conformance
     /// layer compares.
@@ -1374,58 +1163,5 @@ mod tests {
         }
         assert_eq!(base.parallel_batches, 0, "sequential scans claim no chunks");
         assert_eq!(base.speculative_attempts, 0, "sequential scans never speculate");
-    }
-
-    /// Governed runs abort at the same point as the reference engine:
-    /// same partial merge count, exactly `cap` attempts, at every
-    /// thread count (the governor determinism contract).
-    #[test]
-    fn governed_cap_abort_matches_reference() {
-        let mk = || mutex::with_fail_stop(2, crate::Tolerance::Masking);
-        let mut problem = mk();
-        let pre = pre_minimization_model(&mut problem);
-        // Uncapped attempt count, to pick caps on both sides of rounds.
-        let (_, _, full) = semantic_minimize_reference(&mut mk(), pre.clone());
-        assert!(full.attempts > 4, "fixture large enough: {full:?}");
-        for cap in [1, 3, full.attempts - 1] {
-            let gov = ftsyn_tableau::Governor::with_budget(Budget {
-                max_minimize_attempts: Some(cap),
-                ..Budget::default()
-            });
-            let ref_abort = semantic_minimize_reference_governed(&mut mk(), pre.clone(), &gov)
-                .expect_err("cap below total attempts must abort");
-            for threads in [1, 2, 8] {
-                let gov = ftsyn_tableau::Governor::with_budget(Budget {
-                    max_minimize_attempts: Some(cap),
-                    ..Budget::default()
-                });
-                let abort =
-                    semantic_minimize_governed(&mut mk(), pre.clone(), threads, Some(&gov))
-                        .expect_err("cap below total attempts must abort");
-                assert_eq!(
-                    format!("{}", abort.reason),
-                    format!("{}", ref_abort.reason),
-                    "cap={cap} threads={threads}"
-                );
-                assert_eq!(
-                    abort.profile.attempts, ref_abort.profile.attempts,
-                    "cap={cap} threads={threads}"
-                );
-                assert_eq!(abort.profile.attempts, cap, "cap is exact");
-                assert_eq!(
-                    abort.profile.merges, ref_abort.profile.merges,
-                    "cap={cap} threads={threads}"
-                );
-            }
-        }
-        // A cap at or above the total attempt count never trips.
-        let gov = ftsyn_tableau::Governor::with_budget(Budget {
-            max_minimize_attempts: Some(full.attempts),
-            ..Budget::default()
-        });
-        let (_, _, p) = semantic_minimize_governed(&mut mk(), pre, 2, Some(&gov))
-            .expect("exact cap admits the full run");
-        assert_eq!(p.attempts, full.attempts);
-        assert_eq!(p.merges, full.merges);
     }
 }

@@ -4,12 +4,9 @@
 use ftsyn_ctl::{Closure, FormulaArena, FormulaId, LabelSet, PropTable, Spec};
 use ftsyn_guarded::FaultAction;
 use ftsyn_tableau::{CertMode, FaultSpec};
-#[cfg(feature = "serde")]
-use serde::{Deserialize, Serialize};
 
 /// The kind of fault tolerance required (Section 2.5).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub enum Tolerance {
     /// Safety and liveness both hold at perturbed states:
     /// `Label = AG(global) ∧ AG(coupling)`.

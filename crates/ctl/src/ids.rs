@@ -5,13 +5,10 @@
 //! these ids rather than through references, which keeps the borrow
 //! checker out of graph algorithms entirely.
 
-#[cfg(feature = "serde")]
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifier of an atomic proposition inside a [`PropTable`](crate::PropTable).
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct PropId(pub u32);
 
 /// Identifier of a formula inside a [`FormulaArena`](crate::FormulaArena).
@@ -19,7 +16,6 @@ pub struct PropId(pub u32);
 /// Formulae are hash-consed, so two structurally equal formulae in the
 /// same arena always have the same `FormulaId`.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct FormulaId(pub u32);
 
 impl PropId {

@@ -17,11 +17,21 @@
 //! Identifiers may contain letters, digits and `_`. The weak-until
 //! bracket form `A[g W h]` follows the paper's convention: `h` is the
 //! invariant, `g` the release (see [`FormulaArena`]).
+//!
+//! Input nests at most 256 levels deep (prefix operators, parentheses,
+//! until brackets and the right operands of `&`, `|` and `->`); deeper
+//! input is a [`ParseError`], not a stack overflow.
 
 use crate::arena::FormulaArena;
 use crate::ids::FormulaId;
 use crate::props::{Owner, PropTable};
 use std::fmt;
+
+/// Deepest nesting [`parse`] accepts (module docs list what counts as
+/// a level). Real specifications nest a few levels; the cap keeps the
+/// parser, and closure construction over its result, far from the
+/// stack limit of a thread parsing untrusted text.
+const MAX_NESTING: usize = 256;
 
 /// Error produced while parsing a formula.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -47,8 +57,9 @@ impl std::error::Error for ParseError {}
 ///
 /// # Errors
 ///
-/// Returns [`ParseError`] on malformed input, out-of-range process
-/// indices, or (without `auto_register`) unknown propositions.
+/// Returns [`ParseError`] on malformed input, nesting deeper than 256
+/// levels, out-of-range process indices, or (without
+/// `auto_register`) unknown propositions.
 ///
 /// # Examples
 ///
@@ -72,6 +83,7 @@ pub fn parse(
         arena,
         props,
         auto_register,
+        depth: 0,
     };
     let f = p.iff()?;
     p.skip_ws();
@@ -87,6 +99,8 @@ struct Parser<'a> {
     arena: &'a mut FormulaArena,
     props: &'a mut PropTable,
     auto_register: bool,
+    /// Nesting levels open around the current position.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -139,7 +153,7 @@ impl Parser<'_> {
         let lhs = self.or_expr()?;
         // Look ahead for `->` without consuming `-` of something else.
         if self.eat("->") {
-            let rhs = self.imp()?;
+            let rhs = self.nested(Self::imp)?;
             return Ok(self.arena.implies(lhs, rhs));
         }
         Ok(lhs)
@@ -153,7 +167,7 @@ impl Parser<'_> {
         self.skip_ws();
         if self.peek() == Some(b'|') {
             self.pos += 1;
-            let rhs = self.or_expr()?;
+            let rhs = self.nested(Self::or_expr)?;
             return Ok(self.arena.or(lhs, rhs));
         }
         Ok(lhs)
@@ -164,7 +178,7 @@ impl Parser<'_> {
         self.skip_ws();
         if self.peek() == Some(b'&') {
             self.pos += 1;
-            let rhs = self.and_expr()?;
+            let rhs = self.nested(Self::and_expr)?;
             return Ok(self.arena.and(lhs, rhs));
         }
         Ok(lhs)
@@ -185,8 +199,27 @@ impl Parser<'_> {
         }
     }
 
-    fn unary(&mut self) -> Result<FormulaId, ParseError> {
+    /// Runs one recursive descent step one nesting level down, refusing
+    /// to go deeper than [`MAX_NESTING`].
+    fn nested(
+        &mut self,
+        step: fn(&mut Self) -> Result<FormulaId, ParseError>,
+    ) -> Result<FormulaId, ParseError> {
         self.skip_ws();
+        if self.depth == MAX_NESTING {
+            return Err(self.err(format!("formula nested deeper than {MAX_NESTING} levels")));
+        }
+        self.depth += 1;
+        let f = step(self);
+        self.depth -= 1;
+        f
+    }
+
+    fn unary(&mut self) -> Result<FormulaId, ParseError> {
+        self.nested(Self::unary_body)
+    }
+
+    fn unary_body(&mut self) -> Result<FormulaId, ParseError> {
         match self.peek() {
             Some(b'~') | Some(b'!') => {
                 self.pos += 1;
@@ -354,6 +387,57 @@ mod tests {
         let mut arena = FormulaArena::new(1);
         let r = parse(&mut arena, &mut props, "p )", true);
         assert!(r.is_err());
+    }
+
+    /// `levels` nesting levels: each `open` prefix adds one, closed by
+    /// `close`, around the innermost `p`.
+    fn nested(open: &str, close: &str, levels: usize) -> String {
+        format!("{}p{}", open.repeat(levels - 1), close.repeat(levels - 1))
+    }
+
+    /// Nesting is capped: `MAX_NESTING` levels parse, and the closure
+    /// of such a formula builds on a thread with the default 2 MiB
+    /// stack; one more level is an error at the offending byte, and
+    /// far deeper input is an error too, not a stack overflow.
+    #[test]
+    fn nesting_is_capped() {
+        let forms = [
+            ("(", ")"),
+            ("~", ""),
+            ("AG ", ""),
+            ("EF ", ""),
+            ("EX1 ", ""),
+            ("A[q U ", "]"),
+            ("q & ", ""),
+            ("q | ", ""),
+            ("q -> ", ""),
+        ];
+        for (open, close) in forms {
+            let at_cap = nested(open, close, MAX_NESTING);
+            let closure_len = std::thread::Builder::new()
+                .stack_size(2 << 20)
+                .spawn(move || {
+                    let mut props = PropTable::new();
+                    let mut arena = FormulaArena::new(1);
+                    let f = parse(&mut arena, &mut props, &at_cap, true).unwrap();
+                    crate::Closure::build(&mut arena, &props, &[f]).len()
+                })
+                .unwrap()
+                .join()
+                .unwrap();
+            assert!(closure_len > 0, "{open}");
+
+            let mut props = PropTable::new();
+            let mut arena = FormulaArena::new(1);
+            let over = nested(open, close, MAX_NESTING + 1);
+            let err = parse(&mut arena, &mut props, &over, true).unwrap_err();
+            // Reported inside the innermost prefix, where the excess level opens.
+            let innermost = (MAX_NESTING - 1) * open.len()..=MAX_NESTING * open.len();
+            assert!(innermost.contains(&err.at), "{open}: {err}");
+            assert!(err.message.contains("nested deeper than"), "{err}");
+            let far = nested(open, close, 100_000);
+            assert!(parse(&mut arena, &mut props, &far, true).is_err(), "{open}");
+        }
     }
 
     #[test]

@@ -11,13 +11,10 @@
 use crate::expr::BoolExpr;
 use ftsyn_ctl::{PropId, PropTable};
 use ftsyn_kripke::PropSet;
-#[cfg(feature = "serde")]
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Right-hand side of a proposition assignment in a fault action.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub enum PropAssign {
     /// Set to true.
     True,
@@ -30,7 +27,6 @@ pub enum PropAssign {
 /// Corruption of a shared synchronization variable by a fault
 /// (Section 5.3: faults may overwrite, but never read, shared variables).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub enum SharedCorruption {
     /// Overwrite with a fixed value (possibly outside the domain; readers
     /// reinterpret out-of-domain values as the default `1`).
@@ -65,7 +61,6 @@ impl std::error::Error for ActionError {}
 
 /// A fault action (guarded command).
 #[derive(Clone, Debug, PartialEq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct FaultAction {
     name: String,
     guard: BoolExpr,

@@ -3,12 +3,9 @@
 
 use ftsyn_ctl::{PropId, PropTable};
 use ftsyn_kripke::PropSet;
-#[cfg(feature = "serde")]
-use serde::{Deserialize, Serialize};
 
 /// A guard: a predicate on global states (Section 2.1 of the paper).
 #[derive(Clone, Debug, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub enum BoolExpr {
     /// A constant.
     Const(bool),

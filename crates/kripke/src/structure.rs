@@ -7,14 +7,11 @@
 
 use crate::state::{PropSet, State};
 use ftsyn_ctl::PropTable;
-#[cfg(feature = "serde")]
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
 
 /// Identifier of a state within an [`FtKripke`].
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct StateId(pub u32);
 
 impl StateId {
@@ -33,7 +30,6 @@ impl fmt::Debug for StateId {
 
 /// The label of a transition.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub enum TransKind {
     /// A program transition of the given 0-based process.
     Proc(usize),
@@ -51,7 +47,6 @@ impl TransKind {
 
 /// An outgoing edge.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct Edge {
     /// Transition label.
     pub kind: TransKind,
@@ -61,7 +56,6 @@ pub struct Edge {
 
 /// Role of a state with respect to faults (Section 2.4).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub enum StateRole {
     /// Lies on some fault-free initialized fullpath.
     Normal,
@@ -76,7 +70,6 @@ pub enum StateRole {
 
 /// A fault-tolerant Kripke structure.
 #[derive(Clone, Debug, Default)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct FtKripke {
     states: Vec<State>,
     init: Vec<StateId>,

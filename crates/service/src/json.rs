@@ -6,6 +6,12 @@
 
 use std::fmt::Write as _;
 
+/// Deepest array/object nesting [`parse`] accepts. Protocol requests
+/// nest at most four levels; the cap keeps the recursive descent far
+/// from the stack limit of the thread reading requests, whatever a
+/// client sends.
+const MAX_DEPTH: usize = 64;
+
 /// A parsed JSON value.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Value {
@@ -60,10 +66,15 @@ impl Value {
 ///
 /// # Errors
 ///
-/// A human-readable message with the byte offset of the problem.
+/// A human-readable message with the byte offset of the problem,
+/// including arrays and objects nested more than 64 levels deep.
 pub fn parse(input: &str) -> Result<Value, String> {
     let bytes = input.as_bytes();
-    let mut p = Parser { bytes, pos: 0 };
+    let mut p = Parser {
+        bytes,
+        pos: 0,
+        depth: 0,
+    };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
@@ -76,6 +87,8 @@ pub fn parse(input: &str) -> Result<Value, String> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around the current position.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -107,8 +120,8 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Value, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Value::Str(self.string()?)),
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
@@ -120,6 +133,21 @@ impl Parser<'_> {
             )),
             None => Err("unexpected end of input".to_owned()),
         }
+    }
+
+    /// Parses an array or object one nesting level down, refusing to
+    /// go deeper than [`MAX_DEPTH`].
+    fn nested(&mut self, f: fn(&mut Self) -> Result<Value, String>) -> Result<Value, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!(
+                "nesting deeper than {MAX_DEPTH} levels at byte {}",
+                self.pos
+            ));
+        }
+        self.depth += 1;
+        let v = f(self);
+        self.depth -= 1;
+        v
     }
 
     fn literal(&mut self, text: &str, v: Value) -> Result<Value, String> {
@@ -380,6 +408,18 @@ mod tests {
         assert!(parse("{} trailing").is_err());
         assert!(parse("\"unterminated").is_err());
         assert!(parse("{\"a\":01x}").is_err());
+    }
+
+    #[test]
+    fn nesting_is_capped_with_the_offending_offset() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(parse(&nested(MAX_DEPTH)).is_ok());
+        let err = parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(err, format!("nesting deeper than {MAX_DEPTH} levels at byte {MAX_DEPTH}"));
+        // Far past the cap, objects as well as arrays: an error, not a
+        // stack overflow.
+        let deep = format!("{}1", r#"{"k":["#.repeat(100_000));
+        assert!(parse(&deep).unwrap_err().contains("nesting deeper than"));
     }
 
     #[test]

@@ -31,9 +31,10 @@
 //! edge order, intern order — is bit-identical at every thread count.
 //! See `DESIGN.md` §8 for the full argument.
 //!
-//! The `build_reference` oracle (tests and the `slow-reference`
-//! feature) runs the naive kernels through its own sequential
-//! breadth-first harness, independent of the scheduler.
+//! The `build_reference` oracle in `ftsyn_conformance::reference` runs
+//! the pre-optimization kernels through its own sequential
+//! breadth-first harness, independent of the scheduler; the
+//! conformance suites require a bit-identical tableau.
 
 use crate::cache::{CacheFill, ExpansionCache};
 use crate::checkpoint::{spec_fingerprint, Checkpoint, PendingBatch};
@@ -242,18 +243,6 @@ enum Step {
     },
 }
 
-/// Which expansion kernels a build uses.
-#[derive(Clone, Copy)]
-enum Kernel {
-    /// The optimized kernels in [`crate::expand`] (plus the memo cache
-    /// when one is supplied) — the work-stealing engine's kernels.
-    Fast,
-    /// The pre-optimization kernels in [`crate::expand_naive`], kept as
-    /// a timing/equivalence oracle.
-    #[cfg(any(test, feature = "slow-reference"))]
-    Reference,
-}
-
 /// The pure half of expanding one non-dummy node (dummy OR-nodes have
 /// their successor pinned at creation and are never expanded): it only
 /// reads a snapshot of the node's kind and label, never the tableau.
@@ -267,7 +256,6 @@ fn expand_task(
     kind: NodeKind,
     label: &LabelSet,
     cache: Option<&ExpansionCache>,
-    kernel: Kernel,
 ) -> (Vec<Step>, Option<CacheFill>) {
     match kind {
         NodeKind::Or => {
@@ -275,7 +263,7 @@ fn expand_task(
             let bs = match cache.and_then(|c| c.lookup_blocks(label)) {
                 Some(cached) => cached.clone(),
                 None => {
-                    let computed = run_blocks(closure, label, kernel);
+                    let computed = blocks(closure, label);
                     if cache.is_some() {
                         fill = Some(CacheFill::Blocks(label.clone(), computed.clone()));
                     }
@@ -298,7 +286,7 @@ fn expand_task(
             let ts = match cache.and_then(|c| c.lookup_tiles(label)) {
                 Some(cached) => cached.clone(),
                 None => {
-                    let computed = run_tiles(closure, props, label, kernel);
+                    let computed = tiles(closure, props, label);
                     if cache.is_some() {
                         fill = Some(CacheFill::Tiles(label.clone(), computed.clone()));
                     }
@@ -337,22 +325,6 @@ fn expand_task(
             }
             (steps, fill)
         }
-    }
-}
-
-fn run_blocks(closure: &Closure, label: &LabelSet, kernel: Kernel) -> Vec<LabelSet> {
-    match kernel {
-        Kernel::Fast => blocks(closure, label),
-        #[cfg(any(test, feature = "slow-reference"))]
-        Kernel::Reference => crate::expand_naive::blocks_naive(closure, label),
-    }
-}
-
-fn run_tiles(closure: &Closure, props: &PropTable, label: &LabelSet, kernel: Kernel) -> Vec<Tile> {
-    match kernel {
-        Kernel::Fast => tiles(closure, props, label),
-        #[cfg(any(test, feature = "slow-reference"))]
-        Kernel::Reference => crate::expand_naive::tiles_naive(closure, props, label),
     }
 }
 
@@ -460,61 +432,6 @@ pub fn build_resume_governed(
         cache,
         gov,
     )
-}
-
-/// [`build_with_threads`] running the pre-optimization
-/// [`crate::expand_naive`] kernels — the timing/equivalence oracle for
-/// the engine. Runs on its own sequential, ungoverned, cache-free
-/// breadth-first harness, independent of the work-stealing scheduler:
-/// each dequeued node's successors are interned and wired in step
-/// order. Must produce a bit-identical tableau.
-#[cfg(any(test, feature = "slow-reference"))]
-pub fn build_reference(
-    closure: &Closure,
-    props: &PropTable,
-    root_label: LabelSet,
-    faults: &FaultSpec,
-) -> Tableau {
-    let mut t = Tableau::with_root(root_label);
-    let mut queue = VecDeque::from([t.root()]);
-    while let Some(id) = queue.pop_front() {
-        let node = t.node(id);
-        let (steps, _) = expand_task(
-            closure,
-            props,
-            faults,
-            node.kind,
-            &node.label,
-            None,
-            Kernel::Reference,
-        );
-        for step in steps {
-            let (kind, (target, fresh)) = match step {
-                Step::And { label, hash } => {
-                    (EdgeKind::Unlabeled, t.intern_and_hashed(label, hash))
-                }
-                Step::Or { proc, label, hash } => {
-                    (EdgeKind::Proc(proc), t.intern_or_hashed(label, hash))
-                }
-                Step::Fault {
-                    action,
-                    label,
-                    hash,
-                } => (EdgeKind::Fault(action), t.intern_or_hashed(label, hash)),
-                Step::Dummy => {
-                    let dummy = t.new_dummy_or(t.node(id).label.clone());
-                    t.add_edge(id, EdgeKind::Dummy, dummy);
-                    t.add_edge(dummy, EdgeKind::Unlabeled, id);
-                    continue;
-                }
-            };
-            t.add_edge(id, kind, target);
-            if fresh {
-                queue.push_back(target);
-            }
-        }
-    }
-    t
 }
 
 /// The planned materialization of one [`Step`] after interning: which
@@ -666,17 +583,7 @@ fn worker_loop(
             batch
                 .tasks
                 .iter()
-                .map(|task| {
-                    expand_task(
-                        closure,
-                        props,
-                        faults,
-                        task.kind,
-                        &task.label,
-                        cache,
-                        Kernel::Fast,
-                    )
-                })
+                .map(|task| expand_task(closure, props, faults, task.kind, &task.label, cache))
                 .collect::<BatchOutput>()
         }));
         let spent = t0.elapsed();
@@ -833,7 +740,7 @@ enum WsStart {
 /// the next sequence ids, so the global commit order equals the BFS
 /// frontier order of a sequential build — which is what makes the
 /// output bit-identical at every thread count (and to the sequential
-/// `build_reference` oracle).
+/// `build_reference` oracle in `ftsyn_conformance::reference`).
 ///
 /// The cache is taken by shared reference (so concurrent builds may
 /// warm one table) and the deferred [`CacheFill`]s are *returned*, on
@@ -938,15 +845,7 @@ fn build_ws_core(
                     .tasks
                     .iter()
                     .map(|task| {
-                        expand_task(
-                            closure,
-                            props,
-                            faults,
-                            task.kind,
-                            &task.label,
-                            cache,
-                            Kernel::Fast,
-                        )
+                        expand_task(closure, props, faults, task.kind, &task.label, cache)
                     })
                     .collect::<BatchOutput>()
             }));
@@ -1340,22 +1239,6 @@ mod tests {
                 "every batch runs on exactly one worker: {prof:?}"
             );
             assert_eq!(prof.batches, seq_prof.batches, "batching is deterministic");
-        }
-    }
-
-    /// The work-stealing build at every thread count and the
-    /// sequential [`build_reference`] oracle (naive kernels, its own
-    /// harness) produce bit-identical tableaux.
-    #[test]
-    fn build_matches_reference_kernels() {
-        for spec in ["p & AG(EX1 true & EX2 true)", "AG(EX1 true) & AF p & EF q"] {
-            let (_, props, cl, root) = simple_setup(spec, 2);
-            let faults = flip_p_faults(&props, &cl);
-            let oracle = build_reference(&cl, &props, root.clone(), &faults);
-            for threads in [1, 2, 4, 8] {
-                let (fast, _) = build_with_threads(&cl, &props, root.clone(), &faults, threads);
-                assert_same_tableau(&format!("{spec}@{threads}"), &oracle, &fast);
-            }
         }
     }
 

@@ -22,11 +22,12 @@
 //!   per-eventuality cursor into the deletion log skips certificates
 //!   whose graph has not changed since they were last checked.
 //!
-//! The sweep-based reference implementation is kept, compiled under
-//! `cfg(any(test, feature = "slow-reference"))`, as the oracle for
-//! equivalence tests and the baseline for benchmarks. Both engines
-//! visit the same rule phases in the same order, so they produce
-//! identical alive sets *and* identical per-rule [`DeletionStats`].
+//! The sweep-based engine it replaced lives on as an oracle in
+//! `ftsyn_conformance::reference`. Both engines visit the same rule
+//! phases in the same order, so they produce identical alive sets
+//! *and* identical per-rule [`DeletionStats`]; the conformance
+//! `engine_equivalence` suite checks that, and the fulfillment
+//! certificates, on every pipeline problem in both [`CertMode`]s.
 
 use crate::governor::{AbortReason, Governor};
 use crate::graph::{EdgeKind, NodeId, NodeKind, Tableau};
@@ -360,35 +361,6 @@ fn live_eventualities(
     live.into_iter().map(|(_, cand)| cand).collect()
 }
 
-/// The pre-worklist `live_eventualities`: one pass over every label bit
-/// of every alive node. Kept as the oracle for the closure-side scan
-/// and as part of the reference engine's cost profile.
-#[cfg(any(test, feature = "slow-reference"))]
-fn live_eventualities_sweep(
-    t: &Tableau,
-    closure: &Closure,
-) -> Vec<(ClosureIdx, ClosureIdx, ClosureIdx, bool)> {
-    let mut seen: LabelSet = closure.empty_label();
-    let mut out = Vec::new();
-    for id in t.node_ids() {
-        if !t.alive(id) {
-            continue;
-        }
-        for idx in t.node(id).label.iter() {
-            if seen.contains(idx) {
-                continue;
-            }
-            seen.insert(idx);
-            match closure.entry(idx).kind {
-                EntryKind::Au { g, h, .. } => out.push((idx, g, h, true)),
-                EntryKind::Eu { g, h, .. } => out.push((idx, g, h, false)),
-                _ => {}
-            }
-        }
-    }
-    out
-}
-
 /// Applies the deletion rules of Figure 2 until no rule is applicable,
 /// then restricts to the nodes still reachable from the root. Returns
 /// per-rule statistics. (If the root is deleted, the synthesis problem
@@ -619,221 +591,6 @@ fn deletion_core(
     Ok(())
 }
 
-// ---------------------------------------------------------------------
-// Sweep-based reference implementation (the pre-worklist engine), kept
-// as the oracle for equivalence tests and the benchmark baseline.
-// ---------------------------------------------------------------------
-
-/// Reference `A[gUh]` fulfillment by whole-graph fixpoint sweeps
-/// (O(N · E)); semantics identical to [`au_fulfillment`].
-#[cfg(any(test, feature = "slow-reference"))]
-pub fn au_fulfillment_naive(
-    t: &Tableau,
-    closure: &Closure,
-    g: ClosureIdx,
-    h: ClosureIdx,
-    mode: CertMode,
-) -> Fulfillment {
-    let mut f = Fulfillment::new(t.len());
-    let g_holds = |l: &LabelSet| g == closure.true_idx() || l.contains(g);
-    for id in t.node_ids() {
-        if t.alive(id) && t.node(id).kind == NodeKind::And && t.node(id).label.contains(h) {
-            f.fulfilled[id.index()] = true;
-            f.rank[id.index()] = 0;
-        }
-    }
-    let mut changed = true;
-    while changed {
-        changed = false;
-        // OR nodes: min over fulfilled children.
-        for id in t.node_ids() {
-            if !t.alive(id) || t.node(id).kind != NodeKind::Or {
-                continue;
-            }
-            let best = t
-                .alive_succ(id, |_| true)
-                .filter(|&(_, c)| f.fulfilled[c.index()])
-                .map(|(_, c)| f.rank[c.index()])
-                .min();
-            if let Some(r) = best {
-                if !f.fulfilled[id.index()] || r < f.rank[id.index()] {
-                    f.fulfilled[id.index()] = true;
-                    f.rank[id.index()] = r;
-                    changed = true;
-                }
-            }
-        }
-        // AND nodes: all non-fault successors fulfilled.
-        for id in t.node_ids() {
-            if !t.alive(id)
-                || t.node(id).kind != NodeKind::And
-                || f.fulfilled[id.index()]
-                || !g_holds(&t.node(id).label)
-            {
-                continue;
-            }
-            let mut all = true;
-            let mut worst = 0u32;
-            let mut any = false;
-            for (_, d) in t.alive_succ(id, |k| mode.admits(k)) {
-                any = true;
-                if f.fulfilled[d.index()] {
-                    worst = worst.max(f.rank[d.index()]);
-                } else {
-                    all = false;
-                    break;
-                }
-            }
-            if any && all {
-                f.fulfilled[id.index()] = true;
-                f.rank[id.index()] = worst + 1;
-                changed = true;
-            }
-        }
-    }
-    f
-}
-
-/// Reference `E[gUh]` fulfillment by whole-graph fixpoint sweeps;
-/// semantics identical to [`eu_fulfillment`].
-#[cfg(any(test, feature = "slow-reference"))]
-pub fn eu_fulfillment_naive(
-    t: &Tableau,
-    closure: &Closure,
-    g: ClosureIdx,
-    h: ClosureIdx,
-    mode: CertMode,
-) -> Fulfillment {
-    let mut f = Fulfillment::new(t.len());
-    let g_holds = |l: &LabelSet| g == closure.true_idx() || l.contains(g);
-    for id in t.node_ids() {
-        if t.alive(id) && t.node(id).kind == NodeKind::And && t.node(id).label.contains(h) {
-            f.fulfilled[id.index()] = true;
-            f.rank[id.index()] = 0;
-        }
-    }
-    let mut changed = true;
-    while changed {
-        changed = false;
-        for id in t.node_ids() {
-            if !t.alive(id) {
-                continue;
-            }
-            match t.node(id).kind {
-                NodeKind::Or => {
-                    let best = t
-                        .alive_succ(id, |_| true)
-                        .filter(|&(_, c)| f.fulfilled[c.index()])
-                        .map(|(_, c)| f.rank[c.index()])
-                        .min();
-                    if let Some(r) = best {
-                        if !f.fulfilled[id.index()] || r < f.rank[id.index()] {
-                            f.fulfilled[id.index()] = true;
-                            f.rank[id.index()] = r;
-                            changed = true;
-                        }
-                    }
-                }
-                NodeKind::And => {
-                    if f.fulfilled[id.index()] || !g_holds(&t.node(id).label) {
-                        continue;
-                    }
-                    let best = t
-                        .alive_succ(id, |k| mode.admits(k))
-                        .filter(|&(_, d)| f.fulfilled[d.index()])
-                        .map(|(_, d)| f.rank[d.index()])
-                        .min();
-                    if let Some(r) = best {
-                        f.fulfilled[id.index()] = true;
-                        f.rank[id.index()] = r + 1;
-                        changed = true;
-                    }
-                }
-            }
-        }
-    }
-    f
-}
-
-/// Reference deletion engine: full-graph sweeps to a fixpoint (the
-/// pre-worklist implementation). Produces the same alive set and the
-/// same [`DeletionStats`] as [`apply_deletion_rules_mode`].
-#[cfg(any(test, feature = "slow-reference"))]
-pub fn apply_deletion_rules_naive_mode(
-    t: &mut Tableau,
-    closure: &Closure,
-    mode: CertMode,
-) -> DeletionStats {
-    let mut stats = DeletionStats::default();
-
-    // DeleteP (once: labels never change afterwards).
-    for id in t.node_ids().collect::<Vec<_>>() {
-        if t.alive(id) && !closure.is_prop_consistent(&t.node(id).label) {
-            t.delete(id);
-            stats.prop_inconsistent += 1;
-        }
-    }
-
-    loop {
-        // Structural propagation (DeleteOR / DeleteAND) to a fixpoint.
-        loop {
-            let mut changed = false;
-            for id in t.node_ids().collect::<Vec<_>>() {
-                if !t.alive(id) {
-                    continue;
-                }
-                match t.node(id).kind {
-                    NodeKind::Or => {
-                        if t.alive_succ(id, |_| true).next().is_none() {
-                            t.delete(id);
-                            stats.or_without_children += 1;
-                            changed = true;
-                        }
-                    }
-                    NodeKind::And => {
-                        let missing = t.node(id).succ.iter().any(|&(_, d)| !t.alive(d));
-                        if missing {
-                            t.delete(id);
-                            stats.and_missing_successor += 1;
-                            changed = true;
-                        }
-                    }
-                }
-            }
-            if !changed {
-                break;
-            }
-        }
-
-        // Eventuality rules.
-        let mut removed_any = false;
-        for (idx, g, h, is_au) in live_eventualities_sweep(t, closure) {
-            let f = if is_au {
-                au_fulfillment_naive(t, closure, g, h, mode)
-            } else {
-                eu_fulfillment_naive(t, closure, g, h, mode)
-            };
-            for id in t.node_ids().collect::<Vec<_>>() {
-                if t.alive(id) && t.node(id).label.contains(idx) && !f.is_fulfilled(id) {
-                    t.delete(id);
-                    if is_au {
-                        stats.au_unfulfilled += 1;
-                    } else {
-                        stats.eu_unfulfilled += 1;
-                    }
-                    removed_any = true;
-                }
-            }
-        }
-        if !removed_any {
-            break;
-        }
-    }
-
-    stats.unreachable = t.restrict_to_reachable();
-    stats
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -841,48 +598,63 @@ mod tests {
     use ftsyn_ctl::{parse::parse, FormulaArena, Owner, PropTable};
     use ftsyn_guarded::{BoolExpr, FaultAction, PropAssign};
 
-    fn run(spec: &str, procs: usize) -> (Tableau, DeletionStats) {
-        let (t, stats, _) = run_both(spec, procs);
-        (t, stats)
-    }
-
-    /// Runs the worklist engine, cross-checks against the reference
-    /// engine on a clone (alive sets and stats must agree), and returns
-    /// the worklist result.
-    fn run_both(spec: &str, procs: usize) -> (Tableau, DeletionStats, DeletionStats) {
+    /// The closure and fault-free tableau of a one-process `spec` over
+    /// `p`, `q`.
+    fn setup(spec: &str) -> (Closure, Tableau) {
         let mut props = PropTable::new();
         props.add("p", Owner::Process(0)).unwrap();
         props.add("q", Owner::Process(0)).unwrap();
-        let mut arena = FormulaArena::new(procs);
+        let mut arena = FormulaArena::new(1);
         let f = parse(&mut arena, &mut props, spec, true).unwrap();
         let cl = Closure::build(&mut arena, &props, &[f]);
         let mut root = cl.empty_label();
         root.insert(cl.index_of(f).unwrap());
-        let t0 = build(&cl, &props, root, &FaultSpec::none());
-        let mut t = t0.clone();
-        let mut t_ref = t0;
+        let t = build(&cl, &props, root, &FaultSpec::none());
+        (cl, t)
+    }
+
+    fn run(spec: &str) -> (Tableau, DeletionStats) {
+        let (cl, mut t) = setup(spec);
         let stats = apply_deletion_rules(&mut t, &cl);
-        let stats_ref = apply_deletion_rules_naive_mode(&mut t_ref, &cl, CertMode::FaultFree);
-        assert_eq!(stats, stats_ref, "engines disagree on stats for `{spec}`");
+        (t, stats)
+    }
+
+    /// The pre-worklist `live_eventualities`: one pass over every label
+    /// bit of every alive node — the oracle for the closure-side scan.
+    fn live_eventualities_sweep(
+        t: &Tableau,
+        closure: &Closure,
+    ) -> Vec<(ClosureIdx, ClosureIdx, ClosureIdx, bool)> {
+        let mut seen: LabelSet = closure.empty_label();
+        let mut out = Vec::new();
         for id in t.node_ids() {
-            assert_eq!(
-                t.alive(id),
-                t_ref.alive(id),
-                "engines disagree on {id:?} for `{spec}`"
-            );
+            if !t.alive(id) {
+                continue;
+            }
+            for idx in t.node(id).label.iter() {
+                if seen.contains(idx) {
+                    continue;
+                }
+                seen.insert(idx);
+                match closure.entry(idx).kind {
+                    EntryKind::Au { g, h, .. } => out.push((idx, g, h, true)),
+                    EntryKind::Eu { g, h, .. } => out.push((idx, g, h, false)),
+                    _ => {}
+                }
+            }
         }
-        (t, stats, stats_ref)
+        out
     }
 
     #[test]
     fn satisfiable_root_survives() {
-        let (t, _) = run("p & AG(EX1 true)", 1);
+        let (t, _) = run("p & AG(EX1 true)");
         assert!(t.alive(t.root()));
     }
 
     #[test]
     fn contradiction_deletes_root() {
-        let (t, stats) = run("p & ~p", 1);
+        let (t, stats) = run("p & ~p");
         assert!(!t.alive(t.root()));
         assert!(stats.or_without_children >= 1);
     }
@@ -891,14 +663,14 @@ mod tests {
     fn unfulfillable_eventuality_deletes_root() {
         // AG ~p ∧ AF p is unsatisfiable: the AF p eventuality can never
         // be fulfilled while ~p is invariant.
-        let (t, stats) = run("AG ~p & AF p & AG EX1 true", 1);
+        let (t, stats) = run("AG ~p & AF p & AG EX1 true");
         assert!(!t.alive(t.root()), "stats: {stats:?}");
         assert!(stats.au_unfulfilled >= 1);
     }
 
     #[test]
     fn fulfillable_eventuality_survives() {
-        let (t, _) = run("~p & AF p & AG EX1 true", 1);
+        let (t, _) = run("~p & AF p & AG EX1 true");
         assert!(t.alive(t.root()));
     }
 
@@ -906,14 +678,14 @@ mod tests {
     fn eg_vs_af_conflict_deleted() {
         // EG ~p together with AF p is unsatisfiable (every path must
         // reach p, but some path keeps ¬p forever).
-        let (t, _) = run("EG ~p & AF p & AG EX1 true", 1);
+        let (t, _) = run("EG ~p & AF p & AG EX1 true");
         assert!(!t.alive(t.root()));
     }
 
     #[test]
     fn eu_fulfillment_via_some_path() {
         // EF p is satisfiable even when q-branches exist.
-        let (t, _) = run("EF p & AG EX1 true", 1);
+        let (t, _) = run("EF p & AG EX1 true");
         assert!(t.alive(t.root()));
     }
 
@@ -951,14 +723,14 @@ mod tests {
         // immediately is propositionally inconsistent (p ∧ ¬p), but the
         // deferring branch carries AX(AF p) — and, via the EXᵢtrue
         // split, a real successor where p finally holds.
-        let (t, stats) = run("~p & AF p", 1);
+        let (t, stats) = run("~p & AF p");
         assert!(t.alive(t.root()), "stats: {stats:?}");
         assert_eq!(stats.au_unfulfilled, 0);
     }
 
     #[test]
     fn stats_total_adds_up() {
-        let (_, stats) = run("p & ~p", 1);
+        let (_, stats) = run("p & ~p");
         assert_eq!(
             stats.total(),
             stats.prop_inconsistent
@@ -970,11 +742,12 @@ mod tests {
         );
     }
 
-    /// The bucket-queue certificates agree with the sweep-based
-    /// reference on fulfilled sets (ranks may legitimately differ: the
-    /// reference's AU ranks are not always minimal).
+    /// The closure-side eventuality scan lists the same eventualities,
+    /// in the same order, as the label sweep. (The fulfillment
+    /// certificates themselves are checked against the sweep-based
+    /// oracle in the conformance `engine_equivalence` suite.)
     #[test]
-    fn fulfillment_matches_reference() {
+    fn live_eventualities_match_label_sweep() {
         for spec in [
             "~p & AF p",
             "EF p & AG EX1 true",
@@ -982,46 +755,19 @@ mod tests {
             "E[p U q] & A[true U p] & AG EX1 true",
             "EG ~p & AF p & AG EX1 true",
         ] {
-            let mut props = PropTable::new();
-            props.add("p", Owner::Process(0)).unwrap();
-            props.add("q", Owner::Process(0)).unwrap();
-            let mut arena = FormulaArena::new(1);
-            let f = parse(&mut arena, &mut props, spec, true).unwrap();
-            let cl = Closure::build(&mut arena, &props, &[f]);
-            let mut root = cl.empty_label();
-            root.insert(cl.index_of(f).unwrap());
-            let t = build(&cl, &props, root, &FaultSpec::none());
+            let (cl, mut t) = setup(spec);
             assert_eq!(
                 live_eventualities(&t, &cl),
                 live_eventualities_sweep(&t, &cl),
                 "closure-side eventuality scan diverges from the label sweep for `{spec}`"
             );
-            for mode in [CertMode::FaultFree, CertMode::FaultProne] {
-                for (_, g, h, is_au) in live_eventualities(&t, &cl) {
-                    let (fast, slow) = if is_au {
-                        (
-                            au_fulfillment(&t, &cl, g, h, mode),
-                            au_fulfillment_naive(&t, &cl, g, h, mode),
-                        )
-                    } else {
-                        (
-                            eu_fulfillment(&t, &cl, g, h, mode),
-                            eu_fulfillment_naive(&t, &cl, g, h, mode),
-                        )
-                    };
-                    assert_eq!(
-                        fast.fulfilled, slow.fulfilled,
-                        "fulfilled sets differ for `{spec}` ({mode:?}, au={is_au})"
-                    );
-                    // Bucket-queue ranks are minimal, hence never above
-                    // the reference's.
-                    for id in t.node_ids() {
-                        if fast.fulfilled[id.index()] {
-                            assert!(fast.rank[id.index()] <= slow.rank[id.index()]);
-                        }
-                    }
-                }
-            }
+            // Again after deletion, when some labels are no longer alive.
+            apply_deletion_rules(&mut t, &cl);
+            assert_eq!(
+                live_eventualities(&t, &cl),
+                live_eventualities_sweep(&t, &cl),
+                "scans diverge after deletion for `{spec}`"
+            );
         }
     }
 
@@ -1029,15 +775,7 @@ mod tests {
     /// with the deletions performed.
     #[test]
     fn profile_counters_are_consistent() {
-        let mut props = PropTable::new();
-        props.add("p", Owner::Process(0)).unwrap();
-        props.add("q", Owner::Process(0)).unwrap();
-        let mut arena = FormulaArena::new(1);
-        let f = parse(&mut arena, &mut props, "AG ~p & AF p & AG EX1 true", true).unwrap();
-        let cl = Closure::build(&mut arena, &props, &[f]);
-        let mut root = cl.empty_label();
-        root.insert(cl.index_of(f).unwrap());
-        let mut t = build(&cl, &props, root, &FaultSpec::none());
+        let (cl, mut t) = setup("AG ~p & AF p & AG EX1 true");
         let (stats, profile) = apply_deletion_rules_profiled(&mut t, &cl, CertMode::FaultFree);
         assert!(profile.rounds >= 2, "one round deletes, one confirms");
         assert!(profile.cert_builds >= 1);

@@ -6,14 +6,11 @@
 //! the same type, identify them").
 
 use ftsyn_ctl::LabelSet;
-#[cfg(feature = "serde")]
-use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 
 /// Identifier of a tableau node.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct NodeId(pub u32);
 
 impl NodeId {
@@ -32,7 +29,6 @@ impl fmt::Debug for NodeId {
 
 /// AND-node or OR-node.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub enum NodeKind {
     /// AND-node: corresponds to a state in the final model.
     And,
@@ -42,7 +38,6 @@ pub enum NodeKind {
 
 /// Label of a tableau edge.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub enum EdgeKind {
     /// AND→OR edge associated with a process (`A_CD ⊆ V_C × [1:I] × V_D`).
     Proc(usize),

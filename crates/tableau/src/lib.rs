@@ -25,15 +25,9 @@ mod checkpoint;
 mod delete;
 mod expand;
 mod governor;
-#[cfg(any(test, feature = "slow-reference"))]
-mod expand_naive;
 mod graph;
-#[cfg(test)]
-mod prop_tests;
 mod scan;
 
-#[cfg(any(test, feature = "slow-reference"))]
-pub use build::build_reference;
 pub use build::{
     build, build_resume_governed, build_shared_cache_governed, build_with_threads, valuation_of,
     BuildAbort, BuildProfile, FaultSpec,
@@ -43,16 +37,12 @@ pub use checkpoint::{
     blob_checksum, spec_fingerprint, Checkpoint, CheckpointError, PendingBatch,
     CHECKPOINT_FORMAT_VERSION, CHECKPOINT_MIN_FORMAT_VERSION,
 };
-#[cfg(any(test, feature = "slow-reference"))]
-pub use delete::{apply_deletion_rules_naive_mode, au_fulfillment_naive, eu_fulfillment_naive};
 pub use delete::{
     apply_deletion_rules, apply_deletion_rules_governed, apply_deletion_rules_mode,
     apply_deletion_rules_profiled, au_fulfillment, eu_fulfillment, CertMode, DeletionAbort,
     DeletionProfile, DeletionStats, Fulfillment,
 };
 pub use governor::{AbortReason, Budget, Governor, Phase};
-#[cfg(any(test, feature = "slow-reference"))]
-pub use expand_naive::{blocks_naive, naive_is_prop_consistent, tiles_naive};
 pub use expand::{blocks, tiles, Tile};
 pub use graph::{EdgeKind, Node, NodeId, NodeKind, Tableau};
 pub use scan::{earliest_success, ScanStats, SCAN_CHUNK};
