@@ -30,8 +30,9 @@
 //! * `props Pk: a b c` registers propositions owned by (1-based) process
 //!   `k`; `aux` registers auxiliary (fault-specification) propositions.
 //! * `init:` / `global:` / `coupling:` lines hold CTL in the paper's
-//!   surface syntax; multiple lines of the same kind are conjoined.
-//!   `global:` and `coupling:` lines are implicitly wrapped in `AG`.
+//!   surface syntax; multiple lines of the same kind are conjoined
+//!   (at most 1,024 per kind). `global:` and `coupling:` lines are
+//!   implicitly wrapped in `AG`.
 //! * `fault NAME: GUARD -> ASSIGNMENTS` declares a fault action. The
 //!   guard is propositional; assignments are `prop := true|false|?`
 //!   (the `?` is the paper's nondeterministic choice).
@@ -369,6 +370,14 @@ impl fmt::Display for FileError {
 
 impl std::error::Error for FileError {}
 
+/// Most formula lines one `init:`/`global:`/`coupling:` section may
+/// hold. A section folds into one right-nested conjunction, so every
+/// line adds a level to the formula the recursive passes walk. With the
+/// CTL parser's own 256-level nesting cap, this bounds a spec's
+/// formula height far below what overflows a 2 MiB worker stack (a
+/// section of about 4,500 lines does).
+const MAX_SECTION_LINES: usize = 1024;
+
 fn err(line: usize, message: impl Into<String>) -> FileError {
     FileError {
         line,
@@ -460,18 +469,22 @@ pub fn parse_problem(input: &str) -> Result<SynthesisProblem, FileError> {
         {
             continue;
         }
-        if let Some(rest) = line.strip_prefix("init:") {
+        let section = match line.split_once(':') {
+            Some(("init", rest)) => Some(("init", &mut init, rest)),
+            Some(("global", rest)) => Some(("global", &mut global, rest)),
+            Some(("coupling", rest)) => Some(("coupling", &mut coupling, rest)),
+            _ => None,
+        };
+        if let Some((name, lines, rest)) = section {
+            if lines.len() == MAX_SECTION_LINES {
+                return Err(err(
+                    ln + 1,
+                    format!("more than {MAX_SECTION_LINES} `{name}:` lines"),
+                ));
+            }
             let f = parse(&mut arena, &mut props, rest, false)
                 .map_err(|e| err(ln + 1, e.to_string()))?;
-            init.push(f);
-        } else if let Some(rest) = line.strip_prefix("global:") {
-            let f = parse(&mut arena, &mut props, rest, false)
-                .map_err(|e| err(ln + 1, e.to_string()))?;
-            global.push(f);
-        } else if let Some(rest) = line.strip_prefix("coupling:") {
-            let f = parse(&mut arena, &mut props, rest, false)
-                .map_err(|e| err(ln + 1, e.to_string()))?;
-            coupling.push(f);
+            lines.push(f);
         } else if let Some(rest) = line.strip_prefix("fault") {
             faults.push(parse_fault(ln + 1, rest, &mut arena, &mut props)?);
         } else if let Some(rest) = line.strip_prefix("tolerance") {
@@ -945,5 +958,66 @@ tolerance nonmasking
         let src = "processes 1\nprops P1: a\ninit: a\nglobal: AG EX1 true\nmode fault-prone\n";
         let p = parse_problem(src).expect("parses");
         assert_eq!(p.mode, ftsyn::CertMode::FaultProne);
+    }
+
+    /// A daemon worker parses an inline spec and runs the pipeline on a
+    /// 2 MiB thread. A spec with every section at the line cap, its last
+    /// line at the CTL parser's 256-level nesting cap, must come back
+    /// from there under either engine; one line more is a `bad-spec`
+    /// naming its section. The other lines are all discharged by `idle`,
+    /// so only formula height is under test.
+    #[test]
+    fn section_line_cap_keeps_specs_within_a_worker_stack() {
+        use ftsyn_service::{ProblemSource, Reply, Request, Service};
+        let mut lines = vec!["idle".to_owned()];
+        for a in 0..40 {
+            for b in a + 1..40 {
+                for c in b + 1..40 {
+                    lines.push(format!("idle | q{a} | q{b} | q{c}"));
+                }
+            }
+        }
+        lines.truncate(MAX_SECTION_LINES - 1);
+        lines.push((0..255).map(|i| format!("q{} | ", i % 40)).collect::<String>() + "idle");
+        let props: Vec<String> = (0..40).map(|i| format!("q{i}")).collect();
+        let mut spec = format!("processes 1\nprops P1: idle {}\n", props.join(" "));
+        for section in ["init", "global", "coupling"] {
+            for line in &lines {
+                spec += &format!("{section}: {line}\n");
+            }
+        }
+        let submit = |spec: String, engine: Engine| {
+            let service = Service::new().with_spec_parser(Box::new(|text: &str| {
+                parse_problem(text).map_err(|e| e.to_string())
+            }));
+            let request = Request {
+                id: "deep".to_owned(),
+                source: ProblemSource::Spec(spec),
+                threads: 1,
+                budget: None,
+                engine,
+            };
+            let worker = std::thread::Builder::new().stack_size(2 << 20);
+            worker.spawn(move || service.submit(request)).unwrap().join().unwrap()
+        };
+        let reply = submit(spec.clone(), Engine::Tableau);
+        assert!(matches!(reply, Reply::Solved { verified: true, .. }), "{reply:?}");
+        // CEGIS's bounded search finds no program here; it then builds
+        // the tableau certificate, finds the spec satisfiable and aborts.
+        let reply = submit(spec.clone(), Engine::Cegis);
+        assert!(
+            matches!(&reply, Reply::Aborted { phase, .. } if phase == "cegis"),
+            "{reply:?}"
+        );
+        for section in ["init", "global", "coupling"] {
+            let over = format!("{spec}{section}: idle | q0\n");
+            let expected = format!("more than {MAX_SECTION_LINES} `{section}:` lines");
+            match submit(over, Engine::Tableau) {
+                Reply::Error { code, message } if code == "bad-spec" => {
+                    assert!(message.contains(&expected), "{message}")
+                }
+                other => panic!("{section}: {other:?}"),
+            }
+        }
     }
 }

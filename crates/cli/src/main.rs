@@ -189,7 +189,7 @@ fn main() -> ExitCode {
                      {} intern probes in {:.1?}, cache {}/{} hits), \
                      delete {:.1?} ({} rounds, {} worklist pops, {} certs built, {} reused), \
                      unravel {:.1?}, minimize {:.1?} ({} merges of {} tried, \
-                     {} pruned, {} incremental / {} full checks, \
+                     {} pruned, {} full checks, \
                      {} base labelings, {} threads), \
                      extract {:.1?} ({} shared vars, {} explored vs {} model states, \
                      {} off-model, {} arcs refined in {} rounds, extraction {}), \
@@ -215,7 +215,6 @@ fn main() -> ExitCode {
                         st.minimize_profile.merges,
                         st.minimize_profile.attempts,
                         st.minimize_profile.pruned_candidates,
-                        st.minimize_profile.incremental_relabels,
                         st.minimize_profile.full_checks,
                         st.minimize_profile.base_labelings,
                         st.minimize_profile.threads,

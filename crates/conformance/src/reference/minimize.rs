@@ -1,8 +1,8 @@
 //! The minimization oracle: the pre-optimization greedy engine that
-//! `ftsyn::semantic_minimize` replaced, kept verbatim. It scans the
-//! same candidate merges in the same order but pays one full semantic
-//! verification per candidate, with no transfer calculus, dirty region
-//! or parallel scan. The fast engine must commit the same merge
+//! `ftsyn::semantic_minimize_with_threads` replaced, kept verbatim. It
+//! scans the same candidate merges in the same order but pays one full
+//! semantic verification per candidate, with no round labeling,
+//! transfer calculus, closure prune or parallel scan. The fast engine must commit the same merge
 //! sequence: byte-identical model, identical mapping, identical
 //! attempt and merge counts, and the same abort point under an attempt
 //! cap.
@@ -40,7 +40,7 @@ pub fn merged(m: &FtKripke, from: StateId, into: StateId) -> (FtKripke, Vec<Stat
     (out, mapping)
 }
 
-/// Reference form of `ftsyn::semantic_minimize_profiled`: same model,
+/// Reference form of `ftsyn::semantic_minimize_with_threads`: same model,
 /// same mapping, same attempts/merges counters, one full candidate
 /// verification per attempt.
 pub fn semantic_minimize_reference(

@@ -15,12 +15,12 @@
 //!    scan-thread count, and a governed run stops at the same attempt
 //!    cap abort point.
 
-use ftsyn::kripke::{FtKripke, StateId};
+use ftsyn::kripke::{Edge, FtKripke, StateId, StateRole};
 use ftsyn::problems::mutex;
 use ftsyn::tableau::{apply_deletion_rules_mode, build};
 use ftsyn::{
     semantic_minimize_governed, semantic_minimize_with_threads, unravel_mode, Budget, Governor,
-    SynthesisProblem, Tolerance,
+    MinimizeProfile, SynthesisProblem, Tolerance,
 };
 use ftsyn_conformance::differential::THREAD_MATRIX;
 use ftsyn_conformance::reference::{
@@ -117,10 +117,107 @@ const REFERENCE_PROBLEMS: [(&str, ProblemMaker); 4] = [
     ("philosophers3", || mutex::dining_philosophers(3)),
 ];
 
+/// The unraveled model with its last fault edge that is the sole
+/// witness of its (action, target valuation) pair removed: that source
+/// state is no longer fault-closed, so every candidate merge that does
+/// not repair it fails the closure check.
+fn without_one_fault_edge(problem: &mut SynthesisProblem) -> FtKripke {
+    let model = unraveled_model(problem);
+    let props = |s: StateId| &model.state(s).props;
+    let sole_witness = |s: StateId, e: &Edge| {
+        let same = |f: &&Edge| f.kind == e.kind && props(f.to) == props(e.to);
+        model.succ(s).iter().filter(same).count() == 1
+    };
+    let dropped = (0..model.len() as u32)
+        .rev()
+        .map(StateId)
+        .find_map(|s| {
+            let e = model.succ(s).iter().find(|e| e.kind.is_fault() && sole_witness(s, e));
+            e.map(|e| (s, *e))
+        })
+        .expect("the model has a fault edge");
+    let mut out = FtKripke::new();
+    for s in model.state_ids() {
+        out.push_state(model.state(s).clone());
+    }
+    for s in model.state_ids() {
+        for e in model.succ(s).iter().filter(|&&e| (s, e) != dropped) {
+            out.add_edge(s, e.kind, e.to);
+        }
+    }
+    for &i in model.init_states() {
+        out.add_init(i);
+    }
+    out
+}
+
+/// The pipeline's minimization input plus an unreachable copy of its
+/// first perturbed state (same valuation, same successors, no
+/// predecessors). The copy shares a merge class with its reachable
+/// original, so the scan decides candidates whose two states differ in
+/// reachability.
+fn with_unreachable_copy(problem: &mut SynthesisProblem) -> FtKripke {
+    let mut model = pre_minimization_model(problem);
+    let roles = model.classify();
+    let original = model
+        .state_ids()
+        .find(|&s| roles[s.index()] == StateRole::Perturbed)
+        .expect("the model has a perturbed state");
+    let copy = model.push_state(model.state(original).clone());
+    for e in model.succ(original).to_vec() {
+        model.add_edge(copy, e.kind, e.to);
+    }
+    assert_eq!(model.classify()[copy.index()], StateRole::Unreachable);
+    model
+}
+
+/// Minimizes `model_of(mk())` with the reference engine and with the
+/// fast engine at every scan-thread count, asserts the fast runs match
+/// it, and returns their profiles.
+fn assert_matches_reference(
+    name: &str,
+    mk: ProblemMaker,
+    model_of: ModelMaker,
+) -> Vec<MinimizeProfile> {
+    let mut problem = mk();
+    let model = model_of(&mut problem);
+    let (slow, slow_map, slow_prof) = semantic_minimize_reference(&mut problem, model.clone());
+    let mut profiles = Vec::new();
+    for threads in THREAD_MATRIX {
+        // A fresh problem, with the same formulas re-derived.
+        let mut problem = mk();
+        let _ = model_of(&mut problem);
+        let (fast, fast_map, fast_prof) =
+            semantic_minimize_with_threads(&mut problem, model.clone(), threads);
+        let at = format!("{name} at {threads} threads");
+        assert_eq!(
+            fingerprint(&fast),
+            fingerprint(&slow),
+            "{at}: model diverged"
+        );
+        assert_eq!(fast_map, slow_map, "{at}: state mapping diverged");
+        assert_eq!(
+            fast_prof.attempts, slow_prof.attempts,
+            "{at}: attempts diverged"
+        );
+        assert_eq!(fast_prof.merges, slow_prof.merges, "{at}: merges diverged");
+        assert_eq!(
+            fast_prof.pruned_candidates + fast_prof.full_checks,
+            fast_prof.attempts,
+            "{at}: decision-path counters must partition the attempts"
+        );
+        profiles.push(fast_prof);
+    }
+    profiles
+}
+
 /// The fast engine against the preserved original, at every scan-thread
 /// count: identical model bytes, identical mapping, and identical
 /// attempt/merge counts — the fast engine takes the same greedy
-/// decisions, it just reaches them cheaper.
+/// decisions, it just reaches them cheaper. Two extra inputs reach the
+/// verdict branches pipeline models never take: a model that is not
+/// fault-closed (the closure prune) and one whose merge classes mix
+/// reachable and unreachable states (re-classifying the candidate).
 #[test]
 fn fast_engine_is_byte_identical_to_reference_engine() {
     let models: [(&str, ModelMaker); 2] = [
@@ -129,39 +226,24 @@ fn fast_engine_is_byte_identical_to_reference_engine() {
     ];
     for (problem_name, mk) in REFERENCE_PROBLEMS {
         for (model_name, model_of) in models {
-            let name = format!("{problem_name}/{model_name}");
-            let mut problem = mk();
-            let model = model_of(&mut problem);
-            let (slow, slow_map, slow_prof) =
-                semantic_minimize_reference(&mut problem, model.clone());
-            for threads in THREAD_MATRIX {
-                // A fresh problem, with the same formulas re-derived.
-                let mut problem = mk();
-                let _ = model_of(&mut problem);
-                let (fast, fast_map, fast_prof) =
-                    semantic_minimize_with_threads(&mut problem, model.clone(), threads);
-                let at = format!("{name} at {threads} threads");
-                assert_eq!(
-                    fingerprint(&fast),
-                    fingerprint(&slow),
-                    "{at}: model diverged"
-                );
-                assert_eq!(fast_map, slow_map, "{at}: state mapping diverged");
-                assert_eq!(
-                    fast_prof.attempts, slow_prof.attempts,
-                    "{at}: attempts diverged"
-                );
-                assert_eq!(fast_prof.merges, slow_prof.merges, "{at}: merges diverged");
-                assert_eq!(
-                    fast_prof.pruned_candidates
-                        + fast_prof.incremental_relabels
-                        + fast_prof.full_checks,
-                    fast_prof.attempts,
-                    "{at}: decision-path counters must partition the attempts"
-                );
-            }
+            assert_matches_reference(&format!("{problem_name}/{model_name}"), mk, model_of);
         }
     }
+    let (problem_name, mk) = REFERENCE_PROBLEMS[0];
+    let open = assert_matches_reference(
+        &format!("{problem_name}/without-one-fault-edge"),
+        mk,
+        without_one_fault_edge,
+    );
+    assert!(
+        open.iter().all(|p| p.pruned_candidates > 0),
+        "the closure prune decided no candidate: {open:?}"
+    );
+    assert_matches_reference(
+        &format!("{problem_name}/with-unreachable-copy"),
+        mk,
+        with_unreachable_copy,
+    );
 }
 
 /// Governed runs abort at the same point as the reference engine: same

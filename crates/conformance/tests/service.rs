@@ -431,3 +431,53 @@ fn deeply_nested_requests_are_refused_and_the_daemon_keeps_serving() {
     assert_eq!(field("next", "status"), "solved");
     assert_eq!(field("end", "status"), "shutting-down");
 }
+
+/// A deep formula built from many short lines, not deep text: an
+/// inline spec with 9,880 distinct satisfiable `init:` lines folds into
+/// one conjunction too tall for a worker's 2 MiB stack, so the spec
+/// parser refuses it with a `bad-spec` naming the section, and the
+/// daemon answers the lines after it.
+#[test]
+fn specs_with_too_many_section_lines_are_refused_and_the_daemon_keeps_serving() {
+    let svc = Service::new().with_spec_parser(Box::new(|text: &str| {
+        ftsyn_cli::parse_problem(text).map_err(|e| e.to_string())
+    }));
+    let props: Vec<String> = (0..40).map(|i| format!("q{i}")).collect();
+    let mut spec = format!("processes 1\nprops P1: idle {}\ninit: idle\n", props.join(" "));
+    for (a, pa) in props.iter().enumerate() {
+        for (b, pb) in props.iter().enumerate().skip(a + 1) {
+            for pc in props.iter().skip(b + 1) {
+                spec.push_str(&format!("init: idle | {pa} | {pb} | {pc}\n"));
+            }
+        }
+    }
+    assert_eq!(spec.matches("init: idle |").count(), 9_880);
+    spec.push_str("global: EX1 true\n");
+    let input = [
+        json::ObjBuilder::new()
+            .str("id", "wide")
+            .str("op", "synthesize")
+            .str("spec", &spec)
+            .build(),
+        r#"{"id":"next","op":"synthesize","problem":"mutex2-failstop-masking","threads":1}"#.into(),
+        r#"{"id":"end","op":"shutdown"}"#.into(),
+    ]
+    .join("\n");
+    let mut output = Vec::new();
+    serve(&svc, input.as_bytes(), &mut output).unwrap();
+    let replies: Vec<Value> = String::from_utf8(output)
+        .unwrap()
+        .lines()
+        .map(|line| json::parse(line).unwrap())
+        .collect();
+    let field = |id: &str, k: &str| {
+        let reply = replies
+            .iter()
+            .find(|v| v.get("id").and_then(Value::as_str) == Some(id));
+        reply.and_then(|v| v.get(k)).and_then(Value::as_str).unwrap_or_default()
+    };
+    assert_eq!(field("wide", "code"), "bad-spec", "{replies:?}");
+    assert!(field("wide", "message").contains("`init:` lines"), "{replies:?}");
+    assert_eq!(field("next", "status"), "solved", "{replies:?}");
+    assert_eq!(field("end", "status"), "shutting-down", "{replies:?}");
+}

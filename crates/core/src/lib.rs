@@ -57,6 +57,7 @@ mod extract;
 mod fragment;
 mod minimize;
 mod problem;
+mod scan;
 mod synthesize;
 mod unravel;
 mod verify;
@@ -71,8 +72,7 @@ pub use extract::{
 };
 pub use fragment::{build_ffrag, build_ffrag_mode, eventualities_in, FragNode, Fragment};
 pub use minimize::{
-    semantic_minimize, semantic_minimize_governed, semantic_minimize_profiled,
-    semantic_minimize_with_threads, MinimizeAbort, MinimizeProfile,
+    semantic_minimize_governed, semantic_minimize_with_threads, MinimizeAbort, MinimizeProfile,
 };
 pub use problem::{SynthesisProblem, Tolerance, ToleranceAssignment};
 pub use synthesize::{

@@ -844,22 +844,7 @@ impl Service {
                 ThreadPlan::uniform(threads),
                 Some(gov),
             );
-            return match outcome {
-                SynthesisOutcome::Solved(s) => Reply::Solved {
-                    states: s.stats.model_states,
-                    transitions: s.stats.program_transitions,
-                    verified: s.verification.ok(),
-                    cache_hits: 0,
-                    cache_misses: 0,
-                    program: s.program.display(&problem.props).to_string(),
-                },
-                SynthesisOutcome::Impossible(_) => Reply::Impossible,
-                SynthesisOutcome::Aborted(a) => Reply::Aborted {
-                    phase: a.phase.name().to_owned(),
-                    reason: a.reason.to_string(),
-                    resumable: false,
-                },
-            };
+            return outcome_reply(outcome, problem);
         }
         let partition = Arc::clone(write(&self.cache).entry(source.clone()).or_default());
         // Parks an abort's checkpoint from *inside* the pipeline, the
@@ -899,25 +884,31 @@ impl Service {
             }
             cache.evict_to(self.cache_limits);
         }
-        match outcome {
-            SynthesisOutcome::Solved(s) => Reply::Solved {
-                states: s.stats.model_states,
-                transitions: s.stats.program_transitions,
-                verified: s.verification.ok(),
-                cache_hits: s.stats.build_profile.cache_hits,
-                cache_misses: s.stats.build_profile.cache_misses,
-                program: s.program.display(&problem.props).to_string(),
-            },
-            SynthesisOutcome::Impossible(_) => Reply::Impossible,
-            SynthesisOutcome::Aborted(a) => Reply::Aborted {
-                // The checkpoint (when one was captured) was already
-                // parked by the sink above, durably when a store is
-                // attached.
-                phase: a.phase.name().to_owned(),
-                reason: a.reason.to_string(),
-                resumable: a.checkpoint.is_some(),
-            },
-        }
+        // An abort's checkpoint (when one was captured) was already
+        // parked by the sink above, durably when a store is attached.
+        outcome_reply(outcome, problem)
+    }
+}
+
+/// The reply to a finished pipeline run of either engine. A CEGIS run
+/// shares no expansion cache and captures no checkpoint, so its cache
+/// counters read 0 and its aborts are not resumable.
+fn outcome_reply(outcome: SynthesisOutcome, problem: &SynthesisProblem) -> Reply {
+    match outcome {
+        SynthesisOutcome::Solved(s) => Reply::Solved {
+            states: s.stats.model_states,
+            transitions: s.stats.program_transitions,
+            verified: s.verification.ok(),
+            cache_hits: s.stats.build_profile.cache_hits,
+            cache_misses: s.stats.build_profile.cache_misses,
+            program: s.program.display(&problem.props).to_string(),
+        },
+        SynthesisOutcome::Impossible(_) => Reply::Impossible,
+        SynthesisOutcome::Aborted(a) => Reply::Aborted {
+            phase: a.phase.name().to_owned(),
+            reason: a.reason.to_string(),
+            resumable: a.checkpoint.is_some(),
+        },
     }
 }
 

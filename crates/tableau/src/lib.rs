@@ -26,7 +26,6 @@ mod delete;
 mod expand;
 mod governor;
 mod graph;
-mod scan;
 
 pub use build::{
     build, build_resume_governed, build_shared_cache_governed, build_with_threads, valuation_of,
@@ -45,4 +44,3 @@ pub use delete::{
 pub use governor::{AbortReason, Budget, Governor, Phase};
 pub use expand::{blocks, tiles, Tile};
 pub use graph::{EdgeKind, Node, NodeId, NodeKind, Tableau};
-pub use scan::{earliest_success, ScanStats, SCAN_CHUNK};
