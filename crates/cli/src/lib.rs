@@ -978,7 +978,12 @@ tolerance nonmasking
             }
         }
         lines.truncate(MAX_SECTION_LINES - 1);
-        lines.push((0..255).map(|i| format!("q{} | ", i % 40)).collect::<String>() + "idle");
+        lines.push(
+            (0..255)
+                .map(|i| format!("q{} | ", i % 40))
+                .collect::<String>()
+                + "idle",
+        );
         let props: Vec<String> = (0..40).map(|i| format!("q{i}")).collect();
         let mut spec = format!("processes 1\nprops P1: idle {}\n", props.join(" "));
         for section in ["init", "global", "coupling"] {
@@ -998,10 +1003,17 @@ tolerance nonmasking
                 engine,
             };
             let worker = std::thread::Builder::new().stack_size(2 << 20);
-            worker.spawn(move || service.submit(request)).unwrap().join().unwrap()
+            worker
+                .spawn(move || service.submit(request))
+                .unwrap()
+                .join()
+                .unwrap()
         };
         let reply = submit(spec.clone(), Engine::Tableau);
-        assert!(matches!(reply, Reply::Solved { verified: true, .. }), "{reply:?}");
+        assert!(
+            matches!(reply, Reply::Solved { verified: true, .. }),
+            "{reply:?}"
+        );
         // CEGIS's bounded search finds no program here; it then builds
         // the tableau certificate, finds the spec satisfiable and aborts.
         let reply = submit(spec.clone(), Engine::Cegis);

@@ -86,7 +86,9 @@ fn daemon_session_in_steps(
     let mut lines = Vec::new();
     let (last, awaited) = steps.split_last().expect("at least one step");
     for step in awaited {
-        stdin.write_all(step.as_bytes()).expect("write daemon stdin");
+        stdin
+            .write_all(step.as_bytes())
+            .expect("write daemon stdin");
         stdin.flush().expect("flush daemon stdin");
         for _ in step.lines().filter(|l| !l.trim().is_empty()) {
             let mut line = String::new();
@@ -94,7 +96,9 @@ fn daemon_session_in_steps(
             lines.push(line);
         }
     }
-    stdin.write_all(last.as_bytes()).expect("write daemon stdin");
+    stdin
+        .write_all(last.as_bytes())
+        .expect("write daemon stdin");
     drop(stdin);
     lines.extend(stdout.lines().map(|l| l.expect("read daemon reply")));
     let out = child.wait_with_output().expect("wait for daemon");
@@ -149,7 +153,10 @@ fn assert_restart_resumes(dir: &Path, from: &str, threads: usize, expected: &str
         "{{\"id\":\"r2\",\"op\":\"resume\",\"from\":\"{from}\",\"threads\":{threads}}}\n\
          {{\"id\":\"end\",\"op\":\"shutdown\"}}\n"
     );
-    let steps = ["{\"id\":\"ls\",\"op\":\"list-checkpoints\"}\n", resume.as_str()];
+    let steps = [
+        "{\"id\":\"ls\",\"op\":\"list-checkpoints\"}\n",
+        resume.as_str(),
+    ];
     let (ok, replies, stderr) = daemon_session_in_steps(dir, &[], None, &steps);
     assert!(ok, "restarted daemon exited abnormally: {stderr}");
     assert!(
@@ -229,8 +236,15 @@ fn crash_before_rename_leaves_a_clean_recoverable_store() {
     let Value::Arr(rows) = replies["ls"].get("checkpoints").unwrap() else {
         panic!()
     };
-    assert!(rows.is_empty(), "a half-written checkpoint is never offered");
-    assert_eq!(status_of(&replies, "s"), "solved", "daemon fully functional");
+    assert!(
+        rows.is_empty(),
+        "a half-written checkpoint is never offered"
+    );
+    assert_eq!(
+        status_of(&replies, "s"),
+        "solved",
+        "daemon fully functional"
+    );
 }
 
 /// Crash between the blob rename and the index rewrite: the record is
@@ -276,7 +290,11 @@ fn torn_records_are_quarantined_not_fatal() {
     assert!(rows.is_empty(), "torn records are never offered");
     assert_eq!(status_of(&replies, "s"), "solved");
     assert!(
-        scratch.0.join("quarantine").join("ckpt-0000000000000001.blob").is_file(),
+        scratch
+            .0
+            .join("quarantine")
+            .join("ckpt-0000000000000001.blob")
+            .is_file(),
         "the torn record was moved aside for post-mortem"
     );
 }
@@ -291,7 +309,9 @@ fn sigkill_between_requests_preserves_the_parked_checkpoint() {
     let mut child = spawn_daemon(&scratch.0, &[], None);
     let mut stdin = child.stdin.take().unwrap();
     let mut stdout = BufReader::new(child.stdout.take().unwrap());
-    stdin.write_all(aborting_request("r1", 2).as_bytes()).unwrap();
+    stdin
+        .write_all(aborting_request("r1", 2).as_bytes())
+        .unwrap();
     stdin.flush().unwrap();
     let mut reply = String::new();
     stdout.read_line(&mut reply).unwrap();

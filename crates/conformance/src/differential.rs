@@ -61,18 +61,20 @@ pub fn run_seed(seed: u64) -> CaseResult {
         problem: mut p1,
     } = random_problem(&mut XorShift64::new(seed));
 
-    cross_check_build(seed, &name, &mut random_problem(&mut XorShift64::new(seed)).problem);
+    cross_check_build(
+        seed,
+        &name,
+        &mut random_problem(&mut XorShift64::new(seed)).problem,
+    );
 
     let o1 = synthesize_with_threads(&mut p1, THREAD_MATRIX[0]);
     match o1 {
         SynthesisOutcome::Solved(s1) => {
             let r1 = render_solved(&p1, &s1);
             for &threads in &THREAD_MATRIX[1..] {
-                let GeneratedCase {
-                    problem: mut p, ..
-                } = random_problem(&mut XorShift64::new(seed));
-                let SynthesisOutcome::Solved(s) = synthesize_with_threads(&mut p, threads)
-                else {
+                let GeneratedCase { problem: mut p, .. } =
+                    random_problem(&mut XorShift64::new(seed));
+                let SynthesisOutcome::Solved(s) = synthesize_with_threads(&mut p, threads) else {
                     panic!("seed {seed} ({name}): outcome diverged at {threads} threads")
                 };
                 assert_eq!(
@@ -119,9 +121,8 @@ pub fn run_seed(seed: u64) -> CaseResult {
         }
         SynthesisOutcome::Impossible(i1) => {
             for &threads in &THREAD_MATRIX[1..] {
-                let GeneratedCase {
-                    problem: mut p, ..
-                } = random_problem(&mut XorShift64::new(seed));
+                let GeneratedCase { problem: mut p, .. } =
+                    random_problem(&mut XorShift64::new(seed));
                 let SynthesisOutcome::Impossible(i) = synthesize_with_threads(&mut p, threads)
                 else {
                     panic!("seed {seed} ({name}): outcome diverged at {threads} threads")
@@ -198,9 +199,8 @@ pub fn run_seed_cegis(seed: u64) -> BackendCaseResult {
         ),
     };
 
-    let fresh = |seed: u64| -> SynthesisProblem {
-        random_problem(&mut XorShift64::new(seed)).problem
-    };
+    let fresh =
+        |seed: u64| -> SynthesisProblem { random_problem(&mut XorShift64::new(seed)).problem };
     let mut pc = fresh(seed);
     let cegis = synthesize_with_engine(&mut pc, Engine::Cegis, ThreadPlan::uniform(1), None);
 
@@ -299,10 +299,18 @@ pub fn assert_tableaux_identical(
 ) {
     assert_eq!(a.len(), b.len(), "{what}: node count diverged");
     for id in a.node_ids() {
-        assert_eq!(a.node(id).label, b.node(id).label, "{what}: label at {id:?}");
+        assert_eq!(
+            a.node(id).label,
+            b.node(id).label,
+            "{what}: label at {id:?}"
+        );
         assert_eq!(a.node(id).kind, b.node(id).kind, "{what}: kind at {id:?}");
         assert_eq!(a.node(id).succ, b.node(id).succ, "{what}: edges at {id:?}");
-        assert_eq!(a.node(id).pred, b.node(id).pred, "{what}: in-edges at {id:?}");
+        assert_eq!(
+            a.node(id).pred,
+            b.node(id).pred,
+            "{what}: in-edges at {id:?}"
+        );
         assert_eq!(a.alive(id), b.alive(id), "{what}: alive flag at {id:?}");
     }
 }

@@ -189,10 +189,7 @@ pub fn random_problem(rng: &mut XorShift64) -> GeneratedCase {
         (ToleranceAssignment::PerFault(tols), tag)
     } else {
         let t = *rng.choose(&TOLERANCES).expect("non-empty");
-        (
-            ToleranceAssignment::Uniform(t),
-            tolerance_tag(t).to_owned(),
-        )
+        (ToleranceAssignment::Uniform(t), tolerance_tag(t).to_owned())
     };
 
     let fault_prone = rng.chance(0.15);
@@ -206,7 +203,11 @@ pub fn random_problem(rng: &mut XorShift64) -> GeneratedCase {
         tags.iter().map(|t| format!("-{t}")).collect::<String>(),
         faults.len(),
         tol_tag,
-        if fault_prone { "faultprone" } else { "faultfree" },
+        if fault_prone {
+            "faultprone"
+        } else {
+            "faultfree"
+        },
     );
 
     let mut problem = SynthesisProblem::new(arena, props, spec, faults, Tolerance::Masking);
@@ -228,7 +229,11 @@ mod tests {
             let b = random_problem(&mut XorShift64::new(seed));
             assert_eq!(a.name, b.name, "seed {seed}");
             assert_eq!(a.problem.props.len(), b.problem.props.len(), "seed {seed}");
-            assert_eq!(a.problem.faults.len(), b.problem.faults.len(), "seed {seed}");
+            assert_eq!(
+                a.problem.faults.len(),
+                b.problem.faults.len(),
+                "seed {seed}"
+            );
             assert_eq!(a.problem.tolerance, b.problem.tolerance, "seed {seed}");
             assert_eq!(a.problem.mode, b.problem.mode, "seed {seed}");
         }
@@ -236,8 +241,7 @@ mod tests {
 
     #[test]
     fn generator_covers_the_tolerance_and_mode_space() {
-        let (mut per_fault, mut fault_prone, mut with_faults, mut fault_free_cases) =
-            (0, 0, 0, 0);
+        let (mut per_fault, mut fault_prone, mut with_faults, mut fault_free_cases) = (0, 0, 0, 0);
         for seed in 1..=200 {
             let c = random_problem(&mut XorShift64::new(seed));
             match c.problem.tolerance {
@@ -255,6 +259,9 @@ mod tests {
         }
         assert!(per_fault > 0, "multitolerance cases must occur");
         assert!(fault_prone > 0, "fault-prone certificate cases must occur");
-        assert!(with_faults > 0 && fault_free_cases > 0, "both fault settings");
+        assert!(
+            with_faults > 0 && fault_free_cases > 0,
+            "both fault settings"
+        );
     }
 }

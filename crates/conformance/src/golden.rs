@@ -56,9 +56,7 @@ fn first_divergence(expected: &str, actual: &str) -> String {
     loop {
         match (e.next(), a.next()) {
             (Some(x), Some(y)) if x == y => line += 1,
-            (Some(x), Some(y)) => {
-                return format!("line {line}:\n  expected: {x}\n  actual:   {y}")
-            }
+            (Some(x), Some(y)) => return format!("line {line}:\n  expected: {x}\n  actual:   {y}"),
             (Some(x), None) => return format!("line {line}: actual ends early (expected: {x})"),
             (None, Some(y)) => return format!("line {line}: actual has extra line: {y}"),
             (None, None) => return "texts differ only in trailing whitespace".into(),

@@ -4,10 +4,10 @@
 //! text byte-for-byte, so everything here must be a pure function of
 //! the synthesized artifact — no timings, no environment.
 
+use ftsyn::ctl::PropTable;
 use ftsyn::guarded::Program;
 use ftsyn::kripke::StateRole;
-use ftsyn::ctl::PropTable;
-use ftsyn::{Synthesized, SynthesisOutcome, SynthesisProblem};
+use ftsyn::{SynthesisOutcome, SynthesisProblem, Synthesized};
 use std::fmt::Write as _;
 
 /// Renders a solved synthesis: model-state counts by role, transition

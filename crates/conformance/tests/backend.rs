@@ -74,12 +74,18 @@ fn check_cegis(name: &str, mut problem: SynthesisProblem) {
 
 #[test]
 fn cegis_mutex2_fail_stop() {
-    check_cegis("mutex2-failstop", mutex::with_fail_stop(2, Tolerance::Masking));
+    check_cegis(
+        "mutex2-failstop",
+        mutex::with_fail_stop(2, Tolerance::Masking),
+    );
 }
 
 #[test]
 fn cegis_mutex3_fail_stop() {
-    check_cegis("mutex3-failstop", mutex::with_fail_stop(3, Tolerance::Masking));
+    check_cegis(
+        "mutex3-failstop",
+        mutex::with_fail_stop(3, Tolerance::Masking),
+    );
 }
 
 /// The instance the tableau engine spends seconds on (26k nodes, then
@@ -88,7 +94,10 @@ fn cegis_mutex3_fail_stop() {
 /// (`backend_comparison`).
 #[test]
 fn cegis_mutex4_fail_stop() {
-    check_cegis("mutex4-failstop", mutex::with_fail_stop(4, Tolerance::Masking));
+    check_cegis(
+        "mutex4-failstop",
+        mutex::with_fail_stop(4, Tolerance::Masking),
+    );
 }
 
 #[test]
@@ -198,7 +207,12 @@ fn engine_dispatch_runs_both_backends() {
         let mut problem = mutex::with_fail_stop(2, Tolerance::Masking);
         let outcome = synthesize_with_engine(&mut problem, engine, ThreadPlan::uniform(1), None);
         let s = outcome.unwrap_solved();
-        assert!(s.verification.ok(), "{}: {:?}", engine.name(), s.verification.failures);
+        assert!(
+            s.verification.ok(),
+            "{}: {:?}",
+            engine.name(),
+            s.verification.failures
+        );
         assert_eq!(s.artifacts.is_some(), engine == Engine::Tableau);
     }
 }
@@ -279,8 +293,14 @@ fn cegis_seed_matrix_is_meaningful() {
         .iter()
         .filter(|r| r.tableau_solved && !r.cegis_solved)
         .count();
-    assert!(solved >= 8, "only {solved}/20 seeds CEGIS-solved: {results:?}");
-    assert!(impossible >= 5, "only {impossible}/20 impossible: {results:?}");
+    assert!(
+        solved >= 8,
+        "only {solved}/20 seeds CEGIS-solved: {results:?}"
+    );
+    assert!(
+        impossible >= 5,
+        "only {impossible}/20 impossible: {results:?}"
+    );
     assert!(
         exhausted <= 2,
         "{exhausted}/20 seeds bound-exhausted — the enumerator lost its corpus: {results:?}"

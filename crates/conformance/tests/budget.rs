@@ -88,7 +88,10 @@ fn deletion_work_cap_abort_is_identical_across_thread_counts() {
     for &threads in &THREAD_MATRIX[1..] {
         let a = abort_of(budget.clone(), threads);
         assert_eq!(first.phase, a.phase, "phase diverged at {threads} threads");
-        assert_eq!(first.reason, a.reason, "reason diverged at {threads} threads");
+        assert_eq!(
+            first.reason, a.reason,
+            "reason diverged at {threads} threads"
+        );
         assert_eq!(
             first.stats.deletion_profile.worklist_pops, a.stats.deletion_profile.worklist_pops,
             "worklist pops diverged at {threads} threads"
@@ -117,7 +120,10 @@ fn minimize_attempt_cap_abort_is_identical_across_thread_counts() {
     for &threads in &THREAD_MATRIX[1..] {
         let a = abort_of(budget.clone(), threads);
         assert_eq!(first.phase, a.phase, "phase diverged at {threads} threads");
-        assert_eq!(first.reason, a.reason, "reason diverged at {threads} threads");
+        assert_eq!(
+            first.reason, a.reason,
+            "reason diverged at {threads} threads"
+        );
         assert_eq!(
             first.stats.minimize_profile.attempts, a.stats.minimize_profile.attempts,
             "minimize attempts diverged at {threads} threads"
@@ -153,7 +159,10 @@ fn minimize_attempt_cap_abort_is_identical_across_minimize_thread_plans() {
     );
     for &minimize in &THREAD_MATRIX[1..] {
         let a = abort_at(minimize);
-        assert_eq!(first.phase, a.phase, "phase diverged at {minimize} minimize threads");
+        assert_eq!(
+            first.phase, a.phase,
+            "phase diverged at {minimize} minimize threads"
+        );
         assert_eq!(
             first.reason, a.reason,
             "reason diverged at {minimize} minimize threads"
@@ -176,10 +185,7 @@ fn unlimited_governor_is_byte_identical_to_ungoverned() {
     let ungoverned = synthesize(&mut p1).unwrap_solved();
     let gov = Governor::unlimited();
     let governed = synthesize_governed(&mut p2, ftsyn::default_threads(), &gov).unwrap_solved();
-    assert_eq!(
-        ungoverned.stats.model_states,
-        governed.stats.model_states
-    );
+    assert_eq!(ungoverned.stats.model_states, governed.stats.model_states);
     assert_eq!(
         render_solved(&p1, &ungoverned),
         render_solved(&p2, &governed),
@@ -242,9 +248,9 @@ fn external_cancel_mid_build_aborts_cleanly_and_resumes_at_every_thread_count() 
         assert_eq!(a.phase, Phase::Build, "at {threads} threads");
         assert_eq!(a.reason, AbortReason::Cancelled, "at {threads} threads");
         assert!(a.failures.is_empty(), "cancellation carries no failures");
-        let ck = a
-            .checkpoint
-            .unwrap_or_else(|| panic!("build-phase cancel must leave a checkpoint at {threads} threads"));
+        let ck = a.checkpoint.unwrap_or_else(|| {
+            panic!("build-phase cancel must leave a checkpoint at {threads} threads")
+        });
 
         // The cancelled run's workers are gone and its partial state is
         // whole: resuming it in the same process completes and matches
@@ -343,7 +349,10 @@ fn injected_worker_panic_yields_a_clean_abort_at_every_thread_count() {
         };
         assert_eq!(a.phase, Phase::Build, "at {threads} threads");
         let AbortReason::WorkerPanic { message } = &a.reason else {
-            panic!("expected WorkerPanic at {threads} threads, got {:?}", a.reason)
+            panic!(
+                "expected WorkerPanic at {threads} threads, got {:?}",
+                a.reason
+            )
         };
         assert!(
             message.contains("injected worker panic at batch 2"),
@@ -371,7 +380,12 @@ fn cegis_abort_of(budget: Budget, threads: usize) -> ftsyn::AbortedSynthesis {
     use ftsyn::{synthesize_with_engine, Engine};
     let mut p = mutex::with_fail_stop(3, Tolerance::Masking);
     let gov = Governor::with_budget(budget);
-    match synthesize_with_engine(&mut p, Engine::Cegis, ThreadPlan::uniform(threads), Some(&gov)) {
+    match synthesize_with_engine(
+        &mut p,
+        Engine::Cegis,
+        ThreadPlan::uniform(threads),
+        Some(&gov),
+    ) {
         SynthesisOutcome::Aborted(a) => *a,
         other => panic!(
             "expected a CEGIS abort at {threads} threads, got {}",
@@ -403,12 +417,18 @@ fn cegis_candidate_cap_abort_is_identical_across_thread_counts() {
     );
     assert_eq!(first.stats.cegis_profile.candidates, 3);
     assert!(first.stats.cegis_profile.universe > 0, "partial profile");
-    assert!(first.checkpoint.is_none(), "CEGIS aborts carry no checkpoint");
+    assert!(
+        first.checkpoint.is_none(),
+        "CEGIS aborts carry no checkpoint"
+    );
     assert!(first.failures.is_empty(), "budget aborts carry no failures");
     for &threads in &THREAD_MATRIX[1..] {
         let a = cegis_abort_of(budget.clone(), threads);
         assert_eq!(first.phase, a.phase, "phase diverged at {threads} threads");
-        assert_eq!(first.reason, a.reason, "reason diverged at {threads} threads");
+        assert_eq!(
+            first.reason, a.reason,
+            "reason diverged at {threads} threads"
+        );
         assert_eq!(
             first.stats.cegis_profile, a.stats.cegis_profile,
             "cegis profile diverged at {threads} threads"
@@ -467,17 +487,13 @@ fn unlimited_governor_cegis_is_byte_identical_to_ungoverned() {
     use ftsyn::{synthesize_with_engine, Engine};
     let mut p1 = mutex::with_fail_stop(3, Tolerance::Masking);
     let mut p2 = mutex::with_fail_stop(3, Tolerance::Masking);
-    let ungoverned =
-        synthesize_with_engine(&mut p1, Engine::Cegis, ThreadPlan::uniform(1), None)
-            .unwrap_solved();
+    let ungoverned = synthesize_with_engine(&mut p1, Engine::Cegis, ThreadPlan::uniform(1), None)
+        .unwrap_solved();
     let gov = Governor::unlimited();
     let governed =
         synthesize_with_engine(&mut p2, Engine::Cegis, ThreadPlan::uniform(1), Some(&gov))
             .unwrap_solved();
-    assert_eq!(
-        ungoverned.stats.cegis_profile,
-        governed.stats.cegis_profile
-    );
+    assert_eq!(ungoverned.stats.cegis_profile, governed.stats.cegis_profile);
     assert_eq!(
         render_solved(&p1, &ungoverned),
         render_solved(&p2, &governed),
@@ -500,11 +516,15 @@ fn cegis_certificate_abort_stays_in_the_cegis_phase() {
         ..Budget::default()
     };
     for &threads in &THREAD_MATRIX {
-        for (engine, phase) in [(Engine::Cegis, Phase::Cegis), (Engine::Tableau, Phase::Build)] {
+        for (engine, phase) in [
+            (Engine::Cegis, Phase::Cegis),
+            (Engine::Tableau, Phase::Build),
+        ] {
             let mut p = barrier::with_fail_stop_impossible(3);
             let gov = Governor::with_budget(budget.clone());
             let plan = ThreadPlan::uniform(threads);
-            let SynthesisOutcome::Aborted(a) = synthesize_with_engine(&mut p, engine, plan, Some(&gov))
+            let SynthesisOutcome::Aborted(a) =
+                synthesize_with_engine(&mut p, engine, plan, Some(&gov))
             else {
                 panic!("{} at {threads} threads: expected an abort", engine.name())
             };

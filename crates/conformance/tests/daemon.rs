@@ -93,7 +93,11 @@ fn recovered_checkpoints_resume_byte_identically_across_the_thread_matrix() {
         let svc = Service::new().with_checkpoint_dir(&scratch.0).unwrap();
         let recovery = svc.recovery().unwrap();
         assert_eq!(recovery.recovered.len(), 1, "threads={threads}");
-        assert!(recovery.quarantined.is_empty(), "{:?}", recovery.quarantined);
+        assert!(
+            recovery.quarantined.is_empty(),
+            "{:?}",
+            recovery.quarantined
+        );
         let listing = svc.list_checkpoints();
         assert_eq!(listing.len(), 1);
         assert_eq!(listing[0].id, "r1");

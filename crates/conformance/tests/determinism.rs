@@ -75,9 +75,7 @@ fn mutex2_failstop_is_run_to_run_deterministic() {
 
 #[test]
 fn philosophers_are_run_to_run_deterministic() {
-    assert_two_runs_identical("philosophers4-fault-free", || {
-        mutex::dining_philosophers(4)
-    });
+    assert_two_runs_identical("philosophers4-fault-free", || mutex::dining_philosophers(4));
 }
 
 /// Three-process multitolerance (P1 nonmasking, rest masking): the

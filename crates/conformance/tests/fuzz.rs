@@ -76,7 +76,10 @@ fn per_fault_multitolerance_seeds_are_exercised() {
     // Lazy: stops at the first per-fault seed that synthesizes (each
     // run_seed already asserts check_program accepts the program).
     assert!(
-        per_fault.iter().map(|&seed| run_seed(seed)).any(|r| r.solved),
+        per_fault
+            .iter()
+            .map(|&seed| run_seed(seed))
+            .any(|r| r.solved),
         "no per-fault multitolerance seed synthesizes — the extraction \
          refinement path is never fuzzed: {per_fault:?}"
     );

@@ -9,8 +9,8 @@
 
 use ftsyn::problems::{barrier, mutex, readers_writers};
 use ftsyn::{
-    synthesize_governed, synthesize_resume, Budget, Checkpoint, CheckpointError, Governor,
-    Phase, SynthesisOutcome, SynthesisProblem, ThreadPlan, Tolerance,
+    synthesize_governed, synthesize_resume, Budget, Checkpoint, CheckpointError, Governor, Phase,
+    SynthesisOutcome, SynthesisProblem, ThreadPlan, Tolerance,
 };
 use ftsyn_conformance::differential::THREAD_MATRIX;
 use ftsyn_conformance::render::render_solved;
@@ -72,8 +72,7 @@ fn abort_and_checkpoint(
     let ck = a
         .checkpoint
         .unwrap_or_else(|| panic!("{name}: build abort must carry a checkpoint"));
-    Checkpoint::decode(&ck.encode())
-        .unwrap_or_else(|e| panic!("{name}: round trip failed: {e}"))
+    Checkpoint::decode(&ck.encode()).unwrap_or_else(|e| panic!("{name}: round trip failed: {e}"))
 }
 
 /// The uninterrupted baseline rendering for a fresh instance of a case.
@@ -96,13 +95,9 @@ fn resumed_runs_are_byte_identical_to_uninterrupted_runs() {
             let mut victim = make();
             let ck = abort_and_checkpoint(name, &mut victim, cap, threads);
             let mut resumed_problem = make();
-            let outcome = synthesize_resume(
-                &mut resumed_problem,
-                ThreadPlan::uniform(threads),
-                None,
-                ck,
-            )
-            .unwrap_or_else(|e| panic!("{name}: valid checkpoint refused: {e}"));
+            let outcome =
+                synthesize_resume(&mut resumed_problem, ThreadPlan::uniform(threads), None, ck)
+                    .unwrap_or_else(|e| panic!("{name}: valid checkpoint refused: {e}"));
             let SynthesisOutcome::Solved(s) = outcome else {
                 panic!("{name}: resume at {threads} threads did not solve")
             };
@@ -144,8 +139,12 @@ fn abort_resume_chains_converge_to_the_uninterrupted_result() {
         else {
             panic!("hop 2 must abort again at cap 800")
         };
-        let ck2 = Checkpoint::decode(&a.checkpoint.expect("hop-2 abort carries a checkpoint").encode())
-            .expect("hop-2 round trip");
+        let ck2 = Checkpoint::decode(
+            &a.checkpoint
+                .expect("hop-2 abort carries a checkpoint")
+                .encode(),
+        )
+        .expect("hop-2 round trip");
         assert!(
             ck2.tableau_nodes() > nodes1,
             "the chain must carry work forward: {} -> {}",

@@ -72,8 +72,8 @@
 
 use crate::problem::{SynthesisProblem, Tolerance};
 use crate::synthesize::{
-    aborted, certificate_build, certificate_delete, extract_stage, Impossibility,
-    SynthesisOutcome, SynthesisStats, Synthesized, ThreadPlan,
+    aborted, certificate_build, certificate_delete, extract_stage, Impossibility, SynthesisOutcome,
+    SynthesisStats, Synthesized, ThreadPlan,
 };
 use crate::verify::{verify_semantic, verify_semantic_ok};
 use ftsyn_ctl::{Formula, FormulaArena, FormulaId, Owner, PropId, PropTable};
@@ -438,8 +438,7 @@ impl Classified {
                     return true;
                 }
                 Formula::Au(g, h)
-                    if matches!(arena.get(g), Formula::True)
-                        && is_propositional(arena, h) =>
+                    if matches!(arena.get(g), Formula::True) && is_propositional(arena, h) =>
                 {
                     let owner = goal_owner(arena, props, h);
                     self.af.push(AfClause {
@@ -450,8 +449,7 @@ impl Classified {
                     return true;
                 }
                 Formula::Aw(f, b)
-                    if matches!(arena.get(f), Formula::False)
-                        && is_propositional(arena, b) =>
+                    if matches!(arena.get(f), Formula::False) && is_propositional(arena, b) =>
                 {
                     let clause = Clause::AgInv { antes, body: b };
                     if global {
@@ -573,10 +571,7 @@ struct Universe {
 }
 
 impl Universe {
-    fn build(
-        problem: &SynthesisProblem,
-        cls: &Classified,
-    ) -> Option<Universe> {
+    fn build(problem: &SynthesisProblem, cls: &Classified) -> Option<Universe> {
         let arena = &problem.arena;
         let props = &problem.props;
         let n_props = props.len();
@@ -666,7 +661,10 @@ impl Universe {
                     .iter()
                     .all(|c| ag_inv_holds(arena, c, &v))
                 && (cls.use_nonmasking
-                    || cls.global_clauses.iter().all(|c| ag_inv_holds(arena, c, &v)))
+                    || cls
+                        .global_clauses
+                        .iter()
+                        .all(|c| ag_inv_holds(arena, c, &v)))
             {
                 vals.push(v);
                 if vals.len() > MAX_UNIVERSE {
@@ -1050,7 +1048,16 @@ fn scheduled_moves(
     let val = &u.vals[val_idx as usize];
     let menu = &u.menu[val_idx as usize];
     let usable = |target: u32| -> bool {
-        step_queue(arena, cls, queue, &u.vals[target as usize], None, fault_free).len() <= bound
+        step_queue(
+            arena,
+            cls,
+            queue,
+            &u.vals[target as usize],
+            None,
+            fault_free,
+        )
+        .len()
+            <= bound
     };
 
     // Effective head: the first queued obligation whose obliged process
@@ -1683,4 +1690,3 @@ mod tests {
         }
     }
 }
-

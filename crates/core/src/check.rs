@@ -76,8 +76,7 @@ pub fn check_program(
     problem: &mut SynthesisProblem,
     program: &Program,
 ) -> Result<CheckReport, CheckError> {
-    let ex = explore(program, &problem.faults, &problem.props)
-        .map_err(CheckError::Exploration)?;
+    let ex = explore(program, &problem.faults, &problem.props).map_err(CheckError::Exploration)?;
     let verification = verify_semantic(problem, &ex.kripke);
     Ok(CheckReport {
         model: ex.kripke,
@@ -109,10 +108,7 @@ mod tests {
         let mut problem = mutex::fault_free(2);
         let n = problem.props.len();
         let mk_proc = |i: usize, names: [&str; 3], props: &ftsyn_ctl::PropTable| {
-            let ids: Vec<_> = names
-                .iter()
-                .map(|nm| props.id(nm).unwrap())
-                .collect();
+            let ids: Vec<_> = names.iter().map(|nm| props.id(nm).unwrap()).collect();
             Process {
                 index: i,
                 states: ids

@@ -253,7 +253,9 @@ fn proc_prop_masks(props: &PropTable, num_procs: usize) -> Vec<PropSet> {
         .map(|i| {
             PropSet::from_iter_with_capacity(
                 props.len(),
-                props.iter().filter(|&p| props.owner(p) == Owner::Process(i)),
+                props
+                    .iter()
+                    .filter(|&p| props.owner(p) == Owner::Process(i)),
             )
         })
         .collect()
@@ -467,7 +469,11 @@ pub fn refine_guards(
         let owner = if satisfies(weak) {
             weak
         } else {
-            group.iter().copied().find(|&u| satisfies(u)).unwrap_or(weak)
+            group
+                .iter()
+                .copied()
+                .find(|&u| satisfies(u))
+                .unwrap_or(weak)
         };
         if owner != weak {
             reowned_groups.insert(e.locals.as_slice());
@@ -574,11 +580,7 @@ pub fn refine_guards(
 /// The shortest prefix of shared-variable equalities (group variable
 /// first, then ascending index) distinguishing `v` from every rival
 /// vector; each kept equality excludes at least one remaining rival.
-fn minimize_var_eqs(
-    v: &[u32],
-    rivals: &[Vec<u32>],
-    group_var: Option<usize>,
-) -> Vec<(usize, u32)> {
+fn minimize_var_eqs(v: &[u32], rivals: &[Vec<u32>], group_var: Option<usize>) -> Vec<(usize, u32)> {
     let mut remaining: Vec<&Vec<u32>> = rivals.iter().collect();
     let mut eqs: Vec<(usize, u32)> = Vec::new();
     let order = group_var
@@ -649,10 +651,7 @@ fn blocks_to_guard(processes: &[Process], blocks: &[GuardBlock]) -> BoolExpr {
             if varying.len() == 1 {
                 let pos = varying[0];
                 let j = first.other_locals[pos].0;
-                let mut states: Vec<usize> = blocks
-                    .iter()
-                    .map(|b| b.other_locals[pos].1)
-                    .collect();
+                let mut states: Vec<usize> = blocks.iter().map(|b| b.other_locals[pos].1).collect();
                 states.sort_unstable();
                 states.dedup();
                 let mut conj: Vec<BoolExpr> = Vec::new();

@@ -9,7 +9,9 @@
 //! node (step 3(c)) — these fault successors join the fragment frontier.
 
 use ftsyn_ctl::{Closure, ClosureIdx, EntryKind, LabelSet};
-use ftsyn_tableau::{au_fulfillment, eu_fulfillment, CertMode, EdgeKind, Fulfillment, NodeId, Tableau};
+use ftsyn_tableau::{
+    au_fulfillment, eu_fulfillment, CertMode, EdgeKind, Fulfillment, NodeId, Tableau,
+};
 use std::collections::HashMap;
 
 /// Cache of fulfillment certificates, keyed by eventuality closure
@@ -189,8 +191,10 @@ impl Builder<'_> {
         let c = self.nodes[at].tableau_id;
         self.nodes[at].frontier = false;
         let mode = self.mode;
-        let succs: Vec<(EdgeKind, NodeId)> =
-            self.t.alive_succ(c, move |k| mode.admits(k) && !k.is_fault()).collect();
+        let succs: Vec<(EdgeKind, NodeId)> = self
+            .t
+            .alive_succ(c, move |k| mode.admits(k) && !k.is_fault())
+            .collect();
         let mut by_child: HashMap<NodeId, usize> = HashMap::new();
         for (kind, d) in succs {
             if kind == EdgeKind::Dummy {
@@ -199,9 +203,7 @@ impl Builder<'_> {
                 continue;
             }
             let child = self.pick_small_child(d);
-            let ci = *by_child
-                .entry(child)
-                .or_insert_with(|| self.nodes.len());
+            let ci = *by_child.entry(child).or_insert_with(|| self.nodes.len());
             if ci == self.nodes.len() {
                 self.new_node(child, true);
             }
@@ -325,8 +327,7 @@ pub(crate) fn build_ffrag_cached(
         .collect();
     for at in interior {
         let cid = b.nodes[at].tableau_id;
-        let fault_succs: Vec<(EdgeKind, NodeId)> =
-            t.alive_succ(cid, EdgeKind::is_fault).collect();
+        let fault_succs: Vec<(EdgeKind, NodeId)> = t.alive_succ(cid, EdgeKind::is_fault).collect();
         for (kind, d) in fault_succs {
             let already = b.nodes[at].succ.iter().any(|&(k, _)| k == kind);
             if already {
@@ -457,12 +458,9 @@ mod tests {
                 seen: &mut Vec<bool>,
             ) -> bool {
                 let label = &t.node(frag.nodes[i].tableau_id).label;
-                let has_p = label.iter().any(|idx| {
-                    matches!(
-                        cl.entry(idx).kind,
-                        EntryKind::Lit { positive: true, .. }
-                    )
-                });
+                let has_p = label
+                    .iter()
+                    .any(|idx| matches!(cl.entry(idx).kind, EntryKind::Lit { positive: true, .. }));
                 if has_p {
                     return true;
                 }
@@ -501,9 +499,9 @@ mod tests {
                 return false;
             }
             let label = &t.node(frag.nodes[i].tableau_id).label;
-            let has_p = label.iter().any(|idx| {
-                matches!(cl.entry(idx).kind, EntryKind::Lit { positive: true, .. })
-            });
+            let has_p = label
+                .iter()
+                .any(|idx| matches!(cl.entry(idx).kind, EntryKind::Lit { positive: true, .. }));
             if has_p {
                 return true;
             }

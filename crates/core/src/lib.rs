@@ -67,10 +67,15 @@ pub mod problems;
 pub use cegis::{cegis_synthesize, CegisProfile};
 pub use check::{check_program, CheckError, CheckReport};
 pub use extract::{
-    extract_program, introduce_shared_variables, refine_guards, ExtractProfile,
-    SharedIntroduction, DEFAULT_EXTRACT_REFINE_ROUNDS,
+    extract_program, introduce_shared_variables, refine_guards, ExtractProfile, SharedIntroduction,
+    DEFAULT_EXTRACT_REFINE_ROUNDS,
 };
 pub use fragment::{build_ffrag, build_ffrag_mode, eventualities_in, FragNode, Fragment};
+pub use ftsyn_tableau::{
+    blob_checksum, AbortReason, Budget, CacheFill, CacheLimits, CertMode, Checkpoint,
+    CheckpointError, ExpansionCache, Governor, Phase, CHECKPOINT_FORMAT_VERSION,
+    CHECKPOINT_MIN_FORMAT_VERSION,
+};
 pub use minimize::{
     semantic_minimize_governed, semantic_minimize_with_threads, MinimizeAbort, MinimizeProfile,
 };
@@ -78,13 +83,8 @@ pub use problem::{SynthesisProblem, Tolerance, ToleranceAssignment};
 pub use synthesize::{
     default_threads, synthesize, synthesize_governed, synthesize_planned, synthesize_resume,
     synthesize_session, synthesize_with_engine, synthesize_with_threads, AbortedSynthesis, Engine,
-    Impossibility, SynthesisOutcome, SynthesisSession, SynthesisStats, Synthesized, TableauArtifacts,
-    ThreadPlan,
-};
-pub use ftsyn_tableau::{
-    blob_checksum, AbortReason, Budget, CacheFill, CacheLimits, CertMode, Checkpoint,
-    CheckpointError, ExpansionCache, Governor, Phase, CHECKPOINT_FORMAT_VERSION,
-    CHECKPOINT_MIN_FORMAT_VERSION,
+    Impossibility, SynthesisOutcome, SynthesisSession, SynthesisStats, Synthesized,
+    TableauArtifacts, ThreadPlan,
 };
 pub use unravel::{unravel, unravel_governed, unravel_mode, Unraveled};
 pub use verify::{

@@ -48,11 +48,7 @@ impl BarrierProps {
 }
 
 /// Registers the barrier propositions for `n_procs` processes.
-pub fn barrier_props(
-    props: &mut PropTable,
-    n_procs: usize,
-    with_down: bool,
-) -> Vec<BarrierProps> {
+pub fn barrier_props(props: &mut PropTable, n_procs: usize, with_down: bool) -> Vec<BarrierProps> {
     (0..n_procs)
         .map(|i| {
             let mut add = |name: &str| {

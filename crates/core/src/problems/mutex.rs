@@ -47,10 +47,7 @@ pub fn mutex_props(props: &mut PropTable, n_procs: usize, with_down: bool) -> Ve
 
 /// Builds the problem specification of Section 2.2, generalized to
 /// `n_procs` processes. Returns `(init, global)`.
-pub fn mutex_spec(
-    arena: &mut FormulaArena,
-    ps: &[MutexProps],
-) -> (FormulaId, FormulaId) {
+pub fn mutex_spec(arena: &mut FormulaArena, ps: &[MutexProps]) -> (FormulaId, FormulaId) {
     let all_pairs: Vec<(usize, usize)> = (0..ps.len())
         .flat_map(|i| ((i + 1)..ps.len()).map(move |j| (i, j)))
         .collect();

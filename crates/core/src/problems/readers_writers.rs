@@ -34,9 +34,15 @@ fn register(props: &mut PropTable, readers: usize, with_down: bool) -> RwProps {
         .map(|i| {
             let pi = i + 1;
             (
-                props.add(format!("Nr{pi}"), Owner::Process(pi)).expect("fresh"),
-                props.add(format!("Tr{pi}"), Owner::Process(pi)).expect("fresh"),
-                props.add(format!("Cr{pi}"), Owner::Process(pi)).expect("fresh"),
+                props
+                    .add(format!("Nr{pi}"), Owner::Process(pi))
+                    .expect("fresh"),
+                props
+                    .add(format!("Tr{pi}"), Owner::Process(pi))
+                    .expect("fresh"),
+                props
+                    .add(format!("Cr{pi}"), Owner::Process(pi))
+                    .expect("fresh"),
             )
         })
         .collect();

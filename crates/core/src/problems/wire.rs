@@ -82,7 +82,11 @@ pub fn build(bounded: Option<usize>) -> Wire {
                     "{}{}{}",
                     if out { "hi" } else { "lo" },
                     if broken_b { "-broken" } else { "" },
-                    if k > 0 { format!("@{level}") } else { String::new() }
+                    if k > 0 {
+                        format!("@{level}")
+                    } else {
+                        String::new()
+                    }
                 );
                 states.push(LocalState {
                     name,
@@ -213,7 +217,10 @@ mod tests {
                 .iter()
                 .any(|e| e.kind == ftsyn_kripke::TransKind::Proc(0));
             if !wire_can_move {
-                assert_eq!(v.contains(w.wire_props.input), v.contains(w.wire_props.output));
+                assert_eq!(
+                    v.contains(w.wire_props.input),
+                    v.contains(w.wire_props.output)
+                );
             }
         }
     }
@@ -231,8 +238,8 @@ mod tests {
         // goes low after the transient and stays low.
         let trace = simulate(&w.program, &w.faults[..1], &w.props, &cfg);
         assert!(trace.last_fault.is_some(), "the stuck-at must fire");
-        let settled = trace
-            .eventually_always_after_faults(20, |v| !v.contains(w.wire_props.output));
+        let settled =
+            trace.eventually_always_after_faults(20, |v| !v.contains(w.wire_props.output));
         assert_eq!(settled, Some(true), "output must go and stay low");
     }
 

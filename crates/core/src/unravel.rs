@@ -84,10 +84,10 @@ pub fn unravel_governed(
 
     // Embeds FFRAG[c]; returns the index of its root.
     let embed = |c: NodeId,
-                     nodes: &mut Vec<MNode>,
-                     root_of: &mut HashMap<NodeId, usize>,
-                     queue: &mut VecDeque<usize>,
-                     certs: &mut FulfillmentCache|
+                 nodes: &mut Vec<MNode>,
+                 root_of: &mut HashMap<NodeId, usize>,
+                 queue: &mut VecDeque<usize>,
+                 certs: &mut FulfillmentCache|
      -> usize {
         let frag = build_ffrag_cached(t, closure, c, mode, certs);
         // Copy only the nodes reachable from the fragment root (frontier
@@ -210,7 +210,14 @@ mod tests {
 
     fn synthesize_plain(
         spec: &str,
-    ) -> (FormulaArena, PropTable, Closure, Tableau, Unraveled, FormulaId) {
+    ) -> (
+        FormulaArena,
+        PropTable,
+        Closure,
+        Tableau,
+        Unraveled,
+        FormulaId,
+    ) {
         let mut props = PropTable::new();
         props.add("p", Owner::Process(0)).unwrap();
         props.add("q", Owner::Process(0)).unwrap();
@@ -253,9 +260,8 @@ mod tests {
     #[test]
     fn every_state_satisfies_its_whole_label() {
         // Theorem 7.1.9 (soundness), checked mechanically.
-        let (arena, _props, cl, t, u, _f) = synthesize_plain(
-            "~p & AF p & AG EX1 true & AG(p -> AF ~p)",
-        );
+        let (arena, _props, cl, t, u, _f) =
+            synthesize_plain("~p & AF p & AG EX1 true & AG(p -> AF ~p)");
         let mut ck = Checker::new(&u.model, Semantics::FaultFree);
         for s in u.model.state_ids() {
             let label = u.state_label(&t, s);

@@ -232,10 +232,7 @@ pub fn verify_semantic(
 /// failed check instead of a full three-pass sweep, which matters to
 /// the semantic minimizer's inner loop (one verification per candidate
 /// merge).
-pub fn verify_semantic_ok(
-    problem: &mut SynthesisProblem,
-    model: &ftsyn_kripke::FtKripke,
-) -> bool {
+pub fn verify_semantic_ok(problem: &mut SynthesisProblem, model: &ftsyn_kripke::FtKripke) -> bool {
     verify_semantic_impl(problem, model, false).ok()
 }
 
@@ -364,9 +361,10 @@ fn verify_semantic_impl(
         for (ai, phis) in enabled.iter() {
             let (ai, action) = (*ai, &problem.faults[*ai]);
             for phi in phis {
-                let covered = model.succ(s).iter().any(|e| {
-                    e.kind == TransKind::Fault(ai) && model.state(e.to).props == *phi
-                });
+                let covered = model
+                    .succ(s)
+                    .iter()
+                    .any(|e| e.kind == TransKind::Fault(ai) && model.state(e.to).props == *phi);
                 if !covered {
                     v.fault_closed = false;
                     if !collect {
@@ -538,7 +536,11 @@ mod tests {
         let unr = unravel_mode(&tableau, &closure, &problem.props, c0, problem.mode);
 
         let baseline = verify(&mut problem, &closure, &tableau, &unr);
-        assert!(baseline.ok(), "baseline must verify: {:?}", baseline.failures);
+        assert!(
+            baseline.ok(),
+            "baseline must verify: {:?}",
+            baseline.failures
+        );
 
         // Inject a fault action the synthesized model knows nothing
         // about: enabled everywhere, never represented by a transition.
@@ -577,11 +579,9 @@ mod tests {
         final_v.merge_pre_minimization(v);
         assert!(!final_v.fault_closed);
         assert!(!final_v.ok());
-        assert!(final_v
-            .failures
-            .iter()
-            .all(|f| f.kind == FailureKind::FaultClosure
-                && f.stage == FailureStage::PreMinimization));
+        assert!(final_v.failures.iter().all(
+            |f| f.kind == FailureKind::FaultClosure && f.stage == FailureStage::PreMinimization
+        ));
         let shown = format!("{}", final_v.failures[0]);
         assert!(shown.starts_with("[pre-minimization] "), "{shown}");
     }

@@ -179,9 +179,9 @@ impl Closure {
         let mut work: Vec<FormulaId> = Vec::new();
 
         let push = |f: FormulaId,
-                        seen: &mut HashMap<FormulaId, ClosureIdx>,
-                        order: &mut Vec<FormulaId>,
-                        work: &mut Vec<FormulaId>| {
+                    seen: &mut HashMap<FormulaId, ClosureIdx>,
+                    order: &mut Vec<FormulaId>,
+                    work: &mut Vec<FormulaId>| {
             if let std::collections::hash_map::Entry::Vacant(e) = seen.entry(f) {
                 e.insert(order.len() as ClosureIdx);
                 order.push(f);
@@ -255,8 +255,7 @@ impl Closure {
         let pos: HashMap<FormulaId, ClosureIdx> = seen;
         let idx_of = |f: FormulaId| -> ClosureIdx { *pos.get(&f).expect("closure is closed") };
         let mut entries = Vec::with_capacity(order.len());
-        let mut lit_idx: HashMap<PropId, (Option<ClosureIdx>, Option<ClosureIdx>)> =
-            HashMap::new();
+        let mut lit_idx: HashMap<PropId, (Option<ClosureIdx>, Option<ClosureIdx>)> = HashMap::new();
         for (i, &f) in order.iter().enumerate() {
             let kind = match arena.get(f) {
                 Formula::True => EntryKind::True,
@@ -606,10 +605,9 @@ impl LabelSet {
     /// per-word inclusion), while spreading different words across
     /// different positions to delay saturation.
     pub fn fingerprint(&self) -> u64 {
-        self.bits
-            .iter()
-            .enumerate()
-            .fold(0u64, |acc, (i, &w)| acc | w.rotate_left((i as u32 * 13) & 63))
+        self.bits.iter().enumerate().fold(0u64, |acc, (i, &w)| {
+            acc | w.rotate_left((i as u32 * 13) & 63)
+        })
     }
 
     /// A deterministic 64-bit hash of the set (FxHash-style word fold).
@@ -748,10 +746,7 @@ mod tests {
             assert!(cl.literal(p, false).is_some());
         }
         let e0 = cl.ex_true(0);
-        assert!(matches!(
-            cl.entry(e0).kind,
-            EntryKind::Ex { proc: 0, .. }
-        ));
+        assert!(matches!(cl.entry(e0).kind, EntryKind::Ex { proc: 0, .. }));
     }
 
     #[test]

@@ -345,7 +345,10 @@ mod tests {
         );
         assert_eq!(roundtrip("AG(T1 -> AF C1)"), "AG(~T1 | AF C1)");
         assert_eq!(roundtrip("AG(~(C1 & C2))"), "AG(~C1 | ~C2)");
-        assert_eq!(roundtrip("AG EX true"), "AG(EX1 true | EX2 true | EX3 true)");
+        assert_eq!(
+            roundtrip("AG EX true"),
+            "AG(EX1 true | EX2 true | EX3 true)"
+        );
     }
 
     #[test]

@@ -181,9 +181,7 @@ impl FaultAction {
             match e {
                 BoolExpr::Const(_) | BoolExpr::Prop(_) | BoolExpr::VarEq(_, _) => 1,
                 BoolExpr::Not(i) => 1 + expr_size(i),
-                BoolExpr::And(es) | BoolExpr::Or(es) => {
-                    1 + es.iter().map(expr_size).sum::<usize>()
-                }
+                BoolExpr::And(es) | BoolExpr::Or(es) => 1 + es.iter().map(expr_size).sum::<usize>(),
             }
         }
         expr_size(&self.guard) + 2 * self.assigns.len() + 2 * self.corrupt_shared.len()
@@ -289,8 +287,8 @@ mod tests {
     #[test]
     fn guard_disabled_state() {
         let (_, a, _, c) = table();
-        let f = FaultAction::new("fail", BoolExpr::not_prop(c), vec![(a, PropAssign::True)])
-            .unwrap();
+        let f =
+            FaultAction::new("fail", BoolExpr::not_prop(c), vec![(a, PropAssign::True)]).unwrap();
         let down = PropSet::from_iter_with_capacity(3, [c]);
         assert!(!f.enabled(&down));
     }

@@ -125,7 +125,10 @@ mod tests {
         let ps = PropSet::from_iter_with_capacity(2, [a]);
         assert!(BoolExpr::VarEq(0, 2).eval(&ps, &[2]));
         assert!(!BoolExpr::VarEq(0, 1).eval(&ps, &[2]));
-        assert!(!BoolExpr::VarEq(3, 1).eval(&ps, &[2]), "missing var is false");
+        assert!(
+            !BoolExpr::VarEq(3, 1).eval(&ps, &[2]),
+            "missing var is false"
+        );
     }
 
     #[test]

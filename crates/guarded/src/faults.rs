@@ -93,10 +93,7 @@ pub fn timing(is_full: PropId, is_delayed: PropId) -> Vec<FaultAction> {
         FaultAction::new(
             "timing-delay",
             BoolExpr::Prop(is_full),
-            vec![
-                (is_full, PropAssign::False),
-                (is_delayed, PropAssign::True),
-            ],
+            vec![(is_full, PropAssign::False), (is_delayed, PropAssign::True)],
         )
         .expect("valid by construction"),
         FaultAction::new(
@@ -105,10 +102,7 @@ pub fn timing(is_full: PropId, is_delayed: PropId) -> Vec<FaultAction> {
                 BoolExpr::not_prop(is_full),
                 BoolExpr::Prop(is_delayed),
             ]),
-            vec![
-                (is_full, PropAssign::True),
-                (is_delayed, PropAssign::False),
-            ],
+            vec![(is_full, PropAssign::True), (is_delayed, PropAssign::False)],
         )
         .expect("valid by construction"),
     ]

@@ -112,7 +112,9 @@ pub fn explore(
             .map(|i| {
                 PropSet::from_iter_with_capacity(
                     props.len(),
-                    props.iter().filter(|&p| props.owner(p) == Owner::Process(i)),
+                    props
+                        .iter()
+                        .filter(|&p| props.owner(p) == Owner::Process(i)),
                 )
             })
             .collect(),
@@ -551,19 +553,41 @@ mod tests {
         let p1 = Process {
             index: 0,
             states: vec![
-                LocalState { name: "a1".into(), props: mk(a1) },
-                LocalState { name: "b1".into(), props: mk(b1) },
+                LocalState {
+                    name: "a1".into(),
+                    props: mk(a1),
+                },
+                LocalState {
+                    name: "b1".into(),
+                    props: mk(b1),
+                },
             ],
             arcs: vec![
-                ProcArc { from: 0, to: 1, guard: BoolExpr::tru(), assigns: vec![] },
-                ProcArc { from: 1, to: 0, guard: BoolExpr::tru(), assigns: vec![] },
+                ProcArc {
+                    from: 0,
+                    to: 1,
+                    guard: BoolExpr::tru(),
+                    assigns: vec![],
+                },
+                ProcArc {
+                    from: 1,
+                    to: 0,
+                    guard: BoolExpr::tru(),
+                    assigns: vec![],
+                },
             ],
         };
         let p2 = Process {
             index: 1,
             states: vec![
-                LocalState { name: "a2".into(), props: mk(a2) },
-                LocalState { name: "b2".into(), props: mk(b2) },
+                LocalState {
+                    name: "a2".into(),
+                    props: mk(a2),
+                },
+                LocalState {
+                    name: "b2".into(),
+                    props: mk(b2),
+                },
             ],
             arcs: vec![ProcArc {
                 from: 0,
@@ -647,7 +671,10 @@ mod tests {
     #[test]
     fn shared_corruption_branches_within_domain() {
         let (mut prog, t) = ring();
-        prog.shared.push(SharedVar { name: "x".into(), domain: 3 });
+        prog.shared.push(SharedVar {
+            name: "x".into(),
+            domain: 3,
+        });
         prog.init_shared.push(1);
         let a1 = t.id("a1").unwrap();
         let f = FaultAction::new("corrupt-x", BoolExpr::Prop(a1), vec![])
@@ -672,7 +699,10 @@ mod tests {
     #[test]
     fn out_of_domain_write_defaults_to_one() {
         let (mut prog, t) = ring();
-        prog.shared.push(SharedVar { name: "x".into(), domain: 2 });
+        prog.shared.push(SharedVar {
+            name: "x".into(),
+            domain: 2,
+        });
         prog.init_shared.push(2);
         let f = FaultAction::new("smash-x", BoolExpr::tru(), vec![])
             .unwrap()

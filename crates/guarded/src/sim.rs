@@ -171,7 +171,9 @@ pub fn simulate(
         .map(|i| {
             PropSet::from_iter_with_capacity(
                 props.len(),
-                props.iter().filter(|&p| props.owner(p) == Owner::Process(i)),
+                props
+                    .iter()
+                    .filter(|&p| props.owner(p) == Owner::Process(i)),
             )
         })
         .collect();
@@ -288,12 +290,28 @@ mod tests {
             processes: vec![Process {
                 index: 0,
                 states: vec![
-                    LocalState { name: "a".into(), props: mk(a) },
-                    LocalState { name: "b".into(), props: mk(b) },
+                    LocalState {
+                        name: "a".into(),
+                        props: mk(a),
+                    },
+                    LocalState {
+                        name: "b".into(),
+                        props: mk(b),
+                    },
                 ],
                 arcs: vec![
-                    ProcArc { from: 0, to: 1, guard: BoolExpr::tru(), assigns: vec![] },
-                    ProcArc { from: 1, to: 0, guard: BoolExpr::tru(), assigns: vec![] },
+                    ProcArc {
+                        from: 0,
+                        to: 1,
+                        guard: BoolExpr::tru(),
+                        assigns: vec![],
+                    },
+                    ProcArc {
+                        from: 1,
+                        to: 0,
+                        guard: BoolExpr::tru(),
+                        assigns: vec![],
+                    },
                 ],
             }],
             shared: vec![],
@@ -307,7 +325,10 @@ mod tests {
     #[test]
     fn deterministic_given_seed() {
         let (prog, t, _, _) = toggler();
-        let cfg = SimConfig { steps: 50, ..SimConfig::default() };
+        let cfg = SimConfig {
+            steps: 50,
+            ..SimConfig::default()
+        };
         let t1 = simulate(&prog, &[], &t, &cfg);
         let t2 = simulate(&prog, &[], &t, &cfg);
         assert_eq!(t1.steps, t2.steps);
@@ -325,10 +346,7 @@ mod tests {
     #[test]
     fn faults_fire_and_are_bounded() {
         let (prog, t, a, b) = toggler();
-        let f = crate::faults::general_state(
-            "P1",
-            &[("a".to_owned(), a), ("b".to_owned(), b)],
-        );
+        let f = crate::faults::general_state("P1", &[("a".to_owned(), a), ("b".to_owned(), b)]);
         let cfg = SimConfig {
             steps: 300,
             fault_prob: 0.5,
@@ -388,7 +406,15 @@ mod tests {
     #[test]
     fn convergence_probe() {
         let (prog, t, a, b) = toggler();
-        let trace = simulate(&prog, &[], &t, &SimConfig { steps: 30, ..Default::default() });
+        let trace = simulate(
+            &prog,
+            &[],
+            &t,
+            &SimConfig {
+                steps: 30,
+                ..Default::default()
+            },
+        );
         // No faults: convergence measured from the start.
         let conv = trace.eventually_always_after_faults(0, |v| v.contains(a) ^ v.contains(b));
         assert_eq!(conv, Some(true));

@@ -118,7 +118,12 @@ impl<'m> Checker<'m> {
     }
 
     /// Evaluates `a` and `b`, then borrows both satisfaction sets.
-    fn eval2(&mut self, arena: &FormulaArena, a: FormulaId, b: FormulaId) -> (&StateSet, &StateSet) {
+    fn eval2(
+        &mut self,
+        arena: &FormulaArena,
+        a: FormulaId,
+        b: FormulaId,
+    ) -> (&StateSet, &StateSet) {
         self.eval(arena, a);
         self.eval(arena, b);
         (&self.memo[&a], &self.memo[&b])
@@ -132,7 +137,10 @@ impl<'m> Checker<'m> {
             Formula::False => StateSet::empty(n),
             Formula::Prop(p) | Formula::NegProp(p) => {
                 let sets = self.prop_sets.get_or_insert_with(|| prop_sets(m));
-                let x = sets.get(p.index()).cloned().unwrap_or_else(|| StateSet::empty(n));
+                let x = sets
+                    .get(p.index())
+                    .cloned()
+                    .unwrap_or_else(|| StateSet::empty(n));
                 if matches!(arena.get(f), Formula::NegProp(_)) {
                     x.complement()
                 } else {
@@ -427,7 +435,8 @@ mod tests {
         let pbad = props.add("bad", Owner::Process(0)).unwrap();
         let arena = FormulaArena::new(2);
         let mut m = FtKripke::new();
-        let mk = |ps: &[PropId]| State::new(PropSet::from_iter_with_capacity(4, ps.iter().copied()));
+        let mk =
+            |ps: &[PropId]| State::new(PropSet::from_iter_with_capacity(4, ps.iter().copied()));
         let s0 = m.intern_state(mk(&[pn]));
         let s1 = m.intern_state(mk(&[pt]));
         let s2 = m.intern_state(mk(&[pc]));

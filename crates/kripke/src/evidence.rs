@@ -61,10 +61,7 @@ impl<'m> Checker<'m> {
         let eu = {
             // Build the until formula in a scratch arena? The caller's
             // arena is borrowed immutably; instead evaluate components.
-            (
-                self.eval(arena, g).clone(),
-                self.eval(arena, h).clone(),
-            )
+            (self.eval(arena, g).clone(), self.eval(arena, h).clone())
         };
         let (vg, vh) = eu;
         // BFS ranks toward h through g-states.
@@ -160,9 +157,8 @@ impl<'m> Checker<'m> {
                         continue;
                     }
                     let succs = self.path_successors(s);
-                    let keeps = !vg.contains(s)
-                        || succs.is_empty()
-                        || succs.iter().any(|t| x[t.index()]);
+                    let keeps =
+                        !vg.contains(s) || succs.is_empty() || succs.iter().any(|t| x[t.index()]);
                     if !keeps {
                         x[s.index()] = false;
                         changed = true;
@@ -176,8 +172,7 @@ impl<'m> Checker<'m> {
         }
         // Walk inside the failure set, preferring an immediate breach.
         let mut path = vec![from];
-        let mut pos: std::collections::HashMap<StateId, usize> =
-            std::collections::HashMap::new();
+        let mut pos: std::collections::HashMap<StateId, usize> = std::collections::HashMap::new();
         pos.insert(from, 0);
         let mut cur = from;
         loop {
@@ -275,7 +270,8 @@ mod tests {
         let c = props.add("c", Owner::Process(0)).unwrap();
         let arena = FormulaArena::new(1);
         let mut m = FtKripke::new();
-        let mk = |ps: &[PropId]| State::new(PropSet::from_iter_with_capacity(3, ps.iter().copied()));
+        let mk =
+            |ps: &[PropId]| State::new(PropSet::from_iter_with_capacity(3, ps.iter().copied()));
         // s0{a} → s1{b} → s2{c}; s1 → s1 (self-loop); s0 -fault→ s3{} (dead end)
         let s0 = m.intern_state(mk(&[a]));
         let s1 = m.intern_state(mk(&[b]));

@@ -67,7 +67,12 @@ pub fn bisimulation_quotient(m: &FtKripke) -> Quotient {
             let b = *index.entry(key).or_insert(next);
             next_block[s.index()] = b;
         }
-        let stable = index.len() == block.iter().copied().collect::<std::collections::HashSet<_>>().len();
+        let stable = index.len()
+            == block
+                .iter()
+                .copied()
+                .collect::<std::collections::HashSet<_>>()
+                .len();
         block = next_block;
         if stable {
             break;

@@ -226,9 +226,7 @@ impl FtKripke {
                 // meet: at the merged source (its list combines `into`'s
                 // and `from`'s edges) or on edges into the merged state
                 // (a source pointing at both `from` and `into`).
-                if (ns == merged_id || ne.to == merged_id)
-                    && out.succ[ns.index()].contains(&ne)
-                {
+                if (ns == merged_id || ne.to == merged_id) && out.succ[ns.index()].contains(&ne) {
                     continue;
                 }
                 out.succ[ns.index()].push(ne);

@@ -26,7 +26,11 @@ impl XorShift64 {
     /// all-zero state is a fixed point of xorshift).
     pub fn new(seed: u64) -> XorShift64 {
         XorShift64 {
-            state: if seed == 0 { 0x9E37_79B9_7F4A_7C15 } else { seed },
+            state: if seed == 0 {
+                0x9E37_79B9_7F4A_7C15
+            } else {
+                seed
+            },
         }
     }
 

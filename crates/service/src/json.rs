@@ -49,9 +49,7 @@ impl Value {
     /// The number as a `u64`, if this is a non-negative integer.
     pub fn as_u64(&self) -> Option<u64> {
         match *self {
-            Value::Num(n) if n >= 0.0 && n.fract() == 0.0 && n <= u64::MAX as f64 => {
-                Some(n as u64)
-            }
+            Value::Num(n) if n >= 0.0 && n.fract() == 0.0 && n <= u64::MAX as f64 => Some(n as u64),
             _ => None,
         }
     }
@@ -111,10 +109,7 @@ impl Parser<'_> {
             self.pos += 1;
             Ok(())
         } else {
-            Err(format!(
-                "expected '{}' at byte {}",
-                b as char, self.pos
-            ))
+            Err(format!("expected '{}' at byte {}", b as char, self.pos))
         }
     }
 
@@ -202,9 +197,7 @@ impl Parser<'_> {
                                 .get(self.pos + 1..self.pos + 5)
                                 .and_then(|h| std::str::from_utf8(h).ok())
                                 .and_then(|h| u32::from_str_radix(h, 16).ok())
-                                .ok_or_else(|| {
-                                    format!("bad \\u escape at byte {}", self.pos)
-                                })?;
+                                .ok_or_else(|| format!("bad \\u escape at byte {}", self.pos))?;
                             // The protocol never emits surrogate pairs;
                             // lone surrogates map to the replacement char.
                             out.push(char::from_u32(hex).unwrap_or('\u{fffd}'));
@@ -415,7 +408,10 @@ mod tests {
         let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
         assert!(parse(&nested(MAX_DEPTH)).is_ok());
         let err = parse(&nested(MAX_DEPTH + 1)).unwrap_err();
-        assert_eq!(err, format!("nesting deeper than {MAX_DEPTH} levels at byte {MAX_DEPTH}"));
+        assert_eq!(
+            err,
+            format!("nesting deeper than {MAX_DEPTH} levels at byte {MAX_DEPTH}")
+        );
         // Far past the cap, objects as well as arrays: an error, not a
         // stack overflow.
         let deep = format!("{}1", r#"{"k":["#.repeat(100_000));

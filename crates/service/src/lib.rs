@@ -499,7 +499,12 @@ impl Service {
                 let p = read(partition);
                 let (blocks, tiles) = p.len();
                 let (pe, pb) = p.eviction_counters();
-                (entries + blocks + tiles, bytes + p.bytes(), ee + pe, eb + pb)
+                (
+                    entries + blocks + tiles,
+                    bytes + p.bytes(),
+                    ee + pe,
+                    eb + pb,
+                )
             })
     }
 
@@ -576,7 +581,10 @@ impl Service {
     fn build_problem(&self, source: &ProblemSource) -> Result<SynthesisProblem, Reply> {
         match source {
             ProblemSource::Corpus(name) => corpus::problem(name).ok_or_else(|| {
-                Reply::error("unknown-problem", format!("unknown corpus problem \"{name}\""))
+                Reply::error(
+                    "unknown-problem",
+                    format!("unknown corpus problem \"{name}\""),
+                )
             }),
             ProblemSource::Spec(text) => match &self.spec_parser {
                 Some(parse) => parse(text).map_err(|m| Reply::error("bad-spec", m)),
@@ -632,10 +640,7 @@ impl Service {
                 .get(id)
                 .is_some_and(|reads| reads.range(..read).next().is_some())
         {
-            active = self
-                .idle
-                .wait(active)
-                .unwrap_or_else(|e| e.into_inner());
+            active = self.idle.wait(active).unwrap_or_else(|e| e.into_inner());
         }
     }
 
@@ -794,7 +799,8 @@ impl Service {
         let checkpoint = match ftsyn::Checkpoint::decode(&stored.blob) {
             Ok(ck) => ck,
             Err(e) => {
-                let reply = Reply::error("checkpoint-rejected", format!("checkpoint rejected: {e}"));
+                let reply =
+                    Reply::error("checkpoint-rejected", format!("checkpoint rejected: {e}"));
                 lock(&self.checkpoints).park(from, &stored.source, stored.blob, stored.nodes);
                 return reply;
             }
@@ -1061,8 +1067,7 @@ pub fn parse_op(line: &str) -> Result<Op, (String, String)> {
         "resume" => {
             if engine == Engine::Cegis {
                 return Err(fail(
-                    "resume is tableau-only (the CEGIS engine has no checkpoint format)"
-                        .to_owned(),
+                    "resume is tableau-only (the CEGIS engine has no checkpoint format)".to_owned(),
                 ));
             }
             let from = v
@@ -1451,7 +1456,11 @@ mod tests {
                 "bad-request",
                 "unknown budget field",
             ),
-            (r#"{"id":"q","op":"cancel"}"#, "bad-request", "needs a \"target\""),
+            (
+                r#"{"id":"q","op":"cancel"}"#,
+                "bad-request",
+                "needs a \"target\"",
+            ),
             (
                 r#"{"id":"q","op":"cancel","target":"ghost"}"#,
                 "no-active-request",

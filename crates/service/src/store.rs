@@ -159,12 +159,7 @@ fn sync_dir(dir: &Path) {
 /// Writes `bytes` under `dir/name` atomically: tmp sibling → fsync →
 /// rename → directory fsync. `pre_rename` names the injection point
 /// right before the rename (tmp durable, final name absent).
-fn write_atomic(
-    dir: &Path,
-    name: &str,
-    bytes: &[u8],
-    pre_rename: &str,
-) -> Result<(), StoreError> {
+fn write_atomic(dir: &Path, name: &str, bytes: &[u8], pre_rename: &str) -> Result<(), StoreError> {
     let tmp = dir.join(format!("{name}.tmp"));
     let target = dir.join(name);
     {
@@ -414,9 +409,9 @@ impl CheckpointStore {
         if let Some(ids) = index_ids {
             for (seq, id) in ids {
                 if files.get(&id).map(|(s, _)| *s) != Some(seq) {
-                    recovery.notes.push(format!(
-                        "dropped dangling index entry {id} (seq {seq})"
-                    ));
+                    recovery
+                        .notes
+                        .push(format!("dropped dangling index entry {id} (seq {seq})"));
                 }
             }
         }
@@ -467,7 +462,8 @@ impl CheckpointStore {
         if let Some((_, old_path)) = self.files.remove(id) {
             let _ = fs::remove_file(old_path);
         }
-        self.files.insert(id.to_owned(), (seq, self.dir.join(&name)));
+        self.files
+            .insert(id.to_owned(), (seq, self.dir.join(&name)));
         self.write_index()?;
         crash_point("ckpt-store-complete");
         Ok(())
@@ -496,11 +492,8 @@ impl CheckpointStore {
     }
 
     fn write_index(&self) -> Result<(), StoreError> {
-        let mut entries: Vec<(&u64, &String)> = self
-            .files
-            .iter()
-            .map(|(id, (seq, _))| (seq, id))
-            .collect();
+        let mut entries: Vec<(&u64, &String)> =
+            self.files.iter().map(|(id, (seq, _))| (seq, id)).collect();
         entries.sort();
         let mut p = Vec::new();
         put_u64(&mut p, self.next_seq);
@@ -615,7 +608,11 @@ mod tests {
 
         let (store, recovery) = CheckpointStore::open(&scratch.0).unwrap();
         assert_eq!(store.len(), 1);
-        assert!(recovery.quarantined.is_empty(), "{:?}", recovery.quarantined);
+        assert!(
+            recovery.quarantined.is_empty(),
+            "{:?}",
+            recovery.quarantined
+        );
         let rec = &recovery.recovered[0];
         assert_eq!(rec.id, "r1");
         assert_eq!(rec.source, source());
@@ -709,12 +706,13 @@ mod tests {
         assert!(reasons[record_name(50).as_str()].contains("checksum"));
         assert!(reasons[record_name(51).as_str()].contains("bad magic"));
         assert!(reasons[record_name(52).as_str()].contains("inner checkpoint blob rejected"));
-        assert!(recovery
-            .notes
-            .iter()
-            .any(|n| n.contains("stale tmp")));
+        assert!(recovery.notes.iter().any(|n| n.contains("stale tmp")));
         // The damage is preserved for post-mortem, out of the way.
-        assert!(scratch.0.join(QUARANTINE_DIR).join(record_name(51)).exists());
+        assert!(scratch
+            .0
+            .join(QUARANTINE_DIR)
+            .join(record_name(51))
+            .exists());
 
         // Recovery healed the index: a second open is clean.
         drop(store);

@@ -497,8 +497,7 @@ impl Reader<'_> {
 
     fn usize(&mut self) -> Result<usize, CheckpointError> {
         let v = self.u64()?;
-        usize::try_from(v)
-            .map_err(|_| CheckpointError::Corrupt(format!("count {v} exceeds usize")))
+        usize::try_from(v).map_err(|_| CheckpointError::Corrupt(format!("count {v} exceeds usize")))
     }
 
     fn node_id(&mut self, nodes: usize) -> Result<NodeId, CheckpointError> {

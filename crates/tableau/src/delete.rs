@@ -506,10 +506,7 @@ fn deletion_core(
     // sweep; everything later is reached through the log.
     let t0 = Instant::now();
     for id in t.node_ids().collect::<Vec<_>>() {
-        if t.alive(id)
-            && t.node(id).kind == NodeKind::Or
-            && t.node(id).alive_succ_total() == 0
-        {
+        if t.alive(id) && t.node(id).kind == NodeKind::Or && t.node(id).alive_succ_total() == 0 {
             t.delete(id);
             stats.or_without_children += 1;
         }

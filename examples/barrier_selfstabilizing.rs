@@ -26,7 +26,11 @@ fn main() {
         count(StateRole::Normal),
         count(StateRole::Perturbed),
         count(StateRole::Recovery),
-        if solved.verification.ok() { "PASS" } else { "FAIL" }
+        if solved.verification.ok() {
+            "PASS"
+        } else {
+            "FAIL"
+        }
     );
 
     // The paper's observation: in the fault-intolerant program a process
@@ -68,9 +72,7 @@ fn main() {
         let pos = |i: usize| {
             ["SA", "EA", "SB", "EB"]
                 .iter()
-                .position(|n| {
-                    v.contains(problem.props.id(&format!("{n}{}", i + 1)).unwrap())
-                })
+                .position(|n| v.contains(problem.props.id(&format!("{n}{}", i + 1)).unwrap()))
                 .unwrap_or(9)
         };
         let (a, b) = (pos(0), pos(1));

@@ -57,7 +57,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!(
         "model: {} states, verification {}",
         solved.stats.model_states,
-        if solved.verification.ok() { "PASS" } else { "FAIL" }
+        if solved.verification.ok() {
+            "PASS"
+        } else {
+            "FAIL"
+        }
     );
     println!("\n== synthesized controller ==");
     println!("{}", solved.program.display(&problem.props));

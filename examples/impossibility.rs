@@ -18,11 +18,26 @@ fn main() {
             println!("RESULT: impossible — no such program exists (Corollary 7.2).");
             println!();
             println!("tableau nodes built:   {}", imp.stats.tableau_nodes);
-            println!("deleted by DeleteP:    {}", imp.stats.deletion.prop_inconsistent);
-            println!("deleted by DeleteOR:   {}", imp.stats.deletion.or_without_children);
-            println!("deleted by DeleteAND:  {}", imp.stats.deletion.and_missing_successor);
-            println!("deleted by DeleteAU:   {}", imp.stats.deletion.au_unfulfilled);
-            println!("deleted by DeleteEU:   {}", imp.stats.deletion.eu_unfulfilled);
+            println!(
+                "deleted by DeleteP:    {}",
+                imp.stats.deletion.prop_inconsistent
+            );
+            println!(
+                "deleted by DeleteOR:   {}",
+                imp.stats.deletion.or_without_children
+            );
+            println!(
+                "deleted by DeleteAND:  {}",
+                imp.stats.deletion.and_missing_successor
+            );
+            println!(
+                "deleted by DeleteAU:   {}",
+                imp.stats.deletion.au_unfulfilled
+            );
+            println!(
+                "deleted by DeleteEU:   {}",
+                imp.stats.deletion.eu_unfulfilled
+            );
             println!("decided in:            {:?}", imp.stats.elapsed);
             println!();
             println!("Why: after P1 fail-stops, the coupling admits a fault-free");

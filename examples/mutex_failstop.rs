@@ -41,7 +41,11 @@ fn main() {
     );
     println!(
         "mechanical verification (soundness + masking + fault closure): {}",
-        if solved.verification.ok() { "PASS" } else { "FAIL" }
+        if solved.verification.ok() {
+            "PASS"
+        } else {
+            "FAIL"
+        }
     );
 
     println!("\n== extracted fault-tolerant program (Figure 9) ==");

@@ -44,6 +44,10 @@ fn main() {
     );
     println!(
         "built-in verification: {}",
-        if solved.verification.ok() { "PASS" } else { "FAIL" }
+        if solved.verification.ok() {
+            "PASS"
+        } else {
+            "FAIL"
+        }
     );
 }

@@ -25,7 +25,11 @@ fn main() {
     };
     let trace = simulate(&w.program, &w.faults, &w.props, &cfg);
     for (i, v) in trace.valuations.iter().enumerate() {
-        let out = if v.contains(w.wire_props.output) { 1 } else { 0 };
+        let out = if v.contains(w.wire_props.output) {
+            1
+        } else {
+            0
+        };
         let broken = v.contains(w.wire_props.broken);
         let step = if i == 0 {
             "init".to_owned()

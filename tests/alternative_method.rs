@@ -21,8 +21,7 @@ fn masking_mutex_is_impossible_under_fault_prone_correctness() {
     // path where P2 keeps failing (or stays down), AG(T2 ⇒ AF C2) fails,
     // so the problem has no model in the Section 8.3 setting even though
     // the main method solves it.
-    let mut problem =
-        mutex::with_fail_stop(2, Tolerance::Masking).with_fault_prone_correctness();
+    let mut problem = mutex::with_fail_stop(2, Tolerance::Masking).with_fault_prone_correctness();
     assert!(
         !synthesize(&mut problem).is_solved(),
         "liveness cannot survive unboundedly repeated fail-stops"

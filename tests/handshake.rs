@@ -72,10 +72,7 @@ fn failsafe_timing_keeps_handshake_order_across_faults() {
     // AG((¬full ∧ ¬ack) ⇒ AX2 ¬ack) under plain |=.
     let full = problem.props.id("full").unwrap();
     let ack = problem.props.id("ack").unwrap();
-    let (nf, na) = (
-        problem.arena.neg_prop(full),
-        problem.arena.neg_prop(ack),
-    );
+    let (nf, na) = (problem.arena.neg_prop(full), problem.arena.neg_prop(ack));
     let st = problem.arena.and(nf, na);
     let ax = problem.arena.ax(1, na);
     let cl = problem.arena.implies(st, ax);
@@ -104,6 +101,9 @@ fn omission_simulation_recovers_the_cycle() {
             .iter()
             .filter(|v| v.contains(full))
             .count();
-        assert!(refills > 0, "seed {seed}: production stalled after omission");
+        assert!(
+            refills > 0,
+            "seed {seed}: production stalled after omission"
+        );
     }
 }

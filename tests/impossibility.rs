@@ -261,4 +261,3 @@ fn broken_task_problem(tol: Tolerance) -> SynthesisProblem {
     .unwrap();
     SynthesisProblem::new(arena, props, spec, vec![fault], tol)
 }
-

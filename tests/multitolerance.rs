@@ -133,7 +133,9 @@ fn three_process_multitolerance_labels_survive_minimization() {
             continue;
         }
         for e in s.model.pred(st) {
-            let TransKind::Fault(a) = e.kind else { continue };
+            let TransKind::Fault(a) = e.kind else {
+                continue;
+            };
             if problem.faults[a].name().contains("P1") {
                 via_p1 += 1;
                 assert!(
@@ -154,7 +156,10 @@ fn three_process_multitolerance_labels_survive_minimization() {
         }
     }
     assert!(via_p1 > 0, "some perturbed state is reached by a P1 fault");
-    assert!(via_rest > 0, "some perturbed state is reached by a P2/P3 fault");
+    assert!(
+        via_rest > 0,
+        "some perturbed state is reached by a P2/P3 fault"
+    );
 }
 
 #[test]

@@ -73,9 +73,7 @@ fn normal_states_cover_the_fault_free_mutex_valuations() {
     let copies = s
         .model
         .state_ids()
-        .filter(|st| {
-            roles2[st.index()] == StateRole::Normal && s.model.state(*st).props == t1t2
-        })
+        .filter(|st| roles2[st.index()] == StateRole::Normal && s.model.state(*st).props == t1t2)
         .count();
     assert!(copies >= 2, "the paper's two [T1 T2] states");
 }

@@ -41,8 +41,12 @@ fn nobody_starves_at_the_table() {
     let s = synthesize(&mut problem).unwrap_solved();
     let mut ck = Checker::new(&s.model, Semantics::FaultFree);
     for i in 1..=3 {
-        let t = problem.arena.prop(problem.props.id(&format!("T{i}")).unwrap());
-        let c = problem.arena.prop(problem.props.id(&format!("C{i}")).unwrap());
+        let t = problem
+            .arena
+            .prop(problem.props.id(&format!("T{i}")).unwrap());
+        let c = problem
+            .arena
+            .prop(problem.props.id(&format!("C{i}")).unwrap());
         let af = problem.arena.af(c);
         let imp = problem.arena.implies(t, af);
         let ag = problem.arena.ag(imp);

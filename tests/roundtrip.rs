@@ -15,8 +15,8 @@
 //!    temporal specification at its initial state under `⊨ₙ` and the
 //!    tolerance labels at its perturbed states, and is fault-closed.
 
-use ftsyn::kripke::{Checker, FtKripke, Semantics, StateRole, TransKind};
 use ftsyn::guarded::interp::explore;
+use ftsyn::kripke::{Checker, FtKripke, Semantics, StateRole, TransKind};
 use ftsyn::{problems::barrier, problems::mutex, synthesize, Tolerance};
 use std::collections::BTreeSet;
 
@@ -31,7 +31,9 @@ fn state_key(m: &FtKripke, s: ftsyn::kripke::StateId) -> StateKey {
 
 /// The fault-free reachable restriction of a structure as comparable
 /// sets of states and labeled program edges.
-fn fault_free_restriction(m: &FtKripke) -> (BTreeSet<StateKey>, BTreeSet<(StateKey, usize, StateKey)>) {
+fn fault_free_restriction(
+    m: &FtKripke,
+) -> (BTreeSet<StateKey>, BTreeSet<(StateKey, usize, StateKey)>) {
     let roles = m.classify();
     let mut states = BTreeSet::new();
     let mut edges = BTreeSet::new();
@@ -51,7 +53,11 @@ fn fault_free_restriction(m: &FtKripke) -> (BTreeSet<StateKey>, BTreeSet<(StateK
     (states, edges)
 }
 
-fn check_fault_free_exact(model: &FtKripke, program: &ftsyn::guarded::Program, props: &ftsyn::ctl::PropTable) {
+fn check_fault_free_exact(
+    model: &FtKripke,
+    program: &ftsyn::guarded::Program,
+    props: &ftsyn::ctl::PropTable,
+) {
     let regen = explore(program, &[], props).expect("fault-free exploration");
     let (ms, me) = fault_free_restriction(model);
     let (rs, re) = fault_free_restriction(&regen.kripke);
@@ -59,7 +65,10 @@ fn check_fault_free_exact(model: &FtKripke, program: &ftsyn::guarded::Program, p
     assert_eq!(me, re, "fault-free transition relations differ");
 }
 
-fn check_faulty_semantics(problem: &mut ftsyn::SynthesisProblem, program: &ftsyn::guarded::Program) {
+fn check_faulty_semantics(
+    problem: &mut ftsyn::SynthesisProblem,
+    program: &ftsyn::guarded::Program,
+) {
     let regen = explore(program, &problem.faults, &problem.props).expect("faulty exploration");
     let m = &regen.kripke;
     let spec_formula = problem.spec.formula(&mut problem.arena);
