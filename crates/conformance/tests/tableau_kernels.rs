@@ -8,9 +8,12 @@
 
 use ftsyn::ctl::{parse::parse, Closure, FormulaArena, LabelSet, Owner, PropTable};
 use ftsyn::guarded::{BoolExpr, FaultAction, PropAssign};
+use ftsyn::problems::mutex;
 use ftsyn::tableau::{
     blocks, build_shared_cache_governed, build_with_threads, tiles, ExpansionCache, FaultSpec,
+    NodeKind,
 };
+use ftsyn::Tolerance;
 use ftsyn_conformance::differential::assert_tableaux_identical;
 use ftsyn_conformance::reference::{
     blocks_naive, build_reference, naive_is_prop_consistent, tiles_naive,
@@ -170,4 +173,27 @@ fn build_matches_reference_kernels() {
             assert_tableaux_identical(&format!("{spec}@{threads}"), &oracle, &fast);
         }
     }
+}
+
+/// `blocks` agrees with the naive oracle on every OR-label of
+/// mutex3-failstop-masking's tableau. Its fault successors pin whole
+/// valuations, so their `Blocks` keep more than 64 minimal labels —
+/// several blocks of the minimal filter's index, which the tiny random
+/// closures above never reach.
+#[test]
+fn blocks_match_naive_oracle_on_a_fault_tableau() {
+    let mut problem = mutex::with_fail_stop(3, Tolerance::Masking);
+    let (closure, faults, root) = problem.tableau_inputs();
+    let (tableau, _) = build_with_threads(&closure, &problem.props, root, &faults, 1);
+    let mut wide = 0;
+    for id in tableau.node_ids() {
+        let node = tableau.node(id);
+        if node.kind != NodeKind::Or || node.dummy {
+            continue;
+        }
+        let fast = blocks(&closure, &node.label);
+        assert_eq!(fast, blocks_naive(&closure, &node.label), "{id:?}");
+        wide += usize::from(fast.len() > 64);
+    }
+    assert!(wide > 0, "no Blocks kept more than 64 labels");
 }

@@ -27,6 +27,11 @@ const POLL_EVERY: usize = 256;
 /// but no `EX` formula for any process is split into one variant per
 /// process `i`, each adding `EXᵢ true` — otherwise the `AX` obligations
 /// would be vacuous for lack of successors.
+///
+/// Only the ⊆-minimal labels are returned, in the order the expansion
+/// produced them. On fault-heavy problems the candidates outnumber the
+/// minimal labels ~20:1, so the filter that drops them costs about as
+/// much as the expansion tree; see [`minimal_labels`].
 pub fn blocks(closure: &Closure, label: &LabelSet) -> Vec<LabelSet> {
     blocks_polled(closure, label, &|| Ok(())).expect("an inert poll never interrupts")
 }
@@ -48,7 +53,6 @@ pub(crate) fn blocks_polled(
         }
     };
     let mut done: Vec<LabelSet> = Vec::new();
-    let mut done_set: HashSet<LabelSet> = HashSet::new();
     // Branch = (accumulated label, unexpanded α/elementary, unexpanded β).
     // β-formulae are deferred until no α work remains, and a β whose
     // component is already in the branch is *discharged* without
@@ -97,9 +101,7 @@ pub(crate) fn blocks_polled(
             }
         }
         if betas.is_empty() {
-            if done_set.insert(acc.clone()) {
-                done.push(acc);
-            }
+            done.push(acc);
             continue;
         }
         // Choose which β to resolve next. Preferring *determined* βs —
@@ -183,7 +185,9 @@ pub(crate) fn blocks_polled(
         }
     }
 
-    // Split labels that have AX formulae but no EX formula at all.
+    // Split labels that have AX formulae but no EX formula at all, and
+    // drop repeated leaves (the DFS can reach one label along several
+    // branches): `out_set` keeps every label's first occurrence.
     let mut out: Vec<LabelSet> = Vec::new();
     let mut out_set: HashSet<LabelSet> = HashSet::new();
     for acc in done {
@@ -206,50 +210,117 @@ pub(crate) fn blocks_polled(
     // and is satisfiable whenever the superset is, so dropping supersets
     // preserves both soundness and completeness while keeping the
     // tableau (and the final model) small.
-    //
-    // A strict subset has strictly smaller cardinality, so only labels
-    // from smaller size classes can shadow `a`. Labels are processed in
-    // ascending size order and each is compared only against the
-    // strictly-smaller labels *already accepted as minimal*. That is the
-    // same predicate as scanning every smaller label: if any smaller
-    // label `b ⊆ a` exists, take a minimum-size such `b*` — nothing
-    // strictly smaller is a subset of `b*` (it would also be a smaller
-    // subset of `a`), so `b*` itself is accepted, and the accepted-only
-    // scan finds it. Equal-size labels never shadow each other (strict
-    // subsets are strictly smaller), so the unstable sort's tie order is
-    // irrelevant. The minimal set is typically ~10x smaller than the
-    // candidate set, which turns the dominant cost of `Blocks` on
-    // fault-heavy problems (many distinct size classes of
-    // partially-determined branches) into noise.
-    let sizes: Vec<usize> = out.iter().map(LabelSet::len).collect();
-    let mut by_size: Vec<usize> = (0..out.len()).collect();
-    by_size.sort_unstable_by_key(|&i| sizes[i]);
-    let mut keep = vec![false; out.len()];
-    // Monotone one-word summaries: a failing fingerprint test refutes
-    // `out[j] ⊆ out[i]` without touching the words, and a passing one
-    // changes nothing — the kept set is identical.
-    let fps: Vec<u64> = out.iter().map(LabelSet::fingerprint).collect();
-    // Indices of accepted minimal labels, in ascending size order (the
-    // processing order).
-    let mut accepted: Vec<usize> = Vec::new();
-    for &i in &by_size {
-        tick()?;
-        let shadowed = accepted
-            .iter()
-            .take_while(|&&j| sizes[j] < sizes[i])
-            .any(|&j| fps[j] & !fps[i] == 0 && out[j].is_subset(&out[i]));
-        if !shadowed {
-            keep[i] = true;
-            accepted.push(i);
+    minimal_labels(out, &mut tick)
+}
+
+/// The ⊆-minimal members of `labels`, in their original order.
+/// `labels` must be pairwise distinct (the `Blocks` candidates are).
+///
+/// Labels are processed in ascending size and each is tested only
+/// against the labels *already accepted as minimal*. That is the same
+/// predicate as testing every other label: if some `b ⊂ a` exists, a
+/// minimum-size such `b*` has no subset of its own (it would also be a
+/// smaller subset of `a`), so `b*` is accepted before `a` is tested.
+/// An accepted label is no larger than `a` and differs from it, so an
+/// accepted subset of `a` is a strict one, and the unstable sort's tie
+/// order is irrelevant.
+///
+/// The subset tests go through an exact inverted index. Every label
+/// holds the bits common to all of them (`core`), so `b ⊆ a` iff `b`
+/// lacks every *varying* bit that `a` lacks. Each varying bit has one
+/// bitset row over the accepted labels, marking those that lack it;
+/// `a` is shadowed iff the AND of the rows of the varying bits `a`
+/// lacks is non-zero. Rows are stored block-major, 64 accepted labels
+/// per word, so one test is a few ANDs per block with an early exit
+/// once a block's AND is zero. Fault-successor OR-labels pin a whole
+/// valuation and yield tens of thousands of candidates that share all
+/// but ~70 of their ~270 bits, which saturates any one-word summary of
+/// the labels; the index touches only the varying bits.
+fn minimal_labels(
+    labels: Vec<LabelSet>,
+    tick: &mut dyn FnMut() -> Result<(), AbortReason>,
+) -> Result<Vec<LabelSet>, AbortReason> {
+    if labels.len() < 2 {
+        return Ok(labels);
+    }
+    let mut core = labels[0].words().to_vec();
+    let mut any = vec![0u64; core.len()];
+    for l in &labels {
+        for ((c, a), &w) in core.iter_mut().zip(any.iter_mut()).zip(l.words()) {
+            *c &= w;
+            *a |= w;
         }
     }
-    // Emit in the original candidate order.
-    Ok(out
-        .iter()
-        .enumerate()
-        .filter(|&(i, _)| keep[i])
-        .map(|(_, a)| a.clone())
-        .collect())
+    // `var[w]` holds the varying bits of word `w`; `base[w]` is the
+    // dense id of its lowest one. Distinct labels make `nvar` ≥ 1.
+    let var: Vec<u64> = any.iter().zip(&core).map(|(a, c)| a & !c).collect();
+    let mut base = Vec::with_capacity(var.len());
+    let mut nvar = 0usize;
+    for v in &var {
+        base.push(nvar);
+        nvar += v.count_ones() as usize;
+    }
+    let lacked = |l: &LabelSet, ids: &mut Vec<usize>| {
+        ids.clear();
+        for (w, (&v, &word)) in var.iter().zip(l.words()).enumerate() {
+            let mut missing = v & !word;
+            while missing != 0 {
+                let below = (1u64 << missing.trailing_zeros()) - 1;
+                ids.push(base[w] + (v & below).count_ones() as usize);
+                missing &= missing - 1;
+            }
+        }
+    };
+
+    let sizes: Vec<usize> = labels.iter().map(LabelSet::len).collect();
+    let mut by_size: Vec<usize> = (0..labels.len()).collect();
+    by_size.sort_unstable_by_key(|&i| sizes[i]);
+    let mut keep = vec![false; labels.len()];
+    // `rows[block * nvar + v]` has bit `k` set iff accepted label
+    // `64 * block + k` lacks varying bit `v`.
+    let mut rows: Vec<u64> = Vec::new();
+    let mut accepted = 0usize;
+    let mut lacks: Vec<usize> = Vec::new();
+    for &i in &by_size {
+        tick()?;
+        lacked(&labels[i], &mut lacks);
+        // Bits past the last accepted label are zero in every row, so
+        // the partial last block needs no mask: only a label lacking no
+        // varying bit ANDs no rows, and it is a superset of every
+        // accepted label.
+        let shadowed = rows.chunks_exact(nvar).any(|row| {
+            let mut hit = !0u64;
+            for &v in &lacks {
+                hit &= row[v];
+                if hit == 0 {
+                    break;
+                }
+            }
+            hit != 0
+        });
+        if !shadowed {
+            keep[i] = true;
+            if accepted.is_multiple_of(64) {
+                rows.resize(rows.len() + nvar, 0);
+            }
+            let row = &mut rows[accepted / 64 * nvar..];
+            for &v in &lacks {
+                row[v] |= 1u64 << (accepted % 64);
+            }
+            accepted += 1;
+        }
+    }
+    // A fresh vector: collecting `labels.into_iter()` in place would
+    // keep the capacity of every candidate, ~20x the kept labels, and
+    // the result is retained by the `ExpansionCache`.
+    let mut minimal = Vec::with_capacity(accepted);
+    minimal.extend(
+        labels
+            .into_iter()
+            .zip(keep)
+            .filter_map(|(l, k)| k.then_some(l)),
+    );
+    Ok(minimal)
 }
 
 /// One `Tiles` successor requirement of an AND-node.
@@ -364,6 +435,7 @@ pub fn tiles(closure: &Closure, props: &PropTable, label: &LabelSet) -> Vec<Tile
 mod tests {
     use super::*;
     use ftsyn_ctl::{parse::parse, Closure, FormulaArena, LabelSet, Owner, PropTable};
+    use ftsyn_prng::XorShift64;
 
     fn setup(formulas: &[&str], procs: usize) -> (PropTable, Closure, Vec<LabelSet>) {
         let mut props = PropTable::new();
@@ -456,6 +528,119 @@ mod tests {
             let has_ex_true = (0..2).any(|i| b.contains(cl.ex_true(i)));
             assert!(has_ex_true);
         }
+    }
+
+    /// All-pairs oracle for [`minimal_labels`]: a distinct label is
+    /// kept iff no other label is a subset of it.
+    fn minimal_brute_force(labels: &[LabelSet]) -> Vec<LabelSet> {
+        labels
+            .iter()
+            .enumerate()
+            .filter(|&(i, a)| {
+                !labels
+                    .iter()
+                    .enumerate()
+                    .any(|(j, b)| j != i && b.is_subset(a))
+            })
+            .map(|(_, a)| a.clone())
+            .collect()
+    }
+
+    fn minimal_indexed(labels: Vec<LabelSet>) -> Vec<LabelSet> {
+        minimal_labels(labels, &mut || Ok(())).expect("an inert poll never interrupts")
+    }
+
+    /// A seeded family shaped like fault-successor candidates: shared
+    /// `core` bits, a varying part of `nvar` positions, many same-size
+    /// minimal labels (ties, several 64-label blocks), random supersets
+    /// of them, random labels of any size, and sometimes the label
+    /// holding every varying bit (it ANDs no rows) or the bare core (it
+    /// shadows everything). Deduplicated, first occurrence kept.
+    fn random_family(rng: &mut XorShift64) -> (Vec<LabelSet>, usize) {
+        let width = rng.range(3, 8);
+        let nvar = rng.range(8, 64 * width / 2);
+        let mut positions: Vec<usize> = (0..64 * width).collect();
+        for i in 0..positions.len() {
+            let j = rng.range(i, positions.len());
+            positions.swap(i, j);
+        }
+        let (varying, rest) = positions.split_at(nvar);
+        let mut core = vec![0u64; width];
+        for &p in rest {
+            if rng.chance(0.5) {
+                core[p / 64] |= 1 << (p % 64);
+            }
+        }
+        let label = |rng: &mut XorShift64, pick: &dyn Fn(&mut _) -> bool| {
+            let mut words = core.clone();
+            for &p in varying {
+                if pick(rng) {
+                    words[p / 64] |= 1 << (p % 64);
+                }
+            }
+            LabelSet::from_words(words)
+        };
+        let mut labels = Vec::new();
+        let k = 1 + rng.below(nvar / 4);
+        for _ in 0..rng.below(200) {
+            let p = k as f64 / nvar as f64;
+            labels.push(label(rng, &|r: &mut XorShift64| r.chance(p)));
+        }
+        for _ in 0..rng.below(200) {
+            if labels.is_empty() {
+                break;
+            }
+            let mut words = labels[rng.below(labels.len())].words().to_vec();
+            for _ in 0..1 + rng.below(4) {
+                let p = varying[rng.below(nvar)];
+                words[p / 64] |= 1 << (p % 64);
+            }
+            labels.push(LabelSet::from_words(words));
+        }
+        let density = rng.next_f64();
+        for _ in 0..rng.below(100) {
+            labels.push(label(rng, &|r: &mut XorShift64| r.chance(density)));
+        }
+        if rng.chance(0.3) {
+            labels.push(label(rng, &|_: &mut XorShift64| true));
+        }
+        if rng.chance(0.05) {
+            labels.push(label(rng, &|_: &mut XorShift64| false));
+        }
+        for i in 0..labels.len() {
+            let j = rng.range(i, labels.len());
+            labels.swap(i, j);
+        }
+        let mut seen = HashSet::new();
+        labels.retain(|l| seen.insert(l.clone()));
+        (labels, nvar)
+    }
+
+    #[test]
+    fn indexed_minimal_filter_matches_all_pairs_oracle() {
+        let mut rng = XorShift64::new(0xB10C_5EED);
+        let (mut wide, mut ties, mut multi_block, mut partial_block) = (false, false, false, false);
+        for case in 0..300 {
+            let (labels, nvar) = random_family(&mut rng);
+            let expect = minimal_brute_force(&labels);
+            let sizes: HashSet<usize> = expect.iter().map(LabelSet::len).collect();
+            wide |= nvar > 64;
+            ties |= sizes.len() < expect.len();
+            multi_block |= expect.len() > 128;
+            partial_block |= expect.len() > 64 && !expect.len().is_multiple_of(64);
+            assert_eq!(minimal_indexed(labels), expect, "case {case}");
+        }
+        assert!(
+            wide && ties && multi_block && partial_block,
+            "families miss a path"
+        );
+    }
+
+    #[test]
+    fn indexed_minimal_filter_handles_empty_and_singleton_input() {
+        assert!(minimal_indexed(Vec::new()).is_empty());
+        let one = vec![LabelSet::from_words(vec![0b1011, 0, 1 << 63])];
+        assert_eq!(minimal_indexed(one.clone()), one);
     }
 
     #[test]
