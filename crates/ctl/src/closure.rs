@@ -137,8 +137,8 @@ pub struct ClosureEntry {
 pub struct Closure {
     entries: Vec<ClosureEntry>,
     pos: HashMap<FormulaId, ClosureIdx>,
-    /// `lit_pos[p] = (idx of p, idx of ¬p)` if both are present.
-    lit_idx: HashMap<PropId, (Option<ClosureIdx>, Option<ClosureIdx>)>,
+    /// `lit_idx[p.index()] = [idx of p, idx of ¬p]`, `NO_IDX` when absent.
+    lit_idx: Vec<[ClosureIdx; 2]>,
     /// `EXᵢ true` for each process, if registered.
     ex_true: Vec<ClosureIdx>,
     false_idx: ClosureIdx,
@@ -255,25 +255,18 @@ impl Closure {
         let pos: HashMap<FormulaId, ClosureIdx> = seen;
         let idx_of = |f: FormulaId| -> ClosureIdx { *pos.get(&f).expect("closure is closed") };
         let mut entries = Vec::with_capacity(order.len());
-        let mut lit_idx: HashMap<PropId, (Option<ClosureIdx>, Option<ClosureIdx>)> = HashMap::new();
-        for (i, &f) in order.iter().enumerate() {
+        for &f in &order {
             let kind = match arena.get(f) {
                 Formula::True => EntryKind::True,
                 Formula::False => EntryKind::False,
-                Formula::Prop(p) => {
-                    lit_idx.entry(p).or_default().0 = Some(i as ClosureIdx);
-                    EntryKind::Lit {
-                        prop: p,
-                        positive: true,
-                    }
-                }
-                Formula::NegProp(p) => {
-                    lit_idx.entry(p).or_default().1 = Some(i as ClosureIdx);
-                    EntryKind::Lit {
-                        prop: p,
-                        positive: false,
-                    }
-                }
+                Formula::Prop(p) => EntryKind::Lit {
+                    prop: p,
+                    positive: true,
+                },
+                Formula::NegProp(p) => EntryKind::Lit {
+                    prop: p,
+                    positive: false,
+                },
                 Formula::And(a, b) => EntryKind::And {
                     a: idx_of(a),
                     b: idx_of(b),
@@ -339,8 +332,17 @@ impl Closure {
         let mut adj_pos_mask = vec![0u64; words].into_boxed_slice();
         let mut slow_pairs: Vec<(ClosureIdx, ClosureIdx)> = Vec::new();
         let mut opposite_lit = vec![NO_IDX; entries.len()].into_boxed_slice();
-        for &(p, n) in lit_idx.values() {
-            if let (Some(pi), Some(ni)) = (p, n) {
+        let mut lit_idx = vec![[NO_IDX; 2]; props.len()];
+        for (i, e) in entries.iter().enumerate() {
+            if let EntryKind::Lit { prop, positive } = e.kind {
+                if lit_idx.len() <= prop.index() {
+                    lit_idx.resize(prop.index() + 1, [NO_IDX; 2]);
+                }
+                lit_idx[prop.index()][usize::from(!positive)] = i as ClosureIdx;
+            }
+        }
+        for &[pi, ni] in &lit_idx {
+            if pi != NO_IDX && ni != NO_IDX {
                 opposite_lit[pi as usize] = ni;
                 opposite_lit[ni as usize] = pi;
                 if ni == pi + 1 && pi % 64 != 63 {
@@ -350,7 +352,6 @@ impl Closure {
                 }
             }
         }
-        slow_pairs.sort_unstable(); // lit_idx iteration order is random
         let mut ax_mask = vec![0u64; words].into_boxed_slice();
         let mut ex_mask = vec![0u64; words].into_boxed_slice();
         for (i, e) in entries.iter().enumerate() {
@@ -418,11 +419,9 @@ impl Closure {
     /// Closure indices of the positive/negative literal of `p`, when
     /// registered.
     pub fn literal(&self, p: PropId, positive: bool) -> Option<ClosureIdx> {
-        let &(pos, neg) = self.lit_idx.get(&p)?;
-        if positive {
-            pos
-        } else {
-            neg
+        match self.lit_idx.get(p.index())?[usize::from(!positive)] {
+            NO_IDX => None,
+            i => Some(i),
         }
     }
 

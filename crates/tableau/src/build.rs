@@ -199,8 +199,10 @@ pub struct BuildProfile {
     /// work-stealing builds this is the *sum* across workers, so it can
     /// exceed wall-clock time when expansion overlaps the commit pass.
     pub expand_time: Duration,
-    /// Time applying steps: interning, edges, frontier bookkeeping
-    /// (inherently sequential).
+    /// Time applying steps on the committing thread: interning, edge
+    /// insertion (appends to the nodes' `succ`/`pred` lists, with a
+    /// repeat check only among one fault action's outcomes) and
+    /// frontier bookkeeping. Inherently sequential.
     pub apply_time: Duration,
     /// Portion of [`BuildProfile::apply_time`] spent probing/creating
     /// nodes in the label-intern tables.
@@ -220,22 +222,23 @@ pub struct BuildProfile {
 /// their [`LabelSet::stable_hash`], computed on the (parallel) worker
 /// side so the sequential intern pass probes with a ready-made hash.
 enum Step {
-    /// OR-node child: intern the AND-node for this block.
-    And { label: LabelSet, hash: u64 },
-    /// AND-node `Tiles` successor for process `proc`.
-    Or {
-        proc: usize,
+    /// Intern `label` and draw a `kind` edge to it: an AND-node for an
+    /// OR-node's `Blocks` (`Unlabeled`), an OR-node for an AND-node's
+    /// `Tiles` (`Proc`) or fault outcomes (`Fault`).
+    Edge {
+        kind: EdgeKind,
         label: LabelSet,
         hash: u64,
     },
     /// AND-node dummy self-loop (pure-propositional tile).
     Dummy,
-    /// Fault successor of action `action` with the perturbed label.
-    Fault {
-        action: usize,
-        label: LabelSet,
-        hash: u64,
-    },
+}
+
+impl Step {
+    fn edge(kind: EdgeKind, label: LabelSet) -> Step {
+        let hash = label.stable_hash();
+        Step::Edge { kind, label, hash }
+    }
 }
 
 /// The pure half of expanding one non-dummy node (dummy OR-nodes have
@@ -271,10 +274,7 @@ fn expand_task(
             };
             let steps = bs
                 .into_iter()
-                .map(|label| {
-                    let hash = label.stable_hash();
-                    Step::And { label, hash }
-                })
+                .map(|label| Step::edge(EdgeKind::Unlabeled, label))
                 .collect();
             Ok((steps, fill))
         }
@@ -293,17 +293,10 @@ fn expand_task(
                 }
             };
             for tile in ts {
-                match tile {
-                    Tile::Or { proc, or_label } => {
-                        let hash = or_label.stable_hash();
-                        steps.push(Step::Or {
-                            proc,
-                            label: or_label,
-                            hash,
-                        });
-                    }
-                    Tile::Dummy => steps.push(Step::Dummy),
-                }
+                steps.push(match tile {
+                    Tile::Or { proc, or_label } => Step::edge(EdgeKind::Proc(proc), or_label),
+                    Tile::Dummy => Step::Dummy,
+                });
             }
             // Fault successors (Definition 5.1.2).
             let valuation = valuation_of(closure, props, label);
@@ -313,12 +306,7 @@ fn expand_task(
                 }
                 for phi in action.outcomes(&valuation, props.len()) {
                     let label = fault_or_label(closure, props, &phi, &faults.tolerance_labels[ai]);
-                    let hash = label.stable_hash();
-                    steps.push(Step::Fault {
-                        action: ai,
-                        label,
-                        hash,
-                    });
+                    steps.push(Step::edge(EdgeKind::Fault(ai), label));
                 }
             }
             Ok((steps, fill))
@@ -681,33 +669,15 @@ fn commit_batch(
         let mut plans = Vec::with_capacity(steps.len());
         for step in steps {
             let plan = match step {
-                Step::And { label, hash } => {
+                Step::Edge { kind, label, hash } => {
                     profile.intern_probes += 1;
-                    let (target, fresh) = t.intern_and_hashed(label, hash);
+                    let (target, fresh) = if kind == EdgeKind::Unlabeled {
+                        t.intern_and_hashed(label, hash)
+                    } else {
+                        t.intern_or_hashed(label, hash)
+                    };
                     Planned::Edge {
-                        kind: EdgeKind::Unlabeled,
-                        target,
-                        fresh,
-                    }
-                }
-                Step::Or { proc, label, hash } => {
-                    profile.intern_probes += 1;
-                    let (target, fresh) = t.intern_or_hashed(label, hash);
-                    Planned::Edge {
-                        kind: EdgeKind::Proc(proc),
-                        target,
-                        fresh,
-                    }
-                }
-                Step::Fault {
-                    action,
-                    label,
-                    hash,
-                } => {
-                    profile.intern_probes += 1;
-                    let (target, fresh) = t.intern_or_hashed(label, hash);
-                    Planned::Edge {
-                        kind: EdgeKind::Fault(action),
+                        kind,
                         target,
                         fresh,
                     }
@@ -722,6 +692,12 @@ fn commit_batch(
     }
     profile.intern_time += t0.elapsed();
 
+    // Each node's out-edges are drawn here, once, so only its own steps
+    // can repeat an edge. `Blocks` labels and `Tiles` are distinct, and
+    // a dummy is fresh; only two outcomes of one fault action can land
+    // on one label (when its tolerance label holds both literals of a
+    // proposition they differ in). Those steps are adjacent, so the
+    // check scans only the run of the action's edges drawn so far.
     let mut fresh_nodes = Vec::new();
     for (id, plans) in planned {
         for plan in plans {
@@ -731,14 +707,23 @@ fn commit_batch(
                     target,
                     fresh,
                 } => {
-                    t.add_edge(id, kind, target);
+                    let repeat = kind.is_fault()
+                        && t.node(id)
+                            .succ
+                            .iter()
+                            .rev()
+                            .take_while(|&&(k, _)| k == kind)
+                            .any(|&(_, to)| to == target);
+                    if !repeat {
+                        t.push_edge(id, kind, target);
+                    }
                     if fresh {
                         fresh_nodes.push(target);
                     }
                 }
                 Planned::DummyPair { dummy } => {
-                    t.add_edge(id, EdgeKind::Dummy, dummy);
-                    t.add_edge(dummy, EdgeKind::Unlabeled, id);
+                    t.push_edge(id, EdgeKind::Dummy, dummy);
+                    t.push_edge(dummy, EdgeKind::Unlabeled, id);
                 }
             }
         }

@@ -5,8 +5,8 @@
 //! A [`Checkpoint`] captures everything the deterministic scheduler
 //! needs to continue as if the abort never happened: the partial
 //! tableau (nodes, labels, edge and predecessor order — the intern
-//! tables and edge-dedup set are re-derived bit-identically by
-//! [`Tableau::from_build_nodes`]), the injected-but-uncommitted batches
+//! tables and alive-successor counters are re-derived bit-identically
+//! by [`Tableau::from_build_nodes`]), the injected-but-uncommitted batches
 //! in sequence order, the fresh nodes of the last committed batch that
 //! were never batched (the governor polls *between* a commit and its
 //! fresh-node injection), and the deterministic work counters
@@ -269,7 +269,7 @@ impl Checkpoint {
     }
 
     /// Deserializes a blob produced by [`Checkpoint::encode`],
-    /// rebuilding the tableau (intern tables and edge-dedup set
+    /// rebuilding the tableau (intern tables and alive-successor counters
     /// re-derived bit-identically).
     ///
     /// Accepts every version from [`CHECKPOINT_MIN_FORMAT_VERSION`] up
@@ -649,7 +649,7 @@ mod tests {
         assert_eq!(t.intern_or(label(&[0b110])), (NodeId(2), false));
         // …the dummy node's label is NOT deduplicated against it…
         assert_eq!(t.intern_or(label(&[0b011])), (NodeId(4), true));
-        // …and a known edge is not re-added (edge_set round-trips).
+        // …and a known edge is not re-added (`add_edge` checks `succ`).
         t.add_edge(NodeId(1), EdgeKind::Proc(2), NodeId(0));
         assert_eq!(t.node(NodeId(1)).succ.len(), 3);
     }

@@ -3,7 +3,6 @@
 
 use crate::governor::AbortReason;
 use ftsyn_ctl::{Closure, ClosureIdx, EntryKind, Expansion, LabelSet, Owner, PropTable};
-use std::collections::HashSet;
 
 /// Worklist pops (and minimal-filter rows) of one `Blocks` expansion
 /// between two calls of its interrupt poll. `Blocks` is exponential in
@@ -28,10 +27,11 @@ const POLL_EVERY: usize = 256;
 /// process `i`, each adding `EXᵢ true` — otherwise the `AX` obligations
 /// would be vacuous for lack of successors.
 ///
-/// Only the ⊆-minimal labels are returned, in the order the expansion
-/// produced them. On fault-heavy problems the candidates outnumber the
-/// minimal labels ~20:1, so the filter that drops them costs about as
-/// much as the expansion tree; see [`minimal_labels`].
+/// Only the ⊆-minimal labels are returned, each once, in the order the
+/// expansion first produced them. On fault-heavy problems the
+/// candidates outnumber the minimal labels ~20:1, so the filter that
+/// drops them costs about as much as the expansion tree; see
+/// [`minimal_labels`].
 pub fn blocks(closure: &Closure, label: &LabelSet) -> Vec<LabelSet> {
     blocks_polled(closure, label, &|| Ok(())).expect("an inert poll never interrupts")
 }
@@ -52,6 +52,22 @@ pub(crate) fn blocks_polled(
             Ok(())
         }
     };
+    let out = candidates(closure, label, &mut tick)?;
+    // Minimal-branch filtering: a label that is a strict superset of
+    // another is redundant — the subset label imposes fewer obligations
+    // and is satisfiable whenever the superset is, so dropping supersets
+    // preserves both soundness and completeness while keeping the
+    // tableau (and the final model) small.
+    minimal_labels(out, &mut tick)
+}
+
+/// The leaves of the `Blocks` expansion tree in the order the search
+/// finds them, after the `AX` split; a label may occur more than once.
+fn candidates(
+    closure: &Closure,
+    label: &LabelSet,
+    tick: &mut dyn FnMut() -> Result<(), AbortReason>,
+) -> Result<Vec<LabelSet>, AbortReason> {
     let mut done: Vec<LabelSet> = Vec::new();
     // Branch = (accumulated label, unexpanded α/elementary, unexpanded β).
     // β-formulae are deferred until no α work remains, and a β whose
@@ -185,45 +201,37 @@ pub(crate) fn blocks_polled(
         }
     }
 
-    // Split labels that have AX formulae but no EX formula at all, and
-    // drop repeated leaves (the DFS can reach one label along several
-    // branches): `out_set` keeps every label's first occurrence.
-    let mut out: Vec<LabelSet> = Vec::new();
-    let mut out_set: HashSet<LabelSet> = HashSet::new();
+    // Split labels that have AX formulae but no EX formula at all. The
+    // DFS can reach one label along several branches, and a split
+    // variant can equal another leaf; the minimal filter drops those
+    // repeats.
+    let mut out: Vec<LabelSet> = Vec::with_capacity(done.len());
     for acc in done {
-        let has_ax = closure.label_has_ax(&acc);
-        let has_ex = closure.label_has_ex(&acc);
-        if has_ax && !has_ex {
+        if closure.label_has_ax(&acc) && !closure.label_has_ex(&acc) {
             for i in 0..closure.num_procs() {
                 let mut v = acc.clone();
                 v.insert(closure.ex_true(i));
-                if out_set.insert(v.clone()) {
-                    out.push(v);
-                }
+                out.push(v);
             }
-        } else if out_set.insert(acc.clone()) {
+        } else {
             out.push(acc);
         }
     }
-    // Minimal-branch filtering: a label that is a strict superset of
-    // another is redundant — the subset label imposes fewer obligations
-    // and is satisfiable whenever the superset is, so dropping supersets
-    // preserves both soundness and completeness while keeping the
-    // tableau (and the final model) small.
-    minimal_labels(out, &mut tick)
+    Ok(out)
 }
 
-/// The ⊆-minimal members of `labels`, in their original order.
-/// `labels` must be pairwise distinct (the `Blocks` candidates are).
+/// The ⊆-minimal members of `labels` without repeats, in their original
+/// order: a label is kept at its first occurrence iff no other label is
+/// a strict subset of it.
 ///
 /// Labels are processed in ascending size and each is tested only
 /// against the labels *already accepted as minimal*. That is the same
 /// predicate as testing every other label: if some `b ⊂ a` exists, a
 /// minimum-size such `b*` has no subset of its own (it would also be a
 /// smaller subset of `a`), so `b*` is accepted before `a` is tested.
-/// An accepted label is no larger than `a` and differs from it, so an
-/// accepted subset of `a` is a strict one, and the unstable sort's tie
-/// order is irrelevant.
+/// The sort is stable, so of equal labels the first occurrence is
+/// tested first; it is accepted or shadowed exactly as its later copies
+/// are, and once accepted it shadows them (`b ⊆ a` holds for `b = a`).
 ///
 /// The subset tests go through an exact inverted index. Every label
 /// holds the bits common to all of them (`core`), so `b ⊆ a` iff `b`
@@ -237,7 +245,7 @@ pub(crate) fn blocks_polled(
 /// but ~70 of their ~270 bits, which saturates any one-word summary of
 /// the labels; the index touches only the varying bits.
 fn minimal_labels(
-    labels: Vec<LabelSet>,
+    mut labels: Vec<LabelSet>,
     tick: &mut dyn FnMut() -> Result<(), AbortReason>,
 ) -> Result<Vec<LabelSet>, AbortReason> {
     if labels.len() < 2 {
@@ -252,13 +260,17 @@ fn minimal_labels(
         }
     }
     // `var[w]` holds the varying bits of word `w`; `base[w]` is the
-    // dense id of its lowest one. Distinct labels make `nvar` ≥ 1.
+    // dense id of its lowest one. No varying bit means every label is
+    // the same one.
     let var: Vec<u64> = any.iter().zip(&core).map(|(a, c)| a & !c).collect();
     let mut base = Vec::with_capacity(var.len());
     let mut nvar = 0usize;
     for v in &var {
         base.push(nvar);
         nvar += v.count_ones() as usize;
+    }
+    if nvar == 0 {
+        return Ok(vec![labels.swap_remove(0)]);
     }
     let lacked = |l: &LabelSet, ids: &mut Vec<usize>| {
         ids.clear();
@@ -274,7 +286,7 @@ fn minimal_labels(
 
     let sizes: Vec<usize> = labels.iter().map(LabelSet::len).collect();
     let mut by_size: Vec<usize> = (0..labels.len()).collect();
-    by_size.sort_unstable_by_key(|&i| sizes[i]);
+    by_size.sort_by_key(|&i| sizes[i]);
     let mut keep = vec![false; labels.len()];
     // `rows[block * nvar + v]` has bit `k` set iff accepted label
     // `64 * block + k` lacks varying bit `v`.
@@ -286,8 +298,8 @@ fn minimal_labels(
         lacked(&labels[i], &mut lacks);
         // Bits past the last accepted label are zero in every row, so
         // the partial last block needs no mask: only a label lacking no
-        // varying bit ANDs no rows, and it is a superset of every
-        // accepted label.
+        // varying bit ANDs no rows, and it is a superset of (or equal
+        // to) every accepted label.
         let shadowed = rows.chunks_exact(nvar).any(|row| {
             let mut hit = !0u64;
             for &v in &lacks {
@@ -408,10 +420,12 @@ pub fn tiles(closure: &Closure, props: &PropTable, label: &LabelSet) -> Vec<Tile
         return vec![Tile::Dummy];
     }
     let mut out = Vec::new();
-    let mut out_set: HashSet<Tile> = HashSet::new();
     for (proc, exs) in ex_bodies.iter().enumerate() {
         // The shared AXᵢ-bodies part of each tile label is built once
-        // per process; each EXᵢ body is then added to a copy.
+        // per process; each EXᵢ body is then added to a copy. The EXᵢ
+        // bodies are distinct, so two tile labels of one process are
+        // equal iff both bodies already sit in the shared part: that
+        // label is emitted once, at its first body.
         let mut ax_label = closure.empty_label();
         if let Some(axs) = ax_bodies.get(proc) {
             for &a in axs {
@@ -419,13 +433,13 @@ pub fn tiles(closure: &Closure, props: &PropTable, label: &LabelSet) -> Vec<Tile
             }
         }
         pin_frame(closure, props, label, proc, &mut ax_label);
+        let mut shared_emitted = false;
         for &e in exs {
             let mut or_label = ax_label.clone();
-            or_label.insert(e);
-            let tile = Tile::Or { proc, or_label };
-            if out_set.insert(tile.clone()) {
-                out.push(tile);
+            if !or_label.insert(e) && std::mem::replace(&mut shared_emitted, true) {
+                continue;
             }
+            out.push(Tile::Or { proc, or_label });
         }
     }
     out
@@ -436,6 +450,7 @@ mod tests {
     use super::*;
     use ftsyn_ctl::{parse::parse, Closure, FormulaArena, LabelSet, Owner, PropTable};
     use ftsyn_prng::XorShift64;
+    use std::collections::HashSet;
 
     fn setup(formulas: &[&str], procs: usize) -> (PropTable, Closure, Vec<LabelSet>) {
         let mut props = PropTable::new();
@@ -530,17 +545,14 @@ mod tests {
         }
     }
 
-    /// All-pairs oracle for [`minimal_labels`]: a distinct label is
-    /// kept iff no other label is a subset of it.
+    /// All-pairs oracle for [`minimal_labels`]: a label is kept at its
+    /// first occurrence iff no other label is a strict subset of it.
     fn minimal_brute_force(labels: &[LabelSet]) -> Vec<LabelSet> {
         labels
             .iter()
             .enumerate()
             .filter(|&(i, a)| {
-                !labels
-                    .iter()
-                    .enumerate()
-                    .any(|(j, b)| j != i && b.is_subset(a))
+                !labels[..i].contains(a) && !labels.iter().any(|b| b != a && b.is_subset(a))
             })
             .map(|(_, a)| a.clone())
             .collect()
@@ -555,7 +567,8 @@ mod tests {
     /// minimal labels (ties, several 64-label blocks), random supersets
     /// of them, random labels of any size, and sometimes the label
     /// holding every varying bit (it ANDs no rows) or the bare core (it
-    /// shadows everything). Deduplicated, first occurrence kept.
+    /// shadows everything). Some labels repeat, and sometimes all of
+    /// them are one label.
     fn random_family(rng: &mut XorShift64) -> (Vec<LabelSet>, usize) {
         let width = rng.range(3, 8);
         let nvar = rng.range(8, 64 * width / 2);
@@ -607,33 +620,37 @@ mod tests {
         if rng.chance(0.05) {
             labels.push(label(rng, &|_: &mut XorShift64| false));
         }
+        for _ in 0..rng.below(labels.len() / 2 + 1) {
+            labels.push(labels[rng.below(labels.len())].clone());
+        }
+        if rng.chance(0.05) {
+            labels = vec![label(rng, &|r: &mut XorShift64| r.chance(0.5)); 1 + rng.below(300)];
+        }
         for i in 0..labels.len() {
             let j = rng.range(i, labels.len());
             labels.swap(i, j);
         }
-        let mut seen = HashSet::new();
-        labels.retain(|l| seen.insert(l.clone()));
         (labels, nvar)
     }
 
     #[test]
     fn indexed_minimal_filter_matches_all_pairs_oracle() {
         let mut rng = XorShift64::new(0xB10C_5EED);
-        let (mut wide, mut ties, mut multi_block, mut partial_block) = (false, false, false, false);
+        let mut paths = [false; 6];
         for case in 0..300 {
             let (labels, nvar) = random_family(&mut rng);
             let expect = minimal_brute_force(&labels);
             let sizes: HashSet<usize> = expect.iter().map(LabelSet::len).collect();
-            wide |= nvar > 64;
-            ties |= sizes.len() < expect.len();
-            multi_block |= expect.len() > 128;
-            partial_block |= expect.len() > 64 && !expect.len().is_multiple_of(64);
+            let distinct: HashSet<&LabelSet> = labels.iter().collect();
+            paths[0] |= nvar > 64;
+            paths[1] |= sizes.len() < expect.len();
+            paths[2] |= expect.len() > 128;
+            paths[3] |= expect.len() > 64 && !expect.len().is_multiple_of(64);
+            paths[4] |= distinct.len() < labels.len() && expect.len() > 64;
+            paths[5] |= distinct.len() == 1 && labels.len() > 20;
             assert_eq!(minimal_indexed(labels), expect, "case {case}");
         }
-        assert!(
-            wide && ties && multi_block && partial_block,
-            "families miss a path"
-        );
+        assert_eq!(paths, [true; 6], "families miss a path");
     }
 
     #[test]
@@ -641,6 +658,24 @@ mod tests {
         assert!(minimal_indexed(Vec::new()).is_empty());
         let one = vec![LabelSet::from_words(vec![0b1011, 0, 1 << 63])];
         assert_eq!(minimal_indexed(one.clone()), one);
+    }
+
+    /// An `AX`-split leaf's `EX₁ true` variant can equal another leaf:
+    /// the search resolves `q | EX₁ true` to `q` (discharging `q | r`,
+    /// no `EX` left, so the leaf is split) and to `EX₁ true` then `q`.
+    /// The filter keeps one copy, at its first occurrence.
+    #[test]
+    fn an_ax_split_variant_that_repeats_a_leaf_is_kept_once() {
+        let (_props, cl, labels) = setup(&["AX1 p & (q | r) & (q | EX1 true)"], 1);
+        let leaves = candidates(&cl, &labels[0], &mut || Ok(())).unwrap();
+        let distinct: HashSet<&LabelSet> = leaves.iter().collect();
+        assert!(
+            distinct.len() < leaves.len(),
+            "no repeated leaf: {leaves:?}"
+        );
+        let bs = blocks(&cl, &labels[0]);
+        assert_eq!(bs, minimal_brute_force(&leaves));
+        assert_eq!(bs.iter().collect::<HashSet<_>>().len(), bs.len());
     }
 
     #[test]

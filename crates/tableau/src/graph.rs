@@ -6,7 +6,7 @@
 //! the same type, identify them").
 
 use ftsyn_ctl::LabelSet;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::fmt;
 
 /// Identifier of a tableau node.
@@ -83,6 +83,19 @@ pub struct Node {
 }
 
 impl Node {
+    fn new(kind: NodeKind, label: LabelSet, dummy: bool) -> Node {
+        Node {
+            kind,
+            label,
+            succ: Vec::new(),
+            pred: Vec::new(),
+            deleted: false,
+            dummy,
+            alive_succ_prog: 0,
+            alive_succ_fault: 0,
+        }
+    }
+
     /// Total number of alive successors (program and fault edges).
     #[inline]
     pub fn alive_succ_total(&self) -> u32 {
@@ -140,16 +153,14 @@ pub type BuildNodeParts = (
     Vec<(EdgeKind, NodeId)>,
 );
 
-/// The tableau: an AND/OR graph with a root OR-node.
+/// The tableau: an AND/OR graph with a root OR-node. Edges live only in
+/// the nodes' `succ`/`pred` lists.
 #[derive(Clone, Debug)]
 pub struct Tableau {
     nodes: Vec<Node>,
     root: NodeId,
     and_index: LabelInterner,
     or_index: LabelInterner,
-    /// Edge dedup set: `(from, kind, to)` of every edge ever added, so
-    /// [`Tableau::add_edge`] is O(1) instead of scanning `succ`.
-    edge_set: HashSet<(NodeId, EdgeKind, NodeId)>,
     /// Every deletion in order. The worklist deletion engine consumes
     /// this with per-client cursors: a client that processed the first
     /// `k` entries catches up by looking only at `deletion_log[k..]`.
@@ -163,20 +174,10 @@ impl Tableau {
         let mut or_index = LabelInterner::new();
         or_index.insert(label.stable_hash(), root);
         Tableau {
-            nodes: vec![Node {
-                kind: NodeKind::Or,
-                label,
-                succ: Vec::new(),
-                pred: Vec::new(),
-                deleted: false,
-                dummy: false,
-                alive_succ_prog: 0,
-                alive_succ_fault: 0,
-            }],
+            nodes: vec![Node::new(NodeKind::Or, label, false)],
             root,
             and_index: LabelInterner::new(),
             or_index,
-            edge_set: HashSet::new(),
             deletion_log: Vec::new(),
         }
     }
@@ -226,16 +227,7 @@ impl Tableau {
         }
         let id = NodeId(self.nodes.len() as u32);
         self.and_index.insert(hash, id);
-        self.nodes.push(Node {
-            kind: NodeKind::And,
-            label,
-            succ: Vec::new(),
-            pred: Vec::new(),
-            deleted: false,
-            dummy: false,
-            alive_succ_prog: 0,
-            alive_succ_fault: 0,
-        });
+        self.nodes.push(Node::new(NodeKind::And, label, false));
         (id, true)
     }
 
@@ -252,16 +244,7 @@ impl Tableau {
         }
         let id = NodeId(self.nodes.len() as u32);
         self.or_index.insert(hash, id);
-        self.nodes.push(Node {
-            kind: NodeKind::Or,
-            label,
-            succ: Vec::new(),
-            pred: Vec::new(),
-            deleted: false,
-            dummy: false,
-            alive_succ_prog: 0,
-            alive_succ_fault: 0,
-        });
+        self.nodes.push(Node::new(NodeKind::Or, label, false));
         (id, true)
     }
 
@@ -269,20 +252,23 @@ impl Tableau {
     /// OR-nodes: its successor set is pinned, not derived from its label).
     pub fn new_dummy_or(&mut self, label: LabelSet) -> NodeId {
         let id = NodeId(self.nodes.len() as u32);
-        self.nodes.push(Node {
-            kind: NodeKind::Or,
-            label,
-            succ: Vec::new(),
-            pred: Vec::new(),
-            deleted: false,
-            dummy: true,
-            alive_succ_prog: 0,
-            alive_succ_fault: 0,
-        });
+        self.nodes.push(Node::new(NodeKind::Or, label, true));
         id
     }
 
-    /// Adds an edge (duplicates ignored).
+    /// Adds an edge unless `from` already has it (duplicates ignored).
+    ///
+    /// The check scans `from`'s successor list, so this is for callers
+    /// that draw a few edges per node. The build commits each node's
+    /// out-edges once, from a step list it deduplicates itself, and
+    /// skips the scan: its OR-nodes can have thousands of successors.
+    pub fn add_edge(&mut self, from: NodeId, kind: EdgeKind, to: NodeId) {
+        if !self.nodes[from.index()].succ.contains(&(kind, to)) {
+            self.push_edge(from, kind, to);
+        }
+    }
+
+    /// Adds an edge the caller knows `from` does not have yet.
     ///
     /// The alive-successor counters are only touched while *both*
     /// endpoints are alive: a deleted `from` node's counters are frozen
@@ -291,10 +277,7 @@ impl Tableau {
     /// symmetrically skips deleted predecessors, so the counters of
     /// alive nodes always equal their alive-successor count and can
     /// never underflow.
-    pub fn add_edge(&mut self, from: NodeId, kind: EdgeKind, to: NodeId) {
-        if !self.edge_set.insert((from, kind, to)) {
-            return;
-        }
+    pub(crate) fn push_edge(&mut self, from: NodeId, kind: EdgeKind, to: NodeId) {
         self.nodes[from.index()].succ.push((kind, to));
         if !self.nodes[from.index()].deleted && !self.nodes[to.index()].deleted {
             if kind.is_fault() {
@@ -394,11 +377,12 @@ impl Tableau {
     /// The intern tables are re-derived by replaying the non-dummy nodes
     /// in id order (exactly the order [`Tableau::intern_and`] /
     /// [`Tableau::intern_or`] populated them originally — node ids are
-    /// assigned monotonically at intern time), the edge-dedup set from
-    /// the successor lists, and the alive-successor counters by counting
-    /// successors per edge class. The result is therefore bit-identical
-    /// to the tableau the parts were read from: same ids, same intern
-    /// chains, same edge and predecessor order.
+    /// assigned monotonically at intern time), and the alive-successor
+    /// counters by counting successors per edge class. The result is
+    /// therefore bit-identical to the tableau the parts were read from:
+    /// same ids, same intern chains, same edge and predecessor order,
+    /// and [`Tableau::add_edge`] still ignores a known edge (it checks
+    /// the successor list).
     ///
     /// # Panics
     ///
@@ -408,7 +392,6 @@ impl Tableau {
         assert!(!parts.is_empty(), "a tableau has at least its root node");
         let mut and_index = LabelInterner::new();
         let mut or_index = LabelInterner::new();
-        let mut edge_set = HashSet::new();
         let mut nodes = Vec::with_capacity(parts.len());
         for (i, (kind, label, dummy, succ, pred)) in parts.into_iter().enumerate() {
             let id = NodeId(i as u32);
@@ -418,25 +401,13 @@ impl Tableau {
                     NodeKind::Or => or_index.insert(label.stable_hash(), id),
                 }
             }
-            let mut alive_succ_prog = 0;
-            let mut alive_succ_fault = 0;
-            for &(k, to) in &succ {
-                edge_set.insert((id, k, to));
-                if k.is_fault() {
-                    alive_succ_fault += 1;
-                } else {
-                    alive_succ_prog += 1;
-                }
-            }
+            let faults = succ.iter().filter(|(k, _)| k.is_fault()).count() as u32;
             nodes.push(Node {
-                kind,
-                label,
+                alive_succ_prog: succ.len() as u32 - faults,
+                alive_succ_fault: faults,
                 succ,
                 pred,
-                deleted: false,
-                dummy,
-                alive_succ_prog,
-                alive_succ_fault,
+                ..Node::new(kind, label, dummy)
             });
         }
         Tableau {
@@ -444,7 +415,6 @@ impl Tableau {
             root: NodeId(0),
             and_index,
             or_index,
-            edge_set,
             deletion_log: Vec::new(),
         }
     }
