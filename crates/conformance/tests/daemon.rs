@@ -52,12 +52,8 @@ fn direct_program() -> String {
 
 fn program_of(reply: &Reply) -> &str {
     match reply {
-        Reply::Solved {
-            program, verified, ..
-        } => {
-            assert!(verified);
-            program
-        }
+        // A program that failed verification answers `Unverified`.
+        Reply::Solved { program, .. } => program,
         other => panic!("expected Solved, got {other:?}"),
     }
 }

@@ -12,7 +12,7 @@ use ftsyn_conformance::differential::THREAD_MATRIX;
 use ftsyn_conformance::generate::random_problem;
 use ftsyn_prng::XorShift64;
 use ftsyn_service::json::{self, Value};
-use ftsyn_service::{corpus, serve, Reply, Request, Service};
+use ftsyn_service::{corpus, handle_line, serve, Reply, Request, Service};
 use std::time::{Duration, Instant};
 
 /// What a direct, ungoverned, in-process run of `problem` produces, in
@@ -49,15 +49,14 @@ fn direct(mut problem: SynthesisProblem) -> Direct {
 /// byte for byte on the program text.
 fn assert_matches(context: &str, reply: &Reply, expected: &Direct) {
     match reply {
+        // A program that failed verification answers `Unverified`.
         Reply::Solved {
             states,
             transitions,
-            verified,
             program,
             ..
         } => {
             assert!(expected.solved, "{context}: service solved, direct did not");
-            assert!(*verified, "{context}: service program failed verification");
             assert_eq!(*states, expected.states, "{context}: state count");
             assert_eq!(
                 *transitions, expected.transitions,
@@ -568,4 +567,27 @@ fn a_deadline_stops_an_exponential_expansion_and_the_daemon_keeps_serving() {
         "the pipe took {:?}",
         start.elapsed()
     );
+}
+
+/// `solved` always means re-checked: with no guard-refinement rounds
+/// allowed, step 5 cannot repair multitolerance-mutex3's extracted
+/// program, and the daemon answers `unverified` with the failed checks
+/// in `why` instead of shipping the program as `solved`.
+#[test]
+fn a_program_that_fails_its_recheck_answers_unverified() {
+    let svc = Service::new();
+    let line = handle_line(
+        &svc,
+        r#"{"id":"gap","op":"synthesize","problem":"multitolerance-mutex3-P1-nonmasking","budget":{"max_extract_refine_rounds":0}}"#,
+    );
+    let v = json::parse(&line).unwrap();
+    assert_eq!(
+        v.get("status").and_then(Value::as_str),
+        Some("unverified"),
+        "{line}"
+    );
+    let why = v.get("why").and_then(Value::as_str).unwrap_or_default();
+    assert!(why.contains("extraction_gap"), "{line}");
+    assert_eq!(v.get("verified"), None, "{line}");
+    assert_eq!(v.get("program"), None, "{line}");
 }

@@ -63,6 +63,25 @@
 //! phase bookkeeping differs: CEGIS stays in [`Phase::Cegis`]
 //! throughout, and its aborts carry no checkpoint.
 //!
+//! # Cost per candidate
+//!
+//! Whatever a candidate's evaluation asks of the specification is
+//! answered once per bound, when the base graph is built: each base
+//! state carries the bitmask of the `AF` goals that hold there and, for
+//! every `ExAny` clause binding there, the program edges that witness
+//! it. Pruning and the counterexample analysis read bits and walk edge
+//! lists; neither evaluates a formula. Their working memory — the
+//! deleted-edge bitmap, the alive/reach/included vectors, the candidate
+//! model (rebuilt in place by [`FtKripke::reset_states`]), the
+//! path-successor table and the win/region sets — is one per-bound
+//! `Scratch`. After the first candidate at a bound, the loop's own
+//! bookkeeping allocates only the child deletion sets, and the model
+//! leaves the scratch only when it goes to step 5. A candidate then
+//! costs the prune fixpoint and one model rebuild, both linear in the
+//! base graph, plus the model check (`verify_semantic_ok`, the largest
+//! share) and, when the check rejects it, one path-successor table and
+//! the win-set fixpoints.
+//!
 //! # Determinism
 //!
 //! The search is sequential, and every collection it iterates is
@@ -77,7 +96,7 @@ use crate::synthesize::{
 };
 use crate::verify::{verify_semantic, verify_semantic_ok};
 use ftsyn_ctl::{Formula, FormulaArena, FormulaId, Owner, PropId, PropTable};
-use ftsyn_kripke::{FtKripke, PropSet, State, StateId, TransKind};
+use ftsyn_kripke::{FtKripke, PropSet, StateId, TransKind};
 use ftsyn_tableau::{AbortReason, CertMode, Governor, Phase};
 use std::collections::{HashMap, HashSet};
 use std::time::Instant;
@@ -858,6 +877,14 @@ struct BaseState {
     /// A fault outcome's queue overflowed the bound: the state cannot
     /// exist in any candidate at this bound.
     fault_overflow: bool,
+    /// Bitmask of the AF clauses whose goal holds at this state.
+    goals: u32,
+    /// The `ExAny` clauses binding here (coupling always, global at safe
+    /// valuations), each as its witness program edges: the outgoing
+    /// edges whose mover and target satisfy one of its options. A
+    /// candidate keeps the state only if every list has an undeleted
+    /// edge into a surviving state.
+    binding_ex: Vec<Vec<u32>>,
 }
 
 struct BaseGraph {
@@ -886,12 +913,18 @@ impl BaseGraph {
             |val: u32, queue: Vec<u8>, states: &mut Vec<BaseState>, queues: &mut Vec<Vec<u8>>| {
                 *index.entry((val, queue.clone())).or_insert_with(|| {
                     let pending = queue.iter().fold(0u32, |m, &ci| m | (1 << ci));
+                    let v = &u.vals[val as usize];
+                    let goals = (0..cls.af.len())
+                        .filter(|&ci| eval_prop(arena, cls.af[ci].goal, v))
+                        .fold(0u32, |m, ci| m | (1 << ci));
                     states.push(BaseState {
                         val,
                         prog: Vec::new(),
                         faults: Vec::new(),
                         pending,
                         fault_overflow: false,
+                        goals,
+                        binding_ex: Vec::new(),
                     });
                     queues.push(queue);
                     (states.len() - 1) as u32
@@ -932,6 +965,39 @@ impl BaseGraph {
                 program.push((sid, mover, tid));
                 states[sid as usize].prog.push(eid);
             }
+            let global: &[Clause] = if u.safe[val_idx as usize] {
+                &cls.global_clauses
+            } else {
+                &[]
+            };
+            let binding_ex = cls
+                .coupling_clauses
+                .iter()
+                .chain(global)
+                .filter_map(|c| match c {
+                    Clause::ExAny { antes, options }
+                        if !antes.iter().any(|&a| eval_prop(arena, a, val)) =>
+                    {
+                        Some(options)
+                    }
+                    _ => None,
+                })
+                .map(|options| {
+                    states[sid as usize]
+                        .prog
+                        .iter()
+                        .copied()
+                        .filter(|&eid| {
+                            let (_, mover, t) = program[eid as usize];
+                            let tval = &u.vals[states[t as usize].val as usize];
+                            options
+                                .iter()
+                                .any(|&(w, body)| w == mover && eval_prop(arena, body, tval))
+                        })
+                        .collect()
+                })
+                .collect();
+            states[sid as usize].binding_ex = binding_ex;
 
             // Fault edges, outcome by outcome (never guessed).
             for (ai, action) in problem.faults.iter().enumerate() {
@@ -1133,47 +1199,108 @@ fn scheduled_moves(
 // Candidate evaluation
 // ====================================================================
 
-/// The pruned form of one candidate: the reachable sub-model rooted at
-/// the first surviving initial state, plus the base→model index map the
-/// counterexample analysis navigates by.
-struct Candidate {
+/// Working memory of the candidate loop at one bound, sized once and
+/// reused by every candidate: after the first candidate, examining one
+/// allocates only its child deletion sets (and, on acceptance, hands
+/// the model over to step 5).
+#[derive(Default)]
+struct Scratch {
+    /// Program-edge id → in the current candidate's deletion set.
+    deleted: Vec<bool>,
+    alive: Vec<bool>,
+    reach: Vec<bool>,
+    included: Vec<bool>,
+    stack: Vec<u32>,
+    /// The pruned candidate: the reachable sub-model rooted at the first
+    /// surviving initial state.
     model: FtKripke,
-    /// Base-state index → model state id (`None` = not in the model).
+    /// Base-state index → model state id (`None` = not in the model);
+    /// the counterexample analysis navigates by it.
     model_of: Vec<Option<u32>>,
+    paths: PathSuccs,
+    win: Vec<bool>,
+    good: Vec<bool>,
+    region: Vec<bool>,
+    /// The bulk repair's growing win set and the edges it deletes.
+    grow: Vec<bool>,
+    extra: Vec<u32>,
+    singles: Vec<(bool, bool, u32)>,
 }
 
-/// Prunes `deleted` out of the base graph and closes under the
-/// structural requirements (reachability, fault closure, binding EX
-/// clauses). `None` when no initial state survives.
-fn prune(
-    problem: &SynthesisProblem,
-    cls: &Classified,
-    u: &Universe,
-    base: &BaseGraph,
-    deleted: &[u32],
-) -> Option<Candidate> {
-    let arena = &problem.arena;
+impl Scratch {
+    fn new(base: &BaseGraph) -> Scratch {
+        Scratch {
+            deleted: vec![false; base.program.len()],
+            ..Scratch::default()
+        }
+    }
+
+    fn mark(&mut self, deleted: &[u32], on: bool) {
+        for &e in deleted {
+            self.deleted[e as usize] = on;
+        }
+    }
+}
+
+/// Path successors (the edges AF quantifies over) of each in-model base
+/// state, as one flat table: `(program edge id or u32::MAX for a fault
+/// edge, target)`, built once per rejected candidate.
+#[derive(Default)]
+struct PathSuccs {
+    start: Vec<u32>,
+    list: Vec<(u32, u32)>,
+}
+
+impl PathSuccs {
+    /// The path successors of base state `i` (empty outside the model).
+    fn of(&self, i: usize) -> &[(u32, u32)] {
+        &self.list[self.start[i] as usize..self.start[i + 1] as usize]
+    }
+}
+
+/// Resets `v` to `n` falses, keeping its buffer.
+fn refill(v: &mut Vec<bool>, n: usize) {
+    v.clear();
+    v.resize(n, false);
+}
+
+/// Prunes the marked deletion set out of the base graph and closes
+/// under the structural requirements (reachability, fault closure,
+/// binding EX clauses), leaving the candidate in `sc.model` /
+/// `sc.model_of`. `false` when no initial state survives.
+fn prune(u: &Universe, base: &BaseGraph, sc: &mut Scratch) -> bool {
     let n = base.states.len();
-    let is_deleted = |eid: u32| -> bool { deleted.binary_search(&eid).is_ok() };
-    let mut alive: Vec<bool> = base.states.iter().map(|s| !s.fault_overflow).collect();
+    let Scratch {
+        deleted,
+        alive,
+        reach,
+        included,
+        stack,
+        model,
+        model_of,
+        ..
+    } = sc;
+    alive.clear();
+    alive.extend(base.states.iter().map(|s| !s.fault_overflow));
 
     loop {
         // Reachability over surviving edges.
-        let mut reach = vec![false; n];
-        let mut stack: Vec<u32> = base
-            .init_states
-            .iter()
-            .copied()
-            .filter(|&s| alive[s as usize])
-            .collect();
-        for &s in &stack {
+        refill(reach, n);
+        stack.clear();
+        stack.extend(
+            base.init_states
+                .iter()
+                .copied()
+                .filter(|&s| alive[s as usize]),
+        );
+        for &s in stack.iter() {
             reach[s as usize] = true;
         }
         while let Some(s) = stack.pop() {
             let st = &base.states[s as usize];
             for &eid in &st.prog {
                 let (_, _, t) = base.program[eid as usize];
-                if !is_deleted(eid) && alive[t as usize] && !reach[t as usize] {
+                if !deleted[eid as usize] && alive[t as usize] && !reach[t as usize] {
                     reach[t as usize] = true;
                     stack.push(t);
                 }
@@ -1199,41 +1326,14 @@ fn prune(
                 continue;
             }
             let st = &base.states[i];
-            // Fault closure: every outcome edge must survive.
-            if st.faults.iter().any(|&(_, t)| !alive[t as usize]) {
-                alive[i] = false;
-                changed = true;
-                continue;
-            }
-            // Binding EX clauses need a surviving witness edge.
-            let val = &u.vals[st.val as usize];
-            let holds = |c: &Clause| -> bool {
-                match c {
-                    Clause::ExAny { antes, options } => {
-                        antes.iter().any(|&a| eval_prop(arena, a, val))
-                            || st.prog.iter().any(|&eid| {
-                                if is_deleted(eid) {
-                                    return false;
-                                }
-                                let (_, mover, t) = base.program[eid as usize];
-                                alive[t as usize]
-                                    && options.iter().any(|&(w, body)| {
-                                        w == mover
-                                            && eval_prop(
-                                                arena,
-                                                body,
-                                                &u.vals[base.states[t as usize].val as usize],
-                                            )
-                                    })
-                            })
-                    }
-                    Clause::Ax { .. } | Clause::AgInv { .. } => true,
-                }
-            };
-            let mut ok = cls.coupling_clauses.iter().all(holds);
-            if ok && u.safe[st.val as usize] {
-                ok = cls.global_clauses.iter().all(holds);
-            }
+            // Fault closure: every outcome edge must survive; binding EX
+            // clauses need a surviving witness edge.
+            let ok = st.faults.iter().all(|&(_, t)| alive[t as usize])
+                && st.binding_ex.iter().all(|witnesses| {
+                    witnesses.iter().any(|&eid| {
+                        !deleted[eid as usize] && alive[base.program[eid as usize].2 as usize]
+                    })
+                });
             if !ok {
                 alive[i] = false;
                 changed = true;
@@ -1244,21 +1344,25 @@ fn prune(
         }
     }
 
-    let root = base
+    let Some(root) = base
         .init_states
         .iter()
         .copied()
-        .find(|&s| alive[s as usize])?;
+        .find(|&s| alive[s as usize])
+    else {
+        return false;
+    };
 
     // Final component: reachable from the chosen root only.
-    let mut included = vec![false; n];
-    let mut stack = vec![root];
+    refill(included, n);
+    stack.clear();
+    stack.push(root);
     included[root as usize] = true;
     while let Some(s) = stack.pop() {
         let st = &base.states[s as usize];
         for &eid in &st.prog {
             let (_, _, t) = base.program[eid as usize];
-            if !is_deleted(eid) && alive[t as usize] && !included[t as usize] {
+            if !deleted[eid as usize] && alive[t as usize] && !included[t as usize] {
                 included[t as usize] = true;
                 stack.push(t);
             }
@@ -1271,15 +1375,16 @@ fn prune(
         }
     }
 
-    let mut model = FtKripke::new();
-    let mut model_of: Vec<Option<u32>> = vec![None; n];
-    for (i, inc) in included.iter().enumerate() {
-        if *inc {
-            let val = u.vals[base.states[i].val as usize].clone();
-            let sid = model.push_state(State::new(val));
-            model_of[i] = Some(sid.index() as u32);
-        }
+    model_of.clear();
+    model_of.resize(n, None);
+    for (sid, i) in (0..n).filter(|&i| included[i]).enumerate() {
+        model_of[i] = Some(sid as u32);
     }
+    model.reset_states(
+        (0..n)
+            .filter(|&i| included[i])
+            .map(|i| &u.vals[base.states[i].val as usize]),
+    );
     model.add_init(StateId(model_of[root as usize].unwrap()));
     for (i, inc) in included.iter().enumerate() {
         if !*inc {
@@ -1289,7 +1394,7 @@ fn prune(
         let st = &base.states[i];
         for &eid in &st.prog {
             let (_, mover, t) = base.program[eid as usize];
-            if !is_deleted(eid) && included[t as usize] {
+            if !deleted[eid as usize] && included[t as usize] {
                 model.add_edge(
                     from,
                     TransKind::Proc(mover),
@@ -1306,17 +1411,45 @@ fn prune(
             );
         }
     }
-
-    Some(Candidate { model, model_of })
+    true
 }
 
 // ====================================================================
 // Counterexample analysis → children
 // ====================================================================
 
-/// Proposes child deletion sets for a rejected candidate: a bulk
-/// attractor-style repair (delete, layer by layer, every region edge
-/// that strays from the growing win set) followed by single-edge
+/// Win set of an AF target into `win`: at least one path successor
+/// exists and all of them lead in (dead ends fail an open eventuality).
+fn af_win(
+    paths: &PathSuccs,
+    model_of: &[Option<u32>],
+    win: &mut Vec<bool>,
+    goal: impl Fn(usize) -> bool,
+) {
+    let n = model_of.len();
+    win.clear();
+    win.extend((0..n).map(|i| model_of[i].is_some() && goal(i)));
+    loop {
+        let mut changed = false;
+        for i in 0..n {
+            if win[i] || model_of[i].is_none() {
+                continue;
+            }
+            let ss = paths.of(i);
+            if !ss.is_empty() && ss.iter().all(|&(_, t)| win[t as usize]) {
+                win[i] = true;
+                changed = true;
+            }
+        }
+        if !changed {
+            return;
+        }
+    }
+}
+
+/// Proposes child deletion sets for the rejected candidate in `sc`: a
+/// bulk attractor-style repair (delete, layer by layer, every region
+/// edge that strays from the growing win set) followed by single-edge
 /// deletions inside the avoidance region. An empty return means the
 /// rejection was unanalyzable (opaque conjunct): the branch dead-ends
 /// and stays blocked.
@@ -1325,97 +1458,93 @@ fn propose_children(
     cls: &Classified,
     u: &Universe,
     base: &BaseGraph,
-    cand: &Candidate,
+    sc: &mut Scratch,
     deleted: &[u32],
 ) -> Vec<Vec<u32>> {
-    let arena = &problem.arena;
     let fault_free = problem.mode == CertMode::FaultFree;
-    let is_deleted = |eid: u32| deleted.binary_search(&eid).is_ok();
     let n = base.states.len();
-    let in_model = |i: usize| cand.model_of[i].is_some();
+    let Scratch {
+        deleted: is_deleted,
+        model_of,
+        paths,
+        win,
+        good,
+        region,
+        grow,
+        extra,
+        singles,
+        stack,
+        ..
+    } = sc;
+    let in_model = |i: usize| model_of[i].is_some();
 
-    // Path successors (the edges AF quantifies over) per included
-    // state: `(program edge id or u32::MAX for a fault edge, target)`.
-    let succs = |i: usize| -> Vec<(u32, u32)> {
+    // Path successors of every in-model state, once per candidate.
+    paths.start.clear();
+    paths.list.clear();
+    for i in 0..n {
+        paths.start.push(paths.list.len() as u32);
+        if !in_model(i) {
+            continue;
+        }
         let st = &base.states[i];
-        let mut out: Vec<(u32, u32)> = st
-            .prog
-            .iter()
-            .copied()
-            .filter(|&e| !is_deleted(e))
-            .map(|e| (e, base.program[e as usize].2))
-            .filter(|&(_, t)| in_model(t as usize))
-            .collect();
+        for &e in &st.prog {
+            let t = base.program[e as usize].2;
+            if !is_deleted[e as usize] && in_model(t as usize) {
+                paths.list.push((e, t));
+            }
+        }
         if !fault_free {
-            out.extend(
-                st.faults
-                    .iter()
-                    .filter(|&&(_, t)| in_model(t as usize))
-                    .map(|&(_, t)| (u32::MAX, t)),
-            );
-        }
-        out
-    };
-
-    // Win set of an AF target: at least one path successor exists and
-    // all of them lead in (dead ends fail an open eventuality).
-    let af_win = |goal: &dyn Fn(usize) -> bool| -> Vec<bool> {
-        let mut win: Vec<bool> = (0..n).map(|i| in_model(i) && goal(i)).collect();
-        loop {
-            let mut changed = false;
-            for i in 0..n {
-                if win[i] || !in_model(i) {
-                    continue;
-                }
-                let ss = succs(i);
-                if !ss.is_empty() && ss.iter().all(|&(_, t)| win[t as usize]) {
-                    win[i] = true;
-                    changed = true;
+            for &(_, t) in &st.faults {
+                if in_model(t as usize) {
+                    paths.list.push((u32::MAX, t));
                 }
             }
-            if !changed {
-                return win;
-            }
         }
-    };
+    }
+    paths.start.push(paths.list.len() as u32);
+    let paths = &*paths;
 
     // First violated obligation: an AF clause *pending* at a safe
     // included state (in the state's obligation queue — so tolerance
     // has already been applied at fault edges) outside its win set, or
     // — under nonmasking — a state that cannot converge to an all-safe
-    // program-closed region.
-    let mut violation: Option<(Vec<bool>, usize, Option<usize>)> = None;
+    // program-closed region. The violated clause's win set is left in
+    // `win`.
+    let mut violation: Option<(usize, Option<usize>)> = None;
     for (ci, c) in cls.af.iter().enumerate() {
-        let goal = |i: usize| eval_prop(arena, c.goal, &u.vals[base.states[i].val as usize]);
-        let win = af_win(&goal);
-        let bad = (0..n).find(|&i| {
+        let owes = |i: usize| {
             in_model(i)
                 && u.safe[base.states[i].val as usize]
                 && base.states[i].pending & (1 << ci) != 0
-                && !win[i]
+        };
+        // No state owes the clause (always so at bound 0): nothing to
+        // violate, so its win set is not needed.
+        if !(0..n).any(owes) {
+            continue;
+        }
+        af_win(paths, model_of, win, |i| {
+            base.states[i].goals & (1 << ci) != 0
         });
+        let bad = (0..n).find(|&i| owes(i) && !win[i]);
         if let Some(s) = bad {
-            violation = Some((win, s, c.owner));
+            violation = Some((s, c.owner));
             break;
         }
     }
     if violation.is_none() && cls.use_nonmasking {
         // Good set: states whose whole program-closure stays safe.
-        let mut good: Vec<bool> = (0..n)
-            .map(|i| in_model(i) && u.safe[base.states[i].val as usize])
-            .collect();
+        good.clear();
+        good.extend((0..n).map(|i| in_model(i) && u.safe[base.states[i].val as usize]));
         loop {
             let mut changed = false;
             for i in 0..n {
                 if !good[i] {
                     continue;
                 }
-                let leaky = base.states[i].prog.iter().any(|&e| {
-                    !is_deleted(e) && {
-                        let t = base.program[e as usize].2 as usize;
-                        in_model(t) && !good[t]
-                    }
-                });
+                let leaky = paths
+                    .of(i)
+                    .iter()
+                    .any(|&(e, t)| e != u32::MAX && !good[t as usize]);
                 if leaky {
                     good[i] = false;
                     changed = true;
@@ -1425,27 +1554,28 @@ fn propose_children(
                 break;
             }
         }
-        let win = af_win(&|i: usize| good[i]);
+        af_win(paths, model_of, win, |i| good[i]);
         let bad = (0..n).find(|&i| in_model(i) && !win[i]);
         if let Some(s) = bad {
-            violation = Some((win, s, None));
+            violation = Some((s, None));
         }
     }
-    let Some((win, s, obliged)) = violation else {
+    let Some((s, obliged)) = violation else {
         return Vec::new();
     };
 
     // Avoidance region: closure of `s` over path edges between non-win
     // states.
-    let mut region = vec![false; n];
-    let mut stack = vec![s];
+    refill(region, n);
+    stack.clear();
+    stack.push(s as u32);
     region[s] = true;
     while let Some(x) = stack.pop() {
-        for (_, t) in succs(x) {
+        for &(_, t) in paths.of(x as usize) {
             let t = t as usize;
             if !win[t] && !region[t] {
                 region[t] = true;
-                stack.push(t);
+                stack.push(t as u32);
             }
         }
     }
@@ -1455,46 +1585,43 @@ fn propose_children(
     // Bulk attractor repair: wherever a region state can step into the
     // (growing) win set, delete its straying program edges; iterate
     // until the violating state joins or no layer makes progress.
-    {
-        let mut w = win.clone();
-        let mut extra: Vec<u32> = Vec::new();
-        loop {
-            let mut changed = false;
-            for x in 0..n {
-                if !region[x] || w[x] {
-                    continue;
-                }
-                let fault_stray = !fault_free
-                    && base.states[x]
-                        .faults
-                        .iter()
-                        .any(|&(_, t)| in_model(t as usize) && !w[t as usize]);
-                if fault_stray {
-                    continue; // fault edges cannot be deleted
-                }
-                let ss = succs(x);
-                if !ss.iter().any(|&(_, t)| w[t as usize]) {
-                    continue;
-                }
-                for &(e, t) in &ss {
-                    if e != u32::MAX && !w[t as usize] && !extra.contains(&e) {
-                        extra.push(e);
-                    }
-                }
-                w[x] = true;
-                changed = true;
+    grow.clone_from(win);
+    extra.clear();
+    loop {
+        let mut changed = false;
+        for x in 0..n {
+            if !region[x] || grow[x] {
+                continue;
             }
-            if w[s] || !changed {
-                break;
+            let ss = paths.of(x);
+            // Fault edges cannot be deleted (under fault-free
+            // certification they are not path edges at all).
+            if ss.iter().any(|&(e, t)| e == u32::MAX && !grow[t as usize]) {
+                continue;
             }
+            if !ss.iter().any(|&(_, t)| grow[t as usize]) {
+                continue;
+            }
+            // Repeats are harmless: the child set is sorted and
+            // deduplicated.
+            extra.extend(
+                ss.iter()
+                    .filter(|&&(e, t)| e != u32::MAX && !grow[t as usize])
+                    .map(|&(e, _)| e),
+            );
+            grow[x] = true;
+            changed = true;
         }
-        if w[s] && !extra.is_empty() {
-            let mut d = deleted.to_vec();
-            d.extend(extra);
-            d.sort_unstable();
-            d.dedup();
-            children.push(d);
+        if grow[s] || !changed {
+            break;
         }
+    }
+    if grow[s] && !extra.is_empty() {
+        let mut d = deleted.to_vec();
+        d.extend_from_slice(extra);
+        d.sort_unstable();
+        d.dedup();
+        children.push(d);
     }
 
     // Single-edge children: program edges into the region. Internal
@@ -1502,27 +1629,21 @@ fn propose_children(
     // process — the competitor edges that barge the obligation aside),
     // then entry edges from outside (excision: a region that cannot be
     // made to win can still be made unreachable by program moves).
-    let mut singles: Vec<(bool, bool, u32)> = Vec::new();
+    singles.clear();
     for x in 0..n {
-        if !in_model(x) {
-            continue;
-        }
-        for &e in &base.states[x].prog {
-            if is_deleted(e) {
-                continue;
-            }
-            let (_, mover, t) = base.program[e as usize];
-            if region[t as usize] {
+        for &(e, t) in paths.of(x) {
+            if e != u32::MAX && region[t as usize] {
+                let mover = base.program[e as usize].1;
                 singles.push((!region[x], Some(mover) == obliged, e));
             }
         }
     }
     singles.sort_unstable();
-    for (_, _, e) in singles.into_iter().take(MAX_CHILDREN) {
-        let mut d = deleted.to_vec();
-        d.push(e);
-        d.sort_unstable();
-        d.dedup();
+    for &(_, _, e) in singles.iter().take(MAX_CHILDREN) {
+        // `e` is a path edge, so not in `deleted`.
+        let mut d = Vec::with_capacity(deleted.len() + 1);
+        d.extend_from_slice(deleted);
+        d.insert(d.partition_point(|&x| x < e), e);
         children.push(d);
     }
     children
@@ -1550,10 +1671,11 @@ fn explore_bound(
     profile: &mut CegisProfile,
     stats: &mut SynthesisStats,
 ) -> BoundResult {
+    let mut sc = Scratch::new(base);
     let mut stack: Vec<Vec<u32>> = vec![Vec::new()];
     let mut blocked: HashSet<Vec<u32>> = HashSet::new();
     while let Some(deleted) = stack.pop() {
-        if !blocked.insert(deleted.clone()) {
+        if blocked.contains(&deleted) {
             continue;
         }
         profile.blocked += 1;
@@ -1570,21 +1692,26 @@ fn explore_bound(
         }
         *candidates += 1;
 
-        let Some(cand) = prune(problem, cls, u, base, &deleted) else {
-            continue; // structurally dead; the blocking store remembers
-        };
-        if verify_semantic_ok(problem, &cand.model) {
-            match accept(problem, cand.model, gov, stats) {
+        sc.mark(&deleted, true);
+        let children = if !prune(u, base, &mut sc) {
+            Vec::new() // structurally dead; the blocking store remembers
+        } else if verify_semantic_ok(problem, &sc.model) {
+            match accept(problem, std::mem::take(&mut sc.model), gov, stats) {
                 AcceptOutcome::Solved(solved) => return BoundResult::Solved(solved),
                 AcceptOutcome::Rejected => {
                     profile.oracle_rejections += 1;
-                    continue;
+                    Vec::new()
                 }
                 AcceptOutcome::Aborted(r) => return BoundResult::Aborted(r),
             }
-        }
-        profile.oracle_rejections += 1;
-        let children = propose_children(problem, cls, u, base, &cand, &deleted);
+        } else {
+            profile.oracle_rejections += 1;
+            propose_children(problem, cls, u, base, &mut sc, &deleted)
+        };
+        sc.mark(&deleted, false);
+        // Every child strictly extends `deleted`, so blocking it only
+        // now changes no membership test below.
+        blocked.insert(deleted);
         for child in children.into_iter().rev() {
             if !blocked.contains(&child) {
                 stack.push(child);

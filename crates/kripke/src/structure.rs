@@ -206,14 +206,7 @@ impl FtKripke {
             dst.clone_from(src.next().expect("n surviving states"));
         }
         out.states.extend(src.cloned());
-        // Edge lists: clear in place to keep the inner capacities.
-        out.succ.truncate(n);
-        out.pred.truncate(n);
-        for l in out.succ.iter_mut().chain(out.pred.iter_mut()) {
-            l.clear();
-        }
-        out.succ.resize_with(n, Vec::new);
-        out.pred.resize_with(n, Vec::new);
+        out.clear_edges(n);
 
         for s in self.state_ids() {
             let ns = q(s);
@@ -244,6 +237,48 @@ impl FtKripke {
         }
         mapping.clear();
         mapping.extend(self.state_ids().map(q));
+    }
+
+    /// Empties this structure and refills it with one state per
+    /// valuation, ids in iteration order, no shared variables, no edges,
+    /// no initial states and an empty interning index: element-identical
+    /// to [`FtKripke::new`] followed by one [`FtKripke::push_state`] of
+    /// `State::new(v.clone())` per valuation. The caller goes on with
+    /// [`FtKripke::add_init`] and [`FtKripke::add_edge`].
+    ///
+    /// Like [`FtKripke::merge_into`] it keeps the buffers the structure
+    /// already holds: each surviving state's valuation is overwritten by
+    /// `clone_from`, and each edge list is cleared in place. The CEGIS
+    /// engine rebuilds one candidate model per candidate into the same
+    /// structure, so a rebuild must not pay per-state allocations.
+    pub fn reset_states<'a>(&mut self, vals: impl IntoIterator<Item = &'a PropSet>) {
+        self.index.clear();
+        self.init.clear();
+        let mut n = 0;
+        for v in vals {
+            match self.states.get_mut(n) {
+                Some(s) => {
+                    s.props.clone_from(v);
+                    s.shared.clear();
+                }
+                None => self.states.push(State::new(v.clone())),
+            }
+            n += 1;
+        }
+        self.states.truncate(n);
+        self.clear_edges(n);
+    }
+
+    /// Resizes the edge lists to `n` empty lists, clearing in place to
+    /// keep the inner capacities.
+    fn clear_edges(&mut self, n: usize) {
+        self.succ.truncate(n);
+        self.pred.truncate(n);
+        for l in self.succ.iter_mut().chain(self.pred.iter_mut()) {
+            l.clear();
+        }
+        self.succ.resize_with(n, Vec::new);
+        self.pred.resize_with(n, Vec::new);
     }
 
     /// The state content for an id.
@@ -489,6 +524,122 @@ mod tests {
         m.add_edge(s0, TransKind::Fault(0), s1);
         m.add_edge(s1, TransKind::Proc(0), s1);
         assert_eq!(m.classify()[1], StateRole::Normal);
+    }
+
+    /// One model, given as valuations, initial states and edges in
+    /// insertion order.
+    type Spec<'a> = (&'a [&'a [u32]], &'a [u32], &'a [(u32, TransKind, u32)]);
+
+    fn fresh(n: usize, (vals, init, edges): Spec) -> FtKripke {
+        let mut m = FtKripke::new();
+        for v in vals {
+            m.push_state(mk_state(n, v));
+        }
+        rest(&mut m, init, edges);
+        m
+    }
+
+    fn rebuilt(mut m: FtKripke, n: usize, (vals, init, edges): Spec) -> FtKripke {
+        let vals: Vec<PropSet> = vals.iter().map(|v| mk_state(n, v).props).collect();
+        m.reset_states(&vals);
+        rest(&mut m, init, edges);
+        m
+    }
+
+    fn rest(m: &mut FtKripke, init: &[u32], edges: &[(u32, TransKind, u32)]) {
+        for &i in init {
+            m.add_init(StateId(i));
+        }
+        for &(a, k, b) in edges {
+            m.add_edge(StateId(a), k, StateId(b));
+        }
+    }
+
+    fn assert_identical(a: &FtKripke, b: &FtKripke) {
+        assert_eq!(a.len(), b.len());
+        assert_eq!(a.init_states(), b.init_states());
+        for s in a.state_ids() {
+            assert_eq!(a.state(s), b.state(s));
+            assert_eq!(a.succ(s), b.succ(s));
+            assert_eq!(a.pred(s), b.pred(s));
+        }
+    }
+
+    #[test]
+    fn reset_states_matches_a_fresh_build() {
+        let small: Spec = (
+            &[&[1], &[2], &[0, 3]],
+            &[1],
+            &[
+                (1, TransKind::Proc(0), 0),
+                (0, TransKind::Fault(1), 2),
+                (2, TransKind::Proc(1), 1),
+                (1, TransKind::Proc(0), 0),
+                (0, TransKind::Proc(0), 0),
+            ],
+        );
+        let large: Spec = (
+            &[&[3], &[0], &[1], &[2], &[0, 1], &[1, 2], &[2, 3]],
+            &[0, 4],
+            &[
+                (0, TransKind::Proc(0), 1),
+                (1, TransKind::Proc(1), 2),
+                (2, TransKind::Fault(0), 6),
+                (6, TransKind::Proc(0), 0),
+                (4, TransKind::Proc(1), 4),
+                (5, TransKind::Proc(0), 3),
+                (3, TransKind::Proc(1), 5),
+            ],
+        );
+
+        // A structure that held a larger model, with interned states
+        // (a populated index) and shared variables, rebuilt smaller.
+        let mut big = FtKripke::new();
+        let former: Vec<State> = [
+            &[0][..],
+            &[1],
+            &[2],
+            &[3],
+            &[0, 1],
+            &[0, 2],
+            &[1, 3],
+            &[2, 3],
+        ]
+        .iter()
+        .enumerate()
+        .map(|(k, v)| {
+            let mut s = mk_state(4, v);
+            s.shared.push(k as u32);
+            s
+        })
+        .collect();
+        for s in &former {
+            big.intern_state(s.clone());
+        }
+        for k in 0..8u32 {
+            big.add_edge(
+                StateId(k),
+                TransKind::Proc(k as usize % 2),
+                StateId((k + 1) % 8),
+            );
+            big.add_edge(StateId(k), TransKind::Fault(0), StateId(0));
+        }
+        big.add_init(StateId(3));
+        let mut m = rebuilt(big, 4, small);
+        let mut f = fresh(4, small);
+        assert_identical(&m, &f);
+        // No stale index entries: lookups and interning behave as on
+        // the fresh build, whose index is empty.
+        for s in &former {
+            assert_eq!(m.find_state(s), None);
+        }
+        let again = former[1].clone();
+        assert_eq!(m.intern_state(again.clone()), f.intern_state(again));
+        assert_identical(&m, &f);
+
+        // A structure that held a smaller model, rebuilt larger.
+        let l = rebuilt(m, 4, large);
+        assert_identical(&l, &fresh(4, large));
     }
 
     #[test]

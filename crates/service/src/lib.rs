@@ -33,7 +33,19 @@
 //!
 //! The wire protocol is line-delimited JSON (see [`serve`]): one
 //! request object per input line, one response object per output
-//! line, matched by `id`.
+//! line, matched by `id`. Every response carries a `status`:
+//!
+//! | `status` | when | other fields |
+//! |---|---|---|
+//! | `solved` | a program was synthesized and passed its re-check | `states`, `transitions`, `verified` (always `true`), `cache_hits`, `cache_misses`, `program` |
+//! | `unverified` | a program was synthesized but failed its re-check (e.g. step 5's guard refinement ran out of rounds); no program is sent | `why` ([`Verification::failure_summary`](ftsyn::Verification::failure_summary), e.g. `extraction_gap:1`) |
+//! | `impossible` | no program can exist | — |
+//! | `aborted` | a budget, deadline or cancel stopped the run | `phase`, `reason`, `resumable` |
+//! | `overloaded` | admission shed the request; nothing ran | `retry_after_ms` |
+//! | `error` | the request could not be served | `code`, `message` |
+//! | `checkpoints` | answer to `list-checkpoints` | `checkpoints` (rows of `id`, `source`, `nodes`) |
+//! | `cancelled` | a `cancel` reached a live request | — |
+//! | `shutting-down` | a `shutdown` was accepted | `mode` (`graceful` or `drain`) |
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -120,20 +132,29 @@ impl Request {
 /// The outcome of a request, ready to serialize onto the wire.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Reply {
-    /// Synthesis succeeded.
+    /// Synthesis succeeded and the program passed its re-check (the
+    /// wire reply says `"verified":true`).
     Solved {
         /// States in the synthesized model.
         states: usize,
         /// Program (non-fault) transitions.
         transitions: usize,
-        /// Did the built-in verifier pass?
-        verified: bool,
         /// Shared-cache hits during the build.
         cache_hits: usize,
         /// Shared-cache misses during the build.
         cache_misses: usize,
         /// The synthesized program, pretty-printed.
         program: String,
+    },
+    /// Synthesis produced a program that failed its re-check (for
+    /// instance, step 5's guard refinement did not converge within its
+    /// round cap). No program is returned: `solved` always means
+    /// re-checked.
+    Unverified {
+        /// The failed checks, as
+        /// [`Verification::failure_summary`](ftsyn::Verification::failure_summary)
+        /// renders them (e.g. `"extraction_gap:1"`).
+        why: String,
     },
     /// A mechanical impossibility result.
     Impossible,
@@ -209,7 +230,6 @@ impl Reply {
             Reply::Solved {
                 states,
                 transitions,
-                verified,
                 cache_hits,
                 cache_misses,
                 program,
@@ -217,11 +237,12 @@ impl Reply {
                 .str("status", "solved")
                 .num("states", *states)
                 .num("transitions", *transitions)
-                .bool("verified", *verified)
+                .bool("verified", true)
                 .num("cache_hits", *cache_hits)
                 .num("cache_misses", *cache_misses)
                 .str("program", program)
                 .build(),
+            Reply::Unverified { why } => b.str("status", "unverified").str("why", why).build(),
             Reply::Impossible => b.str("status", "impossible").build(),
             Reply::Aborted {
                 phase,
@@ -901,10 +922,12 @@ impl Service {
 /// counters read 0 and its aborts are not resumable.
 fn outcome_reply(outcome: SynthesisOutcome, problem: &SynthesisProblem) -> Reply {
     match outcome {
+        SynthesisOutcome::Solved(s) if !s.verification.ok() => Reply::Unverified {
+            why: s.verification.failure_summary(),
+        },
         SynthesisOutcome::Solved(s) => Reply::Solved {
             states: s.stats.model_states,
             transitions: s.stats.program_transitions,
-            verified: s.verification.ok(),
             cache_hits: s.stats.build_profile.cache_hits,
             cache_misses: s.stats.build_profile.cache_misses,
             program: s.program.display(&problem.props).to_string(),
@@ -1263,15 +1286,16 @@ pub fn serve<R: BufRead, W: Write + Send>(
 mod tests {
     use super::*;
 
-    fn solved(reply: &Reply) -> (&str, usize, usize, bool) {
+    /// A verified solve's program and cache counters (an unverified run
+    /// answers `Reply::Unverified`, never `Solved`).
+    fn solved(reply: &Reply) -> (&str, usize, usize) {
         match reply {
             Reply::Solved {
                 program,
                 cache_hits,
                 cache_misses,
-                verified,
                 ..
-            } => (program.as_str(), *cache_hits, *cache_misses, *verified),
+            } => (program.as_str(), *cache_hits, *cache_misses),
             other => panic!("expected Solved, got {other:?}"),
         }
     }
@@ -1280,15 +1304,13 @@ mod tests {
     fn warm_cache_reproduces_the_cold_result_with_hits() {
         let svc = Service::new();
         let cold = svc.submit(Request::corpus("cold", "mutex2-failstop-masking", 2));
-        let (cold_program, cold_hits, cold_misses, cold_ok) = solved(&cold);
-        assert!(cold_ok);
+        let (cold_program, cold_hits, cold_misses) = solved(&cold);
         assert_eq!(cold_hits, 0, "first request sees an empty cache");
         assert!(cold_misses > 0);
         assert!(svc.cache_entries().0 > 0, "fills were folded back");
 
         let warm = svc.submit(Request::corpus("warm", "mutex2-failstop-masking", 2));
-        let (warm_program, warm_hits, warm_misses, warm_ok) = solved(&warm);
-        assert!(warm_ok);
+        let (warm_program, warm_hits, warm_misses) = solved(&warm);
         assert!(warm_hits > 0, "second request hits the shared cache");
         assert_eq!(warm_misses, 0, "nothing left to recompute");
         assert_eq!(cold_program, warm_program, "cache must not change results");
@@ -1315,8 +1337,7 @@ mod tests {
         assert!(svc.export_checkpoint("r1").is_some());
 
         let resumed = svc.resume("r2", "r1", 1, None);
-        let (resumed_program, _, _, resumed_ok) = solved(&resumed);
-        assert!(resumed_ok);
+        let (resumed_program, _, _) = solved(&resumed);
         assert!(
             svc.export_checkpoint("r1").is_none(),
             "a consumed checkpoint leaves the store"
@@ -1325,7 +1346,7 @@ mod tests {
         // The resumed run must match an uninterrupted one end to end.
         let baseline_svc = Service::new();
         let baseline = baseline_svc.submit(Request::corpus("b", "mutex2-failstop-masking", 1));
-        let (baseline_program, _, _, _) = solved(&baseline);
+        let (baseline_program, _, _) = solved(&baseline);
         assert_eq!(resumed_program, baseline_program);
     }
 
