@@ -369,6 +369,58 @@ fn ambiguous_state_is_the_same_error() {
 }
 
 #[test]
+fn twin_local_states_told_apart_by_a_shared_variable_explore() {
+    // Local states 0 and 2 carry one valuation; x is 1 in the first and
+    // 2 in the second, so every configuration is its own labeled state.
+    let sk = skeleton(&[2, 2]);
+    let arcs = vec![
+        vec![
+            arc(0, 1, BoolExpr::tru(), vec![]),
+            arc(1, 2, BoolExpr::VarEq(0, 1), vec![(0, 2)]),
+            arc(2, 1, BoolExpr::VarEq(0, 2), vec![(0, 1)]),
+            arc(1, 0, BoolExpr::VarEq(0, 1), vec![]),
+        ],
+        vec![
+            arc(0, 1, BoolExpr::tru(), vec![]),
+            arc(1, 0, BoolExpr::tru(), vec![]),
+        ],
+    ];
+    let mut prog = program(&sk, arcs, &[2]);
+    let twin = prog.processes[0].states[0].clone();
+    prog.processes[0].states.push(twin);
+    let k = explore_both("twins", &prog, &[], &sk.props).expect("explores");
+    let twins = k
+        .state_ids()
+        .filter(|&s| k.state(s).props == k.state(k.init_states()[0]).props)
+        .count();
+    assert_eq!(twins, 2, "both twins are reached, one per value of x");
+}
+
+#[test]
+fn a_twin_reached_after_its_sibling_is_still_ambiguous() {
+    // Local state 2 is a twin of local state 0. It is first reached
+    // after several states of the other views were added, through a move
+    // that restores the initial value of x, so its first configuration
+    // labels the same state as the initial one.
+    let sk = skeleton(&[2, 2]);
+    let arcs = vec![
+        vec![
+            arc(0, 1, BoolExpr::tru(), vec![(0, 2)]),
+            arc(1, 2, BoolExpr::VarEq(0, 2), vec![(0, 1)]),
+        ],
+        vec![arc(0, 1, BoolExpr::tru(), vec![])],
+    ];
+    let mut prog = program(&sk, arcs, &[2]);
+    let twin = prog.processes[0].states[0].clone();
+    prog.processes[0].states.push(twin);
+    assert!(explore_both("late twin", &prog, &[], &sk.props).is_none());
+    assert_eq!(
+        explore(&prog, &[], &sk.props).unwrap_err(),
+        ExploreError::AmbiguousState
+    );
+}
+
+#[test]
 fn unmappable_fault_outcome_is_the_same_error() {
     let sk = skeleton(&[2, 2]);
     let arcs = vec![

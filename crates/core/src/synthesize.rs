@@ -14,14 +14,14 @@ use crate::verify::{
 use ftsyn_ctl::{Closure, LabelSet};
 use ftsyn_guarded::interp::{explore, ExploreError};
 use ftsyn_guarded::{fault_set_size, Program};
-use ftsyn_kripke::{bisimulation_quotient, FtKripke, State};
+use ftsyn_kripke::{bisimulation_quotient, FtKripke, PropSet};
 use ftsyn_tableau::{
     apply_deletion_rules_governed, build_resume_governed, build_shared_cache_governed,
     spec_fingerprint, AbortReason, BuildAbort, BuildProfile, CacheFill, Checkpoint,
     CheckpointError, DeletionProfile, DeletionStats, ExpansionCache, FaultSpec, Governor, NodeId,
     Phase, Tableau,
 };
-use std::collections::HashSet;
+use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
 /// Size and timing measurements of one synthesis run (the quantities the
@@ -612,7 +612,13 @@ pub(crate) fn extract_stage(
     let refine_cap = gov
         .and_then(|g| g.budget().max_extract_refine_rounds)
         .unwrap_or(DEFAULT_EXTRACT_REFINE_ROUNDS);
-    let model_contents: HashSet<&State> = model.state_ids().map(|s| model.state(s)).collect();
+    // The model's shared vectors by valuation: an explored state is on
+    // the model iff its vector is in its valuation's bucket.
+    let mut on_model: HashMap<&PropSet, Vec<&[u32]>> = HashMap::new();
+    for s in model.state_ids() {
+        let st = model.state(s);
+        on_model.entry(&st.props).or_default().push(&st.shared);
+    }
     let failure = loop {
         if let Some(Err(reason)) = gov.map(Governor::check_realtime) {
             stats.extract_time += t_ext.elapsed();
@@ -627,7 +633,12 @@ pub(crate) fn extract_stage(
         profile.off_model_states = ex
             .kripke
             .state_ids()
-            .filter(|&s| !model_contents.contains(ex.kripke.state(s)))
+            .filter(|&s| {
+                let st = ex.kripke.state(s);
+                !on_model
+                    .get(&st.props)
+                    .is_some_and(|b| b.contains(&st.shared.as_slice()))
+            })
             .count();
         if verify_semantic_ok(problem, &ex.kripke) {
             profile.verified = true;

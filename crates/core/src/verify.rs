@@ -344,41 +344,62 @@ fn verify_semantic_impl(
     }
 
     // (3) Fault closure: every enabled action is represented, outcome by
-    // outcome, at every state. The enabled actions' outcomes depend only
-    // on the valuation, so they are computed once per distinct one.
-    let mut outcomes: HashMap<&PropSet, Vec<(usize, Vec<PropSet>)>> = HashMap::new();
-    for s in model.state_ids() {
-        let valuation = &model.state(s).props;
-        let enabled = outcomes.entry(valuation).or_insert_with(|| {
+    // outcome, at every state. Each distinct valuation gets a dense id.
+    // The enabled actions' outcomes depend only on the valuation, so
+    // they are computed once per id and resolved to ids themselves; an
+    // outcome no state carries is covered by no edge.
+    let mut ids: HashMap<&PropSet, u32> = HashMap::new();
+    let mut valuations: Vec<&PropSet> = Vec::new();
+    let val_id: Vec<u32> = model
+        .state_ids()
+        .map(|s| {
+            let props = &model.state(s).props;
+            *ids.entry(props).or_insert_with(|| {
+                valuations.push(props);
+                valuations.len() as u32 - 1
+            })
+        })
+        .collect();
+    let outcomes: Vec<Vec<(usize, Option<u32>)>> = valuations
+        .iter()
+        .map(|&valuation| {
             problem
                 .faults
                 .iter()
                 .enumerate()
                 .filter(|(_, action)| action.enabled(valuation))
-                .map(|(ai, action)| (ai, action.outcomes(valuation, problem.props.len())))
+                .flat_map(|(ai, action)| {
+                    action
+                        .outcomes(valuation, problem.props.len())
+                        .into_iter()
+                        .map(move |phi| (ai, phi))
+                })
+                .map(|(ai, phi)| (ai, ids.get(&phi).copied()))
                 .collect()
-        });
-        for (ai, phis) in enabled.iter() {
-            let (ai, action) = (*ai, &problem.faults[*ai]);
-            for phi in phis {
-                let covered = model
+        })
+        .collect();
+    for s in model.state_ids() {
+        let enabled = &outcomes[val_id[s.index()] as usize];
+        for &(ai, phi) in enabled.iter() {
+            let covered = phi.is_some_and(|phi| {
+                model
                     .succ(s)
                     .iter()
-                    .any(|e| e.kind == TransKind::Fault(ai) && model.state(e.to).props == *phi);
-                if !covered {
-                    v.fault_closed = false;
-                    if !collect {
-                        return v;
-                    }
-                    v.failures.push(Failure::new(
-                        FailureKind::FaultClosure,
-                        format!(
-                            "state {} misses a fault transition for `{}`",
-                            model.state(s).display(&problem.props),
-                            action.name()
-                        ),
-                    ));
+                    .any(|e| e.kind == TransKind::Fault(ai) && val_id[e.to.index()] == phi)
+            });
+            if !covered {
+                v.fault_closed = false;
+                if !collect {
+                    return v;
                 }
+                v.failures.push(Failure::new(
+                    FailureKind::FaultClosure,
+                    format!(
+                        "state {} misses a fault transition for `{}`",
+                        model.state(s).display(&problem.props),
+                        problem.faults[ai].name()
+                    ),
+                ));
             }
         }
     }

@@ -11,15 +11,25 @@
 //! The explorer is the inner loop of step 5, so its per-state work is
 //! kept to word operations:
 //!
-//! * a configuration is one flat `u32` row (local-state indices, then
-//!   shared values), hashed once per edge and never cloned per edge;
-//! * every arc guard is lowered once into disjunctive normal form: cubes
-//!   of literals over the valuation's bit words and the shared values;
 //! * a global state's valuation, candidate arcs and fault outcomes
 //!   depend only on its local-state vector, so they are resolved once
 //!   per distinct vector (`LocalView`) — at most `Π|locals|` of them,
-//!   against tens of thousands of explored states. Per state, only the
-//!   shared-variable literals of the surviving cubes are tested.
+//!   against tens of thousands of explored states;
+//! * shared-value vectors are interned once (`Vectors`), and the effect
+//!   of each arc's assignment and of each corruption branch on a vector
+//!   is memoized as an id → id map, so a configuration is two words —
+//!   its view and its vector id — whatever the number of shared
+//!   variables;
+//! * every arc guard is lowered once into disjunctive normal form: cubes
+//!   of literals over the valuation's bit words and the shared values.
+//!   A view keeps only the cubes whose propositional part holds, so per
+//!   state only their shared-variable literals are tested;
+//! * states are found by their (valuation class, vector id) key, which
+//!   is also what tells a fresh configuration that collides with an
+//!   existing state apart ([`ExploreError::AmbiguousState`]). The
+//!   structure is filled with [`FtKripke::push_state`], so no state is
+//!   hashed or cloned into its content index, which is built only if a
+//!   caller asks [`FtKripke::find_state`].
 
 use crate::action::FaultAction;
 use crate::expr::BoolExpr;
@@ -27,6 +37,7 @@ use crate::program::Program;
 use crate::SharedCorruption;
 use ftsyn_ctl::{Owner, PropTable};
 use ftsyn_kripke::{FtKripke, PropSet, State, StateId, TransKind};
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::fmt;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -101,9 +112,37 @@ pub fn explore(
     props: &PropTable,
 ) -> Result<Exploration, ExploreError> {
     let np = program.processes.len();
-    let width = np + program.init_shared.len();
     let words = program.num_props.div_ceil(64).max(1);
     let shared = program.init_shared.len();
+    let arcs: Vec<LoweredArc> = program
+        .processes
+        .iter()
+        .enumerate()
+        .flat_map(|(pi, proc)| {
+            proc.arcs.iter().map(move |arc| LoweredArc {
+                process: pi,
+                from: arc.from,
+                to: arc.to as u32,
+                cubes: dnf(&arc.guard, true, words, shared),
+                assigns: arc
+                    .assigns
+                    .iter()
+                    .copied()
+                    .filter(|&(v, _)| v < shared)
+                    .collect(),
+            })
+        })
+        .collect();
+    // Transform ids: one per arc, then one per corruption branch.
+    let mut first = arcs.len();
+    let corruptions = faults
+        .iter()
+        .map(|a| {
+            let c = Corruption::new(program, a, first);
+            first += c.branches.len();
+            c
+        })
+        .collect();
     let mut ex = Explorer {
         program,
         faults,
@@ -118,95 +157,64 @@ pub fn explore(
                 )
             })
             .collect(),
-        arcs: program
-            .processes
-            .iter()
-            .enumerate()
-            .flat_map(|(pi, proc)| {
-                proc.arcs.iter().map(move |arc| LoweredArc {
-                    process: pi,
-                    from: arc.from,
-                    to: arc.to as u32,
-                    cubes: dnf(&arc.guard, true, words, shared),
-                    assigns: arc
-                        .assigns
-                        .iter()
-                        .copied()
-                        .filter(|&(v, _)| v < shared)
-                        .collect(),
-                })
-            })
-            .collect(),
-        corruptions: faults.iter().map(|a| Corruption::new(program, a)).collect(),
+        arcs,
+        corruptions,
         kripke: FtKripke::new(),
         configs: Vec::new(),
-        ids: HashMap::default(),
-        state_view: Vec::new(),
+        states: HashMap::default(),
+        vectors: Vectors::new(shared),
         views: Vec::new(),
         view_ids: HashMap::new(),
+        classes: HashMap::new(),
     };
 
-    let mut next: Vec<u32> = program
-        .init_locals
-        .iter()
-        .map(|&l| l as u32)
-        .chain(program.init_shared.iter().copied())
-        .collect();
-    let (init_id, _) = ex.intern(&next)?;
+    let locals: Vec<u32> = program.init_locals.iter().map(|&l| l as u32).collect();
+    let view = ex.view(&locals);
+    let vec = ex.vectors.intern(&program.init_shared);
+    let (init_id, _) = ex.intern(view, vec)?;
     ex.kripke.add_init(init_id);
     let mut work = vec![init_id];
-    let mut cur = vec![0u32; width];
 
     while let Some(sid) = work.pop() {
-        let row = sid.index() * width;
-        cur.copy_from_slice(&ex.configs[row..row + width]);
-        let view = ex.state_view[sid.index()] as usize;
+        let Config { view, vec } = ex.configs[sid.index()];
 
         // Program transitions: the view's candidate arcs whose guard
         // holds on the shared values.
-        for k in 0..ex.views[view].moves.len() {
-            let pi = {
-                let (ai, live) = &ex.views[view].moves[k];
-                let arc = &ex.arcs[*ai];
-                if !live.iter().any(|&c| arc.cubes[c].shared_holds(&cur[np..])) {
-                    continue;
-                }
-                next.copy_from_slice(&cur);
-                next[arc.process] = arc.to;
-                for &(v, k) in &arc.assigns {
-                    next[np + v] = k;
-                }
-                arc.process
-            };
-            let (tid, fresh) = ex.intern(&next)?;
+        for k in 0..ex.views[view as usize].moves.len() {
+            let Move {
+                arc: ai, ref live, ..
+            } = ex.views[view as usize].moves[k];
+            let arc = &ex.arcs[ai];
+            let values = ex.vectors.get(vec);
+            if !live.iter().any(|&c| arc.cubes[c].shared_holds(values)) {
+                continue;
+            }
+            let process = arc.process;
+            let to_view = ex.move_target(view, k);
+            let to_vec = ex.vectors.apply(ai, vec, &ex.arcs[ai].assigns);
+            let (tid, fresh) = ex.intern(to_view, to_vec)?;
             if fresh {
                 work.push(tid);
             }
-            ex.kripke.add_edge(sid, TransKind::Proc(pi), tid);
+            ex.kripke.add_edge(sid, TransKind::Proc(process), tid);
         }
 
         // Fault transitions: the view's resolved outcomes, each under
         // every shared-variable corruption branch of its action.
-        for k in 0..ex.views[view].faults.len() {
-            let fi = match &ex.views[view].faults[k] {
-                (fi, Ok(locals)) => {
-                    next[..np].copy_from_slice(locals);
-                    *fi
-                }
-                (fi, Err(process)) => {
+        for k in 0..ex.views[view as usize].faults.len() {
+            let (fi, to_view) = match ex.fault_target(view, k) {
+                Ok(hit) => hit,
+                Err((fi, process)) => {
                     return Err(ExploreError::UnmappableFaultOutcome {
-                        action: faults[*fi].name().to_owned(),
-                        process: *process,
+                        action: faults[fi].name().to_owned(),
+                        process,
                     })
                 }
             };
-            next[np..].copy_from_slice(&cur[np..]);
             for b in 0..ex.corruptions[fi].branches.len() {
-                let corruption = &ex.corruptions[fi];
-                for (&v, &k) in corruption.vars.iter().zip(&corruption.branches[b]) {
-                    next[np + v] = k;
-                }
-                let (tid, fresh) = ex.intern(&next)?;
+                let c = &ex.corruptions[fi];
+                let to_vec = ex.vectors.apply(c.first + b, vec, &c.branches[b]);
+                let (tid, fresh) = ex.intern(to_view, to_vec)?;
                 if fresh {
                     work.push(tid);
                 }
@@ -220,7 +228,7 @@ pub fn explore(
 
 /// The exploration state: the lowered program, the structure under
 /// construction, the configuration of every state and the
-/// per-local-vector memo.
+/// per-local-vector and per-shared-vector memos.
 struct Explorer<'a> {
     program: &'a Program,
     faults: &'a [FaultAction],
@@ -232,26 +240,56 @@ struct Explorer<'a> {
     /// Per fault action.
     corruptions: Vec<Corruption>,
     kripke: FtKripke,
-    /// Configuration rows, one per state id, back to back.
-    configs: Vec<u32>,
-    ids: HashMap<Box<[u32]>, StateId, BuildHasherDefault<WordHasher>>,
-    /// Index into `views` of each state's local-state vector.
-    state_view: Vec<u32>,
+    /// The configuration of each state, by state id.
+    configs: Vec<Config>,
+    /// The state of each (valuation class, vector id) key, packed in a
+    /// word. At most one configuration maps to a key: a second one is an
+    /// [`ExploreError::AmbiguousState`].
+    states: HashMap<u64, StateId, BuildHasherDefault<WordHasher>>,
+    vectors: Vectors,
     views: Vec<LocalView>,
     view_ids: HashMap<Box<[u32]>, u32>,
+    /// The valuation class of each distinct view valuation.
+    classes: HashMap<PropSet, u32>,
 }
 
-/// What a local-state vector determines on its own: its valuation; the
-/// candidate moves — each arc leaving a current local state (in arc
-/// order), with the cubes of its guard whose propositional part holds,
-/// so only their shared-variable literals remain to be tested per
-/// state; and for every enabled fault action in order, each outcome
-/// resolved to a local-state vector (or the first process it leaves
-/// unmappable).
+/// A configuration: its local-state vector (as the view interned for
+/// it) and its shared-value vector id.
+#[derive(Clone, Copy)]
+struct Config {
+    view: u32,
+    vec: u32,
+}
+
+/// Marks a view's transition target not resolved yet.
+const UNRESOLVED: u32 = u32::MAX;
+
+/// What a local-state vector determines on its own: its valuation (and
+/// that valuation's class); the candidate moves — each arc leaving a
+/// current local state (in arc order), with the cubes of its guard whose
+/// propositional part holds, so only their shared-variable literals
+/// remain to be tested per state; and for every enabled fault action in
+/// order, each outcome resolved to a local-state vector (or the first
+/// process it leaves unmappable). Transition targets are resolved to
+/// views on first use.
 struct LocalView {
+    locals: Box<[u32]>,
     props: PropSet,
-    moves: Vec<(usize, Vec<usize>)>,
-    faults: Vec<(usize, Resolved)>,
+    class: u32,
+    moves: Vec<Move>,
+    faults: Vec<FaultMove>,
+}
+
+struct Move {
+    arc: usize,
+    live: Vec<usize>,
+    to: u32,
+}
+
+struct FaultMove {
+    action: usize,
+    outcome: Resolved,
+    to: u32,
 }
 
 /// A fault outcome resolved to a local-state vector, or the first process
@@ -259,28 +297,61 @@ struct LocalView {
 type Resolved = Result<Box<[u32]>, usize>;
 
 impl Explorer<'_> {
-    /// The state of configuration `cfg`, interning it if new (`true`).
-    fn intern(&mut self, cfg: &[u32]) -> Result<(StateId, bool), ExploreError> {
-        if let Some(&id) = self.ids.get(cfg) {
-            return Ok((id, false));
+    /// The state of the configuration (`view`, `vec`), added if new
+    /// (`true`).
+    fn intern(&mut self, view: u32, vec: u32) -> Result<(StateId, bool), ExploreError> {
+        let v = &self.views[view as usize];
+        let key = u64::from(v.class) << 32 | u64::from(vec);
+        match self.states.entry(key) {
+            Entry::Occupied(e) => {
+                let id = *e.get();
+                return if self.configs[id.index()].view == view {
+                    Ok((id, false))
+                } else {
+                    Err(ExploreError::AmbiguousState)
+                };
+            }
+            Entry::Vacant(e) => {
+                e.insert(StateId(self.configs.len() as u32));
+            }
         }
-        let np = self.program.processes.len();
-        let view = self.view(&cfg[..np]);
-        let st = State {
-            props: self.views[view as usize].props.clone(),
-            shared: cfg[np..].to_vec(),
-        };
-        let id = self
-            .kripke
-            .intern_fresh(st)
-            .map_err(|_| ExploreError::AmbiguousState)?;
-        self.ids.insert(cfg.into(), id);
-        self.configs.extend_from_slice(cfg);
-        self.state_view.push(view);
+        let id = self.kripke.push_state(State {
+            props: v.props.clone(),
+            shared: self.vectors.get(vec).to_vec(),
+        });
+        self.configs.push(Config { view, vec });
         if self.kripke.len() > MAX_STATES {
             return Err(ExploreError::StateSpaceTooLarge(MAX_STATES));
         }
         Ok((id, true))
+    }
+
+    /// The view reached by the `k`-th candidate move of `view`.
+    fn move_target(&mut self, view: u32, k: usize) -> u32 {
+        let m = &self.views[view as usize].moves[k];
+        if m.to != UNRESOLVED {
+            return m.to;
+        }
+        let arc = &self.arcs[m.arc];
+        let mut locals = self.views[view as usize].locals.to_vec();
+        locals[arc.process] = arc.to;
+        let to = self.view(&locals);
+        self.views[view as usize].moves[k].to = to;
+        to
+    }
+
+    /// The action and view of the `k`-th fault outcome of `view`, or the
+    /// action and the first process the outcome leaves unmappable.
+    fn fault_target(&mut self, view: u32, k: usize) -> Result<(usize, u32), (usize, usize)> {
+        let f = &self.views[view as usize].faults[k];
+        let action = f.action;
+        if f.to != UNRESOLVED {
+            return Ok((action, f.to));
+        }
+        let locals = f.outcome.clone().map_err(|process| (action, process))?;
+        let to = self.view(&locals);
+        self.views[view as usize].faults[k].to = to;
+        Ok((action, to))
     }
 
     /// The memoized view of a local-state vector.
@@ -296,13 +367,14 @@ impl Explorer<'_> {
             .iter()
             .enumerate()
             .filter(|(_, arc)| arc.from == idx[arc.process])
-            .map(|(ai, arc)| {
-                let live = (0..arc.cubes.len())
+            .map(|(ai, arc)| Move {
+                arc: ai,
+                live: (0..arc.cubes.len())
                     .filter(|&c| arc.cubes[c].props_hold(props.words()))
-                    .collect::<Vec<usize>>();
-                (ai, live)
+                    .collect(),
+                to: UNRESOLVED,
             })
-            .filter(|(_, live)| !live.is_empty())
+            .filter(|m| !m.live.is_empty())
             .collect();
         let mut faults = Vec::new();
         for (fi, action) in self.faults.iter().enumerate() {
@@ -321,17 +393,87 @@ impl Explorer<'_> {
                             .ok_or(pi)
                     })
                     .collect();
-                faults.push((fi, resolved));
+                faults.push(FaultMove {
+                    action: fi,
+                    outcome: resolved,
+                    to: UNRESOLVED,
+                });
             }
         }
+        let next_class = self.classes.len() as u32;
+        let class = *self.classes.entry(props.clone()).or_insert(next_class);
         let v = self.views.len() as u32;
         self.views.push(LocalView {
+            locals: locals.into(),
             props,
+            class,
             moves,
             faults,
         });
         self.view_ids.insert(locals.into(), v);
         v
+    }
+}
+
+/// Interned shared-value vectors, stored back to back, and the memoized
+/// effect of each transform — an arc's assignment or a corruption
+/// branch, numbered by the caller — on them.
+struct Vectors {
+    width: usize,
+    values: Vec<u32>,
+    ids: HashMap<Box<[u32]>, u32, BuildHasherDefault<WordHasher>>,
+    /// (transform, vector id) packed in a word → resulting vector id.
+    applied: HashMap<u64, u32, BuildHasherDefault<WordHasher>>,
+    scratch: Vec<u32>,
+}
+
+impl Vectors {
+    fn new(width: usize) -> Vectors {
+        Vectors {
+            width,
+            values: Vec::new(),
+            ids: HashMap::default(),
+            applied: HashMap::default(),
+            scratch: Vec::new(),
+        }
+    }
+
+    /// The values of vector `id`.
+    fn get(&self, id: u32) -> &[u32] {
+        let at = id as usize * self.width;
+        &self.values[at..at + self.width]
+    }
+
+    /// The id of `values`, interning it if new.
+    fn intern(&mut self, values: &[u32]) -> u32 {
+        if let Some(&id) = self.ids.get(values) {
+            return id;
+        }
+        let id = self.ids.len() as u32;
+        self.values.extend_from_slice(values);
+        self.ids.insert(values.into(), id);
+        id
+    }
+
+    /// The id of vector `id` after the writes of transform `t`.
+    fn apply(&mut self, t: usize, id: u32, writes: &[(usize, u32)]) -> u32 {
+        if writes.is_empty() {
+            return id;
+        }
+        let key = (t as u64) << 32 | u64::from(id);
+        if let Some(&out) = self.applied.get(&key) {
+            return out;
+        }
+        let mut next = std::mem::take(&mut self.scratch);
+        next.clear();
+        next.extend_from_slice(self.get(id));
+        for &(v, k) in writes {
+            next[v] = k;
+        }
+        let out = self.intern(&next);
+        self.scratch = next;
+        self.applied.insert(key, out);
+        out
     }
 }
 
@@ -439,16 +581,17 @@ fn dnf(e: &BoolExpr, positive: bool, words: usize, shared: usize) -> Vec<Cube> {
     }
 }
 
-/// An action's shared-variable corruption: the variables it writes and,
-/// per branch in [`corrupt_branches`] order, the values written. Both
-/// are independent of the state the action fires in.
+/// An action's shared-variable corruption: per branch in
+/// [`corrupt_branches`] order, the writes it makes, which are
+/// independent of the state the action fires in. Branch `b` is
+/// transform `first + b` of [`Vectors::apply`].
 struct Corruption {
-    vars: Vec<usize>,
-    branches: Vec<Vec<u32>>,
+    first: usize,
+    branches: Vec<Vec<(usize, u32)>>,
 }
 
 impl Corruption {
-    fn new(program: &Program, action: &FaultAction) -> Corruption {
+    fn new(program: &Program, action: &FaultAction, first: usize) -> Corruption {
         let mut vars: Vec<usize> = action
             .corrupt_shared()
             .iter()
@@ -459,17 +602,18 @@ impl Corruption {
         vars.dedup();
         let branches = corrupt_branches(program, &program.init_shared, action)
             .into_iter()
-            .map(|b| vars.iter().map(|&v| b[v]).collect())
+            .map(|b| vars.iter().map(|&v| (v, b[v])).collect())
             .collect();
-        Corruption { vars, branches }
+        Corruption { first, branches }
     }
 }
 
-/// A multiply-rotate hash over whole words (the `FxHash` scheme) for
-/// configuration rows, which are hashed once per explored edge and are
-/// up to a hundred words long. Rows are not outside input the default
-/// keyed hash would guard: the program being explored already decides
-/// how much work exploring it takes.
+/// A multiply-rotate hash over whole words (the `FxHash` scheme) for the
+/// explorer's packed state and transform keys, hashed once or twice per
+/// explored edge, and for shared-value vectors, hashed once per new
+/// vector. Keys are not outside input the default keyed hash would
+/// guard: the program being explored already decides how much work
+/// exploring it takes.
 #[derive(Default)]
 struct WordHasher(u64);
 

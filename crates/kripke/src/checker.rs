@@ -23,11 +23,20 @@
 //! with the fixpoint characterization `E[gUh] ≡ h ∨ (g ∧ EX E[gUh])`
 //! used by the decision procedure, so we implement the standard
 //! `j ∈ [0 : (i−1)]` reading.)
+//!
+//! The checker is step 5's re-check of every explored structure and
+//! CEGIS's verdict on every candidate, so its work is kept to flat
+//! arrays: satisfaction sets are bitsets memoized densely by formula
+//! id; the path predecessors under the semantics and each process's
+//! program edges are laid out once per checker as `u32` arrays in
+//! compressed-sparse-row form; and the until and unless modalities, and
+//! [`Checker::eu_of`]/[`Checker::au_of`]/[`Checker::ag_of`], are one
+//! worklist fixpoint over the predecessor array.
 
 use crate::stateset::StateSet;
 use crate::structure::{FtKripke, StateId, TransKind};
 use ftsyn_ctl::{Formula, FormulaArena, FormulaId};
-use std::collections::HashMap;
+use std::cell::OnceCell;
 
 /// Which fullpaths the path quantifiers range over.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -39,6 +48,19 @@ pub enum Semantics {
 }
 
 /// A memoizing model checker for one structure and one semantics.
+///
+/// Satisfaction sets are memoized in a vector indexed by [`FormulaId`],
+/// grown on demand, so formulas interned after the checker was created
+/// are evaluated like any other. The edge arrays the modalities walk are
+/// built on first use, each in one pass over the structure, as flat
+/// `u32` arrays in compressed-sparse-row form:
+///
+/// * each state's *path predecessors* — the sources of its incoming
+///   edges that the semantics follows (fault edges only under
+///   [`Semantics::IncludeFaults`]), in `pred` order — which every
+///   until/unless fixpoint walks backwards;
+/// * each process's program edges as `(source, target)` pairs, in source
+///   order, for the nexttime modalities.
 ///
 /// # Examples
 ///
@@ -65,31 +87,30 @@ pub enum Semantics {
 pub struct Checker<'m> {
     model: &'m FtKripke,
     semantics: Semantics,
-    memo: HashMap<FormulaId, StateSet>,
+    /// The satisfaction set of each evaluated formula, by formula id.
+    memo: Vec<Option<StateSet>>,
     /// Each proposition's states, indexed on the first literal
     /// evaluated.
     prop_sets: Option<Vec<StateSet>>,
-    /// Each process's program edges `(source, target)`, indexed on the
-    /// first nexttime evaluated.
-    proc_edges: Option<Vec<Vec<(StateId, StateId)>>>,
-    /// Each state's path-successor count, computed on the first
-    /// `A[gUh]`/`E[gWh]` evaluated.
-    path_out: Option<Vec<u32>>,
+    /// Path predecessors, built on the first fixpoint.
+    path_pred: OnceCell<Csr>,
+    /// Program edges by process, built on the first nexttime.
+    proc_edges: OnceCell<ProcEdges>,
 }
 
 impl<'m> Checker<'m> {
     /// Creates a checker for `model` under the given semantics. Nothing
     /// is precomputed here (the semantic minimizer builds one checker
-    /// per candidate model); the edge indexes the modalities share are
-    /// built on first use, each in one pass over the edges.
+    /// per candidate model); the edge arrays the modalities share are
+    /// built on first use.
     pub fn new(model: &'m FtKripke, semantics: Semantics) -> Checker<'m> {
         Checker {
             model,
             semantics,
-            memo: HashMap::new(),
+            memo: Vec::new(),
             prop_sets: None,
-            proc_edges: None,
-            path_out: None,
+            path_pred: OnceCell::new(),
+            proc_edges: OnceCell::new(),
         }
     }
 
@@ -110,11 +131,20 @@ impl<'m> Checker<'m> {
 
     /// The set of states satisfying `f`.
     pub fn eval(&mut self, arena: &FormulaArena, f: FormulaId) -> &StateSet {
-        if !self.memo.contains_key(&f) {
+        let i = f.index();
+        if self.memo.get(i).is_none_or(Option::is_none) {
             let v = self.compute(arena, f);
-            self.memo.insert(f, v);
+            if self.memo.len() <= i {
+                self.memo.resize_with(i + 1, || None);
+            }
+            self.memo[i] = Some(v);
         }
-        &self.memo[&f]
+        self.get(f)
+    }
+
+    /// The memoized set of an evaluated formula.
+    fn get(&self, f: FormulaId) -> &StateSet {
+        self.memo[f.index()].as_ref().expect("evaluated first")
     }
 
     /// Evaluates `a` and `b`, then borrows both satisfaction sets.
@@ -126,11 +156,11 @@ impl<'m> Checker<'m> {
     ) -> (&StateSet, &StateSet) {
         self.eval(arena, a);
         self.eval(arena, b);
-        (&self.memo[&a], &self.memo[&b])
+        (self.get(a), self.get(b))
     }
 
     fn compute(&mut self, arena: &FormulaArena, f: FormulaId) -> StateSet {
-        let (m, sem) = (self.model, self.semantics);
+        let m = self.model;
         let n = m.len();
         match arena.get(f) {
             Formula::True => StateSet::full(n),
@@ -164,12 +194,13 @@ impl<'m> Checker<'m> {
             Formula::Ex(i, g) | Formula::Ax(i, g) => {
                 let ax = matches!(arena.get(f), Formula::Ax(..));
                 self.eval(arena, g);
-                let edges = self.proc_edges.get_or_insert_with(|| proc_edges(m));
-                let vg = &self.memo[&g];
+                let edges = self.proc_edges.get_or_init(|| ProcEdges::new(m));
+                let vg = self.get(g);
                 let mut x = StateSet::empty(n);
-                for &(s, t) in edges.get(i).map_or(&[][..], Vec::as_slice) {
-                    if vg.contains(t) != ax {
-                        x.insert(s);
+                let (src, dst) = edges.of(i);
+                for (&s, &t) in src.iter().zip(dst) {
+                    if vg.contains(StateId(t)) != ax {
+                        x.insert(StateId(s));
                     }
                 }
                 if ax {
@@ -178,29 +209,18 @@ impl<'m> Checker<'m> {
                     x
                 }
             }
-            Formula::Eu(g, h) => {
-                let (vg, vh) = self.eval2(arena, g, h);
-                eu_set(m, sem, vg, vh)
-            }
-            Formula::Aw(g, h) => {
-                // A[gWh] = ¬E[¬g U ¬h]
-                let (vg, vh) = self.eval2(arena, g, h);
-                eu_set(m, sem, &vg.complement(), &vh.complement()).complement()
-            }
-            Formula::Au(g, h) | Formula::Ew(g, h) => {
-                // E[gWh] = ¬A[¬g U ¬h]
-                let ew = matches!(arena.get(f), Formula::Ew(..));
+            // A[gWh] = ¬E[¬g U ¬h] and E[gWh] = ¬A[¬g U ¬h].
+            Formula::Eu(g, h) | Formula::Au(g, h) | Formula::Aw(g, h) | Formula::Ew(g, h) => {
+                let universal = matches!(arena.get(f), Formula::Au(..) | Formula::Ew(..));
+                let weak = matches!(arena.get(f), Formula::Aw(..) | Formula::Ew(..));
                 self.eval(arena, g);
                 self.eval(arena, h);
-                let out = self
-                    .path_out
-                    .get_or_insert_with(|| path_out_degrees(m, sem))
-                    .clone();
-                let (vg, vh) = (&self.memo[&g], &self.memo[&h]);
-                if ew {
-                    au_set(m, sem, &vg.complement(), &vh.complement(), out).complement()
+                let (vg, vh) = (self.get(g), self.get(h));
+                if weak {
+                    self.until(&vg.complement(), &vh.complement(), universal)
+                        .complement()
                 } else {
-                    au_set(m, sem, vg, vh, out)
+                    self.until(vg, vh, universal)
                 }
             }
         }
@@ -219,23 +239,26 @@ impl<'m> Checker<'m> {
     /// checker's semantics (i.e. the structure has no dead ends, so
     /// every fullpath is infinite).
     pub fn dead_end_free(&self) -> bool {
-        self.model
-            .state_ids()
-            .all(|s| self.path_succ(s).next().is_some())
+        let include_faults = self.semantics == Semantics::IncludeFaults;
+        self.model.state_ids().all(|s| {
+            self.model
+                .succ(s)
+                .iter()
+                .any(|e| include_faults || !e.kind.is_fault())
+        })
     }
 
     /// `E[gUh]` over explicit satisfaction sets (no arena needed): the
-    /// least-fixpoint machinery of [`Checker::eval`], exposed so callers
-    /// holding precomputed sets can run one modality without mutating a
-    /// formula arena.
+    /// fixpoint [`Checker::eval`] runs, exposed so callers holding
+    /// precomputed sets can run one modality without mutating a formula
+    /// arena.
     pub fn eu_of(&self, g: &StateSet, h: &StateSet) -> StateSet {
-        eu_set(self.model, self.semantics, g, h)
+        self.until(g, h, false)
     }
 
     /// `A[gUh]` over explicit satisfaction sets.
     pub fn au_of(&self, g: &StateSet, h: &StateSet) -> StateSet {
-        let out = path_out_degrees(self.model, self.semantics);
-        au_set(self.model, self.semantics, g, h, out)
+        self.until(g, h, true)
     }
 
     /// `EF h` over an explicit satisfaction set.
@@ -253,39 +276,138 @@ impl<'m> Checker<'m> {
         self.ef_of(&h.complement()).complement()
     }
 
-    fn path_succ(&self, s: StateId) -> impl Iterator<Item = StateId> + '_ {
-        let include_faults = self.semantics == Semantics::IncludeFaults;
-        self.model
-            .succ(s)
-            .iter()
-            .filter(move |e| include_faults || !e.kind.is_fault())
-            .map(|e| e.to)
-    }
-}
-
-/// The path-predecessors of `t` under `semantics` (pred edges hold the
-/// source in `to`).
-fn path_pred(m: &FtKripke, semantics: Semantics, t: StateId) -> impl Iterator<Item = StateId> + '_ {
-    let include_faults = semantics == Semantics::IncludeFaults;
-    m.pred(t)
-        .iter()
-        .filter(move |e| include_faults || !e.kind.is_fault())
-        .map(|e| e.to)
-}
-
-/// Least fixpoint for `E[gUh]`: `X = h ∪ (g ∩ pre∃(X))`, by a worklist
-/// over predecessors.
-fn eu_set(m: &FtKripke, semantics: Semantics, g: &StateSet, h: &StateSet) -> StateSet {
-    let mut x = h.clone();
-    let mut work: Vec<StateId> = x.iter().collect();
-    while let Some(t) = work.pop() {
-        for s in path_pred(m, semantics, t) {
-            if g.contains(s) && x.insert(s) {
-                work.push(s);
+    /// The least fixpoint of `E[gUh]` (`universal` false) or `A[gUh]`
+    /// (true): `X = h ∪ (g ∩ pre(X))`, where `pre` takes the states with
+    /// some path successor in `X`, or with at least one and all of them
+    /// in `X`. A worklist walks the path predecessors of each state that
+    /// enters `X`; for `A`, each state counts down its path successors
+    /// not yet in `X` and can enter at zero.
+    ///
+    /// Dead-end states satisfy `A[gUh]` and `E[gUh]` iff `h` holds there
+    /// (the only fullpath is the single-state path): no edge leads out of
+    /// them, so they only enter `X` through `h`.
+    fn until(&self, g: &StateSet, h: &StateSet, universal: bool) -> StateSet {
+        let pred = self
+            .path_pred
+            .get_or_init(|| Csr::path_pred(self.model, self.semantics));
+        let mut remaining = if universal {
+            pred.out_degrees()
+        } else {
+            Vec::new()
+        };
+        let mut x = h.clone();
+        let mut work: Vec<u32> = x.iter().map(|s| s.0).collect();
+        while let Some(t) = work.pop() {
+            for &s in pred.row(t) {
+                if universal {
+                    let r = &mut remaining[s as usize];
+                    *r -= 1;
+                    if *r != 0 {
+                        continue;
+                    }
+                }
+                if g.contains(StateId(s)) && x.insert(StateId(s)) {
+                    work.push(s);
+                }
             }
         }
+        x
     }
-    x
+}
+
+/// An adjacency relation in compressed-sparse-row form: row `i` is
+/// `adj[start[i]..start[i + 1]]`.
+struct Csr {
+    start: Vec<u32>,
+    adj: Vec<u32>,
+}
+
+impl Csr {
+    /// Each state's path predecessors under `semantics`, in `pred`
+    /// order.
+    fn path_pred(m: &FtKripke, semantics: Semantics) -> Csr {
+        let include_faults = semantics == Semantics::IncludeFaults;
+        let mut start = Vec::with_capacity(m.len() + 1);
+        let mut adj = Vec::new();
+        start.push(0);
+        for t in m.state_ids() {
+            adj.extend(
+                m.pred(t)
+                    .iter()
+                    .filter(|e| include_faults || !e.kind.is_fault())
+                    .map(|e| e.to.0),
+            );
+            start.push(adj.len() as u32);
+        }
+        Csr { start, adj }
+    }
+
+    fn row(&self, i: u32) -> &[u32] {
+        let i = i as usize;
+        &self.adj[self.start[i] as usize..self.start[i + 1] as usize]
+    }
+
+    /// How often each row index occurs as an entry: on path
+    /// predecessors, each state's number of path successors.
+    fn out_degrees(&self) -> Vec<u32> {
+        let mut out = vec![0; self.start.len() - 1];
+        for &s in &self.adj {
+            out[s as usize] += 1;
+        }
+        out
+    }
+}
+
+/// Every process's program edges, in source order, as parallel
+/// source/target arrays: process `i` owns `start[i]..start[i + 1]`.
+struct ProcEdges {
+    start: Vec<u32>,
+    src: Vec<u32>,
+    dst: Vec<u32>,
+}
+
+impl ProcEdges {
+    fn new(m: &FtKripke) -> ProcEdges {
+        let mut start = Vec::new();
+        for s in m.state_ids() {
+            for e in m.succ(s) {
+                if let TransKind::Proc(i) = e.kind {
+                    if start.len() < i + 2 {
+                        start.resize(i + 2, 0);
+                    }
+                    start[i + 1] += 1;
+                }
+            }
+        }
+        for i in 1..start.len() {
+            start[i] += start[i - 1];
+        }
+        let total = start.last().map_or(0, |&n| n as usize);
+        let (mut src, mut dst) = (vec![0; total], vec![0; total]);
+        let mut fill = start.clone();
+        for s in m.state_ids() {
+            for e in m.succ(s) {
+                if let TransKind::Proc(i) = e.kind {
+                    let at = fill[i] as usize;
+                    src[at] = s.0;
+                    dst[at] = e.to.0;
+                    fill[i] += 1;
+                }
+            }
+        }
+        ProcEdges { start, src, dst }
+    }
+
+    /// Process `i`'s edges (none for a process with no edges).
+    fn of(&self, i: usize) -> (&[u32], &[u32]) {
+        match self.start.get(i + 1) {
+            Some(&end) => {
+                let r = self.start[i] as usize..end as usize;
+                (&self.src[r.clone()], &self.dst[r])
+            }
+            None => (&[], &[]),
+        }
+    }
 }
 
 /// Every proposition's set of states (up to the highest proposition
@@ -308,105 +430,52 @@ fn prop_sets(m: &FtKripke) -> Vec<StateSet> {
     sets
 }
 
-/// Every process's program edges `(source, target)`, in source order.
-fn proc_edges(m: &FtKripke) -> Vec<Vec<(StateId, StateId)>> {
-    let mut by_proc: Vec<Vec<(StateId, StateId)>> = Vec::new();
-    for s in m.state_ids() {
-        for e in m.succ(s) {
-            if let TransKind::Proc(i) = e.kind {
-                if by_proc.len() <= i {
-                    by_proc.resize_with(i + 1, Vec::new);
-                }
-                by_proc[i].push((s, e.to));
-            }
-        }
-    }
-    by_proc
-}
-
-/// Every state's number of path-successor edges under `semantics`.
-fn path_out_degrees(m: &FtKripke, semantics: Semantics) -> Vec<u32> {
-    let include_faults = semantics == Semantics::IncludeFaults;
-    m.state_ids()
-        .map(|s| {
-            m.succ(s)
-                .iter()
-                .filter(|e| include_faults || !e.kind.is_fault())
-                .count() as u32
-        })
-        .collect()
-}
-
-/// Least fixpoint for `A[gUh]`:
-/// `X = h ∪ (g ∩ {s : succ(s) ≠ ∅ ∧ succ(s) ⊆ X})`, given each state's
-/// path-successor count in `remaining` (consumed as the count of
-/// successors not yet in `X`).
-///
-/// Dead-end states satisfy `A[gUh]` iff `h` holds there (the only
-/// fullpath is the single-state path): their count starts at zero and
-/// is never decremented, so they only enter `X` through `h`.
-fn au_set(
-    m: &FtKripke,
-    semantics: Semantics,
-    g: &StateSet,
-    h: &StateSet,
-    mut remaining: Vec<u32>,
-) -> StateSet {
-    let mut x = h.clone();
-    let mut work: Vec<StateId> = x.iter().collect();
-    while let Some(t) = work.pop() {
-        for s in path_pred(m, semantics, t) {
-            let r = &mut remaining[s.index()];
-            *r -= 1;
-            if *r == 0 && g.contains(s) && x.insert(s) {
-                work.push(s);
-            }
-        }
-    }
-    x
-}
-
 /// A frozen per-state CTL labeling captured from a [`Checker`] run:
 /// formula id → satisfaction set over the model the checker was built
-/// on. The cache owns plain data (no borrow of the model), so it can
-/// outlive the checker and be shared across worker threads; the
-/// semantic minimizer uses one cache per accepted model to transfer
-/// base-model truths onto merge candidates instead of re-checking them.
+/// on, stored densely by formula id. The cache owns plain data (no
+/// borrow of the model), so it can outlive the checker and be shared
+/// across worker threads; the semantic minimizer uses one cache per
+/// accepted model to transfer base-model truths onto merge candidates
+/// instead of re-checking them.
 #[derive(Clone, Debug, Default)]
 pub struct LabelCache {
-    labels: HashMap<FormulaId, StateSet>,
+    labels: Vec<Option<StateSet>>,
 }
 
 impl LabelCache {
     /// The satisfaction set of `f`, if `f` was evaluated (directly or as
     /// a subformula) before the cache was captured.
     pub fn get(&self, f: FormulaId) -> Option<&StateSet> {
-        self.labels.get(&f)
+        self.labels.get(f.index()).and_then(Option::as_ref)
     }
 
     /// Whether `f` holds at `s`, if `f` is cached.
     pub fn holds(&self, f: FormulaId, s: StateId) -> Option<bool> {
-        self.labels.get(&f).map(|v| v.contains(s))
+        self.get(f).map(|v| v.contains(s))
     }
 
     /// Whether `f` is cached and holds at *every* state of the model.
     pub fn all_true(&self, f: FormulaId) -> bool {
-        self.labels.get(&f).is_some_and(StateSet::is_full)
+        self.get(f).is_some_and(StateSet::is_full)
     }
 
-    /// Ids of all cached formulae (arbitrary order).
+    /// Ids of all cached formulae, in id order.
     pub fn formulas(&self) -> impl Iterator<Item = FormulaId> + '_ {
-        self.labels.keys().copied()
+        self.labels
+            .iter()
+            .enumerate()
+            .filter(|(_, l)| l.is_some())
+            .map(|(i, _)| FormulaId(i as u32))
     }
 
     /// Number of cached formulae.
     pub fn len(&self) -> usize {
-        self.labels.len()
+        self.formulas().count()
     }
 
     /// Whether nothing was cached.
     pub fn is_empty(&self) -> bool {
-        self.labels.is_empty()
+        self.len() == 0
     }
 }
 
@@ -569,6 +638,25 @@ mod tests {
             assert_eq!(&ck.eu_of(&vn, &vc), ck.eval(&fx.arena, eu));
             assert_eq!(&ck.au_of(&vn, &vc), ck.eval(&fx.arena, au));
         }
+    }
+
+    #[test]
+    fn formulas_interned_after_the_checker_was_created_are_evaluated() {
+        let mut fx = fixture();
+        let n = prop(&mut fx, "n");
+        let mut ck = Checker::new(&fx.m, Semantics::FaultFree);
+        assert!(ck.holds(&fx.arena, n, fx.ids[0]));
+        // Interned now, with ids beyond everything evaluated so far.
+        let c = fx.arena.prop(fx.props.id("c").unwrap());
+        let af = fx.arena.af(c);
+        let eg = fx.arena.eg(n);
+        assert!(af.index() > n.index() && eg.index() > n.index());
+        assert!(ck.holds(&fx.arena, af, fx.ids[0]));
+        assert!(!ck.holds(&fx.arena, eg, fx.ids[0]));
+        let cache = ck.into_cache();
+        assert_eq!(cache.holds(af, fx.ids[1]), Some(true));
+        assert_eq!(cache.holds(c, fx.ids[2]), Some(true));
+        assert!(cache.formulas().any(|f| f == eg));
     }
 
     #[test]

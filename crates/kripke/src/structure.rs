@@ -9,6 +9,7 @@ use crate::state::{PropSet, State};
 use ftsyn_ctl::PropTable;
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::OnceLock;
 
 /// Identifier of a state within an [`FtKripke`].
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -69,13 +70,21 @@ pub enum StateRole {
 }
 
 /// A fault-tolerant Kripke structure.
+///
+/// States are looked up by content through an index that is built on
+/// the first [`FtKripke::find_state`] or [`FtKripke::intern_state`] and
+/// kept up to date from then on; [`FtKripke::state_mut`] and the
+/// in-place rebuilds drop it. Structures that are only built and
+/// walked — the step-5 explorer's, the unraveled and minimized models —
+/// never pay for hashing their states.
 #[derive(Clone, Debug, Default)]
 pub struct FtKripke {
     states: Vec<State>,
     init: Vec<StateId>,
     succ: Vec<Vec<Edge>>,
     pred: Vec<Vec<Edge>>, // Edge.to here is the *source* of the transition
-    index: HashMap<State, StateId>,
+    /// Each distinct state content → its lowest id, once asked for.
+    index: OnceLock<HashMap<State, StateId>>,
 }
 
 impl FtKripke {
@@ -86,45 +95,22 @@ impl FtKripke {
 
     /// Adds (or finds) a state with the given content; returns its id.
     pub fn intern_state(&mut self, s: State) -> StateId {
-        if let Some(&id) = self.index.get(&s) {
+        if let Some(id) = self.find_state(&s) {
             return id;
         }
-        let id = StateId(self.states.len() as u32);
-        self.index.insert(s.clone(), id);
-        self.states.push(s);
-        self.succ.push(Vec::new());
-        self.pred.push(Vec::new());
-        id
+        self.push_state(s)
     }
 
-    /// Interns a state that must be new: returns its fresh id, or the id
-    /// of the equal state already interned (leaving the structure
-    /// unchanged). One hash per call, where [`FtKripke::find_state`]
-    /// followed by [`FtKripke::intern_state`] costs two.
-    ///
-    /// # Errors
-    ///
-    /// Returns the existing id if an equal state is already interned.
-    pub fn intern_fresh(&mut self, s: State) -> Result<StateId, StateId> {
-        use std::collections::hash_map::Entry;
-        let id = StateId(self.states.len() as u32);
-        match self.index.entry(s) {
-            Entry::Occupied(e) => Err(*e.get()),
-            Entry::Vacant(e) => {
-                self.states.push(e.key().clone());
-                e.insert(id);
-                self.succ.push(Vec::new());
-                self.pred.push(Vec::new());
-                Ok(id)
-            }
-        }
-    }
-
-    /// Adds a state without interning (duplicates allowed). Used by the
-    /// synthesis unraveling, where distinct states may share a valuation
-    /// until shared variables are introduced.
+    /// Adds a state without looking it up (duplicates allowed). Used by
+    /// the synthesis unraveling, where distinct states may share a
+    /// valuation until shared variables are introduced, and by the
+    /// step-5 explorer, which keeps its own index. A duplicate is found
+    /// by [`FtKripke::find_state`] under the lowest id of its content.
     pub fn push_state(&mut self, s: State) -> StateId {
         let id = StateId(self.states.len() as u32);
+        if let Some(index) = self.index.get_mut() {
+            index.entry(s.clone()).or_insert(id);
+        }
         self.states.push(s);
         self.succ.push(Vec::new());
         self.pred.push(Vec::new());
@@ -192,7 +178,7 @@ impl FtKripke {
         let merged_id = q(into);
         let n = self.states.len() - 1;
 
-        out.index.clear();
+        out.index.take();
         out.init.clear();
         // States: element-wise clone_from reuses each slot's buffers.
         out.states.truncate(n);
@@ -241,7 +227,7 @@ impl FtKripke {
 
     /// Empties this structure and refills it with one state per
     /// valuation, ids in iteration order, no shared variables, no edges,
-    /// no initial states and an empty interning index: element-identical
+    /// no initial states and no content index: element-identical
     /// to [`FtKripke::new`] followed by one [`FtKripke::push_state`] of
     /// `State::new(v.clone())` per valuation. The caller goes on with
     /// [`FtKripke::add_init`] and [`FtKripke::add_edge`].
@@ -252,7 +238,7 @@ impl FtKripke {
     /// engine rebuilds one candidate model per candidate into the same
     /// structure, so a rebuild must not pay per-state allocations.
     pub fn reset_states<'a>(&mut self, vals: impl IntoIterator<Item = &'a PropSet>) {
-        self.index.clear();
+        self.index.take();
         self.init.clear();
         let mut n = 0;
         for v in vals {
@@ -291,15 +277,26 @@ impl FtKripke {
     }
 
     /// Mutable access to a state's content (used when introducing shared
-    /// variables during extraction). The interning index is invalidated.
+    /// variables during extraction). The content index is dropped, to be
+    /// rebuilt on the next lookup.
     pub fn state_mut(&mut self, s: StateId) -> &mut State {
-        self.index.clear();
+        self.index.take();
         &mut self.states[s.index()]
     }
 
-    /// Looks up an interned state by content.
+    /// The lowest id of a state with content `s`. The first lookup
+    /// indexes every state.
     pub fn find_state(&self, s: &State) -> Option<StateId> {
-        self.index.get(s).copied()
+        self.index
+            .get_or_init(|| {
+                let mut index = HashMap::with_capacity(self.states.len());
+                for (i, st) in self.states.iter().enumerate() {
+                    index.entry(st.clone()).or_insert(StateId(i as u32));
+                }
+                index
+            })
+            .get(s)
+            .copied()
     }
 
     /// Number of states.
@@ -487,6 +484,58 @@ mod tests {
         let b = m.intern_state(mk_state(2, &[0]));
         assert_eq!(a, b);
         assert_eq!(m.len(), 1);
+    }
+
+    #[test]
+    fn find_state_sees_pushed_states_under_their_lowest_id() {
+        let mut m = FtKripke::new();
+        let a = m.push_state(mk_state(2, &[0]));
+        let b = m.push_state(mk_state(2, &[1]));
+        m.push_state(mk_state(2, &[0]));
+        assert_eq!(m.find_state(&mk_state(2, &[0])), Some(a));
+        assert_eq!(m.find_state(&mk_state(2, &[1])), Some(b));
+        assert_eq!(m.find_state(&mk_state(2, &[])), None);
+        // Pushed after the index was built: kept up to date.
+        let c = m.push_state(mk_state(2, &[0, 1]));
+        m.push_state(mk_state(2, &[1]));
+        assert_eq!(m.find_state(&mk_state(2, &[0, 1])), Some(c));
+        assert_eq!(m.find_state(&mk_state(2, &[1])), Some(b));
+        assert_eq!(m.intern_state(mk_state(2, &[0, 1])), c);
+        assert_eq!(m.len(), 5);
+    }
+
+    #[test]
+    fn find_state_after_state_mut_sees_the_new_content() {
+        let mut m = FtKripke::new();
+        let a = m.intern_state(mk_state(2, &[0]));
+        let b = m.intern_state(mk_state(2, &[1]));
+        m.state_mut(a).shared = vec![7];
+        assert_eq!(m.find_state(&mk_state(2, &[0])), None);
+        let mut moved = mk_state(2, &[0]);
+        moved.shared = vec![7];
+        assert_eq!(m.find_state(&moved), Some(a));
+        assert_eq!(m.find_state(&mk_state(2, &[1])), Some(b));
+        // Interning the old content now adds a state.
+        assert_eq!(m.intern_state(mk_state(2, &[0])), StateId(2));
+    }
+
+    #[test]
+    fn find_state_on_a_clone() {
+        let mut built = FtKripke::new();
+        let mut unbuilt = FtKripke::new();
+        for v in [&[0][..], &[1], &[0, 1]] {
+            built.push_state(mk_state(2, v));
+            unbuilt.push_state(mk_state(2, v));
+        }
+        assert_eq!(built.find_state(&mk_state(2, &[1])), Some(StateId(1)));
+        for original in [built, unbuilt] {
+            let mut copy = original.clone();
+            assert_eq!(copy.find_state(&mk_state(2, &[0, 1])), Some(StateId(2)));
+            // The copy's index is its own.
+            let d = copy.push_state(mk_state(2, &[]));
+            assert_eq!(copy.find_state(&mk_state(2, &[])), Some(d));
+            assert_eq!(original.find_state(&mk_state(2, &[])), None);
+        }
     }
 
     #[test]
