@@ -184,7 +184,8 @@ fn main() -> ExitCode {
                     println!(
                         "phases: build {:.1?} ({} levels, peak frontier {}, {} threads, \
                      {} batches, {} steals, idle {:.1?}, \
-                     {} intern probes in {:.1?}, cache {}/{} hits), \
+                     {} intern probes in {:.1?}, apply {:.1?}, commit cpu {}, \
+                     {} blocks leaves ({} plain, {} reordered), cache {}/{} hits), \
                      delete {:.1?} ({} rounds, {} worklist pops, {} certs built, {} reused), \
                      unravel {:.1?}, minimize {:.1?} ({} merges of {} tried, \
                      {} pruned, {} full checks, {} replayed, \
@@ -201,6 +202,13 @@ fn main() -> ExitCode {
                         idle_total,
                         st.build_profile.intern_probes,
                         st.build_profile.intern_time,
+                        st.build_profile.apply_time,
+                        st.build_profile
+                            .commit_cpu
+                            .map_or("n/a".to_owned(), |t| format!("{t:.1?}")),
+                        st.build_profile.blocks_leaves,
+                        st.build_profile.blocks_plain,
+                        st.build_profile.blocks_reordered,
                         st.build_profile.cache_hits,
                         st.build_profile.cache_hits + st.build_profile.cache_misses,
                         st.deletion_time,

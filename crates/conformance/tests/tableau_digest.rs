@@ -1,16 +1,16 @@
-//! Pins the fault tableaux of three benchmark problems bit for bit.
+//! Pins the tableaux of the four `solve-tableau` problems and of
+//! mutex3-failstop-masking bit for bit, and the `Blocks` counters of
+//! three of them.
 //!
 //! The naive `Blocks` oracle is too slow for mutex4-failstop-masking's
 //! 25,000-candidate expansions, so `build_matches_reference_kernels`
-//! cannot cover that tableau. This test instead folds every node's
+//! cannot cover that tableau. These tests instead fold every node's
 //! `(kind, label words, dummy, succ, pred)` into one 64-bit digest and
-//! compares it with a constant recorded from the build as it stood
-//! before `Blocks` stopped deduplicating its leaves with a hash set and
-//! the tableau dropped its global edge index. Any change to node ids,
-//! labels or edge order moves the digest. It runs under plain `cargo
-//! test`; CI also runs it in release (`cargo test --release -p
-//! ftsyn-conformance --test tableau_digest`), the configuration the
-//! benchmark measures.
+//! compare it with a constant recorded from an earlier build (each test
+//! says which). Any change to node ids, labels or edge order moves the
+//! digest. They run under plain `cargo test`; CI also runs them in
+//! release (`cargo test --release -p ftsyn-conformance --test
+//! tableau_digest`), the configuration the benchmark measures.
 
 use ftsyn::problems::{barrier, mutex};
 use ftsyn::tableau::{build_with_threads, EdgeKind, NodeKind, Tableau};
@@ -77,6 +77,9 @@ fn assert_digest(name: &str, mut problem: SynthesisProblem, nodes: usize, expect
     }
 }
 
+/// Constants recorded from the build as it stood before `Blocks`
+/// stopped deduplicating its leaves with a hash set and the tableau
+/// dropped its global edge index.
 #[test]
 fn fault_tableaux_are_pinned_bit_for_bit() {
     assert_digest(
@@ -97,4 +100,74 @@ fn fault_tableaux_are_pinned_bit_for_bit() {
         26_202,
         0xe5ad_83ea_d72e_b45d,
     );
+}
+
+/// The two `solve-tableau` tableaux the test above leaves out:
+/// philosophers5-fault-free (no faults, so every OR-label is a `Tiles`
+/// successor) and mutex3-failstop-multitolerance, whose per-action
+/// tolerance labels give `Blocks` labels that need the `AX` split.
+/// Constants recorded from the build before `Blocks` branched
+/// semantically.
+#[test]
+fn solve_tableau_tableaux_are_pinned_bit_for_bit() {
+    assert_digest(
+        "philosophers5-fault-free",
+        mutex::dining_philosophers(5),
+        2_761,
+        0x9aff_4e6b_ac0d_f905,
+    );
+    assert_digest(
+        "mutex3-failstop-multitolerance",
+        mutex3_multitolerance(),
+        3_901,
+        0x5dd1_d9c3_2ffb_b7e9,
+    );
+}
+
+/// The benchmark's multitolerance case: masking for every fault but
+/// P1's, which gets nonmasking tolerance.
+fn mutex3_multitolerance() -> SynthesisProblem {
+    mutex::with_fail_stop_multitolerance(3, |f| {
+        if f.name().contains("P1") {
+            Tolerance::Nonmasking
+        } else {
+            Tolerance::Masking
+        }
+    })
+}
+
+/// `BuildProfile`'s `Blocks` counters, `(leaves, plain, reordered)`, at
+/// 1 and 2 threads. mutex4's expansions never need the plain search;
+/// 229 of barrier3's 600 OR-labels and 49 of the multitolerance case's
+/// 586 have a leaf that needs the `AX` split, so they fall back to it.
+#[test]
+fn blocks_counters_are_pinned() {
+    for (name, mut problem, expect) in [
+        (
+            "mutex4-failstop-masking",
+            mutex::with_fail_stop(4, Tolerance::Masking),
+            (169_924, 0, 27),
+        ),
+        (
+            "barrier3-failstop-impossible",
+            barrier::with_fail_stop_impossible(3),
+            (3_173, 229, 10),
+        ),
+        (
+            "mutex3-failstop-multitolerance",
+            mutex3_multitolerance(),
+            (13_097, 49, 6),
+        ),
+    ] {
+        let (closure, faults, root) = problem.tableau_inputs();
+        for threads in [1, 2] {
+            let (_, p) =
+                build_with_threads(&closure, &problem.props, root.clone(), &faults, threads);
+            assert_eq!(
+                (p.blocks_leaves, p.blocks_plain, p.blocks_reordered),
+                expect,
+                "{name}@{threads}"
+            );
+        }
+    }
 }

@@ -38,7 +38,7 @@
 
 use crate::cache::{CacheFill, ExpansionCache};
 use crate::checkpoint::{spec_fingerprint, Checkpoint, PendingBatch};
-use crate::expand::{blocks_polled, tiles, Tile};
+use crate::expand::{blocks_polled, tiles, BlocksStats, Tile};
 use crate::governor::{AbortReason, Governor};
 use crate::graph::{EdgeKind, NodeId, NodeKind, Tableau};
 use ftsyn_ctl::{Closure, EntryKind, LabelSet, PropTable};
@@ -215,6 +215,29 @@ pub struct BuildProfile {
     pub cache_hits: usize,
     /// `Blocks`/`Tiles` memo-cache misses during this build.
     pub cache_misses: usize,
+    /// Leaves the `Blocks` searches produced ([`BlocksStats`]).
+    /// Like the two counters below it is summed in commit order, so it
+    /// is the same at every thread count, and a resumed build counts
+    /// only the expansions it ran itself.
+    pub blocks_leaves: usize,
+    /// `Blocks` labels re-expanded by the plain search.
+    pub blocks_plain: usize,
+    /// `Blocks` labels that needed the first-occurrence pass.
+    pub blocks_reordered: usize,
+    /// On-CPU time of the committing thread over its loop, the first
+    /// field of `/proc/thread-self/schedstat`; `None` where that file
+    /// cannot be read. Unlike [`BuildProfile::apply_time`], which is
+    /// wall time, it leaves out the time the committer waits for a CPU
+    /// it shares with the workers. At one thread the committer also
+    /// expands, so this covers the whole build.
+    pub commit_cpu: Option<Duration>,
+}
+
+/// The calling thread's on-CPU time so far, where the kernel reports it.
+fn thread_cpu_time() -> Option<Duration> {
+    let stat = std::fs::read_to_string("/proc/thread-self/schedstat").ok()?;
+    let nanos = stat.split_whitespace().next()?.parse().ok()?;
+    Some(Duration::from_nanos(nanos))
 }
 
 /// One successor to materialize for a frontier node — the output of the
@@ -257,26 +280,26 @@ fn expand_task(
     label: &LabelSet,
     cache: Option<&ExpansionCache>,
     gov: Option<&Governor>,
-) -> Result<(Vec<Step>, Option<CacheFill>), AbortReason> {
+) -> Result<Expanded, AbortReason> {
     match kind {
         NodeKind::Or => {
             let mut fill = None;
-            let bs = match cache.and_then(|c| c.lookup_blocks(label)) {
-                Some(cached) => cached.clone(),
+            let (bs, stats) = match cache.and_then(|c| c.lookup_blocks(label)) {
+                Some(cached) => (cached.clone(), BlocksStats::default()),
                 None => {
                     let poll = || gov.map_or(Ok(()), Governor::check_interrupt);
-                    let computed = blocks_polled(closure, label, &poll)?;
+                    let (computed, stats) = blocks_polled(closure, label, &poll)?;
                     if cache.is_some() {
                         fill = Some(CacheFill::Blocks(label.clone(), computed.clone()));
                     }
-                    computed
+                    (computed, stats)
                 }
             };
             let steps = bs
                 .into_iter()
                 .map(|label| Step::edge(EdgeKind::Unlabeled, label))
                 .collect();
-            Ok((steps, fill))
+            Ok((steps, fill, stats))
         }
         NodeKind::And => {
             let mut steps = Vec::new();
@@ -309,7 +332,7 @@ fn expand_task(
                     steps.push(Step::edge(EdgeKind::Fault(ai), label));
                 }
             }
-            Ok((steps, fill))
+            Ok((steps, fill, BlocksStats::default()))
         }
     }
 }
@@ -454,7 +477,11 @@ struct Batch {
     tasks: Vec<Task>,
 }
 
-type BatchOutput = Vec<(Vec<Step>, Option<CacheFill>)>;
+/// One task's expansion: its steps, the cache fill it defers, and what
+/// its `Blocks` search cost (zero for AND-nodes and cache hits).
+type Expanded = (Vec<Step>, Option<CacheFill>, BlocksStats);
+
+type BatchOutput = Vec<Expanded>;
 
 /// Scheduler state shared between the committer (main thread) and the
 /// expansion workers.
@@ -649,7 +676,10 @@ fn commit_batch(
 
     let t0 = Instant::now();
     let mut planned: Vec<(NodeId, Vec<Planned>)> = Vec::with_capacity(batch.tasks.len());
-    for (task, (steps, fill)) in batch.tasks.iter().zip(output) {
+    for (task, (steps, fill, blocks)) in batch.tasks.iter().zip(output) {
+        profile.blocks_leaves += blocks.leaves;
+        profile.blocks_plain += blocks.plain;
+        profile.blocks_reordered += blocks.reordered;
         // Per-task cache accounting: tasks are never dummy, so with a
         // cache present each task performed exactly one lookup, and a
         // deferred fill exists iff that lookup missed. Counting per
@@ -838,6 +868,7 @@ fn build_ws_core(
     // injection, paired with their BFS level.
     let mut abort_fresh: (Vec<NodeId>, usize) = (Vec::new(), 0);
 
+    let cpu_start = thread_cpu_time();
     if threads == 1 {
         // Inline scheduler: same batching and commit order, no workers.
         // The batch body is the workers' own ([`expand_batch`]), so a
@@ -969,6 +1000,9 @@ fn build_ws_core(
         profile.expand_time = st.expand_time;
     }
 
+    profile.commit_cpu = thread_cpu_time()
+        .zip(cpu_start)
+        .map(|(end, start)| end.saturating_sub(start));
     profile.batches = injected;
     profile.levels = level_widths.len();
     profile.max_frontier = level_widths.iter().copied().max().unwrap_or(0);

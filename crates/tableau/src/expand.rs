@@ -28,21 +28,65 @@ const POLL_EVERY: usize = 256;
 /// would be vacuous for lack of successors.
 ///
 /// Only the ⊆-minimal labels are returned, each once, in the order the
-/// expansion first produced them. On fault-heavy problems the
-/// candidates outnumber the minimal labels ~20:1, so the filter that
-/// drops them costs about as much as the expansion tree; see
-/// [`minimal_labels`].
+/// *plain* search — the tree above, `b` popped before `a` at each fork —
+/// first produces them. On fault-heavy problems that tree has ~6 leaves
+/// per minimal label (mutex4-failstop-masking: 979,016 leaves, 169,924
+/// kept), so the labels are found by a semantic search instead and put
+/// in the plain order afterwards; see [`BlocksStats`] and `DESIGN.md`
+/// §6 for why the result is the same.
 pub fn blocks(closure: &Closure, label: &LabelSet) -> Vec<LabelSet> {
+    blocks_profiled(closure, label).0
+}
+
+/// [`blocks`] and what it cost.
+pub fn blocks_profiled(closure: &Closure, label: &LabelSet) -> (Vec<LabelSet>, BlocksStats) {
     blocks_polled(closure, label, &|| Ok(())).expect("an inert poll never interrupts")
 }
 
-/// [`blocks`], calling `poll` every [`POLL_EVERY`] steps and returning
-/// its error, with the partial expansion dropped, as soon as it fails.
+/// What one `Blocks` expansion cost; a build sums these into
+/// [`BuildProfile`](crate::BuildProfile)'s `blocks_*` counters.
+///
+/// An expansion runs up to three walks of the α/β tree. All three drain
+/// α work and choose the next β through one shared step, so they make
+/// the same choice on the same branch:
+///
+/// 1. The **semantic** search. At a fork on `(a, b)` the `b` side (popped
+///    first) forbids `a`, and a branch that would insert a forbidden
+///    member dies. Every minimal label M of the plain search is still
+///    reached: the path that takes `a` exactly when `a ∈ M` keeps its
+///    label inside M, so no forbid kills it, and it ends at a plain leaf
+///    L ⊆ M — which is M unless L needs the `AX` split. So a semantic
+///    leaf that needs the split sends the label to the plain search.
+/// 2. The **first-occurrence** pass. The semantic search finds each kept
+///    M on the path above; the plain search first produces M on its
+///    *greedy-`b`* path, which takes `b` whenever `b ∈ M`. The two agree
+///    unless M holds a `b` that its semantic path passed over, and only
+///    then does this pass run: it re-walks the plain tree, routing each
+///    kept label to the `b` side of a fork when it holds `b` and to the
+///    `a` side otherwise, and emits the labels in the order the walk
+///    reaches them. It checks that it placed every label and otherwise
+///    sends the expansion to the plain search, although by the argument
+///    in `DESIGN.md` §6 that cannot happen.
+/// 3. The **plain** search, the tree as described on [`blocks`], kept
+///    only as the fallback of the other two.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct BlocksStats {
+    /// Leaves the semantic and plain searches produced.
+    pub leaves: usize,
+    /// Expansions (0 or 1) that fell back to the plain search.
+    pub plain: usize,
+    /// Expansions (0 or 1) that needed the first-occurrence pass.
+    pub reordered: usize,
+}
+
+/// [`blocks`] and what it cost, calling `poll` every [`POLL_EVERY`]
+/// steps and returning its error, with the partial expansion dropped,
+/// as soon as it fails.
 pub(crate) fn blocks_polled(
     closure: &Closure,
     label: &LabelSet,
     poll: &dyn Fn() -> Result<(), AbortReason>,
-) -> Result<Vec<LabelSet>, AbortReason> {
+) -> Result<(Vec<LabelSet>, BlocksStats), AbortReason> {
     let mut steps = 0usize;
     let mut tick = || {
         steps += 1;
@@ -52,177 +96,381 @@ pub(crate) fn blocks_polled(
             Ok(())
         }
     };
-    let out = candidates(closure, label, &mut tick)?;
+    let mut stats = BlocksStats::default();
     // Minimal-branch filtering: a label that is a strict superset of
     // another is redundant — the subset label imposes fewer obligations
     // and is satisfiable whenever the superset is, so dropping supersets
     // preserves both soundness and completeness while keeping the
     // tableau (and the final model) small.
-    minimal_labels(out, &mut tick)
+    if let Some((leaves, passed_over)) = semantic_leaves(closure, label, &mut stats, &mut tick)? {
+        // Two semantic leaves part at a fork on `(a, b)`: the `b` side
+        // lacks `a` and the `a` side holds it, so a leaf can only sit
+        // strictly over a `b`-side leaf, and then it holds the `b` its
+        // path passed over. Without such a leaf, every leaf is minimal.
+        if !passed_over.contains(&true) {
+            return Ok((leaves, stats));
+        }
+        let keep = minimal_mask(&leaves, &mut tick)?;
+        let reorder = keep.iter().zip(&passed_over).any(|(&k, &p)| k && p);
+        let kept = select(leaves, &keep);
+        if !reorder {
+            return Ok((kept, stats));
+        }
+        stats.reordered = 1;
+        if let Some(ordered) = first_occurrence_order(closure, label, kept, &mut tick)? {
+            return Ok((ordered, stats));
+        }
+    }
+    stats.plain = 1;
+    let out = candidates(closure, label, &mut stats, &mut tick)?;
+    let keep = minimal_mask(&out, &mut tick)?;
+    Ok((select(out, &keep), stats))
 }
 
-/// The leaves of the `Blocks` expansion tree in the order the search
-/// finds them, after the `AX` split; a label may occur more than once.
+/// One open branch of a `Blocks` walk: the label accumulated so far,
+/// its members whose expansion is still due — α and elementary ones in
+/// `alphas`, β ones in `betas` — and the members it must never insert.
+#[derive(Clone)]
+struct Branch {
+    acc: LabelSet,
+    alphas: Vec<ClosureIdx>,
+    betas: Vec<ClosureIdx>,
+    /// `None` in the plain and first-occurrence walks.
+    forbidden: Option<LabelSet>,
+}
+
+/// Where [`Branch::advance`] leaves a branch.
+enum Advance {
+    /// Propositionally inconsistent, or it inserted a forbidden member.
+    Dead,
+    /// Nothing left to expand: `acc` is a leaf.
+    Leaf,
+    /// The next β has one open component: the other contradicts the
+    /// branch.
+    Forced(ClosureIdx),
+    /// The next β forks on `(a, b)`; `b` is explored first.
+    Fork(ClosureIdx, ClosureIdx),
+}
+
+impl Branch {
+    fn root(closure: &Closure, label: &LabelSet, forbidden: Option<LabelSet>) -> Branch {
+        let mut branch = Branch {
+            acc: label.clone(),
+            alphas: Vec::new(),
+            betas: Vec::new(),
+            forbidden,
+        };
+        for idx in label.iter() {
+            match closure.expansion(idx) {
+                Expansion::Beta(_, _) => branch.betas.push(idx),
+                _ => branch.alphas.push(idx),
+            }
+        }
+        branch
+    }
+
+    /// Inserts `comp` and queues it if it is new; `false` if it is
+    /// forbidden.
+    fn insert(&mut self, closure: &Closure, comp: ClosureIdx) -> bool {
+        if self.acc.insert(comp) {
+            if self.forbidden.as_ref().is_some_and(|f| f.contains(comp)) {
+                return false;
+            }
+            match closure.expansion(comp) {
+                Expansion::Beta(_, _) => self.betas.push(comp),
+                _ => self.alphas.push(comp),
+            }
+        }
+        true
+    }
+
+    /// Takes the β component `comp`; `false` if that kills the branch.
+    fn take(&mut self, closure: &Closure, comp: ClosureIdx) -> bool {
+        self.insert(closure, comp) && closure.is_prop_consistent(&self.acc)
+    }
+
+    /// Drains the α work in place and picks the β to resolve next,
+    /// resolving discharged ones (a component already present) on the
+    /// way.
+    ///
+    /// βs are deferred until no α work remains, and a discharged β is
+    /// resolved without branching — both standard tableau optimizations;
+    /// they avoid the exponential blow-up of vacuously-true implications
+    /// (`¬N₁ ∨ X` in a branch that already pinned `¬N₁`) without
+    /// affecting the set of satisfiable labels.
+    fn advance(&mut self, closure: &Closure) -> Advance {
+        loop {
+            while let Some(idx) = self.alphas.pop() {
+                match closure.expansion(idx) {
+                    Expansion::Elementary => {
+                        if matches!(closure.entry(idx).kind, EntryKind::False) {
+                            return Advance::Dead;
+                        }
+                    }
+                    Expansion::Alpha(a, b) => {
+                        if !(self.insert(closure, a)
+                            && self.insert(closure, b)
+                            && closure.is_prop_consistent(&self.acc))
+                        {
+                            return Advance::Dead;
+                        }
+                    }
+                    Expansion::Beta(_, _) => unreachable!("betas are queued separately"),
+                }
+            }
+            if self.betas.is_empty() {
+                return Advance::Leaf;
+            }
+            // Preferring *determined* βs — already discharged (a
+            // component is present) or *forced* (one component
+            // contradicts the branch propositionally) — resolves the
+            // vacuously-true implication clauses of typical
+            // specifications without forking, leaving genuine semantic
+            // choices as the only branch points. This orders the search
+            // only: the minimal labels are the same either way.
+            //
+            // The "would inserting this literal contradict the branch?"
+            // probe is O(1): `acc` was already checked for consistency
+            // (at its fork/α site, or here for the not-yet-checked root
+            // label), so a literal insertion breaks consistency iff its
+            // complement is present.
+            let acc = &self.acc;
+            let acc_consistent = closure.is_prop_consistent(acc);
+            let mut chosen = self.betas.len() - 1;
+            let mut forced: Option<ClosureIdx> = None;
+            for (bi, &idx) in self.betas.iter().enumerate() {
+                let (a, b) = beta_parts(closure, idx);
+                if acc.contains(a) || acc.contains(b) {
+                    chosen = bi;
+                    forced = None;
+                    break; // discharged: resolves for free
+                }
+                if forced.is_none() {
+                    let lit_blocked = |comp: ClosureIdx| -> bool {
+                        match closure.entry(comp).kind {
+                            EntryKind::False => true,
+                            EntryKind::Lit { .. } => {
+                                !acc_consistent || closure.insert_breaks_consistency(acc, comp)
+                            }
+                            _ => false,
+                        }
+                    };
+                    let a_blocked = lit_blocked(a);
+                    let b_blocked = lit_blocked(b);
+                    if a_blocked || b_blocked {
+                        chosen = bi;
+                        forced = Some(if a_blocked { b } else { a });
+                        // Keep scanning: a discharged β is cheaper still.
+                    }
+                }
+            }
+            let (a, b) = beta_parts(closure, self.betas.swap_remove(chosen));
+            if self.acc.contains(a) || self.acc.contains(b) {
+                continue;
+            }
+            return forced.map_or(Advance::Fork(a, b), Advance::Forced);
+        }
+    }
+}
+
+fn beta_parts(closure: &Closure, idx: ClosureIdx) -> (ClosureIdx, ClosureIdx) {
+    match closure.expansion(idx) {
+        Expansion::Beta(a, b) => (a, b),
+        _ => unreachable!("beta queue holds only beta formulae"),
+    }
+}
+
+/// Whether a leaf gets the `AX` split: `AX` members but no `EX` one.
+fn needs_split(closure: &Closure, leaf: &LabelSet) -> bool {
+    closure.label_has_ax(leaf) && !closure.label_has_ex(leaf)
+}
+
+/// The leaves of the semantic search in the order it finds them, each
+/// with whether it holds a `b` its path passed over (took `a` at a fork
+/// on `(a, b)`); `None` as soon as a leaf needs the `AX` split.
+#[allow(clippy::type_complexity)] // two parallel vectors, read once
+fn semantic_leaves(
+    closure: &Closure,
+    label: &LabelSet,
+    stats: &mut BlocksStats,
+    tick: &mut dyn FnMut() -> Result<(), AbortReason>,
+) -> Result<Option<(Vec<LabelSet>, Vec<bool>)>, AbortReason> {
+    let (mut leaves, mut passed_over) = (Vec::new(), Vec::new());
+    let none = closure.empty_label();
+    let mut stack = vec![(Branch::root(closure, label, Some(none.clone())), none)];
+    while let Some((mut branch, passed)) = stack.pop() {
+        tick()?;
+        match branch.advance(closure) {
+            Advance::Dead => {}
+            Advance::Leaf => {
+                stats.leaves += 1;
+                if needs_split(closure, &branch.acc) {
+                    return Ok(None);
+                }
+                let over = passed.words().iter().zip(branch.acc.words());
+                passed_over.push(over.into_iter().any(|(p, w)| p & w != 0));
+                leaves.push(branch.acc);
+            }
+            Advance::Forced(comp) => {
+                if branch.take(closure, comp) {
+                    stack.push((branch, passed));
+                }
+            }
+            Advance::Fork(a, b) => {
+                let mut on_a = branch.clone();
+                if on_a.take(closure, a) {
+                    let mut passed_a = passed.clone();
+                    passed_a.insert(b);
+                    stack.push((on_a, passed_a));
+                }
+                branch.forbidden.as_mut().expect("semantic").insert(a);
+                if branch.take(closure, b) {
+                    stack.push((branch, passed));
+                }
+            }
+        }
+    }
+    Ok(Some((leaves, passed_over)))
+}
+
+/// `kept` in the order the plain search first produces them, or `None`
+/// if the walk does not place every label exactly once.
+///
+/// The walk follows the plain tree but only where some kept label can
+/// still end up: each branch carries the kept labels routed to it, a
+/// fork on `(a, b)` sends those holding `b` to the `b` side and the rest
+/// holding `a` to the `a` side, and a branch with none is dropped. So
+/// each label follows one path, its greedy-`b` one. A leaf emits its
+/// labels in the order of its `AX`-split variants.
+fn first_occurrence_order(
+    closure: &Closure,
+    label: &LabelSet,
+    kept: Vec<LabelSet>,
+    tick: &mut dyn FnMut() -> Result<(), AbortReason>,
+) -> Result<Option<Vec<LabelSet>>, AbortReason> {
+    let mut order: Vec<usize> = Vec::with_capacity(kept.len());
+    let mut stack: Vec<(Branch, Vec<usize>)> = vec![(
+        Branch::root(closure, label, None),
+        (0..kept.len()).collect(),
+    )];
+    while let Some((mut branch, mut routed)) = stack.pop() {
+        tick()?;
+        match branch.advance(closure) {
+            Advance::Dead => {}
+            Advance::Leaf => {
+                for variant in split(closure, branch.acc) {
+                    order.extend(routed.iter().copied().filter(|&i| kept[i] == variant));
+                }
+            }
+            Advance::Forced(comp) => {
+                routed.retain(|&i| kept[i].contains(comp));
+                if !routed.is_empty() && branch.take(closure, comp) {
+                    stack.push((branch, routed));
+                }
+            }
+            Advance::Fork(a, b) => {
+                let (on_b, on_a): (Vec<usize>, Vec<usize>) =
+                    routed.iter().partition(|&&i| kept[i].contains(b));
+                let on_a: Vec<usize> = on_a.into_iter().filter(|&i| kept[i].contains(a)).collect();
+                if !on_a.is_empty() {
+                    let mut branch_a = branch.clone();
+                    if branch_a.take(closure, a) {
+                        stack.push((branch_a, on_a));
+                    }
+                }
+                if !on_b.is_empty() && branch.take(closure, b) {
+                    stack.push((branch, on_b));
+                }
+            }
+        }
+    }
+    // Each label is routed to one leaf and equals at most one of its
+    // variants, so it is placed at most once.
+    if order.len() != kept.len() {
+        return Ok(None);
+    }
+    let mut slots: Vec<Option<LabelSet>> = kept.into_iter().map(Some).collect();
+    Ok(Some(
+        order
+            .into_iter()
+            .map(|i| slots[i].take().expect("placed once"))
+            .collect(),
+    ))
+}
+
+/// A leaf as the plain search outputs it: itself, or its `AX`-split
+/// variants.
+fn split(closure: &Closure, leaf: LabelSet) -> Vec<LabelSet> {
+    if !needs_split(closure, &leaf) {
+        return vec![leaf];
+    }
+    (0..closure.num_procs())
+        .map(|i| {
+            let mut v = leaf.clone();
+            v.insert(closure.ex_true(i));
+            v
+        })
+        .collect()
+}
+
+/// The outputs of the plain search in the order it finds them, after the
+/// `AX` split; a label may occur more than once. The DFS can reach one
+/// label along several branches, and a split variant can equal another
+/// leaf; the minimal filter drops those repeats.
 fn candidates(
     closure: &Closure,
     label: &LabelSet,
+    stats: &mut BlocksStats,
     tick: &mut dyn FnMut() -> Result<(), AbortReason>,
 ) -> Result<Vec<LabelSet>, AbortReason> {
-    let mut done: Vec<LabelSet> = Vec::new();
-    // Branch = (accumulated label, unexpanded α/elementary, unexpanded β).
-    // β-formulae are deferred until no α work remains, and a β whose
-    // component is already in the branch is *discharged* without
-    // branching — both standard tableau optimizations; they avoid the
-    // exponential blow-up of vacuously-true implications (`¬N₁ ∨ X` in a
-    // branch that already pinned `¬N₁`) without affecting the set of
-    // satisfiable labels.
-    let mut betas: Vec<ClosureIdx> = Vec::new();
-    let mut alphas: Vec<ClosureIdx> = Vec::new();
-    for idx in label.iter() {
-        match closure.expansion(idx) {
-            Expansion::Beta(_, _) => betas.push(idx),
-            _ => alphas.push(idx),
-        }
-    }
-    let mut stack: Vec<(LabelSet, Vec<ClosureIdx>, Vec<ClosureIdx>)> =
-        vec![(label.clone(), alphas, betas)];
-
-    'branch: while let Some((mut acc, mut alphas, mut betas)) = stack.pop() {
+    let mut out: Vec<LabelSet> = Vec::new();
+    let mut stack = vec![Branch::root(closure, label, None)];
+    while let Some(mut branch) = stack.pop() {
         tick()?;
-        // Drain all α/elementary work in place. In the pre-optimization
-        // code each α step pushed the branch back and immediately
-        // re-popped it (LIFO), so this loop is step-for-step identical —
-        // minus one stack round-trip (and its Vec moves) per formula.
-        while let Some(idx) = alphas.pop() {
-            match closure.expansion(idx) {
-                Expansion::Elementary => {
-                    if matches!(closure.entry(idx).kind, EntryKind::False) {
-                        continue 'branch; // propositionally inconsistent
-                    }
-                }
-                Expansion::Alpha(a, b) => {
-                    for comp in [a, b] {
-                        if acc.insert(comp) {
-                            match closure.expansion(comp) {
-                                Expansion::Beta(_, _) => betas.push(comp),
-                                _ => alphas.push(comp),
-                            }
-                        }
-                    }
-                    if !closure.is_prop_consistent(&acc) {
-                        continue 'branch;
-                    }
-                }
-                Expansion::Beta(_, _) => unreachable!("betas are queued separately"),
+        match branch.advance(closure) {
+            Advance::Dead => {}
+            Advance::Leaf => {
+                stats.leaves += 1;
+                out.extend(split(closure, branch.acc));
             }
-        }
-        if betas.is_empty() {
-            done.push(acc);
-            continue;
-        }
-        // Choose which β to resolve next. Preferring *determined* βs —
-        // already discharged (a component is present) or *forced* (one
-        // component contradicts the branch propositionally) — resolves
-        // the vacuously-true implication clauses of typical
-        // specifications without forking, leaving genuine semantic
-        // choices as the only branch points. This is a search-order
-        // heuristic only: the set of minimal labels produced is
-        // unchanged (superset branches are filtered below either way).
-        //
-        // The "would inserting this literal contradict the branch?"
-        // probe is O(1): `acc` was already checked for consistency (at
-        // its fork/α site, or here for the not-yet-checked root label),
-        // so a literal insertion breaks consistency iff its complement
-        // is present. The pre-optimization probe cloned `acc` and re-ran
-        // the full consistency scan per candidate.
-        let acc_consistent = closure.is_prop_consistent(&acc);
-        let mut chosen = betas.len() - 1;
-        let mut forced: Option<ClosureIdx> = None;
-        'scan: for (bi, &idx) in betas.iter().enumerate() {
-            let Expansion::Beta(a, b) = closure.expansion(idx) else {
-                unreachable!("beta queue holds only beta formulae")
-            };
-            if acc.contains(a) || acc.contains(b) {
-                chosen = bi;
-                forced = None;
-                break 'scan; // discharged: resolves for free
-            }
-            if forced.is_none() {
-                let lit_blocked = |comp: ClosureIdx| -> bool {
-                    match closure.entry(comp).kind {
-                        EntryKind::False => true,
-                        EntryKind::Lit { .. } => {
-                            !acc_consistent || closure.insert_breaks_consistency(&acc, comp)
-                        }
-                        _ => false,
-                    }
-                };
-                let a_blocked = lit_blocked(a);
-                let b_blocked = lit_blocked(b);
-                if a_blocked || b_blocked {
-                    chosen = bi;
-                    forced = Some(if a_blocked { b } else { a });
-                    // Keep scanning: a discharged β is cheaper still.
+            Advance::Forced(comp) => {
+                if branch.take(closure, comp) {
+                    stack.push(branch);
                 }
             }
-        }
-        let idx = betas.swap_remove(chosen);
-        let Expansion::Beta(a, b) = closure.expansion(idx) else {
-            unreachable!("beta queue holds only beta formulae")
-        };
-        if acc.contains(a) || acc.contains(b) {
-            // Already discharged by an earlier choice.
-            stack.push((acc, alphas, betas));
-            continue;
-        }
-        // The last choice reuses the branch's buffers; a two-way fork
-        // clones only for `a`. Push order (`a` then `b`) matches the
-        // original exactly.
-        let mut push_choice = |mut acc2: LabelSet,
-                               mut alphas2: Vec<ClosureIdx>,
-                               mut betas2: Vec<ClosureIdx>,
-                               comp| {
-            if acc2.insert(comp) {
-                match closure.expansion(comp) {
-                    Expansion::Beta(_, _) => betas2.push(comp),
-                    _ => alphas2.push(comp),
+            Advance::Fork(a, b) => {
+                // Push `a` then `b`, so `b` is explored first.
+                let mut on_a = branch.clone();
+                if on_a.take(closure, a) {
+                    stack.push(on_a);
+                }
+                if branch.take(closure, b) {
+                    stack.push(branch);
                 }
             }
-            if closure.is_prop_consistent(&acc2) {
-                stack.push((acc2, alphas2, betas2));
-            }
-        };
-        match forced {
-            Some(comp) => push_choice(acc, alphas, betas, comp),
-            None => {
-                push_choice(acc.clone(), alphas.clone(), betas.clone(), a);
-                push_choice(acc, alphas, betas, b);
-            }
-        }
-    }
-
-    // Split labels that have AX formulae but no EX formula at all. The
-    // DFS can reach one label along several branches, and a split
-    // variant can equal another leaf; the minimal filter drops those
-    // repeats.
-    let mut out: Vec<LabelSet> = Vec::with_capacity(done.len());
-    for acc in done {
-        if closure.label_has_ax(&acc) && !closure.label_has_ex(&acc) {
-            for i in 0..closure.num_procs() {
-                let mut v = acc.clone();
-                v.insert(closure.ex_true(i));
-                out.push(v);
-            }
-        } else {
-            out.push(acc);
         }
     }
     Ok(out)
 }
 
-/// The ⊆-minimal members of `labels` without repeats, in their original
-/// order: a label is kept at its first occurrence iff no other label is
-/// a strict subset of it.
+/// The members of `labels` that `keep` marks, in order. A fresh vector:
+/// collecting `labels.into_iter()` in place would keep the capacity of
+/// every candidate, several times the kept labels, and the result is
+/// retained by the `ExpansionCache`.
+fn select(labels: Vec<LabelSet>, keep: &[bool]) -> Vec<LabelSet> {
+    let mut kept = Vec::with_capacity(keep.iter().filter(|&&k| k).count());
+    kept.extend(
+        labels
+            .into_iter()
+            .zip(keep)
+            .filter_map(|(l, &k)| k.then_some(l)),
+    );
+    kept
+}
+
+/// Marks the ⊆-minimal members of `labels` without repeats: a label is
+/// kept at its first occurrence iff no other label is a strict subset
+/// of it.
 ///
 /// Labels are processed in ascending size and each is tested only
 /// against the labels *already accepted as minimal*. That is the same
@@ -241,19 +489,22 @@ fn candidates(
 /// lacks is non-zero. Rows are stored block-major, 64 accepted labels
 /// per word, so one test is a few ANDs per block with an early exit
 /// once a block's AND is zero. Fault-successor OR-labels pin a whole
-/// valuation and yield tens of thousands of candidates that share all
-/// but ~70 of their ~270 bits, which saturates any one-word summary of
-/// the labels; the index touches only the varying bits.
-fn minimal_labels(
-    mut labels: Vec<LabelSet>,
+/// valuation and yield thousands of leaves (tens of thousands from the
+/// plain search) that share all but ~70 of their ~270 bits, which
+/// saturates any one-word summary of the labels; the index touches
+/// only the varying bits.
+fn minimal_mask(
+    labels: &[LabelSet],
     tick: &mut dyn FnMut() -> Result<(), AbortReason>,
-) -> Result<Vec<LabelSet>, AbortReason> {
+) -> Result<Vec<bool>, AbortReason> {
+    let mut keep = vec![false; labels.len()];
     if labels.len() < 2 {
-        return Ok(labels);
+        keep.fill(true);
+        return Ok(keep);
     }
     let mut core = labels[0].words().to_vec();
     let mut any = vec![0u64; core.len()];
-    for l in &labels {
+    for l in labels {
         for ((c, a), &w) in core.iter_mut().zip(any.iter_mut()).zip(l.words()) {
             *c &= w;
             *a |= w;
@@ -270,7 +521,8 @@ fn minimal_labels(
         nvar += v.count_ones() as usize;
     }
     if nvar == 0 {
-        return Ok(vec![labels.swap_remove(0)]);
+        keep[0] = true;
+        return Ok(keep);
     }
     let lacked = |l: &LabelSet, ids: &mut Vec<usize>| {
         ids.clear();
@@ -287,7 +539,6 @@ fn minimal_labels(
     let sizes: Vec<usize> = labels.iter().map(LabelSet::len).collect();
     let mut by_size: Vec<usize> = (0..labels.len()).collect();
     by_size.sort_by_key(|&i| sizes[i]);
-    let mut keep = vec![false; labels.len()];
     // `rows[block * nvar + v]` has bit `k` set iff accepted label
     // `64 * block + k` lacks varying bit `v`.
     let mut rows: Vec<u64> = Vec::new();
@@ -322,17 +573,7 @@ fn minimal_labels(
             accepted += 1;
         }
     }
-    // A fresh vector: collecting `labels.into_iter()` in place would
-    // keep the capacity of every candidate, ~20x the kept labels, and
-    // the result is retained by the `ExpansionCache`.
-    let mut minimal = Vec::with_capacity(accepted);
-    minimal.extend(
-        labels
-            .into_iter()
-            .zip(keep)
-            .filter_map(|(l, k)| k.then_some(l)),
-    );
-    Ok(minimal)
+    Ok(keep)
 }
 
 /// One `Tiles` successor requirement of an AND-node.
@@ -545,7 +786,7 @@ mod tests {
         }
     }
 
-    /// All-pairs oracle for [`minimal_labels`]: a label is kept at its
+    /// All-pairs oracle for [`minimal_mask`]: a label is kept at its
     /// first occurrence iff no other label is a strict subset of it.
     fn minimal_brute_force(labels: &[LabelSet]) -> Vec<LabelSet> {
         labels
@@ -559,7 +800,8 @@ mod tests {
     }
 
     fn minimal_indexed(labels: Vec<LabelSet>) -> Vec<LabelSet> {
-        minimal_labels(labels, &mut || Ok(())).expect("an inert poll never interrupts")
+        let keep = minimal_mask(&labels, &mut || Ok(())).expect("an inert poll never interrupts");
+        select(labels, &keep)
     }
 
     /// A seeded family shaped like fault-successor candidates: shared
@@ -667,7 +909,8 @@ mod tests {
     #[test]
     fn an_ax_split_variant_that_repeats_a_leaf_is_kept_once() {
         let (_props, cl, labels) = setup(&["AX1 p & (q | r) & (q | EX1 true)"], 1);
-        let leaves = candidates(&cl, &labels[0], &mut || Ok(())).unwrap();
+        let mut stats = BlocksStats::default();
+        let leaves = candidates(&cl, &labels[0], &mut stats, &mut || Ok(())).unwrap();
         let distinct: HashSet<&LabelSet> = leaves.iter().collect();
         assert!(
             distinct.len() < leaves.len(),

@@ -41,6 +41,6 @@ pub use delete::{
     apply_deletion_rules_profiled, au_fulfillment, eu_fulfillment, CertMode, DeletionAbort,
     DeletionProfile, DeletionStats, Fulfillment,
 };
-pub use expand::{blocks, tiles, Tile};
+pub use expand::{blocks, blocks_profiled, tiles, BlocksStats, Tile};
 pub use governor::{AbortReason, Budget, Governor, Phase};
 pub use graph::{EdgeKind, Node, NodeId, NodeKind, Tableau};
