@@ -37,9 +37,12 @@
 //!    lowest-index success at every thread count — the exact candidate
 //!    the sequential greedy scan would take.
 //! 3. **Candidate pruning.** Fault-closure violations are detected from
-//!    a per-round signature scan ([`RoundCtx::uncovered`]) in O(1) per
-//!    candidate, rejecting provably unmergeable pairs without building
-//!    the candidate.
+//!    a signature scan ([`RoundCtx::uncovered`]) in O(1) per candidate,
+//!    rejecting provably unmergeable pairs without building the
+//!    candidate. The scan runs once per run, on the input model: the
+//!    check is exact, so an accepted candidate is fault-closed, and a
+//!    merge only unions successor sets and keeps valuations, so every
+//!    later model is fault-closed too.
 //! 4. **Rejection replay.** The scan restarts after every accepted
 //!    merge, so almost every attempt re-decides a pair an earlier round
 //!    rejected. A rejection whose violated obligation is *universal*
@@ -292,12 +295,16 @@ struct RoundCtx {
     no_dead_ends: bool,
     /// Base states missing a fault transition for some enabled outcome.
     /// Empty on fault-closed models, which makes the per-candidate
-    /// closure check O(1).
+    /// closure check O(1). Scanned once per run, for the first round:
+    /// [`closure_ok`] is exact, so the first accepted merge leaves a
+    /// fault-closed model, and merges only union successor sets and
+    /// keep valuations, so every later round's set is empty.
     uncovered: Vec<StateId>,
-    /// Dense by base state: reachability including fault transitions.
-    /// When a candidate merges two states of equal reachability, the
-    /// reachable set — and with it every state's role — carries over to
-    /// the candidate verbatim (see [`decide_on`]).
+    /// Dense by base state: reachability including fault transitions
+    /// (every role but [`StateRole::Unreachable`]). When a candidate
+    /// merges two states of equal reachability, the reachable set — and
+    /// with it every state's role — carries over to the candidate
+    /// verbatim (see [`decide_on`]).
     reach: Vec<bool>,
     /// The perturbed base states with the distinct tolerance indices of
     /// the fault actions reaching each — the obligation sites every
@@ -332,29 +339,12 @@ fn uncovered_states(faults: &[FaultAction], num_props: usize, model: &FtKripke) 
     out
 }
 
-/// Reachability over all transitions, faults included — the same set
-/// [`FtKripke::classify`] computes internally.
-fn reachable_with_faults(model: &FtKripke) -> Vec<bool> {
-    let mut seen = vec![false; model.len()];
-    let mut stack: Vec<StateId> = Vec::new();
-    for &i in model.init_states() {
-        if !seen[i.index()] {
-            seen[i.index()] = true;
-            stack.push(i);
-        }
-    }
-    while let Some(s) = stack.pop() {
-        for e in model.succ(s) {
-            if !seen[e.to.index()] {
-                seen[e.to.index()] = true;
-                stack.push(e.to);
-            }
-        }
-    }
-    seen
-}
-
-fn round_ctx(env: &Env<'_>, model: &FtKripke, roles: &[StateRole]) -> RoundCtx {
+fn round_ctx(
+    env: &Env<'_>,
+    model: &FtKripke,
+    roles: &[StateRole],
+    uncovered: Vec<StateId>,
+) -> RoundCtx {
     let mut ck = Checker::new(model, env.reqs.semantics);
     for &r in &env.reqs.roots {
         ck.eval(env.arena, r);
@@ -385,8 +375,8 @@ fn round_ctx(env: &Env<'_>, model: &FtKripke, roles: &[StateRole]) -> RoundCtx {
         cache,
         all_true,
         no_dead_ends,
-        uncovered: uncovered_states(env.faults, env.reqs.num_props, model),
-        reach: reachable_with_faults(model),
+        uncovered,
+        reach: roles.iter().map(|&r| r != StateRole::Unreachable).collect(),
         perturbed,
     }
 }
@@ -399,7 +389,9 @@ fn round_ctx(env: &Env<'_>, model: &FtKripke, roles: &[StateRole]) -> RoundCtx {
 /// the candidate iff it is closed in the base; the merged state is
 /// closed iff each enabled outcome is covered by `from` *or* `into`
 /// (its successor set is the union of theirs). The O(1) fast path:
-/// `RoundCtx::uncovered` is empty — every candidate is closed.
+/// `RoundCtx::uncovered` is empty — every candidate is closed. That is
+/// every round after the first: the merge that ended the first round
+/// passed this check, so it left a fault-closed model.
 fn closure_ok(
     env: &Env<'_>,
     round: &RoundCtx,
@@ -860,10 +852,37 @@ pub fn semantic_minimize_governed(
     };
     let mut model = model;
     let mut total_map: Vec<StateId> = model.state_ids().collect();
+    // Merges never change a valuation, so valuations are numbered once,
+    // in first-occurrence order; `val_of` drops a merged state's entry
+    // as the merge drops the state, so it stays dense by state id.
+    let mut val_of: Vec<usize> = {
+        let mut ids: HashMap<&PropSet, usize> = HashMap::new();
+        model
+            .state_ids()
+            .map(|s| {
+                let next = ids.len();
+                *ids.entry(&model.state(s).props).or_insert(next)
+            })
+            .collect()
+    };
+    let n_vals = val_of.iter().max().map_or(0, |&v| v + 1);
+    // Lever 3's closure scan, once per run (module docs): it is handed
+    // to the first round only, because reaching a second round takes an
+    // accepted merge, after which no state is uncovered.
+    let mut uncovered = uncovered_states(env.faults, env.reqs.num_props, &model);
     // Per-run kill scores, dense by formula id (see `decide_on`), and
     // the replay set of lever 4 in the current model's state ids.
     let mut kills = vec![0u32; env.arena.len()];
     let mut rejected: HashSet<(StateId, StateId)> = HashSet::new();
+    // Buffers kept for the whole run: an accepted merge is written into
+    // `spare`, which then swaps places with the model, and the replay
+    // set is carried into `carried` and swapped likewise.
+    let mut spare = FtKripke::new();
+    let mut step_map: Vec<StateId> = Vec::new();
+    let mut carried: HashSet<(StateId, StateId)> = HashSet::new();
+    let mut group_of: Vec<usize> = Vec::new();
+    let mut groups: Vec<Vec<StateId>> = Vec::new();
+    let mut candidates: Vec<(StateId, StateId)> = Vec::new();
     loop {
         // Group state ids by (valuation, normality). Merging a normal
         // with a non-normal copy would enlarge the fault-free reachable
@@ -874,20 +893,22 @@ pub fn semantic_minimize_governed(
         // a `HashMap<(PropSet, bool), _>` here was the pipeline's last
         // source of run-to-run nondeterminism (the greedy merge order
         // changed, and with it the final state count — 85 vs 86 on
-        // mutex3-failstop).
+        // mutex3-failstop). A class is found by its dense key
+        // `2·valuation + normal` in `group_of`.
         let roles = model.classify();
-        let mut group_index: HashMap<(PropSet, bool), usize> = HashMap::new();
-        let mut groups: Vec<Vec<StateId>> = Vec::new();
+        group_of.clear();
+        group_of.resize(2 * n_vals, usize::MAX);
+        groups.clear();
         for s in model.state_ids() {
             let normal = roles[s.index()] == StateRole::Normal;
-            let key = (model.state(s).props.clone(), normal);
-            let gi = *group_index.entry(key).or_insert_with(|| {
+            let key = 2 * val_of[s.index()] + usize::from(normal);
+            if group_of[key] == usize::MAX {
+                group_of[key] = groups.len();
                 groups.push(Vec::new());
-                groups.len() - 1
-            });
-            groups[gi].push(s);
+            }
+            groups[group_of[key]].push(s);
         }
-        let mut candidates: Vec<(StateId, StateId)> = Vec::new();
+        candidates.clear();
         for members in &groups {
             for (i, &a) in members.iter().enumerate() {
                 for &b in &members[i + 1..] {
@@ -904,8 +925,9 @@ pub fn semantic_minimize_governed(
             }
         }
         // One labeling of the accepted model serves the whole round;
-        // the grouping's role vector doubles as its obligation map.
-        let round = round_ctx(&env, &model, &roles);
+        // the grouping's role vector doubles as its obligation map and
+        // its reachable set.
+        let round = round_ctx(&env, &model, &roles, std::mem::take(&mut uncovered));
         profile.base_labelings += 1;
         if let Some(g) = gov {
             if let Err(reason) = g.check_realtime() {
@@ -963,8 +985,13 @@ pub fn semantic_minimize_governed(
             Some(j) => {
                 profile.merges += 1;
                 let (from, into) = candidates[j];
-                let (next, step_map) = model.merged(from, into);
-                model = next;
+                model.merge_into(from, into, &mut spare, &mut step_map);
+                std::mem::swap(&mut model, &mut spare);
+                val_of.remove(from.index());
+                debug_assert!(
+                    uncovered_states(env.faults, env.reqs.num_props, &model).is_empty(),
+                    "an accepted merge left a state without a fault successor"
+                );
                 for t in total_map.iter_mut() {
                     *t = step_map[t.index()];
                 }
@@ -972,17 +999,15 @@ pub fn semantic_minimize_governed(
                 // pairs are (later id, earlier id), and a pair the merge
                 // collapsed is gone. Unequal reachability may change
                 // obligation sites, so then nothing carries over.
-                rejected = if round.reach[from.index()] == round.reach[into.index()] {
-                    rejected
-                        .into_iter()
-                        .filter_map(|(a, b)| {
-                            let (a, b) = (step_map[a.index()], step_map[b.index()]);
-                            (a != b).then(|| (a.max(b), a.min(b)))
-                        })
-                        .collect()
+                if round.reach[from.index()] == round.reach[into.index()] {
+                    carried.extend(rejected.drain().filter_map(|(a, b)| {
+                        let (a, b) = (step_map[a.index()], step_map[b.index()]);
+                        (a != b).then(|| (a.max(b), a.min(b)))
+                    }));
+                    std::mem::swap(&mut rejected, &mut carried);
                 } else {
-                    HashSet::new()
-                };
+                    rejected.clear();
+                }
             }
             None if n_scan < candidates.len() => {
                 // The cap cut the scan short with candidates left: the

@@ -148,9 +148,12 @@ impl FtKripke {
     }
 
     /// [`FtKripke::merged`] writing into caller-owned buffers, reusing
-    /// their allocations. The semantic minimizer builds one candidate
-    /// structure per candidate merge — tens of thousands per run — so
-    /// candidate construction must not pay per-state allocations.
+    /// their allocations; `out` and `mapping` end element-identical to
+    /// what [`FtKripke::merged`] returns, whatever they held before. The
+    /// semantic minimizer builds one candidate structure per candidate
+    /// merge — tens of thousands per run — so candidate construction
+    /// must not pay per-state allocations, and it writes each accepted
+    /// merge into a buffer that then swaps places with its model.
     ///
     /// The output is element-identical to rebuilding from scratch with
     /// [`FtKripke::push_state`] / [`FtKripke::add_edge`] /

@@ -44,7 +44,7 @@ use crate::graph::{EdgeKind, NodeId, NodeKind, Tableau};
 use ftsyn_ctl::{Closure, EntryKind, LabelSet, PropTable};
 use ftsyn_guarded::FaultAction;
 use ftsyn_kripke::PropSet;
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
@@ -244,6 +244,7 @@ fn thread_cpu_time() -> Option<Duration> {
 /// pure expansion half, applied sequentially afterwards. Labels carry
 /// their [`LabelSet::stable_hash`], computed on the (parallel) worker
 /// side so the sequential intern pass probes with a ready-made hash.
+#[derive(Clone)]
 enum Step {
     /// Intern `label` and draw a `kind` edge to it: an AND-node for an
     /// OR-node's `Blocks` (`Unlabeled`), an OR-node for an AND-node's
@@ -264,6 +265,15 @@ impl Step {
     }
 }
 
+/// The fault-successor steps of an AND-node, keyed by its valuation, in
+/// emission order. Enabledness, outcomes and [`fault_or_label`] read
+/// nothing of the node but its valuation, and AND-nodes of one
+/// valuation are many (mutex4-failstop has ~24,000 AND-nodes), so each
+/// expansion worker — and the inline one-thread scheduler — keeps one
+/// memo for the whole build. It lives only as long as that build:
+/// checkpoints and the expansion cache never see it.
+type FaultMemo = HashMap<PropSet, Vec<Step>>;
+
 /// The pure half of expanding one non-dummy node (dummy OR-nodes have
 /// their successor pinned at creation and are never expanded): it only
 /// reads a snapshot of the node's kind and label, never the tableau.
@@ -272,6 +282,7 @@ impl Step {
 /// [`CacheFill`]s. A `Blocks` expansion polls the governor's deadline
 /// and cancel flag as it goes (it can be exponential in one label) and
 /// is dropped when either trips.
+#[allow(clippy::too_many_arguments)]
 fn expand_task(
     closure: &Closure,
     props: &PropTable,
@@ -280,6 +291,7 @@ fn expand_task(
     label: &LabelSet,
     cache: Option<&ExpansionCache>,
     gov: Option<&Governor>,
+    fault_memo: &mut FaultMemo,
 ) -> Result<Expanded, AbortReason> {
     match kind {
         NodeKind::Or => {
@@ -321,17 +333,24 @@ fn expand_task(
                     Tile::Dummy => Step::Dummy,
                 });
             }
-            // Fault successors (Definition 5.1.2).
-            let valuation = valuation_of(closure, props, label);
-            for (ai, action) in faults.actions.iter().enumerate() {
-                if !action.enabled(&valuation) {
-                    continue;
-                }
-                for phi in action.outcomes(&valuation, props.len()) {
-                    let label = fault_or_label(closure, props, &phi, &faults.tolerance_labels[ai]);
-                    steps.push(Step::edge(EdgeKind::Fault(ai), label));
-                }
-            }
+            // Fault successors (Definition 5.1.2), once per valuation.
+            let succs = fault_memo
+                .entry(valuation_of(closure, props, label))
+                .or_insert_with_key(|valuation| {
+                    let mut succs = Vec::new();
+                    for (ai, action) in faults.actions.iter().enumerate() {
+                        if !action.enabled(valuation) {
+                            continue;
+                        }
+                        for phi in action.outcomes(valuation, props.len()) {
+                            let label =
+                                fault_or_label(closure, props, &phi, &faults.tolerance_labels[ai]);
+                            succs.push(Step::edge(EdgeKind::Fault(ai), label));
+                        }
+                    }
+                    succs
+                });
+            steps.extend_from_slice(succs);
             Ok((steps, fill, BlocksStats::default()))
         }
     }
@@ -561,6 +580,7 @@ fn expand_batch(
     faults: &FaultSpec,
     cache: Option<&ExpansionCache>,
     gov: Option<&Governor>,
+    fault_memo: &mut FaultMemo,
 ) -> Result<BatchOutput, AbortReason> {
     catch_unwind(AssertUnwindSafe(|| {
         if let Some(g) = gov {
@@ -571,7 +591,18 @@ fn expand_batch(
         batch
             .tasks
             .iter()
-            .map(|task| expand_task(closure, props, faults, task.kind, &task.label, cache, gov))
+            .map(|task| {
+                expand_task(
+                    closure,
+                    props,
+                    faults,
+                    task.kind,
+                    &task.label,
+                    cache,
+                    gov,
+                    fault_memo,
+                )
+            })
             .collect()
     }))
     .unwrap_or_else(|payload| {
@@ -596,6 +627,7 @@ fn worker_loop(
     cache: Option<&ExpansionCache>,
     gov: Option<&Governor>,
 ) {
+    let mut fault_memo = FaultMemo::new();
     loop {
         let batch = {
             let mut st = lock_recover(&sched.state);
@@ -620,7 +652,7 @@ fn worker_loop(
         };
         let Some(batch) = batch else { return };
         let t0 = Instant::now();
-        let result = expand_batch(&batch, closure, props, faults, cache, gov);
+        let result = expand_batch(&batch, closure, props, faults, cache, gov, &mut fault_memo);
         let spent = t0.elapsed();
         let output = match result {
             Ok(o) => o,
@@ -874,9 +906,10 @@ fn build_ws_core(
         // The batch body is the workers' own ([`expand_batch`]), so a
         // panic or an interrupt aborts identically to the worker path.
         let mut queue: VecDeque<Batch> = seeds.drain(..).collect();
+        let mut fault_memo = FaultMemo::new();
         while let Some(batch) = queue.pop_front() {
             let t0 = Instant::now();
-            let result = expand_batch(&batch, closure, props, faults, cache, gov);
+            let result = expand_batch(&batch, closure, props, faults, cache, gov, &mut fault_memo);
             profile.expand_time += t0.elapsed();
             let output = match result {
                 Ok(o) => o,
