@@ -50,7 +50,7 @@ pub const USAGE: &str = "\
 USAGE: ftsyn <problem.ftsyn> [--engine tableau|cegis] [--dot <out.dot>]
              [--quiet] [--no-program]
              [--timeout <secs>] [--max-states <n>] [--max-minimize-attempts <n>]
-             [--minimize-threads <n>] [--checkpoint <out.ckpt>] [--resume <in.ckpt>]
+             [--checkpoint <out.ckpt>] [--resume <in.ckpt>]
        ftsyn serve [--checkpoint-dir <dir>] [--slots <n>] [--queue <n>]
              [--cache-max-entries <n>] [--cache-max-bytes <n>]
 
@@ -67,11 +67,6 @@ USAGE: ftsyn <problem.ftsyn> [--engine tableau|cegis] [--dot <out.dot>]
   --max-minimize-attempts <n>
                     abort after n candidate-merge verifications during
                     semantic minimization
-  --minimize-threads <n>
-                    worker threads for semantic-minimization candidate
-                    scans (default: the build thread count). The
-                    minimized model is byte-identical for every value;
-                    the flag only redistributes verification work
   --checkpoint <out.ckpt>
                     when a budget abort interrupts the tableau build,
                     write a resumable checkpoint blob to this path
@@ -136,9 +131,6 @@ pub struct CliArgs {
     /// Resource budget from `--timeout` / `--max-states` /
     /// `--max-minimize-attempts` (unlimited when none given).
     pub budget: Budget,
-    /// `--minimize-threads <n>`: worker threads for the minimization
-    /// candidate scan (`None` = follow the build thread count).
-    pub minimize_threads: Option<usize>,
     /// `--checkpoint <path>`: where to write the resumable checkpoint
     /// blob if a budget abort interrupts the tableau build.
     pub checkpoint_out: Option<String>,
@@ -196,7 +188,6 @@ pub fn parse_args(args: &[String]) -> Result<CliCommand, String> {
     let mut quiet = false;
     let mut show_program = true;
     let mut budget = Budget::default();
-    let mut minimize_threads = None;
     let mut checkpoint_out = None;
     let mut resume = None;
     let mut engine = Engine::default();
@@ -242,16 +233,6 @@ pub fn parse_args(args: &[String]) -> Result<CliCommand, String> {
                     .map_err(|_| format!("--max-minimize-attempts expects a count, got `{v}`"))?;
                 budget.max_minimize_attempts = Some(n);
             }
-            "--minimize-threads" => {
-                let v = value_of("--minimize-threads", &mut i, args)?;
-                let n: usize = v
-                    .parse()
-                    .map_err(|_| format!("--minimize-threads expects a thread count, got `{v}`"))?;
-                if n == 0 {
-                    return Err("--minimize-threads expects at least 1 thread".into());
-                }
-                minimize_threads = Some(n);
-            }
             "--engine" => {
                 let v = value_of("--engine", &mut i, args)?;
                 engine = Engine::parse(&v)
@@ -287,7 +268,6 @@ pub fn parse_args(args: &[String]) -> Result<CliCommand, String> {
         quiet,
         show_program,
         budget,
-        minimize_threads,
         checkpoint_out,
         resume,
         engine,
@@ -701,7 +681,6 @@ tolerance nonmasking
                 quiet: true,
                 show_program: true,
                 budget: Budget::default(),
-                minimize_threads: None,
                 checkpoint_out: None,
                 resume: None,
                 engine: Engine::Tableau,
@@ -826,28 +805,12 @@ tolerance nonmasking
     }
 
     #[test]
-    fn minimize_threads_flag_parses_and_validates() {
-        let cmd = parse_args(&argv(&["p.ftsyn", "--minimize-threads", "8"])).unwrap();
-        let CliCommand::Run(a) = cmd else { panic!() };
-        assert_eq!(a.minimize_threads, Some(8));
-        // Absent → follow the build thread count.
-        let cmd = parse_args(&argv(&["p.ftsyn"])).unwrap();
-        let CliCommand::Run(a) = cmd else { panic!() };
-        assert_eq!(a.minimize_threads, None);
-        // Zero threads cannot scan anything.
-        let e = parse_args(&argv(&["p.ftsyn", "--minimize-threads", "0"])).unwrap_err();
-        assert!(e.contains("at least 1"), "{e}");
-        for bad in [
-            vec!["p.ftsyn", "--minimize-threads"],
-            vec!["p.ftsyn", "--minimize-threads", "some"],
-            vec!["p.ftsyn", "--minimize-threads", "--quiet"],
-            vec!["p.ftsyn", "--minimize-threads", "1.5"],
-        ] {
-            assert!(
-                parse_args(&argv(&bad)).is_err(),
-                "{bad:?} should be rejected"
-            );
-        }
+    fn minimize_threads_flag_is_rejected_as_unknown() {
+        // The minimizer is sequential, so the flag is gone: a script
+        // that still passes it gets an error (exit 2), not a no-op.
+        let e = parse_args(&argv(&["p.ftsyn", "--minimize-threads", "8"])).unwrap_err();
+        assert_eq!(e, "unknown flag `--minimize-threads`");
+        assert!(!USAGE.contains("--minimize-threads"));
     }
 
     #[test]

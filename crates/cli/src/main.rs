@@ -5,7 +5,7 @@
 //! USAGE: ftsyn <problem.ftsyn> [--engine tableau|cegis] [--dot <out.dot>]
 //!              [--quiet] [--no-program]
 //!              [--timeout <secs>] [--max-states <n>] [--max-minimize-attempts <n>]
-//!              [--minimize-threads <n>] [--checkpoint <out.ckpt>] [--resume <in.ckpt>]
+//!              [--checkpoint <out.ckpt>] [--resume <in.ckpt>]
 //!        ftsyn serve [--checkpoint-dir <dir>] [--slots <n>] [--queue <n>]
 //!              [--cache-max-entries <n>] [--cache-max-bytes <n>]
 //! ```
@@ -75,7 +75,6 @@ fn main() -> ExitCode {
         quiet,
         show_program,
         budget,
-        minimize_threads,
         checkpoint_out,
         resume,
         engine,
@@ -108,13 +107,8 @@ fn main() -> ExitCode {
     };
 
     // An unlimited budget takes the ungoverned (byte-identical) path;
-    // any budget flag switches to the governed pipeline. Either way the
-    // minimization scan gets its own thread budget when asked for one.
-    let build_threads = ftsyn::default_threads();
-    let plan = ThreadPlan {
-        build: build_threads,
-        minimize: minimize_threads.unwrap_or(build_threads),
-    };
+    // any budget flag switches to the governed pipeline.
+    let plan = ThreadPlan::uniform(ftsyn::default_threads());
     let gov = (!budget.is_unlimited()).then(|| Governor::with_budget(budget));
     let outcome = match resume {
         None => ftsyn::synthesize_with_engine(&mut problem, engine, plan, gov.as_ref()),
@@ -189,7 +183,7 @@ fn main() -> ExitCode {
                      delete {:.1?} ({} rounds, {} worklist pops, {} certs built, {} reused), \
                      unravel {:.1?}, minimize {:.1?} ({} merges of {} tried, \
                      {} pruned, {} full checks, {} replayed, \
-                     {} base labelings, {} threads), \
+                     {} base labelings), \
                      extract {:.1?} ({} shared vars, {} explored vs {} model states, \
                      {} off-model, {} arcs refined in {} rounds, extraction {}), \
                      verify {:.1?}, other {:.1?}",
@@ -224,7 +218,6 @@ fn main() -> ExitCode {
                         st.minimize_profile.full_checks,
                         st.minimize_profile.replayed,
                         st.minimize_profile.base_labelings,
-                        st.minimize_profile.threads,
                         st.extract_time,
                         st.extract_profile.shared_vars,
                         st.extract_profile.explored_states,

@@ -1,11 +1,11 @@
 //! The minimization oracle: the pre-optimization greedy engine that
-//! `ftsyn::semantic_minimize_with_threads` replaced, kept verbatim. It
-//! scans the same candidate merges in the same order but pays one full
-//! semantic verification per candidate, with no round labeling,
-//! transfer calculus, closure prune or parallel scan. The fast engine must commit the same merge
-//! sequence: byte-identical model, identical mapping, identical
-//! attempt and merge counts, and the same abort point under an attempt
-//! cap.
+//! `ftsyn::semantic_minimize` replaced, kept verbatim. It scans the
+//! same candidate merges in the same order but pays one full semantic
+//! verification per candidate, with no round labeling, transfer
+//! calculus, closure prune or rejection replay. The fast engine must
+//! commit the same merge sequence: byte-identical model, identical
+//! mapping, identical attempt and merge counts, and the same abort
+//! point under an attempt cap.
 
 use ftsyn::kripke::{FtKripke, PropSet, StateId, StateRole};
 use ftsyn::{verify_semantic_ok, Governor, MinimizeAbort, MinimizeProfile, SynthesisProblem};
@@ -40,7 +40,7 @@ pub fn merged(m: &FtKripke, from: StateId, into: StateId) -> (FtKripke, Vec<Stat
     (out, mapping)
 }
 
-/// Reference form of `ftsyn::semantic_minimize_with_threads`: same model,
+/// Reference form of `ftsyn::semantic_minimize`: same model,
 /// same mapping, same attempts/merges counters, one full candidate
 /// verification per attempt.
 pub fn semantic_minimize_reference(
@@ -51,9 +51,9 @@ pub fn semantic_minimize_reference(
         .unwrap_or_else(|a| panic!("ungoverned minimize aborted: {}", a.reason))
 }
 
-/// Reference form of `ftsyn::semantic_minimize_governed`
-/// (single-threaded; the attempt cap and the deadline/cancel flag
-/// are polled before every candidate verification).
+/// Reference form of `ftsyn::semantic_minimize_governed` (the attempt
+/// cap and the deadline/cancel flag are polled before every candidate
+/// verification).
 pub fn semantic_minimize_reference_governed(
     problem: &mut SynthesisProblem,
     model: FtKripke,
@@ -67,10 +67,7 @@ fn minimize_core(
     model: FtKripke,
     gov: Option<&Governor>,
 ) -> Result<(FtKripke, Vec<StateId>, MinimizeProfile), MinimizeAbort> {
-    let mut profile = MinimizeProfile {
-        threads: 1,
-        ..MinimizeProfile::default()
-    };
+    let mut profile = MinimizeProfile::default();
     let mut model = model;
     let mut total_map: Vec<StateId> = model.state_ids().collect();
     'outer: loop {

@@ -1,31 +1,23 @@
-//! Minimization-engine conformance: the incremental + parallel
-//! semantic minimizer must be a *drop-in* replacement for the original
-//! greedy engine. Two properties are checked on real pipeline models
-//! (built through closure → tableau → deletion → unraveling, exactly
-//! the state the synthesis pipeline hands to minimization):
-//!
-//! 1. **Thread-matrix byte-identity** — the minimized model, the
-//!    state mapping, and every deterministic profile counter are
-//!    bit-identical at 1, 2 and 8 scan workers. The committed merge
-//!    sequence is defined by the lowest-index verified candidate, not
-//!    by scheduling.
-//! 2. **Reference equivalence** — the fast engine's output is
-//!    byte-identical to the preserved pre-optimization greedy engine
-//!    (`ftsyn_conformance::reference`) on the same input, at every
-//!    scan-thread count, and a governed run stops at the same attempt
-//!    cap abort point. One hand-built input has a rejection that a later
-//!    round accepts, so an engine that replays every rejection instead
-//!    of only the universal ones diverges from the reference.
+//! Minimization-engine conformance: the incremental semantic minimizer
+//! must be a *drop-in* replacement for the original greedy engine. On
+//! real pipeline models (built through closure → tableau → deletion →
+//! unraveling, exactly the state the synthesis pipeline hands to
+//! minimization) the fast engine's output is byte-identical to the
+//! preserved pre-optimization greedy engine
+//! (`ftsyn_conformance::reference`) on the same input, and a governed
+//! run stops at the same attempt cap abort point. One hand-built input
+//! has a rejection that a later round accepts, so an engine that
+//! replays every rejection instead of only the universal ones diverges
+//! from the reference.
 
 use ftsyn::ctl::{FormulaArena, Owner, PropTable, Spec};
 use ftsyn::kripke::{Edge, FtKripke, PropSet, State, StateId, StateRole, TransKind};
 use ftsyn::problems::mutex;
 use ftsyn::tableau::{apply_deletion_rules_mode, build};
 use ftsyn::{
-    semantic_minimize_governed, semantic_minimize_with_threads, unravel_mode, Budget, Governor,
-    MinimizeProfile, SynthesisProblem, Tolerance,
+    semantic_minimize, semantic_minimize_governed, unravel_mode, Budget, Governor, MinimizeProfile,
+    SynthesisProblem, Tolerance,
 };
-use ftsyn_conformance::differential::THREAD_MATRIX;
 use ftsyn_conformance::reference::{
     merged, semantic_minimize_reference, semantic_minimize_reference_governed,
 };
@@ -57,47 +49,6 @@ fn unraveled_model(problem: &mut SynthesisProblem) -> FtKripke {
 /// string equality is byte-identity.
 fn fingerprint(m: &FtKripke) -> String {
     format!("{m:?}")
-}
-
-fn pipeline_problems() -> Vec<(&'static str, SynthesisProblem)> {
-    vec![
-        (
-            "mutex2-failstop-masking",
-            mutex::with_fail_stop(2, Tolerance::Masking),
-        ),
-        (
-            "mutex3-failstop-masking",
-            mutex::with_fail_stop(3, Tolerance::Masking),
-        ),
-        ("philosophers3", mutex::dining_philosophers(3)),
-    ]
-}
-
-#[test]
-fn minimized_model_is_byte_identical_across_minimize_thread_counts() {
-    for (name, mut problem) in pipeline_problems() {
-        let model = pre_minimization_model(&mut problem);
-        let (m0, map0, p0) =
-            semantic_minimize_with_threads(&mut problem, model.clone(), THREAD_MATRIX[0]);
-        for &threads in &THREAD_MATRIX[1..] {
-            let (m, map, p) = semantic_minimize_with_threads(&mut problem, model.clone(), threads);
-            assert_eq!(
-                fingerprint(&m0),
-                fingerprint(&m),
-                "{name}: minimized model diverged at {threads} scan threads"
-            );
-            assert_eq!(
-                map0, map,
-                "{name}: state mapping diverged at {threads} threads"
-            );
-            assert_eq!(
-                p0.deterministic_counters(),
-                p.deterministic_counters(),
-                "{name}: deterministic counters diverged at {threads} threads"
-            );
-            assert_eq!(p.threads, threads, "{name}: profile must record the budget");
-        }
-    }
 }
 
 type ProblemMaker = fn() -> SynthesisProblem;
@@ -222,54 +173,47 @@ fn rejected_then_accepted(problem: &mut SynthesisProblem) -> FtKripke {
 }
 
 /// Minimizes `model_of(mk())` with the reference engine and with the
-/// fast engine at every scan-thread count, asserts the fast runs match
-/// it, and returns their profiles.
-fn assert_matches_reference(
-    name: &str,
-    mk: ProblemMaker,
-    model_of: ModelMaker,
-) -> Vec<MinimizeProfile> {
+/// fast engine, asserts the fast run matches it, and returns its
+/// profile.
+fn assert_matches_reference(name: &str, mk: ProblemMaker, model_of: ModelMaker) -> MinimizeProfile {
     let mut problem = mk();
     let model = model_of(&mut problem);
     let (slow, slow_map, slow_prof) = semantic_minimize_reference(&mut problem, model.clone());
-    let mut profiles = Vec::new();
-    for threads in THREAD_MATRIX {
-        // A fresh problem, with the same formulas re-derived.
-        let mut problem = mk();
-        let _ = model_of(&mut problem);
-        let (fast, fast_map, fast_prof) =
-            semantic_minimize_with_threads(&mut problem, model.clone(), threads);
-        let at = format!("{name} at {threads} threads");
-        assert_eq!(
-            fingerprint(&fast),
-            fingerprint(&slow),
-            "{at}: model diverged"
-        );
-        assert_eq!(fast_map, slow_map, "{at}: state mapping diverged");
-        assert_eq!(
-            fast_prof.attempts, slow_prof.attempts,
-            "{at}: attempts diverged"
-        );
-        assert_eq!(fast_prof.merges, slow_prof.merges, "{at}: merges diverged");
-        assert_eq!(
-            fast_prof.pruned_candidates + fast_prof.full_checks + fast_prof.replayed,
-            fast_prof.attempts,
-            "{at}: decision-path counters must partition the attempts"
-        );
-        profiles.push(fast_prof);
-    }
-    profiles
+    // A fresh problem, with the same formulas re-derived.
+    let mut problem = mk();
+    let _ = model_of(&mut problem);
+    let (fast, fast_map, fast_prof) = semantic_minimize(&mut problem, model);
+    assert_eq!(
+        fingerprint(&fast),
+        fingerprint(&slow),
+        "{name}: model diverged"
+    );
+    assert_eq!(fast_map, slow_map, "{name}: state mapping diverged");
+    assert_eq!(
+        fast_prof.attempts, slow_prof.attempts,
+        "{name}: attempts diverged"
+    );
+    assert_eq!(
+        fast_prof.merges, slow_prof.merges,
+        "{name}: merges diverged"
+    );
+    assert_eq!(
+        fast_prof.pruned_candidates + fast_prof.full_checks + fast_prof.replayed,
+        fast_prof.attempts,
+        "{name}: decision-path counters must partition the attempts"
+    );
+    fast_prof
 }
 
-/// The fast engine against the preserved original, at every scan-thread
-/// count: identical model bytes, identical mapping, and identical
-/// attempt/merge counts — the fast engine takes the same greedy
-/// decisions, it just reaches them cheaper. Three extra inputs reach the
-/// verdict branches pipeline models never take: a model that is not
-/// fault-closed (the closure prune), one whose merge classes mix
-/// reachable and unreachable states (re-classifying the candidate), and
-/// one with a non-universal rejection that a later round accepts (it
-/// must not be replayed).
+/// The fast engine against the preserved original: identical model
+/// bytes, identical mapping, and identical attempt/merge counts — the
+/// fast engine takes the same greedy decisions, it just reaches them
+/// cheaper. Four extra inputs reach what pipeline models never show: a
+/// model that is not fault-closed (the closure prune), one whose merge
+/// classes mix reachable and unreachable states (re-classifying the
+/// candidate), one with a non-universal rejection that a later round
+/// accepts (it must not be replayed), and one whose replay count
+/// depends on kill scores staying frozen within a round.
 #[test]
 fn fast_engine_is_byte_identical_to_reference_engine() {
     let models: [(&str, ModelMaker); 2] = [
@@ -288,7 +232,7 @@ fn fast_engine_is_byte_identical_to_reference_engine() {
         without_one_fault_edge,
     );
     assert!(
-        open.iter().all(|p| p.pruned_candidates > 0),
+        open.pruned_candidates > 0,
         "the closure prune decided no candidate: {open:?}"
     );
     assert_matches_reference(
@@ -296,22 +240,96 @@ fn fast_engine_is_byte_identical_to_reference_engine() {
         mk,
         with_unreachable_copy,
     );
-    for p in assert_matches_reference(
+    let p = assert_matches_reference(
         "ex-ax/rejected-then-accepted",
         ex_ax_problem,
         rejected_then_accepted,
-    ) {
-        assert_eq!(
-            (p.attempts, p.merges, p.replayed),
-            (3, 2, 0),
-            "the rejected pair must be decided again and accepted: {p:?}"
-        );
+    );
+    assert_eq!(
+        (p.attempts, p.merges, p.replayed),
+        (3, 2, 0),
+        "the rejected pair must be decided again and accepted: {p:?}"
+    );
+    let p = assert_matches_reference("kill-order", kill_order_problem, kill_order_model);
+    assert_eq!(
+        p.deterministic_counters(),
+        [7, 1, 2, 6, 0, 1],
+        "kill scores must stay frozen within a round: {p:?}"
+    );
+}
+
+/// A one-process problem whose only requirement is `AG(Q ∧ P)` with
+/// `Q = ¬t ∨ EX₀ AX₀ s` (not universal) and `P = ¬u ∨ AX₀ AX₀ r`
+/// (universal). `Q` is interned first, so at equal kill scores it is
+/// checked first.
+fn kill_order_problem() -> SynthesisProblem {
+    let mut props = PropTable::new();
+    for name in ["t", "r", "s", "u"] {
+        props.add(name, Owner::Process(0)).expect("fresh name");
     }
+    let id = |name: &str| props.id(name).expect("declared");
+    let mut arena = FormulaArena::new(1);
+    let not_t = arena.neg_prop(id("t"));
+    let s = arena.prop(id("s"));
+    let ax_s = arena.ax(0, s);
+    let ex_ax_s = arena.ex(0, ax_s);
+    let q = arena.or(not_t, ex_ax_s);
+    let not_u = arena.neg_prop(id("u"));
+    let r = arena.prop(id("r"));
+    let ax_r = arena.ax(0, r);
+    let ax_ax_r = arena.ax(0, ax_r);
+    let p = arena.or(not_u, ax_ax_r);
+    let global = arena.and(q, p);
+    let init = arena.tru();
+    let spec = Spec::new(&mut arena, init, global);
+    SynthesisProblem::new(arena, props, spec, Vec::new(), Tolerance::Masking)
+}
+
+/// A model for [`kill_order_problem`]. States, by id: `0 {r}`
+/// (initial), `1 {r}`, `2 {r}`, `3 {s,u}`, `4 {t,r,s}`, `5 {r}`,
+/// `6 {r}`, `7 {s,u}`; `1`, `6` and `7` are unreachable.
+///
+/// Round 1 rejects `(2, 0)` on `P`, which raises `P`'s kill score, then
+/// `(5, 0)`, which violates both conjuncts, then `(5, 2)`, and accepts
+/// `(6, 1)`. Kill scores stay frozen for a whole round, so `(5, 0)` is
+/// checked `Q` first, its killer is not universal, and round 2 decides
+/// it again instead of replaying it: 6 full checks, 1 replayed.
+/// Applying the kill at once would make `P` its killer and read 5 and 2.
+fn kill_order_model(problem: &mut SynthesisProblem) -> FtKripke {
+    let props = &problem.props;
+    let state = |names: &[&str]| {
+        let ids = names.iter().map(|n| props.id(n).expect("declared"));
+        State::new(PropSet::from_iter_with_capacity(props.len(), ids))
+    };
+    let r = &["r"][..];
+    let su = &["s", "u"][..];
+    let mut m = FtKripke::new();
+    for names in [r, r, r, su, &["t", "r", "s"], r, r, su] {
+        m.push_state(state(names));
+    }
+    m.add_init(StateId(0));
+    let edges = [
+        (0, 4),
+        (0, 2),
+        (1, 3),
+        (2, 3),
+        (2, 5),
+        (3, 0),
+        (4, 5),
+        (4, 2),
+        (5, 3),
+        (6, 6),
+        (7, 3),
+    ];
+    for (from, to) in edges {
+        m.add_edge(StateId(from), TransKind::Proc(0), StateId(to));
+    }
+    m
 }
 
 /// Governed runs abort at the same point as the reference engine: same
-/// partial merge count, exactly `cap` attempts, at every thread count
-/// (the governor determinism contract).
+/// partial merge count, exactly `cap` attempts (the governor determinism
+/// contract).
 #[test]
 fn governed_cap_abort_matches_reference() {
     let mk = || mutex::with_fail_stop(2, Tolerance::Masking);
@@ -328,28 +346,22 @@ fn governed_cap_abort_matches_reference() {
     for cap in [1, 3, full.attempts - 1] {
         let ref_abort = semantic_minimize_reference_governed(&mut mk(), pre.clone(), &capped(cap))
             .expect_err("cap below total attempts must abort");
-        for threads in THREAD_MATRIX {
-            let abort =
-                semantic_minimize_governed(&mut mk(), pre.clone(), threads, Some(&capped(cap)))
-                    .expect_err("cap below total attempts must abort");
-            assert_eq!(
-                format!("{}", abort.reason),
-                format!("{}", ref_abort.reason),
-                "cap={cap} threads={threads}"
-            );
-            assert_eq!(
-                abort.profile.attempts, ref_abort.profile.attempts,
-                "cap={cap} threads={threads}"
-            );
-            assert_eq!(abort.profile.attempts, cap, "cap is exact");
-            assert_eq!(
-                abort.profile.merges, ref_abort.profile.merges,
-                "cap={cap} threads={threads}"
-            );
-        }
+        let abort = semantic_minimize_governed(&mut mk(), pre.clone(), Some(&capped(cap)))
+            .expect_err("cap below total attempts must abort");
+        assert_eq!(
+            format!("{}", abort.reason),
+            format!("{}", ref_abort.reason),
+            "cap={cap}"
+        );
+        assert_eq!(
+            abort.profile.attempts, ref_abort.profile.attempts,
+            "cap={cap}"
+        );
+        assert_eq!(abort.profile.attempts, cap, "cap is exact");
+        assert_eq!(abort.profile.merges, ref_abort.profile.merges, "cap={cap}");
     }
     // A cap at or above the total attempt count never trips.
-    let (_, _, p) = semantic_minimize_governed(&mut mk(), pre, 2, Some(&capped(full.attempts)))
+    let (_, _, p) = semantic_minimize_governed(&mut mk(), pre, Some(&capped(full.attempts)))
         .expect("exact cap admits the full run");
     assert_eq!(p.attempts, full.attempts);
     assert_eq!(p.merges, full.merges);

@@ -19,7 +19,7 @@ use ftsyn::kripke::{bisimulation_quotient, FtKripke, StateId};
 use ftsyn::problems::mutex;
 use ftsyn::tableau::{apply_deletion_rules_mode, build};
 use ftsyn::{
-    semantic_minimize_with_threads, synthesize_with_engine, unravel_mode, Engine, SynthesisOutcome,
+    semantic_minimize, synthesize_with_engine, unravel_mode, Engine, SynthesisOutcome,
     SynthesisProblem, ThreadPlan, Tolerance,
 };
 
@@ -85,7 +85,7 @@ fn assert_pinned(name: &str, make: &dyn Fn() -> SynthesisProblem, pin: &Pin) {
         // The same problem has interned every formula the pipeline uses,
         // so the minimizer sees the formula ids it saw inside `synthesize`.
         let pre = pre_minimization_model(&mut problem);
-        let (model, mapping, profile) = semantic_minimize_with_threads(&mut problem, pre, threads);
+        let (model, mapping, profile) = semantic_minimize(&mut problem, pre);
         assert_eq!(
             profile.deterministic_counters(),
             pin.counters,

@@ -57,7 +57,6 @@ mod extract;
 mod fragment;
 mod minimize;
 mod problem;
-mod scan;
 mod synthesize;
 mod unravel;
 mod verify;
@@ -76,9 +75,10 @@ pub use ftsyn_tableau::{
     CheckpointError, ExpansionCache, Governor, Phase, CHECKPOINT_FORMAT_VERSION,
     CHECKPOINT_MIN_FORMAT_VERSION,
 };
-pub use minimize::{
-    semantic_minimize_governed, semantic_minimize_with_threads, MinimizeAbort, MinimizeProfile,
-};
+// Re-exporting a deprecated item is itself flagged.
+#[allow(deprecated)]
+pub use minimize::semantic_minimize_with_threads;
+pub use minimize::{semantic_minimize, semantic_minimize_governed, MinimizeAbort, MinimizeProfile};
 pub use problem::{SynthesisProblem, Tolerance, ToleranceAssignment};
 pub use synthesize::{
     default_threads, synthesize, synthesize_governed, synthesize_planned, synthesize_resume,

@@ -20,7 +20,7 @@
 //! closure, tens of thousands of times. That made
 //! minimization ~90% of end-to-end synthesis wall-clock. This engine
 //! commits the **same merge sequence** (verified bit-for-bit by the
-//! conformance layer) through four levers:
+//! conformance layer) through three levers:
 //!
 //! 1. **Incremental re-verification.** Each greedy round labels the
 //!    accepted base model once ([`RoundCtx`]) and keeps the per-state
@@ -31,23 +31,22 @@
 //!    preserved carry over). Only the leftovers pay for exact
 //!    evaluation on the candidate — restricted to the few "dirty"
 //!    conjuncts, not the whole closure, and tried killers-first.
-//! 2. **Parallel candidate verification.** Candidates of a round are
-//!    independent, so they fan out over
-//!    [`crate::scan::earliest_success`], which commits the
-//!    lowest-index success at every thread count — the exact candidate
-//!    the sequential greedy scan would take.
-//! 3. **Candidate pruning.** Fault-closure violations are detected from
+//! 2. **Candidate pruning.** Fault-closure violations are detected from
 //!    a signature scan ([`RoundCtx::uncovered`]) in O(1) per candidate,
 //!    rejecting provably unmergeable pairs without building the
 //!    candidate. The scan runs once per run, on the input model: the
 //!    check is exact, so an accepted candidate is fault-closed, and a
 //!    merge only unions successor sets and keeps valuations, so every
 //!    later model is fault-closed too.
-//! 4. **Rejection replay.** The scan restarts after every accepted
+//! 3. **Rejection replay.** The scan restarts after every accepted
 //!    merge, so almost every attempt re-decides a pair an earlier round
 //!    rejected. A rejection whose violated obligation is *universal*
 //!    (literals, `∧`, `∨`, `AXᵢ`, `AU`, `AW` only) is remembered and
 //!    replayed in O(1) by later rounds, without building the candidate.
+//!
+//! The scan itself is the sequential left-to-right loop of the greedy
+//! method: with replay, a round decides only a few candidates before it
+//! commits, too few to pay for fanning them out over threads.
 //!
 //! # Why a replay is exact
 //!
@@ -69,13 +68,11 @@
 //!   reachability ([`RoundCtx::reach`]), so each obligation site of `C`
 //!   maps to an obligation site of `C'` with at least its tolerances.
 //!
-//! The replay set holds only pairs from each scan's committed prefix,
-//! so it is the same at every thread count. Accepted merges map it
-//! forward; a merge of unequal reachability clears it. Closure-prune
-//! rejections are never replayed: a later merge may supply the missing
-//! fault edge. Rejections on a non-universal obligation are not either:
-//! a later merge may add a witness (the conformance suite holds one such
-//! input).
+//! Accepted merges map the replay set forward; a merge of unequal
+//! reachability clears it. Closure-prune rejections are never replayed:
+//! a later merge may supply the missing fault edge. Rejections on a
+//! non-universal obligation are not either: a later merge may add a
+//! witness (the conformance suite holds one such input).
 //!
 //! Transfers only ever prove *satisfaction*; every rejection comes from
 //! the closure check, a model-checker run on the candidate, or a replay
@@ -84,7 +81,6 @@
 //! model — is identical to the reference engine's.
 
 use crate::problem::SynthesisProblem;
-use crate::scan::{earliest_success, lock_recover};
 use crate::verify::semantics_of;
 use ftsyn_ctl::{Formula, FormulaArena, FormulaId};
 use ftsyn_guarded::FaultAction;
@@ -93,17 +89,16 @@ use ftsyn_kripke::{
 };
 use ftsyn_tableau::{AbortReason, Governor};
 use std::collections::{HashMap, HashSet};
-use std::sync::Mutex;
 
-/// Work counters of one [`semantic_minimize_governed`] run. Minimization
+/// Work counters of one [`semantic_minimize`] run. Minimization
 /// dominates the pipeline on the larger instances, so the counters
 /// that explain the wall-clock — how many candidates were tried, how
 /// each was decided, how many survived — are first-class measurements,
 /// surfaced in `SynthesisStats` and the bench JSON.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct MinimizeProfile {
-    /// Candidate merges decided (accepted or rejected). The greedy scan
-    /// order is fixed, so this count is identical at every thread count.
+    /// Candidate merges decided (accepted or rejected), in the greedy
+    /// scan's fixed order.
     pub attempts: usize,
     /// Candidate merges accepted. Each accepted merge removes one state
     /// and restarts the greedy scan.
@@ -122,15 +117,12 @@ pub struct MinimizeProfile {
     /// the same pair on a universal obligation, without building a
     /// candidate model.
     pub replayed: usize,
-    /// Thread count the run was configured with.
-    pub threads: usize,
 }
 
 impl MinimizeProfile {
-    /// The counters guaranteed to be bit-identical across thread counts
-    /// (in declaration order: attempts, merges, base labelings, full
-    /// checks, pruned candidates, replayed). The conformance
-    /// thread-matrix tests compare exactly this slice.
+    /// Every counter, in declaration order: attempts, merges, base
+    /// labelings, full checks, pruned candidates, replayed. The
+    /// conformance pins compare exactly this slice.
     pub fn deterministic_counters(&self) -> [usize; 6] {
         [
             self.attempts,
@@ -196,8 +188,7 @@ impl Req {
 
 /// The requirements of the synthesis problem statement, decomposed once
 /// per run. Building this performs every formula-arena mutation up
-/// front, so the arena is immutable (and thread-shareable) for the rest
-/// of the run.
+/// front, so the arena is only read for the rest of the run.
 struct Requirements {
     semantics: Semantics,
     /// Conjuncts of the temporal specification, checked at the initial
@@ -271,15 +262,11 @@ impl Requirements {
     }
 }
 
-/// Shared inputs of one minimization run: read-only, except for the
-/// candidate buffer pool.
+/// Read-only inputs of one minimization run.
 struct Env<'a> {
     arena: &'a FormulaArena,
     faults: &'a [FaultAction],
     reqs: &'a Requirements,
-    /// Candidate-model buffers `(candidate, step map)`, reused across
-    /// attempts and rounds (see [`decide`]).
-    scratch: Mutex<Vec<(FtKripke, Vec<StateId>)>>,
 }
 
 /// Per-round context: the full CTL labeling of the current accepted
@@ -540,9 +527,7 @@ enum Kind {
     Full,
 }
 
-/// Per-candidate verdict plus its cost class. Deliberately tiny: the
-/// parallel scan retains one per tested candidate, and the winning
-/// candidate's model is rebuilt (cheaply) after the scan commits.
+/// Per-candidate verdict plus its cost class.
 #[derive(Clone, Copy, Debug)]
 struct Decision {
     ok: bool,
@@ -569,6 +554,11 @@ impl Decision {
 /// Decides one candidate merge: the exact `verify_semantic` verdict on
 /// `model.merged(from, into)`, computed through the cheap paths first.
 /// `kills` orders each dirty `AG` group's conjuncts (module docs).
+///
+/// `buf` is the run's one candidate buffer `(candidate, step map)`:
+/// candidate construction runs once per attempt, so it must not pay
+/// per-state allocations. An accepted candidate is always built, so on
+/// acceptance `buf` holds the merged model and its step map.
 fn decide(
     env: &Env<'_>,
     model: &FtKripke,
@@ -576,24 +566,18 @@ fn decide(
     kills: &[u32],
     from: StateId,
     into: StateId,
+    buf: &mut (FtKripke, Vec<StateId>),
 ) -> Decision {
-    // Lever 3: signature prune (exact, no candidate build).
+    // Lever 2: signature prune (exact, no candidate build).
     if !closure_ok(env, round, model, from, into) {
         return Decision::new(false, Kind::Pruned);
     }
 
     // The candidate structure is needed for role classification (which
-    // states are perturbed) and for any exact evaluation. It is built
-    // into a buffer from the run's pool: candidate construction runs
-    // once per attempt, so it must not pay per-state allocations, and
-    // the scan's workers are fresh threads every round, so the buffers
-    // must outlive them.
-    let mut buf = lock_recover(&env.scratch).pop().unwrap_or_default();
-    let (cand, step_map) = &mut buf;
+    // states are perturbed) and for any exact evaluation.
+    let (cand, step_map) = buf;
     model.merge_into(from, into, cand, step_map);
-    let d = decide_on(env, round, kills, from, into, cand);
-    lock_recover(&env.scratch).push(buf);
-    d
+    decide_on(env, round, kills, from, into, cand)
 }
 
 /// State-independent resolution of one requirement against one
@@ -758,9 +742,8 @@ fn decide_on(
     // `AG part` vector across requirements and obligation states, and
     // are tried killers-first: conjuncts that rejected candidates of
     // earlier rounds are evaluated before ones that always pass. The
-    // scores change only between rounds, from committed decisions, so
-    // the killer found — and with it whether the rejection is replayable
-    // — is the same at every thread count.
+    // scores change only between rounds, so every candidate of a round
+    // sees the same order.
     let mut ck = Checker::new(cand, env.reqs.semantics);
     let mut ag_memo: HashMap<FormulaId, StateSet> = HashMap::new();
     let universal = |f: FormulaId| env.reqs.universal[f.index()];
@@ -797,20 +780,26 @@ fn decide_on(
 }
 
 /// Greedily merges same-valuation states while the model keeps passing
-/// the semantic verification, with candidate verification fanned out
-/// over `threads` worker threads. Returns the minimized model, the
-/// mapping from the input model's state ids to the output's, and the
-/// run's [`MinimizeProfile`]. The committed merge sequence —
-/// and therefore the minimized model, the mapping, and every
-/// deterministic profile counter — is bit-identical at every thread
-/// count (see [`MinimizeProfile::deterministic_counters`]).
+/// the semantic verification. Returns the minimized model, the mapping
+/// from the input model's state ids to the output's, and the run's
+/// [`MinimizeProfile`].
+pub fn semantic_minimize(
+    problem: &mut SynthesisProblem,
+    model: FtKripke,
+) -> (FtKripke, Vec<StateId>, MinimizeProfile) {
+    semantic_minimize_governed(problem, model, None)
+        .unwrap_or_else(|a| panic!("ungoverned minimize aborted: {}", a.reason))
+}
+
+/// [`semantic_minimize`] under the name the benchmark harness still
+/// calls. `threads` is ignored: the minimizer is sequential.
+#[deprecated(note = "ignores `threads`: call `semantic_minimize`")]
 pub fn semantic_minimize_with_threads(
     problem: &mut SynthesisProblem,
     model: FtKripke,
-    threads: usize,
+    _threads: usize,
 ) -> (FtKripke, Vec<StateId>, MinimizeProfile) {
-    semantic_minimize_governed(problem, model, threads, None)
-        .unwrap_or_else(|a| panic!("ungoverned minimize aborted: {}", a.reason))
+    semantic_minimize(problem, model)
 }
 
 /// Partial results of a governed minimization that exceeded its budget.
@@ -822,10 +811,9 @@ pub struct MinimizeAbort {
     pub profile: MinimizeProfile,
 }
 
-/// [`semantic_minimize_with_threads`] under an optional [`Governor`]
-/// (`None` never aborts): the attempt cap bounds each round's candidate
-/// scan so that exactly `cap` candidates are decided in scan order
-/// before the abort — bit-identical counters at every thread count —
+/// [`semantic_minimize`] under an optional [`Governor`] (`None` never
+/// aborts): the attempt cap bounds each round's candidate scan so that
+/// exactly `cap` candidates are decided in scan order before the abort,
 /// and the deadline/cancel flag is polled once per round and before
 /// every candidate verification (replays take O(1) and are not polled
 /// one by one). `max_minimize_attempts: Some(n)` performs exactly `n`
@@ -833,22 +821,16 @@ pub struct MinimizeAbort {
 pub fn semantic_minimize_governed(
     problem: &mut SynthesisProblem,
     model: FtKripke,
-    threads: usize,
     gov: Option<&Governor>,
 ) -> Result<(FtKripke, Vec<StateId>, MinimizeProfile), MinimizeAbort> {
-    let threads = threads.max(1);
-    let mut profile = MinimizeProfile {
-        threads,
-        ..MinimizeProfile::default()
-    };
+    let mut profile = MinimizeProfile::default();
     // All arena mutations happen here; afterwards the problem is only
-    // read, so candidate workers can share it.
+    // read.
     let reqs = Requirements::new(problem);
     let env = Env {
         arena: &problem.arena,
         faults: &problem.faults,
         reqs: &reqs,
-        scratch: Mutex::new(Vec::new()),
     };
     let mut model = model;
     let mut total_map: Vec<StateId> = model.state_ids().collect();
@@ -866,20 +848,20 @@ pub fn semantic_minimize_governed(
             .collect()
     };
     let n_vals = val_of.iter().max().map_or(0, |&v| v + 1);
-    // Lever 3's closure scan, once per run (module docs): it is handed
+    // Lever 2's closure scan, once per run (module docs): it is handed
     // to the first round only, because reaching a second round takes an
     // accepted merge, after which no state is uncovered.
     let mut uncovered = uncovered_states(env.faults, env.reqs.num_props, &model);
     // Per-run kill scores, dense by formula id (see `decide_on`), and
-    // the replay set of lever 4 in the current model's state ids.
+    // the replay set of lever 3 in the current model's state ids.
     let mut kills = vec![0u32; env.arena.len()];
     let mut rejected: HashSet<(StateId, StateId)> = HashSet::new();
-    // Buffers kept for the whole run: an accepted merge is written into
-    // `spare`, which then swaps places with the model, and the replay
-    // set is carried into `carried` and swapped likewise.
-    let mut spare = FtKripke::new();
-    let mut step_map: Vec<StateId> = Vec::new();
+    // Buffers kept for the whole run: candidates are built into `buf`,
+    // and an accepted one swaps places with the model; the replay set
+    // is carried into `carried` and swapped likewise.
+    let mut buf: (FtKripke, Vec<StateId>) = Default::default();
     let mut carried: HashSet<(StateId, StateId)> = HashSet::new();
+    let mut killers: Vec<FormulaId> = Vec::new();
     let mut group_of: Vec<usize> = Vec::new();
     let mut groups: Vec<Vec<StateId>> = Vec::new();
     let mut candidates: Vec<(StateId, StateId)> = Vec::new();
@@ -940,40 +922,30 @@ pub fn semantic_minimize_governed(
             .and_then(|g| g.budget().max_minimize_attempts)
             .map_or(usize::MAX, |cap| cap - profile.attempts);
         let n_scan = candidates.len().min(allowance);
-        // Lever 4: replayed candidates are rejected here, in O(1); only
-        // the others (`live`, ascending) are decided on a candidate.
-        let live: Vec<usize> = (0..n_scan)
-            .filter(|&i| !rejected.contains(&candidates[i]))
-            .collect();
-        // Lever 2: fan the live verdicts out; the committed index is the
-        // lowest passing one at every thread count.
-        let scan = earliest_success(live.len(), threads, |k| {
+        // The scan: the first candidate that passes is committed. Kill
+        // scores stay frozen for the whole round (`killers` is applied
+        // after it), so every candidate sees the round-start order.
+        killers.clear();
+        let mut found = None;
+        for &(from, into) in &candidates[..n_scan] {
+            profile.attempts += 1;
+            // Lever 3: a replayed rejection costs O(1).
+            if rejected.contains(&(from, into)) {
+                profile.replayed += 1;
+                continue;
+            }
             if let Some(g) = gov {
-                g.check_realtime()?;
+                if let Err(reason) = g.check_realtime() {
+                    return Err(MinimizeAbort { reason, profile });
+                }
             }
-            let (from, into) = candidates[live[k]];
-            let d = decide(&env, &model, &round, &kills, from, into);
-            Ok((d.ok, d))
-        });
-        let (found_live, outcomes) = match scan {
-            Ok(r) => r,
-            Err(reason) => return Err(MinimizeAbort { reason, profile }),
-        };
-        let found = found_live.map(|k| live[k]);
-        // Deterministic accounting: only the committed prefix counts;
-        // speculative verdicts past it are ignored. The same prefix
-        // feeds the kill scores and the replay set.
-        let decided = found.map_or(n_scan, |j| j + 1);
-        let live_decided = found_live.map_or(live.len(), |k| k + 1);
-        profile.attempts += decided;
-        profile.replayed += decided - live_decided;
-        for (k, d) in outcomes.iter().take(live_decided).enumerate() {
-            let d = d.expect("the scan decides its whole committed prefix");
+            let d = decide(&env, &model, &round, &kills, from, into, &mut buf);
             profile.count(d.kind);
-            if let Some(p) = d.killer {
-                kills[p.index()] += 1;
+            if d.ok {
+                found = Some((from, into));
+                break;
             }
-            let (from, into) = candidates[live[k]];
+            killers.extend(d.killer);
             if d.universal
                 && round.no_dead_ends
                 && round.reach[from.index()] == round.reach[into.index()]
@@ -981,12 +953,15 @@ pub fn semantic_minimize_governed(
                 rejected.insert((from, into));
             }
         }
+        for p in &killers {
+            kills[p.index()] += 1;
+        }
         match found {
-            Some(j) => {
+            Some((from, into)) => {
                 profile.merges += 1;
-                let (from, into) = candidates[j];
-                model.merge_into(from, into, &mut spare, &mut step_map);
-                std::mem::swap(&mut model, &mut spare);
+                // The accepted candidate is still in `buf`.
+                let step_map = &buf.1;
+                std::mem::swap(&mut model, &mut buf.0);
                 val_of.remove(from.index());
                 debug_assert!(
                     uncovered_states(env.faults, env.reqs.num_props, &model).is_empty(),
@@ -1035,25 +1010,8 @@ mod tests {
     use super::*;
     use crate::problems::mutex;
     use crate::synthesize;
-    use crate::unravel::unravel_mode;
     use crate::verify::verify_semantic;
     use ftsyn_kripke::TransKind;
-    use ftsyn_tableau::{apply_deletion_rules_mode, build};
-
-    /// Replicates the pipeline up to the pre-minimization model (the
-    /// input the minimizer sees during synthesis).
-    fn pre_minimization_model(problem: &mut SynthesisProblem) -> FtKripke {
-        let (closure, fault_spec, root_label) = problem.tableau_inputs();
-        let mut tableau = build(&closure, &problem.props, root_label, &fault_spec);
-        apply_deletion_rules_mode(&mut tableau, &closure, problem.mode);
-        assert!(tableau.alive(tableau.root()), "problem is synthesizable");
-        let c0 = tableau
-            .alive_succ(tableau.root(), |_| true)
-            .map(|(_, c)| c)
-            .next()
-            .expect("alive root has an alive AND child");
-        unravel_mode(&tableau, &closure, &problem.props, c0, problem.mode).model
-    }
 
     #[test]
     fn merged_redirects_edges() {
@@ -1090,8 +1048,7 @@ mod tests {
         let solved = synthesize(&mut problem).unwrap_solved();
         // synthesize already minimizes; minimizing again is a fixpoint.
         let before = solved.model.len();
-        let (again, mapping, profile) =
-            semantic_minimize_with_threads(&mut problem, solved.model.clone(), 1);
+        let (again, mapping, profile) = semantic_minimize(&mut problem, solved.model.clone());
         assert_eq!(again.len(), before, "minimization is a fixpoint");
         assert_eq!(mapping.len(), before);
         assert!(verify_semantic(&mut problem, &again).ok());
@@ -1141,26 +1098,5 @@ mod tests {
             candidates > 0,
             "no same-valuation candidate pairs left — the guard was never exercised"
         );
-    }
-
-    /// Deterministic counters must not depend on the thread count even
-    /// though speculation does: pin the exact slice the conformance
-    /// layer compares.
-    #[test]
-    fn deterministic_counters_agree_across_thread_counts() {
-        let mut problem = mutex::with_fail_stop(2, crate::Tolerance::Masking);
-        let pre = pre_minimization_model(&mut problem);
-        let (_, _, base) = semantic_minimize_with_threads(&mut problem, pre.clone(), 1);
-        for threads in [2, 8] {
-            let mut problem = mutex::with_fail_stop(2, crate::Tolerance::Masking);
-            let _ = pre_minimization_model(&mut problem);
-            let (_, _, p) = semantic_minimize_with_threads(&mut problem, pre.clone(), threads);
-            assert_eq!(
-                p.deterministic_counters(),
-                base.deterministic_counters(),
-                "threads={threads}"
-            );
-            assert_eq!(p.threads, threads);
-        }
     }
 }

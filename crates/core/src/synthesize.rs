@@ -239,25 +239,24 @@ pub fn default_threads() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
-/// Worker-thread budgets for the parallel pipeline phases. The two hot
-/// phases scale differently — tableau expansion fans out over frontier
-/// nodes, minimization over candidate merges — so their budgets are
-/// separate knobs (the CLI exposes `--minimize-threads` for the
-/// latter). Every combination produces a bit-identical outcome.
+/// Worker-thread budget of the pipeline. Only tableau construction
+/// runs in parallel; every thread count produces a bit-identical
+/// outcome.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ThreadPlan {
     /// Worker threads for tableau construction (1 = sequential).
     pub build: usize,
-    /// Worker threads for semantic-minimization candidate scans
-    /// (1 = sequential).
+    /// Ignored: semantic minimization is sequential. Kept while the
+    /// benchmark harness still reads it.
+    #[deprecated(note = "ignored: minimization is sequential")]
     pub minimize: usize,
 }
 
 impl ThreadPlan {
-    /// The same budget for every phase — the default: minimization
-    /// candidates are at least as plentiful as frontier nodes.
+    /// `threads` workers for tableau construction.
     pub fn uniform(threads: usize) -> ThreadPlan {
         let threads = threads.max(1);
+        #[allow(deprecated)]
         ThreadPlan {
             build: threads,
             minimize: threads,
@@ -274,8 +273,8 @@ pub fn synthesize(problem: &mut SynthesisProblem) -> SynthesisOutcome {
     synthesize_with_threads(problem, default_threads())
 }
 
-/// [`synthesize`] with an explicit worker-thread budget shared by all
-/// parallel phases (1 = fully sequential). The outcome is bit-identical
+/// [`synthesize`] with an explicit worker-thread budget for the tableau
+/// build (1 = fully sequential). The outcome is bit-identical
 /// for every thread count; the stats record how the work was scheduled.
 pub fn synthesize_with_threads(problem: &mut SynthesisProblem, threads: usize) -> SynthesisOutcome {
     synthesize_planned(problem, ThreadPlan::uniform(threads), None)
@@ -300,7 +299,7 @@ pub fn synthesize_governed(
     synthesize_planned(problem, ThreadPlan::uniform(threads), Some(gov))
 }
 
-/// [`synthesize`] with per-phase thread budgets and an optional
+/// [`synthesize`] with a tableau-build thread budget and an optional
 /// governor — the fully general *fresh-start* entry point the other
 /// variants wrap ([`synthesize_session`] generalizes further to shared
 /// caches and checkpoint resume).
@@ -770,7 +769,7 @@ fn synthesize_impl(
     }
     let t_min = Instant::now();
     let (mut model, merge_map, minimize_profile) =
-        match semantic_minimize_governed(problem, pre_unr.model, plan.minimize, gov) {
+        match semantic_minimize_governed(problem, pre_unr.model, gov) {
             Ok(ok) => ok,
             Err(a) => {
                 stats.minimize_profile = a.profile;

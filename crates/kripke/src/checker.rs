@@ -433,8 +433,8 @@ fn prop_sets(m: &FtKripke) -> Vec<StateSet> {
 /// A frozen per-state CTL labeling captured from a [`Checker`] run:
 /// formula id → satisfaction set over the model the checker was built
 /// on, stored densely by formula id. The cache owns plain data (no
-/// borrow of the model), so it can outlive the checker and be shared
-/// across worker threads; the semantic minimizer uses one cache per
+/// borrow of the model), so it can outlive the checker; the semantic
+/// minimizer uses one cache per
 /// accepted model to transfer base-model truths onto merge candidates
 /// instead of re-checking them.
 #[derive(Clone, Debug, Default)]

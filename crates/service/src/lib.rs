@@ -95,7 +95,7 @@ pub struct Request {
     pub id: String,
     /// Problem to synthesize.
     pub source: ProblemSource,
-    /// Worker threads for this request's build/minimize phases.
+    /// Worker threads for this request's tableau build.
     pub threads: usize,
     /// Per-request budget; `None` uses the service default.
     pub budget: Option<Budget>,
