@@ -26,6 +26,7 @@ use ftsyn::guarded::sim::{campaign, CampaignConfig, SimConfig, Trace};
 use ftsyn::guarded::Program;
 use ftsyn::kripke::{Checker, Semantics, State, StateId};
 use ftsyn::{CertMode, SynthesisProblem, Tolerance};
+use std::collections::HashMap;
 
 /// Tallies from one campaign (all assertions already passed).
 #[derive(Clone, Copy, Debug)]
@@ -107,8 +108,13 @@ pub fn assert_campaign(
         convergence_probes: 0,
     };
 
+    // Every explored state by content, for the trace lookups.
+    let mut index: HashMap<&State, StateId> = HashMap::new();
+    for s in ex.kripke.state_ids() {
+        index.entry(ex.kripke.state(s)).or_insert(s);
+    }
     for (sc, trace) in &results {
-        let ids = resolve_trace(name, &ex.kripke, sc, trace);
+        let ids = resolve_trace(name, &index, sc, trace);
         if trace.fault_count() > 0 {
             report.faulted_runs += 1;
         }
@@ -119,7 +125,7 @@ pub fn assert_campaign(
                     "{name} (seed {:#x}): safety violated at trace point {i} \
                      (state {})",
                     sc.seed,
-                    ex.kripke.state(*id).display(&problem.props)
+                    ex.kripke.display_state(*id, &problem.props)
                 );
             }
         }
@@ -137,7 +143,7 @@ pub fn assert_campaign(
                          fault (state {})",
                         sc.seed,
                         i - trace.last_fault.map_or(0, |f| f + 1),
-                        ex.kripke.state(*id).display(&problem.props)
+                        ex.kripke.display_state(*id, &problem.props)
                     );
                 }
             }
@@ -152,7 +158,7 @@ pub fn assert_campaign(
 /// state the exploration did not.
 fn resolve_trace(
     name: &str,
-    kripke: &ftsyn::kripke::FtKripke,
+    index: &HashMap<&State, StateId>,
     sc: &SimConfig,
     trace: &Trace,
 ) -> Vec<StateId> {
@@ -166,7 +172,7 @@ fn resolve_trace(
                 props: props.clone(),
                 shared: shared.clone(),
             };
-            kripke.find_state(&state).unwrap_or_else(|| {
+            index.get(&state).copied().unwrap_or_else(|| {
                 panic!(
                     "{name} (seed {:#x}): trace point {i} left the verified \
                      structure: no explored state matches {props:?} {shared:?}",

@@ -30,7 +30,7 @@ pub use minimize::{merged, semantic_minimize_reference, semantic_minimize_refere
 use ftsyn::ctl::{Formula, FormulaArena, FormulaId, Owner, PropTable};
 use ftsyn::guarded::interp::{corrupt_branches, ExploreError};
 use ftsyn::guarded::{FaultAction, Program};
-use ftsyn::kripke::{FtKripke, PropSet, Semantics, State, StateId, TransKind};
+use ftsyn::kripke::{FtKripke, KripkeBuilder, PropSet, Semantics, State, StateId, TransKind};
 use std::collections::HashMap;
 
 /// Upper bound on explored states, as in the production explorer.
@@ -55,9 +55,10 @@ pub fn explore(
     faults: &[FaultAction],
     props: &PropTable,
 ) -> Result<FtKripke, ExploreError> {
-    let mut kripke = FtKripke::new();
+    let mut kripke = KripkeBuilder::new();
     let mut configs: Vec<Config> = Vec::new();
     let mut by_config: HashMap<Config, StateId> = HashMap::new();
+    let mut by_state: HashMap<State, StateId> = HashMap::new();
 
     let proc_masks: Vec<PropSet> = (0..program.processes.len())
         .map(|i| {
@@ -74,10 +75,10 @@ pub fn explore(
         locals: program.init_locals.clone(),
         shared: program.init_shared.clone(),
     };
-    let intern = |cfg: Config,
-                  kripke: &mut FtKripke,
-                  configs: &mut Vec<Config>,
-                  by_config: &mut HashMap<Config, StateId>|
+    let mut intern = |cfg: Config,
+                      kripke: &mut KripkeBuilder,
+                      configs: &mut Vec<Config>,
+                      by_config: &mut HashMap<Config, StateId>|
      -> Result<StateId, ExploreError> {
         if let Some(&id) = by_config.get(&cfg) {
             return Ok(id);
@@ -86,10 +87,11 @@ pub fn explore(
             props: program.valuation(&cfg.locals),
             shared: cfg.shared.clone(),
         };
-        if kripke.find_state(&st).is_some() {
+        if by_state.contains_key(&st) {
             return Err(ExploreError::AmbiguousState);
         }
-        let id = kripke.intern_state(st);
+        let id = kripke.push_state(st.clone());
+        by_state.insert(st, id);
         by_config.insert(cfg.clone(), id);
         configs.push(cfg);
         if configs.len() > MAX_STATES {
@@ -160,7 +162,7 @@ pub fn explore(
         }
     }
 
-    Ok(kripke)
+    Ok(kripke.freeze())
 }
 
 /// A memoizing CTL labeler with one `bool` per state, computing the
@@ -198,12 +200,12 @@ impl<'m> Checker<'m> {
             Formula::Prop(p) => self
                 .model
                 .state_ids()
-                .map(|s| self.model.state(s).props.contains(p))
+                .map(|s| self.model.props(s).contains(p))
                 .collect(),
             Formula::NegProp(p) => self
                 .model
                 .state_ids()
-                .map(|s| !self.model.state(s).props.contains(p))
+                .map(|s| !self.model.props(s).contains(p))
                 .collect(),
             Formula::And(a, b) => {
                 let va = self.eval(arena, a).clone();

@@ -7,7 +7,7 @@
 //! mapping, identical attempt and merge counts, and the same abort
 //! point under an attempt cap.
 
-use ftsyn::kripke::{FtKripke, PropSet, StateId, StateRole};
+use ftsyn::kripke::{FtKripke, KripkeBuilder, PropSet, StateId, StateRole};
 use ftsyn::{verify_semantic_ok, Governor, MinimizeAbort, MinimizeProfile, SynthesisProblem};
 use std::collections::HashMap;
 
@@ -16,7 +16,7 @@ use std::collections::HashMap;
 /// explicit id map. The oracle for `FtKripke::merged`, which computes
 /// the same structure arithmetically.
 pub fn merged(m: &FtKripke, from: StateId, into: StateId) -> (FtKripke, Vec<StateId>) {
-    let mut out = FtKripke::new();
+    let mut out = KripkeBuilder::new();
     // Old id -> new id (from maps to into's new id).
     let mut map: HashMap<StateId, StateId> = HashMap::new();
     for s in m.state_ids() {
@@ -37,7 +37,7 @@ pub fn merged(m: &FtKripke, from: StateId, into: StateId) -> (FtKripke, Vec<Stat
         out.add_init(map[&i]);
     }
     let mapping = m.state_ids().map(|s| map[&s]).collect();
-    (out, mapping)
+    (out.freeze(), mapping)
 }
 
 /// Reference form of `ftsyn::semantic_minimize`: same model,
@@ -76,7 +76,7 @@ fn minimize_core(
         let mut groups: Vec<Vec<StateId>> = Vec::new();
         for s in model.state_ids() {
             let normal = roles[s.index()] == StateRole::Normal;
-            let key = (model.state(s).props.clone(), normal);
+            let key = (model.props(s).clone(), normal);
             let gi = *group_index.entry(key).or_insert_with(|| {
                 groups.push(Vec::new());
                 groups.len() - 1

@@ -11,7 +11,7 @@
 //! from the reference.
 
 use ftsyn::ctl::{FormulaArena, Owner, PropTable, Spec};
-use ftsyn::kripke::{Edge, FtKripke, PropSet, State, StateId, StateRole, TransKind};
+use ftsyn::kripke::{Edge, FtKripke, KripkeBuilder, PropSet, State, StateId, StateRole, TransKind};
 use ftsyn::problems::mutex;
 use ftsyn::tableau::{apply_deletion_rules_mode, build};
 use ftsyn::{
@@ -77,7 +77,7 @@ const REFERENCE_PROBLEMS: [(&str, ProblemMaker); 4] = [
 /// not repair it fails the closure check.
 fn without_one_fault_edge(problem: &mut SynthesisProblem) -> FtKripke {
     let model = unraveled_model(problem);
-    let props = |s: StateId| &model.state(s).props;
+    let props = |s: StateId| model.props(s);
     let sole_witness = |s: StateId, e: &Edge| {
         let same = |f: &&Edge| f.kind == e.kind && props(f.to) == props(e.to);
         model.succ(s).iter().filter(same).count() == 1
@@ -93,7 +93,7 @@ fn without_one_fault_edge(problem: &mut SynthesisProblem) -> FtKripke {
             e.map(|e| (s, *e))
         })
         .expect("the model has a fault edge");
-    let mut out = FtKripke::new();
+    let mut out = KripkeBuilder::new();
     for s in model.state_ids() {
         out.push_state(model.state(s).clone());
     }
@@ -105,7 +105,7 @@ fn without_one_fault_edge(problem: &mut SynthesisProblem) -> FtKripke {
     for &i in model.init_states() {
         out.add_init(i);
     }
-    out
+    out.freeze()
 }
 
 /// The pipeline's minimization input plus an unreachable copy of its
@@ -114,18 +114,29 @@ fn without_one_fault_edge(problem: &mut SynthesisProblem) -> FtKripke {
 /// original, so the scan decides candidates whose two states differ in
 /// reachability.
 fn with_unreachable_copy(problem: &mut SynthesisProblem) -> FtKripke {
-    let mut model = pre_minimization_model(problem);
+    let model = pre_minimization_model(problem);
     let roles = model.classify();
     let original = model
         .state_ids()
         .find(|&s| roles[s.index()] == StateRole::Perturbed)
         .expect("the model has a perturbed state");
-    let copy = model.push_state(model.state(original).clone());
-    for e in model.succ(original).to_vec() {
-        model.add_edge(copy, e.kind, e.to);
+    let mut out = KripkeBuilder::new();
+    for s in model.state_ids() {
+        out.push_state(model.state(s).clone());
     }
-    assert_eq!(model.classify()[copy.index()], StateRole::Unreachable);
-    model
+    let copy = out.push_state(model.state(original).clone());
+    for s in model.state_ids().chain([copy]) {
+        let from = if s == copy { original } else { s };
+        for e in model.succ(from) {
+            out.add_edge(s, e.kind, e.to);
+        }
+    }
+    for &i in model.init_states() {
+        out.add_init(i);
+    }
+    let out = out.freeze();
+    assert_eq!(out.classify()[copy.index()], StateRole::Unreachable);
+    out
 }
 
 /// A one-process problem whose only requirement is `EX₀ AX₀ p` at the
@@ -161,7 +172,7 @@ fn rejected_then_accepted(problem: &mut SynthesisProblem) -> FtKripke {
         let ids = names.iter().map(|n| props.id(n).expect("declared"));
         State::new(PropSet::from_iter_with_capacity(props.len(), ids))
     };
-    let mut m = FtKripke::new();
+    let mut m = KripkeBuilder::new();
     for names in [&["w"][..], &["w"], &["p"], &[], &[], &["v"]] {
         m.push_state(state(names));
     }
@@ -169,7 +180,7 @@ fn rejected_then_accepted(problem: &mut SynthesisProblem) -> FtKripke {
     for (from, to) in [(0, 2), (1, 3), (2, 4), (2, 1), (3, 0), (4, 5), (5, 2)] {
         m.add_edge(StateId(from), TransKind::Proc(0), StateId(to));
     }
-    m
+    m.freeze()
 }
 
 /// Minimizes `model_of(mk())` with the reference engine and with the
@@ -303,7 +314,7 @@ fn kill_order_model(problem: &mut SynthesisProblem) -> FtKripke {
     };
     let r = &["r"][..];
     let su = &["s", "u"][..];
-    let mut m = FtKripke::new();
+    let mut m = KripkeBuilder::new();
     for names in [r, r, r, su, &["t", "r", "s"], r, r, su] {
         m.push_state(state(names));
     }
@@ -324,7 +335,7 @@ fn kill_order_model(problem: &mut SynthesisProblem) -> FtKripke {
     for (from, to) in edges {
         m.add_edge(StateId(from), TransKind::Proc(0), StateId(to));
     }
-    m
+    m.freeze()
 }
 
 /// Governed runs abort at the same point as the reference engine: same

@@ -72,11 +72,12 @@
 //! it. Pruning and the counterexample analysis read bits and walk edge
 //! lists; neither evaluates a formula. Their working memory — the
 //! deleted-edge bitmap, the alive/reach/included vectors, the candidate
-//! model (rebuilt in place by [`FtKripke::reset_states`]), the
-//! path-successor table and the win/region sets — is one per-bound
-//! `Scratch`. After the first candidate at a bound, the loop's own
-//! bookkeeping allocates only the child deletion sets, and the model
-//! leaves the scratch only when it goes to step 5. A candidate then
+//! model (rebuilt in place by [`FtKripke::reset_states`], its states
+//! ids into the universe's shared valuation table), the path-successor
+//! table and the win/region sets — is one per-bound `Scratch`. After
+//! the first candidate at a bound, the loop's own bookkeeping allocates
+//! only the child deletion sets and the model's edge list, and the
+//! model leaves the scratch only when it goes to step 5. A candidate then
 //! costs the prune fixpoint and one model rebuild, both linear in the
 //! base graph, plus the model check (`verify_semantic_ok`, the largest
 //! share: about 0.11 ms of a 125-state barrier3 candidate, on a checker
@@ -100,6 +101,7 @@ use ftsyn_ctl::{Formula, FormulaArena, FormulaId, Owner, PropId, PropTable};
 use ftsyn_kripke::{FtKripke, PropSet, StateId, TransKind};
 use ftsyn_tableau::{AbortReason, CertMode, Governor, Phase};
 use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Ceiling for the obligation-queue bound. The bound never needs to
@@ -577,8 +579,9 @@ fn goal_owner(arena: &FormulaArena, props: &PropTable, goal: FormulaId) -> Optio
 // ====================================================================
 
 struct Universe {
-    /// All admissible valuations (cascade survivors), index-ordered.
-    vals: Vec<PropSet>,
+    /// All admissible valuations (cascade survivors), index-ordered,
+    /// shared as the valuation table of every candidate model.
+    vals: Arc<Vec<PropSet>>,
     index: HashMap<PropSet, u32>,
     /// Whether the valuation also satisfies the *global* propositional
     /// tier (the safety tier masking/fail-safe images must stay in).
@@ -649,7 +652,7 @@ impl Universe {
                 // No assignment for this group satisfies the admission
                 // tier: the universe — and the problem — is empty.
                 return Some(Universe {
-                    vals: Vec::new(),
+                    vals: Arc::default(),
                     index: HashMap::new(),
                     safe: Vec::new(),
                     init_vals: Vec::new(),
@@ -820,7 +823,7 @@ impl Universe {
         }
 
         Some(Universe {
-            vals,
+            vals: Arc::new(vals),
             index,
             safe,
             init_vals,
@@ -1381,12 +1384,11 @@ fn prune(u: &Universe, base: &BaseGraph, sc: &mut Scratch) -> bool {
     for (sid, i) in (0..n).filter(|&i| included[i]).enumerate() {
         model_of[i] = Some(sid as u32);
     }
-    model.reset_states(
-        (0..n)
-            .filter(|&i| included[i])
-            .map(|i| &u.vals[base.states[i].val as usize]),
-    );
-    model.add_init(StateId(model_of[root as usize].unwrap()));
+    let mut b = std::mem::take(model).reset_states(Arc::clone(&u.vals));
+    for i in (0..n).filter(|&i| included[i]) {
+        b.push(base.states[i].val, 0);
+    }
+    b.add_init(StateId(model_of[root as usize].unwrap()));
     for (i, inc) in included.iter().enumerate() {
         if !*inc {
             continue;
@@ -1396,7 +1398,7 @@ fn prune(u: &Universe, base: &BaseGraph, sc: &mut Scratch) -> bool {
         for &eid in &st.prog {
             let (_, mover, t) = base.program[eid as usize];
             if !deleted[eid as usize] && included[t as usize] {
-                model.add_edge(
+                b.add_edge(
                     from,
                     TransKind::Proc(mover),
                     StateId(model_of[t as usize].unwrap()),
@@ -1405,13 +1407,14 @@ fn prune(u: &Universe, base: &BaseGraph, sc: &mut Scratch) -> bool {
         }
         for &(ai, t) in &st.faults {
             debug_assert!(included[t as usize]);
-            model.add_edge(
+            b.add_edge(
                 from,
                 TransKind::Fault(ai),
                 StateId(model_of[t as usize].unwrap()),
             );
         }
     }
+    *model = b.freeze();
     true
 }
 

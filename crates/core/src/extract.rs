@@ -59,53 +59,48 @@ pub struct ExtractProfile {
     pub verified: bool,
 }
 
-/// Introduces the disambiguating shared variables into `model` (mutating
-/// each state's `shared` vector) and returns their declarations plus,
+/// Introduces the disambiguating shared variables into `model` (setting
+/// each state's shared vector) and returns their declarations plus,
 /// for each state, its group variable.
 pub fn introduce_shared_variables(model: &mut FtKripke) -> SharedIntroduction {
-    // Group states by valuation, in state order.
-    let mut groups: Vec<(PropSet, Vec<StateId>)> = Vec::new();
-    let mut index: HashMap<PropSet, usize> = HashMap::new();
+    // Group states by valuation, groups in order of their first state.
+    let mut group_of: Vec<Option<usize>> = vec![None; model.valuations().len()];
+    let mut groups: Vec<Vec<StateId>> = Vec::new();
     for s in model.state_ids() {
-        let v = model.state(s).props.clone();
-        match index.get(&v) {
-            Some(&g) => groups[g].1.push(s),
-            None => {
-                index.insert(v.clone(), groups.len());
-                groups.push((v, vec![s]));
-            }
-        }
+        let g = *group_of[model.val_id(s) as usize].get_or_insert_with(|| {
+            groups.push(Vec::new());
+            groups.len() - 1
+        });
+        groups[g].push(s);
     }
-    let shared: Vec<(usize, &Vec<StateId>)> = groups
+    groups.retain(|members| members.len() > 1);
+    let vars: Vec<SharedVar> = groups
         .iter()
         .enumerate()
-        .filter(|(_, (_, members))| members.len() > 1)
-        .map(|(g, (_, members))| (g, members))
-        .collect();
-
-    let mut vars = Vec::new();
-    let mut assignments: Vec<(usize, Vec<StateId>)> = Vec::new();
-    for &(_, members) in &shared {
-        let vi = vars.len();
-        vars.push(SharedVar {
+        .map(|(vi, members)| SharedVar {
             name: format!("x{vi}"),
             domain: members.len() as u32,
-        });
-        assignments.push((vi, members.clone()));
-    }
+        })
+        .collect();
 
-    // Default every state's shared vector, then pin group members.
+    // Every variable defaults to 1; the `k`-th member of a group reads
+    // `k + 1` in its own variable. Vector 0 is the all-ones default.
     let nvars = vars.len();
+    let mut vectors = vec![1; nvars];
+    let mut vec_ids = vec![0; model.len()];
     let mut group_var: Vec<Option<usize>> = vec![None; model.len()];
-    for s in model.state_ids().collect::<Vec<_>>() {
-        model.state_mut(s).shared = vec![1; nvars];
-    }
-    for (vi, members) in &assignments {
+    for (vi, members) in groups.iter().enumerate() {
         for (k, &s) in members.iter().enumerate() {
-            model.state_mut(s).shared[*vi] = (k + 1) as u32;
-            group_var[s.index()] = Some(*vi);
+            if k > 0 {
+                vec_ids[s.index()] = (vectors.len() / nvars) as u32;
+                let at = vectors.len();
+                vectors.extend_from_within(..nvars);
+                vectors[at + vi] = (k + 1) as u32;
+            }
+            group_var[s.index()] = Some(vi);
         }
     }
+    model.set_vectors(nvars, vectors, vec_ids);
     SharedIntroduction { vars, group_var }
 }
 
@@ -165,7 +160,7 @@ pub fn extract_program(
     for s in model.state_ids() {
         let mut locals = Vec::with_capacity(num_procs);
         for i in 0..num_procs {
-            let lv = model.state(s).props.intersect(&proc_masks[i]);
+            let lv = model.props(s).intersect(&proc_masks[i]);
             locals.push(local_of(&mut processes[i], props, lv));
         }
         state_locals.push(locals);
@@ -189,8 +184,7 @@ pub fn extract_program(
             // space canonical, so the interpreter regenerates the
             // model's fault-free portion exactly.
             let assigns: Vec<(usize, u32)> = model
-                .state(e.to)
-                .shared
+                .shared(e.to)
                 .iter()
                 .enumerate()
                 .map(|(vi, &k)| (vi, k))
@@ -204,7 +198,7 @@ pub fn extract_program(
                 .collect();
             let mut var_eqs = Vec::new();
             if let Some(vi) = group_var[s.index()] {
-                var_eqs.push((vi, model.state(s).shared[vi]));
+                var_eqs.push((vi, model.shared(s)[vi]));
             }
             let key = (i, from, to, assigns);
             let block = GuardBlock {
@@ -236,7 +230,7 @@ pub fn extract_program(
 
     let init = model.init_states()[0];
     let init_locals = state_locals[init.index()].clone();
-    let init_shared = model.state(init).shared.clone();
+    let init_shared = model.shared(init).to_vec();
 
     Program {
         processes,
@@ -316,7 +310,7 @@ pub fn refine_guards(
         .map(|s| {
             (0..num_procs)
                 .map(|i| {
-                    let lv = model.state(s).props.intersect(&masks[i]);
+                    let lv = model.props(s).intersect(&masks[i]);
                     program.processes[i]
                         .state_by_props(&lv)
                         .expect("model state projects onto extracted local states")
@@ -325,20 +319,14 @@ pub fn refine_guards(
         })
         .collect();
 
-    let canonical: Vec<&[u32]> = model
-        .state_ids()
-        .map(|s| model.state(s).shared.as_slice())
-        .collect();
-    let mut fault_succ: Vec<Vec<(usize, usize)>> = vec![Vec::new(); n];
-    let mut proc_edges: Vec<(usize, usize, usize)> = Vec::new();
-    for s in model.state_ids() {
-        for e in model.succ(s) {
-            match e.kind {
-                TransKind::Fault(a) => fault_succ[s.index()].push((a, e.to.index())),
-                TransKind::Proc(i) => proc_edges.push((s.index(), i, e.to.index())),
-            }
-        }
-    }
+    let canonical: Vec<&[u32]> = model.state_ids().map(|s| model.shared(s)).collect();
+    let edges = |u: usize| model.succ(StateId(u as u32)).iter();
+    let fault_succ = |u: usize| {
+        edges(u).filter_map(|e| match e.kind {
+            TransKind::Fault(a) => Some((a, e.to.index())),
+            TransKind::Proc(_) => None,
+        })
+    };
 
     // Same-locals groups (same locals ⟺ same valuation ⟺ one
     // disambiguation group), in state order.
@@ -379,7 +367,7 @@ pub fn refine_guards(
         let v = entries[ei].vector.clone();
         let group = by_locals[locals.as_slice()].clone();
         for u in group {
-            for &(a, w) in &fault_succ[u] {
+            for (a, w) in fault_succ(u) {
                 let tol = problem.tolerance.of(a);
                 for v2 in corrupt_branches(program, &v, &problem.faults[a]) {
                     let key = (state_locals[w].clone(), v2);
@@ -492,7 +480,13 @@ pub fn refine_guards(
     }
     let mut arc_sources: HashMap<(usize, usize), Vec<usize>> = HashMap::new();
     let mut state_arcs: Vec<Vec<(usize, usize)>> = vec![Vec::new(); n];
-    for &(src, pi, dst) in &proc_edges {
+    let proc_edges = (0..n).flat_map(|u| {
+        edges(u).filter_map(move |e| match e.kind {
+            TransKind::Proc(i) => Some((u, i, e.to.index())),
+            TransKind::Fault(_) => None,
+        })
+    });
+    for (src, pi, dst) in proc_edges {
         let assigns: Vec<(usize, u32)> = canonical[dst]
             .iter()
             .enumerate()
@@ -713,7 +707,7 @@ fn blocks_to_guard(processes: &[Process], blocks: &[GuardBlock]) -> BoolExpr {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ftsyn_kripke::State;
+    use ftsyn_kripke::{KripkeBuilder, State};
 
     fn two_proc_props() -> PropTable {
         let mut t = PropTable::new();
@@ -733,7 +727,7 @@ mod tests {
     #[test]
     fn shared_vars_disambiguate_duplicate_valuations() {
         let props = two_proc_props();
-        let mut m = FtKripke::new();
+        let mut m = KripkeBuilder::new();
         let s0 = m.push_state(st(&props, &["a1", "a2"]));
         let s1 = m.push_state(st(&props, &["b1", "a2"]));
         let s2 = m.push_state(st(&props, &["b1", "a2"])); // duplicate valuation
@@ -741,12 +735,13 @@ mod tests {
         m.add_edge(s0, TransKind::Proc(0), s1);
         m.add_edge(s1, TransKind::Proc(1), s2);
         m.add_edge(s2, TransKind::Proc(0), s0);
+        let mut m = m.freeze();
         let intro = introduce_shared_variables(&mut m);
         assert_eq!(intro.vars.len(), 1);
         assert_eq!(intro.vars[0].domain, 2);
-        assert_eq!(m.state(s1).shared, vec![1]);
-        assert_eq!(m.state(s2).shared, vec![2]);
-        assert_eq!(m.state(s0).shared, vec![1]);
+        assert_eq!(m.shared(s1), vec![1]);
+        assert_eq!(m.shared(s2), vec![2]);
+        assert_eq!(m.shared(s0), vec![1]);
         assert_eq!(intro.group_var, vec![None, Some(0), Some(0)]);
     }
 
@@ -757,7 +752,7 @@ mod tests {
         // `introduce_shared_variables` (it used to be re-derived by a
         // separate scan that could drift).
         let props = two_proc_props();
-        let mut m = FtKripke::new();
+        let mut m = KripkeBuilder::new();
         let a0 = m.push_state(st(&props, &["a1", "a2"]));
         let b0 = m.push_state(st(&props, &["b1", "a2"]));
         let a1 = m.push_state(st(&props, &["a1", "a2"])); // dup of a0
@@ -767,6 +762,7 @@ mod tests {
         m.add_edge(b0, TransKind::Proc(0), a1);
         m.add_edge(a1, TransKind::Proc(0), b1);
         m.add_edge(b1, TransKind::Proc(0), a0);
+        let mut m = m.freeze();
         let intro = introduce_shared_variables(&mut m);
         assert_eq!(intro.vars.len(), 2);
         assert_eq!(
@@ -774,10 +770,10 @@ mod tests {
             vec![Some(0), Some(1), Some(0), Some(1)],
             "x0 belongs to the first-seen duplicated valuation, x1 to the second"
         );
-        assert_eq!(m.state(a0).shared, vec![1, 1]);
-        assert_eq!(m.state(b0).shared, vec![1, 1]);
-        assert_eq!(m.state(a1).shared, vec![2, 1]);
-        assert_eq!(m.state(b1).shared, vec![1, 2]);
+        assert_eq!(m.shared(a0), vec![1, 1]);
+        assert_eq!(m.shared(b0), vec![1, 1]);
+        assert_eq!(m.shared(a1), vec![2, 1]);
+        assert_eq!(m.shared(b1), vec![1, 2]);
         let prog = extract_program(&m, &props, 2, &intro);
         // Every guard block built from state s must test s's own group
         // variable at s's value: a1→b1 from a0 (x0=1) and a1 (x0=2),
@@ -808,12 +804,13 @@ mod tests {
     #[test]
     fn no_duplicates_no_shared_vars() {
         let props = two_proc_props();
-        let mut m = FtKripke::new();
+        let mut m = KripkeBuilder::new();
         let s0 = m.push_state(st(&props, &["a1", "a2"]));
         let s1 = m.push_state(st(&props, &["b1", "a2"]));
         m.add_init(s0);
         m.add_edge(s0, TransKind::Proc(0), s1);
         m.add_edge(s1, TransKind::Proc(0), s0);
+        let mut m = m.freeze();
         let intro = introduce_shared_variables(&mut m);
         assert!(intro.vars.is_empty());
         assert_eq!(intro.group_var, vec![None, None]);
@@ -822,7 +819,7 @@ mod tests {
     #[test]
     fn extraction_produces_arcs_with_guards() {
         let props = two_proc_props();
-        let mut m = FtKripke::new();
+        let mut m = KripkeBuilder::new();
         let s0 = m.push_state(st(&props, &["a1", "a2"]));
         let s1 = m.push_state(st(&props, &["b1", "a2"]));
         let s2 = m.push_state(st(&props, &["a1", "b2"]));
@@ -835,6 +832,7 @@ mod tests {
         m.add_edge(s3, TransKind::Proc(0), s2);
         m.add_edge(s1, TransKind::Proc(1), s3);
         m.add_edge(s3, TransKind::Proc(1), s1);
+        let mut m = m.freeze();
         let intro = introduce_shared_variables(&mut m);
         let prog = extract_program(&m, &props, 2, &intro);
         assert_eq!(prog.processes[0].states.len(), 2);
@@ -867,7 +865,7 @@ mod tests {
     #[test]
     fn guard_includes_shared_variable_tests() {
         let props = two_proc_props();
-        let mut m = FtKripke::new();
+        let mut m = KripkeBuilder::new();
         let s0 = m.push_state(st(&props, &["a1", "a2"]));
         let dup1 = m.push_state(st(&props, &["b1", "a2"]));
         let dup2 = m.push_state(st(&props, &["b1", "a2"]));
@@ -878,6 +876,7 @@ mod tests {
         m.add_edge(dup1, TransKind::Proc(0), dup2);
         m.add_edge(dup2, TransKind::Proc(1), s3);
         m.add_edge(s3, TransKind::Proc(0), s0);
+        let mut m = m.freeze();
         let intro = introduce_shared_variables(&mut m);
         assert_eq!(intro.vars.len(), 1);
         let prog = extract_program(&m, &props, 2, &intro);

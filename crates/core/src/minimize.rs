@@ -304,13 +304,13 @@ fn whether_covered(model: &FtKripke, s: StateId, ai: usize, phi: &PropSet) -> bo
     model
         .succ(s)
         .iter()
-        .any(|e| e.kind == TransKind::Fault(ai) && model.state(e.to).props == *phi)
+        .any(|e| e.kind == TransKind::Fault(ai) && model.props(e.to) == phi)
 }
 
 fn uncovered_states(faults: &[FaultAction], num_props: usize, model: &FtKripke) -> Vec<StateId> {
     let mut out = Vec::new();
     'states: for s in model.state_ids() {
-        let valuation = &model.state(s).props;
+        let valuation = model.props(s);
         for (ai, action) in faults.iter().enumerate() {
             if !action.enabled(valuation) {
                 continue;
@@ -395,7 +395,7 @@ fn closure_ok(
         }
     }
     if pair_uncovered {
-        let valuation = &model.state(into).props;
+        let valuation = model.props(into);
         for (ai, action) in env.faults.iter().enumerate() {
             if !action.enabled(valuation) {
                 continue;
@@ -834,20 +834,9 @@ pub fn semantic_minimize_governed(
     };
     let mut model = model;
     let mut total_map: Vec<StateId> = model.state_ids().collect();
-    // Merges never change a valuation, so valuations are numbered once,
-    // in first-occurrence order; `val_of` drops a merged state's entry
-    // as the merge drops the state, so it stays dense by state id.
-    let mut val_of: Vec<usize> = {
-        let mut ids: HashMap<&PropSet, usize> = HashMap::new();
-        model
-            .state_ids()
-            .map(|s| {
-                let next = ids.len();
-                *ids.entry(&model.state(s).props).or_insert(next)
-            })
-            .collect()
-    };
-    let n_vals = val_of.iter().max().map_or(0, |&v| v + 1);
+    // Merges never change a valuation and share the valuation table, so
+    // a state's valuation id keys its class in every round.
+    let n_vals = model.valuations().len();
     // Lever 2's closure scan, once per run (module docs): it is handed
     // to the first round only, because reaching a second round takes an
     // accepted merge, after which no state is uncovered.
@@ -883,7 +872,7 @@ pub fn semantic_minimize_governed(
         groups.clear();
         for s in model.state_ids() {
             let normal = roles[s.index()] == StateRole::Normal;
-            let key = 2 * val_of[s.index()] + usize::from(normal);
+            let key = 2 * model.val_id(s) as usize + usize::from(normal);
             if group_of[key] == usize::MAX {
                 group_of[key] = groups.len();
                 groups.push(Vec::new());
@@ -962,7 +951,6 @@ pub fn semantic_minimize_governed(
                 // The accepted candidate is still in `buf`.
                 let step_map = &buf.1;
                 std::mem::swap(&mut model, &mut buf.0);
-                val_of.remove(from.index());
                 debug_assert!(
                     uncovered_states(env.faults, env.reqs.num_props, &model).is_empty(),
                     "an accepted merge left a state without a fault successor"
@@ -1016,7 +1004,7 @@ mod tests {
     #[test]
     fn merged_redirects_edges() {
         use ftsyn_kripke::State;
-        let mut m = FtKripke::new();
+        let mut m = ftsyn_kripke::KripkeBuilder::new();
         let mk = |bits: &[u32]| {
             State::new(PropSet::from_iter_with_capacity(
                 4,
@@ -1030,14 +1018,14 @@ mod tests {
         m.add_edge(a, TransKind::Proc(0), b1);
         m.add_edge(b1, TransKind::Proc(0), b2);
         m.add_edge(b2, TransKind::Proc(0), a);
-        let (out, mapping) = m.merged(b2, b1);
+        let (out, mapping) = m.freeze().merged(b2, b1);
         assert_eq!(out.len(), 2);
         assert_eq!(mapping.len(), 3);
         assert_eq!(mapping[1], mapping[2], "b2 merged into b1");
         // b1 now has a self-loop (the b1→b2 edge redirected).
         let nb1 = out
             .state_ids()
-            .find(|&s| out.state(s).props.contains(ftsyn_ctl::PropId(1)))
+            .find(|&s| out.props(s).contains(ftsyn_ctl::PropId(1)))
             .unwrap();
         assert!(out.succ(nb1).iter().any(|e| e.to == nb1));
     }
@@ -1082,7 +1070,7 @@ mod tests {
                 // Same candidate classes as the minimizer: valuation
                 // plus the Normal/non-Normal split.
                 let normal = |s: StateId| roles[s.index()] == ftsyn_kripke::StateRole::Normal;
-                if model.state(a).props != model.state(b).props || normal(a) != normal(b) {
+                if model.val_id(a) != model.val_id(b) || normal(a) != normal(b) {
                     continue;
                 }
                 candidates += 1;

@@ -210,7 +210,7 @@ mod tests {
         let w = build(None);
         let ex = explore(&w.program, &[], &w.props).expect("explore");
         for s in ex.kripke.state_ids() {
-            let v = &ex.kripke.state(s).props;
+            let v = ex.kripke.props(s);
             let wire_can_move = ex
                 .kripke
                 .succ(s)

@@ -611,13 +611,18 @@ pub(crate) fn extract_stage(
     let refine_cap = gov
         .and_then(|g| g.budget().max_extract_refine_rounds)
         .unwrap_or(DEFAULT_EXTRACT_REFINE_ROUNDS);
-    // The model's shared vectors by valuation: an explored state is on
-    // the model iff its vector is in its valuation's bucket.
-    let mut on_model: HashMap<&PropSet, Vec<&[u32]>> = HashMap::new();
+    // The model's vector ids by valuation id: an explored state is on
+    // the model iff its valuation and vector are the model's and the
+    // vector is in the valuation's bucket. Explored table entries are
+    // looked up in the model's tables once per round, not per state.
+    let mut on_model: Vec<Vec<u32>> = vec![Vec::new(); model.valuations().len()];
     for s in model.state_ids() {
-        let st = model.state(s);
-        on_model.entry(&st.props).or_default().push(&st.shared);
+        on_model[model.val_id(s) as usize].push(model.vec_id(s));
     }
+    let model_vals: HashMap<&PropSet, u32> = model.valuations().iter().zip(0..).collect();
+    let model_vecs: HashMap<&[u32], u32> = (0..model.vector_count() as u32)
+        .map(|v| (model.vector(v), v))
+        .collect();
     let failure = loop {
         if let Some(Err(reason)) = gov.map(Governor::check_realtime) {
             stats.extract_time += t_ext.elapsed();
@@ -628,15 +633,22 @@ pub(crate) fn extract_stage(
             Ok(ex) => ex,
             Err(e) => break Some(ExtractionGap::NotExecutable(e)),
         };
-        profile.explored_states = ex.kripke.len();
-        profile.off_model_states = ex
-            .kripke
+        let k = &ex.kripke;
+        let val_in_model: Vec<Option<u32>> = k
+            .valuations()
+            .iter()
+            .map(|v| model_vals.get(v).copied())
+            .collect();
+        let vec_in_model: Vec<Option<u32>> = (0..k.vector_count() as u32)
+            .map(|v| model_vecs.get(k.vector(v)).copied())
+            .collect();
+        profile.explored_states = k.len();
+        profile.off_model_states = k
             .state_ids()
             .filter(|&s| {
-                let st = ex.kripke.state(s);
-                !on_model
-                    .get(&st.props)
-                    .is_some_and(|b| b.contains(&st.shared.as_slice()))
+                let bucket =
+                    val_in_model[k.val_id(s) as usize].map_or(&[][..], |v| &on_model[v as usize]);
+                !vec_in_model[k.vec_id(s) as usize].is_some_and(|v| bucket.contains(&v))
             })
             .count();
         if verify_semantic_ok(problem, &ex.kripke) {

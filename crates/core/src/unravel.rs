@@ -10,7 +10,7 @@
 
 use crate::fragment::{build_ffrag_cached, FulfillmentCache};
 use ftsyn_ctl::{Closure, LabelSet, PropTable};
-use ftsyn_kripke::{FtKripke, State, StateId, TransKind};
+use ftsyn_kripke::{FtKripke, KripkeBuilder, StateId, TransKind};
 use ftsyn_tableau::{valuation_of, AbortReason, CertMode, EdgeKind, Governor, NodeId, Tableau};
 use std::collections::{HashMap, VecDeque};
 
@@ -163,15 +163,19 @@ pub fn unravel_governed(
     // have length ≤ 1 (roots are never frontier, hence never redirected).
     let resolve = |i: usize, nodes: &[MNode]| -> usize { nodes[i].redirect.unwrap_or(i) };
 
-    let mut model = FtKripke::new();
+    // Copies of one tableau node share its valuation, interned once.
+    let mut model = KripkeBuilder::new();
+    let mut val_of: HashMap<NodeId, u32> = HashMap::new();
     let mut state_tableau: Vec<NodeId> = Vec::new();
     let mut state_of: Vec<Option<StateId>> = vec![None; nodes.len()];
     for (i, n) in nodes.iter().enumerate() {
         if n.redirect.is_some() {
             continue;
         }
-        let valuation = valuation_of(closure, props, &t.node(n.tableau_id).label);
-        let sid = model.push_state(State::new(valuation));
+        let val = *val_of.entry(n.tableau_id).or_insert_with(|| {
+            model.intern_valuation(valuation_of(closure, props, &t.node(n.tableau_id).label))
+        });
+        let sid = model.push(val, 0);
         state_of[i] = Some(sid);
         state_tableau.push(n.tableau_id);
     }
@@ -196,7 +200,7 @@ pub fn unravel_governed(
     model.add_init(state_at(r0, &state_of));
 
     Ok(Unraveled {
-        model,
+        model: model.freeze(),
         state_tableau,
     })
 }

@@ -335,7 +335,7 @@ fn verify_semantic_impl(
                         FailureKind::Tolerance,
                         format!(
                             "perturbed state {} violates its {tol:?} tolerance label",
-                            model.state(s).display(&problem.props)
+                            model.display_state(s, &problem.props)
                         ),
                     ));
                 }
@@ -344,25 +344,27 @@ fn verify_semantic_impl(
     }
 
     // (3) Fault closure: every enabled action is represented, outcome by
-    // outcome, at every state. Each distinct valuation gets a dense id.
-    // The enabled actions' outcomes depend only on the valuation, so
-    // they are computed once per id and resolved to ids themselves; an
-    // outcome no state carries is covered by no edge.
-    let mut ids: HashMap<&PropSet, u32> = HashMap::new();
-    let mut valuations: Vec<&PropSet> = Vec::new();
-    let val_id: Vec<u32> = model
-        .state_ids()
-        .map(|s| {
-            let props = &model.state(s).props;
-            *ids.entry(props).or_insert_with(|| {
-                valuations.push(props);
-                valuations.len() as u32 - 1
-            })
-        })
-        .collect();
-    let outcomes: Vec<Vec<(usize, Option<u32>)>> = valuations
+    // outcome, at every state. The enabled actions' outcomes depend only
+    // on the valuation, so they are computed once per valuation id some
+    // state carries and resolved to valuation ids themselves; an outcome
+    // no state carries is covered by no edge.
+    let table = model.valuations();
+    let mut used = vec![false; table.len()];
+    for s in model.state_ids() {
+        used[model.val_id(s) as usize] = true;
+    }
+    let ids: HashMap<&PropSet, u32> = table
         .iter()
-        .map(|&valuation| {
+        .zip(0..)
+        .filter(|&(_, v)| used[v as usize])
+        .collect();
+    let outcomes: Vec<Vec<(usize, Option<u32>)>> = table
+        .iter()
+        .zip(&used)
+        .map(|(valuation, &used)| {
+            if !used {
+                return Vec::new();
+            }
             problem
                 .faults
                 .iter()
@@ -379,13 +381,13 @@ fn verify_semantic_impl(
         })
         .collect();
     for s in model.state_ids() {
-        let enabled = &outcomes[val_id[s.index()] as usize];
+        let enabled = &outcomes[model.val_id(s) as usize];
         for &(ai, phi) in enabled.iter() {
             let covered = phi.is_some_and(|phi| {
                 model
                     .succ(s)
                     .iter()
-                    .any(|e| e.kind == TransKind::Fault(ai) && val_id[e.to.index()] == phi)
+                    .any(|e| e.kind == TransKind::Fault(ai) && model.val_id(e.to) == phi)
             });
             if !covered {
                 v.fault_closed = false;
@@ -396,7 +398,7 @@ fn verify_semantic_impl(
                     FailureKind::FaultClosure,
                     format!(
                         "state {} misses a fault transition for `{}`",
-                        model.state(s).display(&problem.props),
+                        model.display_state(s, &problem.props),
                         problem.faults[ai].name()
                     ),
                 ));
@@ -423,8 +425,8 @@ pub fn verify(
         let label = unr.state_label(tableau, s);
         // Sanity: the state's valuation matches its label's literals.
         debug_assert_eq!(
-            valuation_of(closure, &problem.props, label),
-            model.state(s).props
+            &valuation_of(closure, &problem.props, label),
+            model.props(s)
         );
         for idx in label.iter() {
             let f = closure.entry(idx).id;
@@ -434,7 +436,7 @@ pub fn verify(
                     FailureKind::LabelSoundness,
                     format!(
                         "state {} violates label formula {}",
-                        model.state(s).display(&problem.props),
+                        model.display_state(s, &problem.props),
                         ftsyn_ctl::print::render(&problem.arena, &problem.props, f)
                     ),
                 ));
@@ -631,10 +633,11 @@ mod tests {
 
         // Rejecting (spec): drop the initial state's only successor
         // structure by merging every state into the initial one.
-        let mut broken = ftsyn_kripke::FtKripke::new();
+        let mut broken = ftsyn_kripke::KripkeBuilder::new();
         let s0 = broken.push_state(solved.model.state(solved.model.init_states()[0]).clone());
         broken.add_init(s0);
         broken.add_edge(s0, TransKind::Proc(0), s0);
+        let broken = broken.freeze();
         assert!(!verify_semantic(&mut problem, &broken).ok());
         assert!(!verify_semantic_ok(&mut problem, &broken));
     }

@@ -26,21 +26,22 @@
 //!   state only their shared-variable literals are tested;
 //! * states are found by their (valuation class, vector id) key, which
 //!   is also what tells a fresh configuration that collides with an
-//!   existing state apart ([`ExploreError::AmbiguousState`]). The
-//!   structure is filled with [`FtKripke::push_state`], so no state is
-//!   hashed or cloned into its content index, which is built only if a
-//!   caller asks [`FtKripke::find_state`].
+//!   existing state apart ([`ExploreError::AmbiguousState`]). The key is
+//!   also the state's content in the structure: the valuation classes
+//!   and the interned vectors become its tables, so a state costs two
+//!   ids and its edges, and nothing is cloned per state.
 
 use crate::action::FaultAction;
 use crate::expr::BoolExpr;
 use crate::program::Program;
 use crate::SharedCorruption;
 use ftsyn_ctl::{Owner, PropTable};
-use ftsyn_kripke::{FtKripke, PropSet, State, StateId, TransKind};
+use ftsyn_kripke::{FtKripke, KripkeBuilder, PropSet, StateId, TransKind};
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::fmt;
 use std::hash::{BuildHasherDefault, Hasher};
+use std::sync::Arc;
 
 /// Errors during exploration.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -159,13 +160,14 @@ pub fn explore(
             .collect(),
         arcs,
         corruptions,
-        kripke: FtKripke::new(),
+        kripke: KripkeBuilder::new(),
         configs: Vec::new(),
         states: HashMap::default(),
         vectors: Vectors::new(shared),
         views: Vec::new(),
         view_ids: HashMap::new(),
         classes: HashMap::new(),
+        class_vals: Vec::new(),
     };
 
     let locals: Vec<u32> = program.init_locals.iter().map(|&l| l as u32).collect();
@@ -223,7 +225,11 @@ pub fn explore(
         }
     }
 
-    Ok(Exploration { kripke: ex.kripke })
+    let mut kripke = ex.kripke;
+    kripke.set_tables(Arc::new(ex.class_vals), ex.vectors.width, ex.vectors.values);
+    Ok(Exploration {
+        kripke: kripke.freeze(),
+    })
 }
 
 /// The exploration state: the lowered program, the structure under
@@ -239,7 +245,9 @@ struct Explorer<'a> {
     arcs: Vec<LoweredArc>,
     /// Per fault action.
     corruptions: Vec<Corruption>,
-    kripke: FtKripke,
+    /// The structure under construction, whose states are ids into
+    /// `class_vals` and `vectors`.
+    kripke: KripkeBuilder,
     /// The configuration of each state, by state id.
     configs: Vec<Config>,
     /// The state of each (valuation class, vector id) key, packed in a
@@ -251,6 +259,8 @@ struct Explorer<'a> {
     view_ids: HashMap<Box<[u32]>, u32>,
     /// The valuation class of each distinct view valuation.
     classes: HashMap<PropSet, u32>,
+    /// The valuation of each class, by class id.
+    class_vals: Vec<PropSet>,
 }
 
 /// A configuration: its local-state vector (as the view interned for
@@ -264,8 +274,8 @@ struct Config {
 /// Marks a view's transition target not resolved yet.
 const UNRESOLVED: u32 = u32::MAX;
 
-/// What a local-state vector determines on its own: its valuation (and
-/// that valuation's class); the candidate moves — each arc leaving a
+/// What a local-state vector determines on its own: its valuation's
+/// class; the candidate moves — each arc leaving a
 /// current local state (in arc order), with the cubes of its guard whose
 /// propositional part holds, so only their shared-variable literals
 /// remain to be tested per state; and for every enabled fault action in
@@ -274,7 +284,6 @@ const UNRESOLVED: u32 = u32::MAX;
 /// views on first use.
 struct LocalView {
     locals: Box<[u32]>,
-    props: PropSet,
     class: u32,
     moves: Vec<Move>,
     faults: Vec<FaultMove>,
@@ -315,12 +324,9 @@ impl Explorer<'_> {
                 e.insert(StateId(self.configs.len() as u32));
             }
         }
-        let id = self.kripke.push_state(State {
-            props: v.props.clone(),
-            shared: self.vectors.get(vec).to_vec(),
-        });
+        let id = self.kripke.push(v.class, vec);
         self.configs.push(Config { view, vec });
-        if self.kripke.len() > MAX_STATES {
+        if self.configs.len() > MAX_STATES {
             return Err(ExploreError::StateSpaceTooLarge(MAX_STATES));
         }
         Ok((id, true))
@@ -400,12 +406,16 @@ impl Explorer<'_> {
                 });
             }
         }
-        let next_class = self.classes.len() as u32;
-        let class = *self.classes.entry(props.clone()).or_insert(next_class);
+        let class = match self.classes.entry(props) {
+            Entry::Occupied(e) => *e.get(),
+            Entry::Vacant(e) => {
+                self.class_vals.push(e.key().clone());
+                *e.insert(self.class_vals.len() as u32 - 1)
+            }
+        };
         let v = self.views.len() as u32;
         self.views.push(LocalView {
             locals: locals.into(),
-            props,
             class,
             moves,
             faults,
@@ -832,7 +842,7 @@ mod tests {
             .succ(init)
             .iter()
             .filter(|e| e.kind.is_fault())
-            .map(|e| ex.kripke.state(e.to).shared[0])
+            .map(|e| ex.kripke.shared(e.to)[0])
             .collect();
         let mut sorted = fault_targets.clone();
         sorted.sort_unstable();
@@ -860,6 +870,6 @@ mod tests {
             .find(|e| e.kind.is_fault())
             .unwrap()
             .to;
-        assert_eq!(ex.kripke.state(target).shared[0], 1);
+        assert_eq!(ex.kripke.shared(target)[0], 1);
     }
 }

@@ -66,18 +66,19 @@ pub enum Semantics {
 ///
 /// ```
 /// use ftsyn_ctl::{FormulaArena, PropTable, Owner};
-/// use ftsyn_kripke::{FtKripke, State, PropSet, TransKind, Checker, Semantics};
+/// use ftsyn_kripke::{KripkeBuilder, State, PropSet, TransKind, Checker, Semantics};
 ///
 /// let mut props = PropTable::new();
 /// let p = props.add("p", Owner::Process(0)).unwrap();
 /// let mut arena = FormulaArena::new(1);
 ///
-/// let mut m = FtKripke::new();
-/// let s0 = m.intern_state(State::new(PropSet::with_capacity(1)));
-/// let s1 = m.intern_state(State::new(PropSet::from_iter_with_capacity(1, [p])));
-/// m.add_init(s0);
-/// m.add_edge(s0, TransKind::Proc(0), s1);
-/// m.add_edge(s1, TransKind::Proc(0), s1);
+/// let mut b = KripkeBuilder::new();
+/// let s0 = b.push_state(State::new(PropSet::with_capacity(1)));
+/// let s1 = b.push_state(State::new(PropSet::from_iter_with_capacity(1, [p])));
+/// b.add_init(s0);
+/// b.add_edge(s0, TransKind::Proc(0), s1);
+/// b.add_edge(s1, TransKind::Proc(0), s1);
+/// let m = b.freeze();
 ///
 /// let fp = arena.prop(p);
 /// let af = arena.af(fp);
@@ -415,7 +416,7 @@ impl ProcEdges {
 fn prop_sets(m: &FtKripke) -> Vec<StateSet> {
     let mut sets: Vec<StateSet> = Vec::new();
     for s in m.state_ids() {
-        for (w, &word) in m.state(s).props.words().iter().enumerate() {
+        for (w, &word) in m.props(s).words().iter().enumerate() {
             let mut rest = word;
             while rest != 0 {
                 let p = w * 64 + rest.trailing_zeros() as usize;
@@ -483,7 +484,7 @@ impl LabelCache {
 mod tests {
     use super::*;
     use crate::state::{PropSet, State};
-    use crate::structure::TransKind;
+    use crate::structure::{KripkeBuilder, TransKind};
     use ftsyn_ctl::{Owner, PropId, PropTable};
 
     struct Fixture {
@@ -497,31 +498,36 @@ mod tests {
     /// s0{n} → s1{t} → s2{c} → s0, with a fault edge s0 -F-> s3{bad},
     /// s3 → s3 (self loop) and s3 → s0 recovery.
     fn fixture() -> Fixture {
+        let (props, m, ids) = ring();
+        Fixture {
+            arena: FormulaArena::new(2),
+            props,
+            m: m.freeze(),
+            ids,
+        }
+    }
+
+    /// The fixture's propositions, structure (not frozen yet) and states.
+    fn ring() -> (PropTable, KripkeBuilder, Vec<StateId>) {
         let mut props = PropTable::new();
         let pn = props.add("n", Owner::Process(0)).unwrap();
         let pt = props.add("t", Owner::Process(0)).unwrap();
         let pc = props.add("c", Owner::Process(0)).unwrap();
         let pbad = props.add("bad", Owner::Process(0)).unwrap();
-        let arena = FormulaArena::new(2);
-        let mut m = FtKripke::new();
+        let mut m = KripkeBuilder::new();
         let mk =
             |ps: &[PropId]| State::new(PropSet::from_iter_with_capacity(4, ps.iter().copied()));
-        let s0 = m.intern_state(mk(&[pn]));
-        let s1 = m.intern_state(mk(&[pt]));
-        let s2 = m.intern_state(mk(&[pc]));
-        let s3 = m.intern_state(mk(&[pbad]));
+        let s0 = m.push_state(mk(&[pn]));
+        let s1 = m.push_state(mk(&[pt]));
+        let s2 = m.push_state(mk(&[pc]));
+        let s3 = m.push_state(mk(&[pbad]));
         m.add_init(s0);
         m.add_edge(s0, TransKind::Proc(0), s1);
         m.add_edge(s1, TransKind::Proc(0), s2);
         m.add_edge(s2, TransKind::Proc(0), s0);
         m.add_edge(s0, TransKind::Fault(0), s3);
         m.add_edge(s3, TransKind::Proc(1), s0);
-        Fixture {
-            arena,
-            props,
-            m,
-            ids: vec![s0, s1, s2, s3],
-        }
+        (props, m, vec![s0, s1, s2, s3])
     }
 
     fn prop(fx: &mut Fixture, name: &str) -> FormulaId {
@@ -576,11 +582,12 @@ mod tests {
         let mut props = PropTable::new();
         let p = props.add("p", Owner::Process(0)).unwrap();
         let mut arena = FormulaArena::new(1);
-        let mut m = FtKripke::new();
-        let dead_p = m.intern_state(State::new(PropSet::from_iter_with_capacity(1, [p])));
-        let dead_np = m.intern_state(State::new(PropSet::with_capacity(1)));
+        let mut m = KripkeBuilder::new();
+        let dead_p = m.push_state(State::new(PropSet::from_iter_with_capacity(1, [p])));
+        let dead_np = m.push_state(State::new(PropSet::with_capacity(1)));
         m.add_init(dead_p);
         m.add_init(dead_np);
+        let m = m.freeze();
         let fp = arena.prop(p);
         let af = arena.af(fp);
         let ef = arena.ef(fp);
@@ -695,9 +702,10 @@ mod tests {
         assert!(Checker::new(&fx.m, Semantics::IncludeFaults).dead_end_free());
         // A state whose only successor is a fault edge is a dead end
         // under fault-free semantics but not under include-faults.
-        let mut m = fx.m.clone();
+        let (_, mut m, ids) = ring();
         let lone = m.push_state(State::new(PropSet::with_capacity(4)));
-        m.add_edge(lone, TransKind::Fault(0), fx.ids[0]);
+        m.add_edge(lone, TransKind::Fault(0), ids[0]);
+        let m = m.freeze();
         assert!(!Checker::new(&m, Semantics::FaultFree).dead_end_free());
         assert!(Checker::new(&m, Semantics::IncludeFaults).dead_end_free());
     }

@@ -29,7 +29,7 @@ impl EvidencePath {
             if Some(i) == self.loop_start {
                 parts.push("(loop:".into());
             }
-            parts.push(m.state(s).display(props));
+            parts.push(m.display_state(s, props));
         }
         if self.loop_start.is_some() {
             parts.push(")*".into());
@@ -260,7 +260,7 @@ impl<'m> Checker<'m> {
 mod tests {
     use super::*;
     use crate::state::{PropSet, State};
-    use crate::structure::TransKind;
+    use crate::structure::{KripkeBuilder, TransKind};
     use ftsyn_ctl::{Owner, PropId, PropTable};
 
     fn fixture() -> (FormulaArena, PropTable, FtKripke, Vec<StateId>) {
@@ -269,21 +269,21 @@ mod tests {
         let b = props.add("b", Owner::Process(0)).unwrap();
         let c = props.add("c", Owner::Process(0)).unwrap();
         let arena = FormulaArena::new(1);
-        let mut m = FtKripke::new();
+        let mut m = KripkeBuilder::new();
         let mk =
             |ps: &[PropId]| State::new(PropSet::from_iter_with_capacity(3, ps.iter().copied()));
         // s0{a} → s1{b} → s2{c}; s1 → s1 (self-loop); s0 -fault→ s3{} (dead end)
-        let s0 = m.intern_state(mk(&[a]));
-        let s1 = m.intern_state(mk(&[b]));
-        let s2 = m.intern_state(mk(&[c]));
-        let s3 = m.intern_state(mk(&[]));
+        let s0 = m.push_state(mk(&[a]));
+        let s1 = m.push_state(mk(&[b]));
+        let s2 = m.push_state(mk(&[c]));
+        let s3 = m.push_state(mk(&[]));
         m.add_init(s0);
         m.add_edge(s0, TransKind::Proc(0), s1);
         m.add_edge(s1, TransKind::Proc(0), s2);
         m.add_edge(s1, TransKind::Proc(0), s1);
         m.add_edge(s2, TransKind::Proc(0), s2);
         m.add_edge(s0, TransKind::Fault(0), s3);
-        (arena, props, m, vec![s0, s1, s2, s3])
+        (arena, props, m.freeze(), vec![s0, s1, s2, s3])
     }
 
     #[test]

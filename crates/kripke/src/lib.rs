@@ -8,8 +8,9 @@
 //!   ([`State`], [`PropSet`]);
 //! * fault-tolerant Kripke structures `M_F = (S0, S, A, A_F, L)` with
 //!   process-indexed program transitions and fault transitions
-//!   ([`FtKripke`]), including the normal / perturbed / recovery state
-//!   classification of Section 2.4 ([`StateRole`]);
+//!   ([`FtKripke`], written through a [`KripkeBuilder`]), including
+//!   the normal / perturbed / recovery state classification of
+//!   Section 2.4 ([`StateRole`]);
 //! * a memoizing CTL model checker for both the plain satisfaction
 //!   relation and the fault-free-relativized `⊨ₙ` ([`Checker`],
 //!   [`Semantics`]), labeling with bitset satisfaction sets
@@ -34,4 +35,4 @@ pub use evidence::EvidencePath;
 pub use minimize::{bisimulation_quotient, Quotient};
 pub use state::{PropSet, State};
 pub use stateset::StateSet;
-pub use structure::{Edge, FtKripke, StateId, StateRole, TransKind};
+pub use structure::{Edge, FtKripke, KripkeBuilder, StateId, StateRole, TransKind};

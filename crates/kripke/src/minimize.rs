@@ -14,7 +14,6 @@
 //! partition-refinement algorithm, adequate for the model sizes the
 //! synthesis method produces.
 
-use crate::state::State;
 use crate::structure::{FtKripke, StateId, TransKind};
 use std::collections::HashMap;
 
@@ -36,13 +35,14 @@ type Signature = Vec<(u8, usize, usize)>;
 /// Computes the quotient of `m` by strong (labeled) bisimulation.
 pub fn bisimulation_quotient(m: &FtKripke) -> Quotient {
     let n = m.len();
-    // Initial partition: by state content (valuation + shared values).
+    // Initial partition: by state content, that is by (valuation id,
+    // vector id).
     let mut block: Vec<usize> = vec![0; n];
     {
-        let mut index: HashMap<&State, usize> = HashMap::new();
+        let mut index: HashMap<(u32, u32), usize> = HashMap::new();
         for s in m.state_ids() {
             let next = index.len();
-            let b = *index.entry(m.state(s)).or_insert(next);
+            let b = *index.entry((m.val_id(s), m.vec_id(s))).or_insert(next);
             block[s.index()] = b;
         }
     }
@@ -93,10 +93,10 @@ pub fn bisimulation_quotient(m: &FtKripke) -> Quotient {
         .map(|r| r.expect("every block has a member"))
         .collect();
 
-    let mut q = FtKripke::new();
+    let mut q = m.share_tables();
     let qids: Vec<StateId> = representative
         .iter()
-        .map(|&r| q.push_state(m.state(r).clone()))
+        .map(|&r| q.push(m.val_id(r), m.vec_id(r)))
         .collect();
     for s in m.state_ids() {
         let from = qids[block[s.index()]];
@@ -109,7 +109,7 @@ pub fn bisimulation_quotient(m: &FtKripke) -> Quotient {
     }
 
     Quotient {
-        model: q,
+        model: q.freeze(),
         block_of: block.iter().map(|&b| qids[b]).collect(),
         representative,
     }
@@ -118,7 +118,8 @@ pub fn bisimulation_quotient(m: &FtKripke) -> Quotient {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::state::PropSet;
+    use crate::state::{PropSet, State};
+    use crate::structure::KripkeBuilder;
     use ftsyn_ctl::PropId;
 
     fn st(n: usize, props: &[u32]) -> State {
@@ -131,7 +132,7 @@ mod tests {
     #[test]
     fn duplicate_chain_collapses() {
         // Two bisimilar copies of a two-state toggle collapse to one.
-        let mut m = FtKripke::new();
+        let mut m = KripkeBuilder::new();
         let a1 = m.push_state(st(2, &[0]));
         let b1 = m.push_state(st(2, &[1]));
         let a2 = m.push_state(st(2, &[0]));
@@ -141,6 +142,7 @@ mod tests {
         m.add_edge(b1, TransKind::Proc(0), a2);
         m.add_edge(a2, TransKind::Proc(0), b2);
         m.add_edge(b2, TransKind::Proc(0), a1);
+        let m = m.freeze();
         let q = bisimulation_quotient(&m);
         assert_eq!(q.model.len(), 2);
         assert_eq!(q.model.edge_count(), 2);
@@ -149,7 +151,7 @@ mod tests {
     #[test]
     fn different_behavior_not_merged() {
         // Same valuation, different futures: kept apart.
-        let mut m = FtKripke::new();
+        let mut m = KripkeBuilder::new();
         let a1 = m.push_state(st(2, &[0]));
         let a2 = m.push_state(st(2, &[0]));
         let b = m.push_state(st(2, &[1]));
@@ -157,6 +159,7 @@ mod tests {
         m.add_edge(a1, TransKind::Proc(0), b);
         m.add_edge(a2, TransKind::Proc(0), a2);
         m.add_edge(b, TransKind::Proc(0), a2);
+        let m = m.freeze();
         let q = bisimulation_quotient(&m);
         assert_eq!(q.model.len(), 3);
     }
@@ -164,7 +167,7 @@ mod tests {
     #[test]
     fn edge_labels_distinguish() {
         // Same targets, different process indices: not merged.
-        let mut m = FtKripke::new();
+        let mut m = KripkeBuilder::new();
         let a1 = m.push_state(st(2, &[0]));
         let a2 = m.push_state(st(2, &[0]));
         let b = m.push_state(st(2, &[1]));
@@ -172,13 +175,14 @@ mod tests {
         m.add_edge(a1, TransKind::Proc(0), b);
         m.add_edge(a2, TransKind::Proc(1), b);
         m.add_edge(b, TransKind::Proc(0), b);
+        let m = m.freeze();
         let q = bisimulation_quotient(&m);
         assert_eq!(q.model.len(), 3, "P1-move ≠ P2-move");
     }
 
     #[test]
     fn fault_edges_distinguish() {
-        let mut m = FtKripke::new();
+        let mut m = KripkeBuilder::new();
         let a1 = m.push_state(st(2, &[0]));
         let a2 = m.push_state(st(2, &[0]));
         let b = m.push_state(st(2, &[1]));
@@ -187,24 +191,26 @@ mod tests {
         m.add_edge(a2, TransKind::Proc(0), b);
         m.add_edge(a2, TransKind::Fault(0), b);
         m.add_edge(b, TransKind::Proc(0), b);
+        let m = m.freeze();
         let q = bisimulation_quotient(&m);
         assert_eq!(q.model.len(), 3, "extra fault edge distinguishes");
     }
 
     #[test]
     fn block_of_is_consistent() {
-        let mut m = FtKripke::new();
+        let mut m = KripkeBuilder::new();
         let a1 = m.push_state(st(2, &[0]));
         let b1 = m.push_state(st(2, &[1]));
         m.add_init(a1);
         m.add_edge(a1, TransKind::Proc(0), b1);
         m.add_edge(b1, TransKind::Proc(0), a1);
+        let m = m.freeze();
         let q = bisimulation_quotient(&m);
         assert_eq!(q.block_of.len(), 2);
         assert_eq!(q.representative.len(), q.model.len());
         for s in m.state_ids() {
             let qs = q.block_of[s.index()];
-            assert_eq!(q.model.state(qs).props, m.state(s).props);
+            assert_eq!(q.model.props(qs), m.props(s));
         }
     }
 }

@@ -4,24 +4,9 @@ use ftsyn_ctl::{PropId, PropTable};
 use std::fmt;
 
 /// A set of atomic propositions, as a bitset over [`PropId`]s.
-#[derive(PartialEq, Eq, Hash, Default)]
+#[derive(Clone, PartialEq, Eq, Hash, Default)]
 pub struct PropSet {
     bits: Vec<u64>,
-}
-
-// Manual impl so `clone_from` reuses the destination's buffer — the
-// semantic minimizer rebuilds candidate models tens of thousands of
-// times into the same scratch structure.
-impl Clone for PropSet {
-    fn clone(&self) -> PropSet {
-        PropSet {
-            bits: self.bits.clone(),
-        }
-    }
-
-    fn clone_from(&mut self, source: &PropSet) {
-        self.bits.clone_from(&source.bits);
-    }
 }
 
 impl PropSet {
@@ -123,27 +108,12 @@ impl fmt::Debug for PropSet {
 /// A global state: a valuation of the atomic propositions plus the values
 /// of any shared synchronization variables (empty until the extraction
 /// step of the synthesis method introduces them).
-#[derive(PartialEq, Eq, Hash, Debug)]
+#[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub struct State {
     /// Propositions true in this state (closed world: absent = false).
     pub props: PropSet,
     /// Values of the shared synchronization variables, by variable index.
     pub shared: Vec<u32>,
-}
-
-// Manual impl for a buffer-reusing `clone_from` (see [`PropSet`]).
-impl Clone for State {
-    fn clone(&self) -> State {
-        State {
-            props: self.props.clone(),
-            shared: self.shared.clone(),
-        }
-    }
-
-    fn clone_from(&mut self, source: &State) {
-        self.props.clone_from(&source.props);
-        self.shared.clone_from(&source.shared);
-    }
 }
 
 impl State {
@@ -157,13 +127,18 @@ impl State {
 
     /// Human-readable rendering such as `[N1 N2] x=1`.
     pub fn display(&self, props: &PropTable) -> String {
-        let names: Vec<&str> = self.props.iter().map(|p| props.name(p)).collect();
-        let mut s = format!("[{}]", names.join(" "));
-        for (i, v) in self.shared.iter().enumerate() {
-            s.push_str(&format!(" x{i}={v}"));
-        }
-        s
+        render_state(&self.props, &self.shared, props)
     }
+}
+
+/// [`State::display`] of a valuation and shared values.
+pub(crate) fn render_state(valuation: &PropSet, shared: &[u32], props: &PropTable) -> String {
+    let names: Vec<&str> = valuation.iter().map(|p| props.name(p)).collect();
+    let mut s = format!("[{}]", names.join(" "));
+    for (i, v) in shared.iter().enumerate() {
+        s.push_str(&format!(" x{i}={v}"));
+    }
+    s
 }
 
 #[cfg(test)]
