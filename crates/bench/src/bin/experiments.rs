@@ -448,7 +448,8 @@ fn main() {
         max_extract_refine_rounds: Some(4),
         ..Budget::default()
     });
-    match ftsyn::synthesize_governed(&mut mt4, ftsyn::default_threads(), &gov) {
+    let plan = ftsyn::ThreadPlan::uniform(ftsyn::default_threads());
+    match ftsyn::synthesize_with_engine(&mut mt4, ftsyn::Engine::Tableau, plan, Some(&gov)) {
         SynthesisOutcome::Solved(ms) => println!(
             "| 4 processes, P1's faults↦nonmasking, rest↦masking | (beyond the paper's worked examples) | solved, {} states, verify={} | {} |",
             ms.stats.model_states, ms.verification.ok(), profile_cols(&ms)),

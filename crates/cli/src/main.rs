@@ -127,8 +127,12 @@ fn main() -> ExitCode {
                     return ExitCode::from(2);
                 }
             };
-            match ftsyn::synthesize_resume(&mut problem, plan, gov.as_ref(), ck) {
-                Ok(outcome) => outcome,
+            let session = ftsyn::SynthesisSession {
+                resume: Some(ck),
+                ..ftsyn::SynthesisSession::default()
+            };
+            match ftsyn::synthesize_session(&mut problem, plan, gov.as_ref(), session) {
+                Ok((outcome, _)) => outcome,
                 // The blob pins a spec fingerprint; a mismatch means
                 // this is not the problem that produced it.
                 Err(e) => {

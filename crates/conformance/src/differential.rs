@@ -10,8 +10,8 @@ use crate::render::render_solved;
 use ftsyn::guarded::sim::CampaignConfig;
 use ftsyn::tableau::build_with_threads;
 use ftsyn::{
-    check_program, synthesize_with_engine, synthesize_with_threads, AbortReason, Engine,
-    SynthesisOutcome, SynthesisProblem, ThreadPlan,
+    check_program, synthesize_with_engine, AbortReason, Engine, SynthesisOutcome, SynthesisProblem,
+    ThreadPlan,
 };
 use ftsyn_prng::XorShift64;
 
@@ -67,14 +67,24 @@ pub fn run_seed(seed: u64) -> CaseResult {
         &mut random_problem(&mut XorShift64::new(seed)).problem,
     );
 
-    let o1 = synthesize_with_threads(&mut p1, THREAD_MATRIX[0]);
+    let o1 = synthesize_with_engine(
+        &mut p1,
+        Engine::Tableau,
+        ThreadPlan::uniform(THREAD_MATRIX[0]),
+        None,
+    );
     match o1 {
         SynthesisOutcome::Solved(s1) => {
             let r1 = render_solved(&p1, &s1);
             for &threads in &THREAD_MATRIX[1..] {
                 let GeneratedCase { problem: mut p, .. } =
                     random_problem(&mut XorShift64::new(seed));
-                let SynthesisOutcome::Solved(s) = synthesize_with_threads(&mut p, threads) else {
+                let SynthesisOutcome::Solved(s) = synthesize_with_engine(
+                    &mut p,
+                    Engine::Tableau,
+                    ThreadPlan::uniform(threads),
+                    None,
+                ) else {
                     panic!("seed {seed} ({name}): outcome diverged at {threads} threads")
                 };
                 assert_eq!(
@@ -123,8 +133,12 @@ pub fn run_seed(seed: u64) -> CaseResult {
             for &threads in &THREAD_MATRIX[1..] {
                 let GeneratedCase { problem: mut p, .. } =
                     random_problem(&mut XorShift64::new(seed));
-                let SynthesisOutcome::Impossible(i) = synthesize_with_threads(&mut p, threads)
-                else {
+                let SynthesisOutcome::Impossible(i) = synthesize_with_engine(
+                    &mut p,
+                    Engine::Tableau,
+                    ThreadPlan::uniform(threads),
+                    None,
+                ) else {
                     panic!("seed {seed} ({name}): outcome diverged at {threads} threads")
                 };
                 assert_eq!(
@@ -189,7 +203,7 @@ pub fn run_seed_cegis(seed: u64) -> BackendCaseResult {
         name,
         problem: mut pt,
     } = random_problem(&mut XorShift64::new(seed));
-    let tableau = synthesize_with_threads(&mut pt, 1);
+    let tableau = synthesize_with_engine(&mut pt, Engine::Tableau, ThreadPlan::uniform(1), None);
     let tableau_solved = match &tableau {
         SynthesisOutcome::Solved(_) => true,
         SynthesisOutcome::Impossible(_) => false,

@@ -176,7 +176,7 @@ pub fn eu_fulfillment_naive(
 
 /// Reference deletion engine: full-graph sweeps to a fixpoint (the
 /// pre-worklist implementation). Produces the same alive set and the
-/// same [`DeletionStats`] as `ftsyn_tableau::apply_deletion_rules_mode`.
+/// same [`DeletionStats`] as `ftsyn_tableau::apply_deletion_rules_profiled`.
 pub fn apply_deletion_rules_naive_mode(
     t: &mut Tableau,
     closure: &Closure,

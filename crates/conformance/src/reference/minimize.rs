@@ -27,7 +27,11 @@ pub fn merged(m: &FtKripke, from: StateId, into: StateId) -> (FtKripke, Vec<Stat
         map.insert(s, n);
     }
     map.insert(from, map[&into]);
-    for s in m.state_ids() {
+    // Source by source in new id order: the merged state takes `into`'s
+    // and `from`'s edges, in old id order.
+    let mut sources: Vec<StateId> = m.state_ids().collect();
+    sources.sort_by_key(|s| map[s]);
+    for s in sources {
         let ns = map[&s];
         for e in m.succ(s) {
             out.add_edge(ns, e.kind, map[&e.to]);

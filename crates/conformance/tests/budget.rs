@@ -9,8 +9,8 @@
 
 use ftsyn::problems::mutex;
 use ftsyn::{
-    synthesize, synthesize_governed, AbortReason, Budget, FailureKind, Governor, Phase,
-    SynthesisOutcome, ThreadPlan, Tolerance,
+    synthesize, synthesize_session, synthesize_with_engine, AbortReason, Budget, Engine,
+    FailureKind, Governor, Phase, SynthesisOutcome, SynthesisSession, ThreadPlan, Tolerance,
 };
 use ftsyn_conformance::differential::THREAD_MATRIX;
 use ftsyn_conformance::render::render_solved;
@@ -20,7 +20,12 @@ use ftsyn_conformance::render::render_solved;
 fn abort_of(budget: Budget, threads: usize) -> ftsyn::AbortedSynthesis {
     let mut p = mutex::with_fail_stop(3, Tolerance::Masking);
     let gov = Governor::with_budget(budget);
-    match synthesize_governed(&mut p, threads, &gov) {
+    match synthesize_with_engine(
+        &mut p,
+        Engine::Tableau,
+        ThreadPlan::uniform(threads),
+        Some(&gov),
+    ) {
         SynthesisOutcome::Aborted(a) => *a,
         other => panic!(
             "expected an abort at {threads} threads, got {}",
@@ -140,7 +145,13 @@ fn unlimited_governor_is_byte_identical_to_ungoverned() {
     let mut p2 = mutex::with_fail_stop(3, Tolerance::Masking);
     let ungoverned = synthesize(&mut p1).unwrap_solved();
     let gov = Governor::unlimited();
-    let governed = synthesize_governed(&mut p2, ftsyn::default_threads(), &gov).unwrap_solved();
+    let governed = synthesize_with_engine(
+        &mut p2,
+        Engine::Tableau,
+        ThreadPlan::uniform(ftsyn::default_threads()),
+        Some(&gov),
+    )
+    .unwrap_solved();
     assert_eq!(ungoverned.stats.model_states, governed.stats.model_states);
     assert_eq!(
         render_solved(&p1, &ungoverned),
@@ -159,8 +170,12 @@ fn aggressive_state_cap_on_mutex4_failstop_aborts_structurally() {
         max_states: Some(2_000),
         ..Budget::default()
     });
-    let SynthesisOutcome::Aborted(a) = synthesize_governed(&mut p, ftsyn::default_threads(), &gov)
-    else {
+    let SynthesisOutcome::Aborted(a) = synthesize_with_engine(
+        &mut p,
+        Engine::Tableau,
+        ThreadPlan::uniform(ftsyn::default_threads()),
+        Some(&gov),
+    ) else {
         panic!("mutex4-failstop under a 2k state cap must abort")
     };
     assert_eq!(a.phase, Phase::Build);
@@ -177,7 +192,9 @@ fn cancelled_governor_aborts_in_the_build_phase() {
     let mut p = mutex::with_fail_stop(3, Tolerance::Masking);
     let gov = Governor::unlimited();
     gov.cancel();
-    let SynthesisOutcome::Aborted(a) = synthesize_governed(&mut p, 2, &gov) else {
+    let SynthesisOutcome::Aborted(a) =
+        synthesize_with_engine(&mut p, Engine::Tableau, ThreadPlan::uniform(2), Some(&gov))
+    else {
         panic!("cancelled governor must abort")
     };
     assert_eq!(a.phase, Phase::Build);
@@ -198,7 +215,12 @@ fn external_cancel_mid_build_aborts_cleanly_and_resumes_at_every_thread_count() 
     for &threads in &THREAD_MATRIX {
         let mut p = mutex::with_fail_stop(3, Tolerance::Masking);
         let gov = Governor::unlimited().cancel_at_phase(Phase::Build);
-        let SynthesisOutcome::Aborted(a) = synthesize_governed(&mut p, threads, &gov) else {
+        let SynthesisOutcome::Aborted(a) = synthesize_with_engine(
+            &mut p,
+            Engine::Tableau,
+            ThreadPlan::uniform(threads),
+            Some(&gov),
+        ) else {
             panic!("build-phase cancel must abort at {threads} threads")
         };
         assert_eq!(a.phase, Phase::Build, "at {threads} threads");
@@ -212,9 +234,17 @@ fn external_cancel_mid_build_aborts_cleanly_and_resumes_at_every_thread_count() 
         // whole: resuming it in the same process completes and matches
         // the uninterrupted result byte for byte.
         let mut resumed = mutex::with_fail_stop(3, Tolerance::Masking);
-        let SynthesisOutcome::Solved(s) =
-            ftsyn::synthesize_resume(&mut resumed, ThreadPlan::uniform(threads), None, ck)
-                .expect("a cancel checkpoint is valid")
+        let SynthesisOutcome::Solved(s) = synthesize_session(
+            &mut resumed,
+            ThreadPlan::uniform(threads),
+            None,
+            SynthesisSession {
+                resume: Some(ck),
+                ..SynthesisSession::default()
+            },
+        )
+        .expect("a cancel checkpoint is valid")
+        .0
         else {
             panic!("resume after cancel must solve at {threads} threads")
         };
@@ -235,7 +265,12 @@ fn external_cancel_mid_minimize_aborts_cleanly_at_every_thread_count() {
     for &threads in &THREAD_MATRIX {
         let mut p = mutex::with_fail_stop(3, Tolerance::Masking);
         let gov = Governor::unlimited().cancel_at_phase(Phase::Minimize);
-        let SynthesisOutcome::Aborted(a) = synthesize_governed(&mut p, threads, &gov) else {
+        let SynthesisOutcome::Aborted(a) = synthesize_with_engine(
+            &mut p,
+            Engine::Tableau,
+            ThreadPlan::uniform(threads),
+            Some(&gov),
+        ) else {
             panic!("minimize-phase cancel must abort at {threads} threads")
         };
         assert_eq!(a.phase, Phase::Minimize, "at {threads} threads");
@@ -256,7 +291,9 @@ fn external_cancel_mid_minimize_aborts_cleanly_at_every_thread_count() {
         // No worker leak, no poisoned lock: a full synthesis succeeds
         // in the same process right after.
         let mut p2 = mutex::with_fail_stop(3, Tolerance::Masking);
-        let s = ftsyn::synthesize_with_threads(&mut p2, threads).unwrap_solved();
+        let s =
+            synthesize_with_engine(&mut p2, Engine::Tableau, ThreadPlan::uniform(threads), None)
+                .unwrap_solved();
         assert!(
             s.verification.ok(),
             "post-cancel synthesis at {threads} threads must verify"
@@ -273,7 +310,7 @@ fn racing_external_cancel_from_another_thread_aborts_cleanly() {
     let gov = Governor::unlimited();
     let outcome = std::thread::scope(|scope| {
         scope.spawn(|| gov.cancel());
-        synthesize_governed(&mut p, 2, &gov)
+        synthesize_with_engine(&mut p, Engine::Tableau, ThreadPlan::uniform(2), Some(&gov))
     });
     let SynthesisOutcome::Aborted(a) = outcome else {
         panic!("a cancel sent at start must land before mutex4 completes")
@@ -300,7 +337,12 @@ fn injected_worker_panic_yields_a_clean_abort_at_every_thread_count() {
     for &threads in &THREAD_MATRIX {
         let mut p = mutex::with_fail_stop(3, Tolerance::Masking);
         let gov = Governor::unlimited().inject_worker_panic_at_batch(2);
-        let SynthesisOutcome::Aborted(a) = synthesize_governed(&mut p, threads, &gov) else {
+        let SynthesisOutcome::Aborted(a) = synthesize_with_engine(
+            &mut p,
+            Engine::Tableau,
+            ThreadPlan::uniform(threads),
+            Some(&gov),
+        ) else {
             panic!("injected panic must abort at {threads} threads")
         };
         assert_eq!(a.phase, Phase::Build, "at {threads} threads");
@@ -322,7 +364,9 @@ fn injected_worker_panic_yields_a_clean_abort_at_every_thread_count() {
 
         // No poison cascade: the same process can synthesize again.
         let mut p2 = mutex::with_fail_stop(3, Tolerance::Masking);
-        let s = ftsyn::synthesize_with_threads(&mut p2, threads).unwrap_solved();
+        let s =
+            synthesize_with_engine(&mut p2, Engine::Tableau, ThreadPlan::uniform(threads), None)
+                .unwrap_solved();
         assert!(
             s.verification.ok(),
             "post-panic synthesis at {threads} threads must verify"
@@ -516,7 +560,9 @@ fn zero_refine_round_cap_degrades_to_a_structured_extraction_gap() {
         max_extract_refine_rounds: Some(0),
         ..Budget::default()
     });
-    let SynthesisOutcome::Solved(s) = synthesize_governed(&mut p, 1, &gov) else {
+    let SynthesisOutcome::Solved(s) =
+        synthesize_with_engine(&mut p, Engine::Tableau, ThreadPlan::uniform(1), Some(&gov))
+    else {
         panic!("expected a solved-but-rejected outcome")
     };
     assert!(!s.stats.extract_profile.verified);

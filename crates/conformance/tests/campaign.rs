@@ -9,8 +9,8 @@ use ftsyn::guarded::sim::CampaignConfig;
 use ftsyn::guarded::{BoolExpr, FaultAction, PropAssign};
 use ftsyn::problems::{barrier, mutex, readers_writers};
 use ftsyn::{
-    synthesize, synthesize_governed, Budget, Governor, SynthesisProblem, Tolerance,
-    ToleranceAssignment,
+    synthesize, synthesize_with_engine, Budget, Engine, Governor, SynthesisProblem, ThreadPlan,
+    Tolerance, ToleranceAssignment,
 };
 use ftsyn_conformance::campaign::assert_campaign;
 
@@ -113,7 +113,13 @@ fn multitolerance_mutex4_holds_at_runtime() {
         max_extract_refine_rounds: Some(4),
         ..Budget::default()
     });
-    let s = synthesize_governed(&mut problem, ftsyn::default_threads(), &gov).unwrap_solved();
+    let s = synthesize_with_engine(
+        &mut problem,
+        Engine::Tableau,
+        ThreadPlan::uniform(ftsyn::default_threads()),
+        Some(&gov),
+    )
+    .unwrap_solved();
     assert!(s.verification.ok(), "{name}: {:?}", s.verification.failures);
     let checked = ftsyn::check_program(&mut problem, &s.program)
         .unwrap_or_else(|e| panic!("{name}: not executable: {e}"));

@@ -9,7 +9,7 @@
 //! These tests fail on that seed behavior.
 
 use ftsyn::problems::mutex;
-use ftsyn::{synthesize, synthesize_with_threads, Tolerance};
+use ftsyn::{synthesize, synthesize_with_engine, Engine, ThreadPlan, Tolerance};
 use ftsyn_conformance::render::render_solved;
 
 fn assert_two_runs_identical(name: &str, make: impl Fn() -> ftsyn::SynthesisProblem) {
@@ -38,11 +38,18 @@ fn assert_runs_identical_across_threads(
     thread_counts: &[usize],
 ) {
     let mut p1 = make();
-    let s1 = synthesize_with_threads(&mut p1, thread_counts[0]).unwrap_solved();
+    let s1 = synthesize_with_engine(
+        &mut p1,
+        Engine::Tableau,
+        ThreadPlan::uniform(thread_counts[0]),
+        None,
+    )
+    .unwrap_solved();
     let r1 = render_solved(&p1, &s1);
     for &threads in &thread_counts[1..] {
         let mut p = make();
-        let s = synthesize_with_threads(&mut p, threads).unwrap_solved();
+        let s = synthesize_with_engine(&mut p, Engine::Tableau, ThreadPlan::uniform(threads), None)
+            .unwrap_solved();
         assert_eq!(
             s1.stats.model_states, s.stats.model_states,
             "{name}: model-state counts diverged at {threads} threads"

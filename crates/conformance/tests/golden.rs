@@ -7,8 +7,8 @@
 use ftsyn::guarded::{BoolExpr, FaultAction, PropAssign};
 use ftsyn::problems::{barrier, mutex, readers_writers, wire};
 use ftsyn::{
-    synthesize, synthesize_governed, Budget, Governor, SynthesisProblem, Tolerance,
-    ToleranceAssignment,
+    synthesize, synthesize_with_engine, Budget, Engine, Governor, SynthesisProblem, ThreadPlan,
+    Tolerance, ToleranceAssignment,
 };
 use ftsyn_conformance::golden::assert_golden;
 use ftsyn_conformance::render::{render_program, render_solved};
@@ -64,7 +64,13 @@ fn multitolerance_mutex4() {
         max_extract_refine_rounds: Some(4),
         ..Budget::default()
     });
-    let s = synthesize_governed(&mut problem, ftsyn::default_threads(), &gov).unwrap_solved();
+    let s = synthesize_with_engine(
+        &mut problem,
+        Engine::Tableau,
+        ThreadPlan::uniform(ftsyn::default_threads()),
+        Some(&gov),
+    )
+    .unwrap_solved();
     assert!(
         s.verification.ok(),
         "multitolerance-mutex4: {:?}",

@@ -13,7 +13,7 @@
 use ftsyn::ctl::{FormulaArena, Owner, PropTable, Spec};
 use ftsyn::kripke::{Edge, FtKripke, KripkeBuilder, PropSet, State, StateId, StateRole, TransKind};
 use ftsyn::problems::mutex;
-use ftsyn::tableau::{apply_deletion_rules_mode, build};
+use ftsyn::tableau::{apply_deletion_rules_profiled, build_with_threads};
 use ftsyn::{
     semantic_minimize, semantic_minimize_governed, unravel_mode, Budget, Governor, MinimizeProfile,
     SynthesisProblem, Tolerance,
@@ -33,8 +33,8 @@ fn pre_minimization_model(problem: &mut SynthesisProblem) -> FtKripke {
 /// more merge candidates per valuation than the pipeline's input.
 fn unraveled_model(problem: &mut SynthesisProblem) -> FtKripke {
     let (closure, fault_spec, root_label) = problem.tableau_inputs();
-    let mut tableau = build(&closure, &problem.props, root_label, &fault_spec);
-    apply_deletion_rules_mode(&mut tableau, &closure, problem.mode);
+    let mut tableau = build_with_threads(&closure, &problem.props, root_label, &fault_spec, 1).0;
+    apply_deletion_rules_profiled(&mut tableau, &closure, problem.mode);
     assert!(tableau.alive(tableau.root()), "problem is synthesizable");
     let c0 = tableau
         .alive_succ(tableau.root(), |_| true)

@@ -17,7 +17,7 @@
 
 use ftsyn::kripke::{bisimulation_quotient, FtKripke, StateId};
 use ftsyn::problems::mutex;
-use ftsyn::tableau::{apply_deletion_rules_mode, build};
+use ftsyn::tableau::{apply_deletion_rules_profiled, build_with_threads};
 use ftsyn::{
     semantic_minimize, synthesize_with_engine, unravel_mode, Engine, SynthesisOutcome,
     SynthesisProblem, ThreadPlan, Tolerance,
@@ -47,8 +47,8 @@ struct Pin {
 /// model `synthesize` hands to the minimizer.
 fn pre_minimization_model(problem: &mut SynthesisProblem) -> FtKripke {
     let (closure, fault_spec, root_label) = problem.tableau_inputs();
-    let mut tableau = build(&closure, &problem.props, root_label, &fault_spec);
-    apply_deletion_rules_mode(&mut tableau, &closure, problem.mode);
+    let mut tableau = build_with_threads(&closure, &problem.props, root_label, &fault_spec, 1).0;
+    apply_deletion_rules_profiled(&mut tableau, &closure, problem.mode);
     let c0 = tableau
         .alive_succ(tableau.root(), |_| true)
         .map(|(_, c)| c)

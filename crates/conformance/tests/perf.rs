@@ -11,7 +11,7 @@
 //! release; CI runs it as `cargo test --release … -- --ignored`.
 
 use ftsyn::problems::mutex;
-use ftsyn::{synthesize_governed, Budget, Governor, SynthesisOutcome};
+use ftsyn::{synthesize_with_engine, Budget, Engine, Governor, SynthesisOutcome, ThreadPlan};
 use std::time::Duration;
 
 #[test]
@@ -22,7 +22,12 @@ fn philosophers5_synthesizes_inside_a_generous_deadline() {
         deadline: Some(Duration::from_secs(60)),
         ..Budget::default()
     });
-    match synthesize_governed(&mut p, ftsyn::default_threads(), &gov) {
+    match synthesize_with_engine(
+        &mut p,
+        Engine::Tableau,
+        ThreadPlan::uniform(ftsyn::default_threads()),
+        Some(&gov),
+    ) {
         SynthesisOutcome::Solved(s) => {
             assert!(s.verification.ok(), "{:?}", s.verification.failures);
             assert!(

@@ -9,11 +9,25 @@
 
 use ftsyn::problems::{barrier, mutex, readers_writers};
 use ftsyn::{
-    synthesize_governed, synthesize_resume, Budget, Checkpoint, CheckpointError, Governor, Phase,
-    SynthesisOutcome, SynthesisProblem, ThreadPlan, Tolerance,
+    synthesize_session, synthesize_with_engine, Budget, Checkpoint, CheckpointError, Engine,
+    Governor, Phase, SynthesisOutcome, SynthesisProblem, SynthesisSession, ThreadPlan, Tolerance,
 };
 use ftsyn_conformance::differential::THREAD_MATRIX;
 use ftsyn_conformance::render::render_solved;
+
+/// Resumes `problem` from `ck` with `plan` and an optional governor.
+fn resume(
+    problem: &mut SynthesisProblem,
+    plan: ThreadPlan,
+    gov: Option<&Governor>,
+    ck: Checkpoint,
+) -> Result<SynthesisOutcome, CheckpointError> {
+    let session = SynthesisSession {
+        resume: Some(ck),
+        ..SynthesisSession::default()
+    };
+    synthesize_session(problem, plan, gov, session).map(|(outcome, _)| outcome)
+}
 
 /// One resume-corpus entry: (name, constructor, state cap that
 /// interrupts its build).
@@ -65,7 +79,12 @@ fn abort_and_checkpoint(
         max_states: Some(max_states),
         ..Budget::unlimited()
     });
-    let SynthesisOutcome::Aborted(a) = synthesize_governed(problem, threads, &gov) else {
+    let SynthesisOutcome::Aborted(a) = synthesize_with_engine(
+        problem,
+        Engine::Tableau,
+        ThreadPlan::uniform(threads),
+        Some(&gov),
+    ) else {
         panic!("{name}: expected an abort at cap {max_states} on {threads} threads")
     };
     assert_eq!(a.phase, Phase::Build, "{name}: abort phase");
@@ -79,7 +98,13 @@ fn abort_and_checkpoint(
 fn baseline(make: fn() -> SynthesisProblem, threads: usize) -> String {
     let mut p = make();
     let gov = Governor::unlimited();
-    let s = synthesize_governed(&mut p, threads, &gov).unwrap_solved();
+    let s = synthesize_with_engine(
+        &mut p,
+        Engine::Tableau,
+        ThreadPlan::uniform(threads),
+        Some(&gov),
+    )
+    .unwrap_solved();
     assert!(s.verification.ok(), "baseline failed verification");
     render_solved(&p, &s)
 }
@@ -95,9 +120,8 @@ fn resumed_runs_are_byte_identical_to_uninterrupted_runs() {
             let mut victim = make();
             let ck = abort_and_checkpoint(name, &mut victim, cap, threads);
             let mut resumed_problem = make();
-            let outcome =
-                synthesize_resume(&mut resumed_problem, ThreadPlan::uniform(threads), None, ck)
-                    .unwrap_or_else(|e| panic!("{name}: valid checkpoint refused: {e}"));
+            let outcome = resume(&mut resumed_problem, ThreadPlan::uniform(threads), None, ck)
+                .unwrap_or_else(|e| panic!("{name}: valid checkpoint refused: {e}"));
             let SynthesisOutcome::Solved(s) = outcome else {
                 panic!("{name}: resume at {threads} threads did not solve")
             };
@@ -134,7 +158,7 @@ fn abort_resume_chains_converge_to_the_uninterrupted_result() {
         });
         let mut p2 = mutex::with_fail_stop(3, Tolerance::Masking);
         let SynthesisOutcome::Aborted(a) =
-            synthesize_resume(&mut p2, ThreadPlan::uniform(threads), Some(&gov), ck1)
+            resume(&mut p2, ThreadPlan::uniform(threads), Some(&gov), ck1)
                 .expect("hop-2 checkpoint is valid")
         else {
             panic!("hop 2 must abort again at cap 800")
@@ -154,9 +178,8 @@ fn abort_resume_chains_converge_to_the_uninterrupted_result() {
 
         // Hop 3: unlimited resume completes.
         let mut p3 = mutex::with_fail_stop(3, Tolerance::Masking);
-        let SynthesisOutcome::Solved(s) =
-            synthesize_resume(&mut p3, ThreadPlan::uniform(threads), None, ck2)
-                .expect("hop-3 checkpoint is valid")
+        let SynthesisOutcome::Solved(s) = resume(&mut p3, ThreadPlan::uniform(threads), None, ck2)
+            .expect("hop-3 checkpoint is valid")
         else {
             panic!("hop 3 must solve")
         };
@@ -179,9 +202,8 @@ fn checkpoints_resume_identically_across_thread_counts() {
     for &threads in &THREAD_MATRIX {
         let ck = Checkpoint::decode(&blob).expect("blob decodes");
         let mut p = mutex::with_fail_stop(2, Tolerance::Masking);
-        let SynthesisOutcome::Solved(s) =
-            synthesize_resume(&mut p, ThreadPlan::uniform(threads), None, ck)
-                .expect("hand-off checkpoint is valid")
+        let SynthesisOutcome::Solved(s) = resume(&mut p, ThreadPlan::uniform(threads), None, ck)
+            .expect("hand-off checkpoint is valid")
         else {
             panic!("hand-off resume at {threads} threads did not solve")
         };
@@ -205,7 +227,7 @@ fn mismatched_checkpoints_are_refused_structurally() {
     // Wrong problem: the spec fingerprint differs.
     let mut other = mutex::with_fail_stop(2, Tolerance::Masking);
     let ck = Checkpoint::decode(&blob).expect("blob decodes");
-    match synthesize_resume(&mut other, ThreadPlan::uniform(2), None, ck) {
+    match resume(&mut other, ThreadPlan::uniform(2), None, ck) {
         Err(CheckpointError::SpecHashMismatch { .. }) => {}
         Err(other) => panic!("expected SpecHashMismatch, got {other}"),
         Ok(_) => panic!("a mutex3 checkpoint must not resume a mutex2 problem"),

@@ -10,7 +10,7 @@ use ftsyn::ctl::{parse::parse, Closure, FormulaArena, LabelSet, Owner, PropTable
 use ftsyn::guarded::{BoolExpr, FaultAction, PropAssign};
 use ftsyn::problems::mutex;
 use ftsyn::tableau::{
-    blocks, blocks_profiled, build_shared_cache_governed, build_with_threads, tiles, EdgeKind,
+    blocks, blocks_profiled, build_governed, build_with_threads, tiles, BuildStart, EdgeKind,
     ExpansionCache, FaultSpec, NodeKind,
 };
 use ftsyn::Tolerance;
@@ -122,10 +122,10 @@ fn cached_build_matches_uncached() {
         let (plain, _) = build_with_threads(&cl, &props, root.clone(), &FaultSpec::none(), 1);
         let mut cache = ExpansionCache::new();
         let cached_build = |cache: &mut ExpansionCache| {
-            let (t, prof, fills) = build_shared_cache_governed(
+            let (t, prof, fills) = build_governed(
                 &cl,
                 &props,
-                root.clone(),
+                BuildStart::Fresh(root.clone()),
                 &FaultSpec::none(),
                 1,
                 Some(&*cache),

@@ -828,9 +828,9 @@ mod tests {
         // P1 toggles a1/b1 in any P2 state; P2 toggles only when b1.
         m.add_edge(s0, TransKind::Proc(0), s1);
         m.add_edge(s1, TransKind::Proc(0), s0);
+        m.add_edge(s1, TransKind::Proc(1), s3);
         m.add_edge(s2, TransKind::Proc(0), s3);
         m.add_edge(s3, TransKind::Proc(0), s2);
-        m.add_edge(s1, TransKind::Proc(1), s3);
         m.add_edge(s3, TransKind::Proc(1), s1);
         let mut m = m.freeze();
         let intro = introduce_shared_variables(&mut m);

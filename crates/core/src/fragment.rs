@@ -246,24 +246,20 @@ fn merge_frontier(frag: &mut [FragNode]) {
     // are skipped during unraveling (no incoming edges, not the root).
 }
 
-/// Builds `FFRAG[c]` for an alive AND-node `c` of the pruned tableau.
+/// Builds `FFRAG[c]` for an alive AND-node `c` of the pruned tableau,
+/// with the certificate mode `mode` (Section 8.3's alternative method
+/// uses [`CertMode::FaultProne`], whose certificates already include
+/// fault successors).
 ///
 /// # Panics
 ///
 /// Panics if `c` is deleted, or if a deletion-rule invariant is violated
 /// (an eventuality in an alive label that is not fulfillable).
-pub fn build_ffrag(t: &Tableau, closure: &Closure, c: NodeId) -> Fragment {
-    build_ffrag_mode(t, closure, c, CertMode::FaultFree)
-}
-
-/// [`build_ffrag`] with an explicit certificate mode (Section 8.3's
-/// alternative method uses [`CertMode::FaultProne`], whose certificates
-/// already include fault successors).
-pub fn build_ffrag_mode(t: &Tableau, closure: &Closure, c: NodeId, mode: CertMode) -> Fragment {
+pub fn build_ffrag(t: &Tableau, closure: &Closure, c: NodeId, mode: CertMode) -> Fragment {
     build_ffrag_cached(t, closure, c, mode, &mut FulfillmentCache::default())
 }
 
-/// [`build_ffrag_mode`] sharing fulfillment certificates across calls
+/// [`build_ffrag`] sharing fulfillment certificates across calls
 /// (the unraveling embeds hundreds of fragments against one tableau).
 pub(crate) fn build_ffrag_cached(
     t: &Tableau,
@@ -380,7 +376,7 @@ fn apply_ev(b: &mut Builder<'_>, at: usize, ev: ClosureIdx, cache: &mut Fulfillm
 mod tests {
     use super::*;
     use ftsyn_ctl::{parse::parse, FormulaArena, Owner, PropTable};
-    use ftsyn_tableau::{apply_deletion_rules, build as build_tableau, FaultSpec};
+    use ftsyn_tableau::{apply_deletion_rules_profiled, build_with_threads, FaultSpec};
 
     fn tf(spec: &str) -> (Tableau, Closure) {
         let mut props = PropTable::new();
@@ -391,8 +387,8 @@ mod tests {
         let cl = Closure::build(&mut arena, &props, &[f]);
         let mut root = cl.empty_label();
         root.insert(cl.index_of(f).unwrap());
-        let mut t = build_tableau(&cl, &props, root, &FaultSpec::none());
-        apply_deletion_rules(&mut t, &cl);
+        let mut t = build_with_threads(&cl, &props, root, &FaultSpec::none(), 1).0;
+        apply_deletion_rules_profiled(&mut t, &cl, CertMode::FaultFree);
         (t, cl)
     }
 
@@ -430,7 +426,7 @@ mod tests {
     fn no_eventualities_fragment_has_tile_children() {
         let (t, cl) = tf("p & AG EX1 p");
         let c = first_and(&t);
-        let frag = build_ffrag(&t, &cl, c);
+        let frag = build_ffrag(&t, &cl, c, CertMode::FaultFree);
         assert!(!frag.nodes[frag.root].succ.is_empty());
         assert!(!frag.nodes[frag.root].frontier);
         assert_acyclic(&frag);
@@ -443,7 +439,7 @@ mod tests {
     fn au_fragment_fulfills_on_all_paths() {
         let (t, cl) = tf("~p & AF p & AG EX1 true");
         let c = first_and(&t);
-        let frag = build_ffrag(&t, &cl, c);
+        let frag = build_ffrag(&t, &cl, c, CertMode::FaultFree);
         assert_acyclic(&frag);
         // Every maximal path from the root must reach a node whose label
         // contains p (the fulfillment of AF p).
@@ -486,7 +482,7 @@ mod tests {
     fn eu_fragment_has_a_fulfilling_path() {
         let (t, cl) = tf("~p & EF p & AG EX1 true");
         let c = first_and(&t);
-        let frag = build_ffrag(&t, &cl, c);
+        let frag = build_ffrag(&t, &cl, c, CertMode::FaultFree);
         assert_acyclic(&frag);
         fn some_path_reaches_p(
             frag: &Fragment,
@@ -518,7 +514,7 @@ mod tests {
     fn frontier_nodes_have_no_program_successors() {
         let (t, cl) = tf("~p & AF p & AG EX1 true");
         let c = first_and(&t);
-        let frag = build_ffrag(&t, &cl, c);
+        let frag = build_ffrag(&t, &cl, c, CertMode::FaultFree);
         for n in &frag.nodes {
             if n.frontier {
                 assert!(
@@ -536,7 +532,7 @@ mod tests {
         let c = first_and(&t);
         let evs = eventualities_in(&cl, &t.node(c).label);
         assert_eq!(evs.len(), 2);
-        let frag = build_ffrag(&t, &cl, c);
+        let frag = build_ffrag(&t, &cl, c, CertMode::FaultFree);
         assert_acyclic(&frag);
         assert!(frag.nodes.len() >= 3);
     }

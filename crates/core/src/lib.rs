@@ -69,7 +69,7 @@ pub use extract::{
     extract_program, introduce_shared_variables, refine_guards, ExtractProfile, SharedIntroduction,
     DEFAULT_EXTRACT_REFINE_ROUNDS,
 };
-pub use fragment::{build_ffrag, build_ffrag_mode, eventualities_in, FragNode, Fragment};
+pub use fragment::{build_ffrag, eventualities_in, FragNode, Fragment};
 pub use ftsyn_tableau::{
     blob_checksum, AbortReason, Budget, CacheFill, CacheLimits, CertMode, Checkpoint,
     CheckpointError, ExpansionCache, Governor, Phase, CHECKPOINT_FORMAT_VERSION,
@@ -81,12 +81,11 @@ pub use minimize::semantic_minimize_with_threads;
 pub use minimize::{semantic_minimize, semantic_minimize_governed, MinimizeAbort, MinimizeProfile};
 pub use problem::{SynthesisProblem, Tolerance, ToleranceAssignment};
 pub use synthesize::{
-    default_threads, synthesize, synthesize_governed, synthesize_planned, synthesize_resume,
-    synthesize_session, synthesize_with_engine, synthesize_with_threads, AbortedSynthesis, Engine,
-    Impossibility, SynthesisOutcome, SynthesisSession, SynthesisStats, Synthesized,
+    default_threads, synthesize, synthesize_session, synthesize_with_engine, AbortedSynthesis,
+    Engine, Impossibility, SynthesisOutcome, SynthesisSession, SynthesisStats, Synthesized,
     TableauArtifacts, ThreadPlan,
 };
-pub use unravel::{unravel, unravel_governed, unravel_mode, Unraveled};
+pub use unravel::{unravel_governed, unravel_mode, Unraveled};
 pub use verify::{
     verify, verify_semantic, verify_semantic_ok, Failure, FailureKind, FailureStage, Verification,
 };

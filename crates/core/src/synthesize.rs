@@ -16,10 +16,9 @@ use ftsyn_guarded::interp::{explore, ExploreError};
 use ftsyn_guarded::{fault_set_size, Program};
 use ftsyn_kripke::{bisimulation_quotient, FtKripke, PropSet};
 use ftsyn_tableau::{
-    apply_deletion_rules_governed, build_resume_governed, build_shared_cache_governed,
-    spec_fingerprint, AbortReason, BuildAbort, BuildProfile, CacheFill, Checkpoint,
-    CheckpointError, DeletionProfile, DeletionStats, ExpansionCache, FaultSpec, Governor, NodeId,
-    Phase, Tableau,
+    apply_deletion_rules_governed, build_governed, spec_fingerprint, AbortReason, BuildAbort,
+    BuildProfile, BuildStart, CacheFill, Checkpoint, CheckpointError, DeletionProfile,
+    DeletionStats, ExpansionCache, FaultSpec, Governor, NodeId, Phase, Tableau,
 };
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
@@ -177,8 +176,9 @@ pub struct AbortedSynthesis {
     pub failures: Vec<Failure>,
     /// Resumable snapshot of the abort point, when the aborted phase
     /// supports one (today: Build-phase aborts of the work-stealing
-    /// engine). Feed it to [`synthesize_resume`] under a raised budget
-    /// to continue instead of restarting; the resumed outcome is
+    /// engine). Feed it to [`synthesize_session`] as
+    /// [`SynthesisSession::resume`] under a raised budget to continue
+    /// instead of restarting; the resumed outcome is
     /// byte-identical to an uninterrupted run.
     pub checkpoint: Option<Checkpoint>,
 }
@@ -264,53 +264,15 @@ impl ThreadPlan {
     }
 }
 
-/// Runs the synthesis method on `problem`.
+/// Runs the synthesis method on `problem`: the tableau engine with
+/// [`default_threads`] build workers and no governor.
 ///
 /// Implements steps 1–5 of Section 5.2: tableau construction, deletion,
 /// fragment construction, unraveling, and extraction, followed by
 /// mechanical verification of the produced model.
 pub fn synthesize(problem: &mut SynthesisProblem) -> SynthesisOutcome {
-    synthesize_with_threads(problem, default_threads())
-}
-
-/// [`synthesize`] with an explicit worker-thread budget for the tableau
-/// build (1 = fully sequential). The outcome is bit-identical
-/// for every thread count; the stats record how the work was scheduled.
-pub fn synthesize_with_threads(problem: &mut SynthesisProblem, threads: usize) -> SynthesisOutcome {
-    synthesize_planned(problem, ThreadPlan::uniform(threads), None)
-}
-
-/// [`synthesize_with_threads`] under a [`Governor`]: every hot loop
-/// (tableau build on both schedulers, deletion, unraveling, semantic
-/// minimization) polls the governor at bounded intervals, and exceeding
-/// a budget — or an external [`Governor::cancel`], or a contained
-/// worker panic — returns [`SynthesisOutcome::Aborted`] with the phase,
-/// the reason, and the partial measurements instead of running open-loop.
-///
-/// The capped budgets abort at deterministic work counters, so the abort
-/// point (phase + counters) is bit-identical at every thread count; with
-/// an unlimited budget the outcome is byte-identical to
-/// [`synthesize_with_threads`].
-pub fn synthesize_governed(
-    problem: &mut SynthesisProblem,
-    threads: usize,
-    gov: &Governor,
-) -> SynthesisOutcome {
-    synthesize_planned(problem, ThreadPlan::uniform(threads), Some(gov))
-}
-
-/// [`synthesize`] with a tableau-build thread budget and an optional
-/// governor — the fully general *fresh-start* entry point the other
-/// variants wrap ([`synthesize_session`] generalizes further to shared
-/// caches and checkpoint resume).
-pub fn synthesize_planned(
-    problem: &mut SynthesisProblem,
-    plan: ThreadPlan,
-    gov: Option<&Governor>,
-) -> SynthesisOutcome {
-    let (outcome, _) = synthesize_impl(problem, plan, gov, SynthesisSession::default())
-        .expect("a fresh start has no checkpoint to validate");
-    outcome
+    let plan = ThreadPlan::uniform(default_threads());
+    synthesize_with_engine(problem, Engine::Tableau, plan, None)
 }
 
 /// Which synthesis backend to run: the complete tableau method of the
@@ -348,11 +310,21 @@ impl Engine {
     }
 }
 
-/// [`synthesize_planned`] with an explicit backend selection: dispatches
-/// to the tableau pipeline or the CEGIS engine. Both return the same
-/// [`SynthesisOutcome`] shape (CEGIS runs leave
+/// Runs one synthesis from the root with the chosen backend, a
+/// tableau-build thread budget (every thread count produces a
+/// bit-identical outcome) and an optional governor. Both engines return
+/// the same [`SynthesisOutcome`] shape (CEGIS runs leave
 /// [`Synthesized::artifacts`] empty and fill
 /// [`SynthesisStats::cegis_profile`]).
+///
+/// Under a [`Governor`] every hot loop (tableau build, deletion,
+/// unraveling, semantic minimization) polls it at bounded intervals,
+/// and exceeding a budget — or an external [`Governor::cancel`], or a
+/// contained worker panic — returns [`SynthesisOutcome::Aborted`] with
+/// the phase, the reason and the partial measurements. The capped
+/// budgets abort at deterministic work counters, so the abort point is
+/// bit-identical at every thread count; with an unlimited budget the
+/// outcome is byte-identical to an ungoverned run.
 pub fn synthesize_with_engine(
     problem: &mut SynthesisProblem,
     engine: Engine,
@@ -360,7 +332,11 @@ pub fn synthesize_with_engine(
     gov: Option<&Governor>,
 ) -> SynthesisOutcome {
     match engine {
-        Engine::Tableau => synthesize_planned(problem, plan, gov),
+        Engine::Tableau => {
+            synthesize_session(problem, plan, gov, SynthesisSession::default())
+                .expect("a fresh start has no checkpoint to validate")
+                .0
+        }
         Engine::Cegis => cegis_synthesize(problem, plan, gov),
     }
 }
@@ -384,48 +360,6 @@ pub struct SynthesisSession<'a> {
     /// fail-stop between the abort and the caller's own handling still
     /// leaves the checkpoint recoverable.
     pub on_checkpoint: Option<&'a (dyn Fn(&Checkpoint) + Sync)>,
-}
-
-/// The fully general pipeline entry: [`synthesize_planned`] plus a
-/// [`SynthesisSession`]. Returns the outcome together with the build's
-/// deferred cache fills (empty when no cache was supplied).
-///
-/// # Errors
-///
-/// [`CheckpointError`] when `session.resume` holds a checkpoint whose
-/// specification fingerprint or closure shape does not match `problem` —
-/// a stale blob is rejected up front, never silently resumed.
-pub fn synthesize_session(
-    problem: &mut SynthesisProblem,
-    plan: ThreadPlan,
-    gov: Option<&Governor>,
-    session: SynthesisSession<'_>,
-) -> Result<(SynthesisOutcome, Vec<CacheFill>), CheckpointError> {
-    synthesize_impl(problem, plan, gov, session)
-}
-
-/// Resumes an aborted run from its [`Checkpoint`] (see
-/// [`AbortedSynthesis::checkpoint`]) under a fresh governor — typically
-/// one with a raised budget. The resumed run replays the identical
-/// deterministic schedule, so its outcome is byte-identical to an
-/// uninterrupted run at every thread count.
-///
-/// # Errors
-///
-/// [`CheckpointError`] when the checkpoint does not belong to `problem`
-/// (fingerprint or closure-shape mismatch) or was produced by a
-/// different format version.
-pub fn synthesize_resume(
-    problem: &mut SynthesisProblem,
-    plan: ThreadPlan,
-    gov: Option<&Governor>,
-    checkpoint: Checkpoint,
-) -> Result<SynthesisOutcome, CheckpointError> {
-    let session = SynthesisSession {
-        resume: Some(checkpoint),
-        ..SynthesisSession::default()
-    };
-    synthesize_impl(problem, plan, gov, session).map(|(outcome, _)| outcome)
 }
 
 /// Packages an abort with final timing bookkeeping (mirrors the
@@ -473,21 +407,19 @@ pub(crate) fn certificate_build(
     let (closure, fault_spec, root_label) = inputs;
     stats.closure_size = closure.len();
     let t_build = Instant::now();
-    let threads = threads.max(1);
-    let result = match resume {
-        Some(ck) => {
-            build_resume_governed(closure, &problem.props, fault_spec, threads, cache, gov, ck)
-        }
-        None => build_shared_cache_governed(
-            closure,
-            &problem.props,
-            root_label.clone(),
-            fault_spec,
-            threads,
-            cache,
-            gov,
-        ),
+    let start = match resume {
+        Some(ck) => BuildStart::Resume(Box::new(ck)),
+        None => BuildStart::Fresh(root_label.clone()),
     };
+    let result = build_governed(
+        closure,
+        &problem.props,
+        start,
+        fault_spec,
+        threads,
+        cache,
+        gov,
+    );
     stats.build_time = t_build.elapsed();
     match result {
         Ok((tableau, profile, fills)) => {
@@ -673,7 +605,20 @@ pub(crate) fn extract_stage(
     })
 }
 
-fn synthesize_impl(
+/// The tableau pipeline with a [`SynthesisSession`]: a shared expansion
+/// cache, and a checkpoint to resume from instead of the root. A
+/// resumed run (see [`AbortedSynthesis::checkpoint`]), typically under
+/// a governor with a raised budget, replays the identical deterministic
+/// schedule, so its outcome is byte-identical to an uninterrupted run at
+/// every thread count. Returns the outcome together with the build's
+/// deferred cache fills (empty when no cache was supplied).
+///
+/// # Errors
+///
+/// [`CheckpointError`] when `session.resume` holds a checkpoint whose
+/// specification fingerprint or closure shape does not match `problem` —
+/// a stale blob is rejected up front, never silently resumed.
+pub fn synthesize_session(
     problem: &mut SynthesisProblem,
     plan: ThreadPlan,
     gov: Option<&Governor>,

@@ -47,12 +47,8 @@ struct MNode {
 }
 
 /// Unravels the pruned tableau into a model, starting from the chosen
-/// initial AND-node `c0 ∈ Blocks(d0)`.
-pub fn unravel(t: &Tableau, closure: &Closure, props: &PropTable, c0: NodeId) -> Unraveled {
-    unravel_mode(t, closure, props, c0, CertMode::FaultFree)
-}
-
-/// [`unravel`] with an explicit certificate mode (Section 8.3).
+/// initial AND-node `c0 ∈ Blocks(d0)`, with the fragments' certificate
+/// mode (Section 8.3's alternative method uses [`CertMode::FaultProne`]).
 pub fn unravel_mode(
     t: &Tableau,
     closure: &Closure,
@@ -66,7 +62,7 @@ pub fn unravel_mode(
 
 /// [`unravel_mode`] under an optional [`Governor`] (`None` never
 /// aborts): polls the deadline and cancel flag every
-/// [`REALTIME_POLL_INTERVAL`] frontier pops.
+/// `REALTIME_POLL_INTERVAL` frontier pops.
 pub fn unravel_governed(
     t: &Tableau,
     closure: &Closure,
@@ -210,7 +206,7 @@ mod tests {
     use super::*;
     use ftsyn_ctl::{parse::parse, FormulaArena, FormulaId, Owner};
     use ftsyn_kripke::{Checker, Semantics};
-    use ftsyn_tableau::{apply_deletion_rules, build as build_tableau, FaultSpec};
+    use ftsyn_tableau::{apply_deletion_rules_profiled, build_with_threads, FaultSpec};
 
     fn synthesize_plain(
         spec: &str,
@@ -230,15 +226,15 @@ mod tests {
         let cl = Closure::build(&mut arena, &props, &[f]);
         let mut root = cl.empty_label();
         root.insert(cl.index_of(f).unwrap());
-        let mut t = build_tableau(&cl, &props, root, &FaultSpec::none());
-        apply_deletion_rules(&mut t, &cl);
+        let mut t = build_with_threads(&cl, &props, root, &FaultSpec::none(), 1).0;
+        apply_deletion_rules_profiled(&mut t, &cl, CertMode::FaultFree);
         assert!(t.alive(t.root()), "spec must be satisfiable");
         let c0 = t
             .alive_succ(t.root(), |_| true)
             .map(|(_, c)| c)
             .next()
             .unwrap();
-        let u = unravel(&t, &cl, &props, c0);
+        let u = unravel_mode(&t, &cl, &props, c0, CertMode::FaultFree);
         (arena, props, cl, t, u, f)
     }
 

@@ -534,7 +534,7 @@ mod tests {
     use crate::problems::mutex;
     use crate::unravel::unravel_mode;
     use ftsyn_guarded::{BoolExpr, FaultAction, PropAssign};
-    use ftsyn_tableau::{apply_deletion_rules_mode, build};
+    use ftsyn_tableau::{apply_deletion_rules_profiled, build_with_threads};
 
     /// Regression test for the string-grep failure filter this module's
     /// structured kinds replaced: a *non-label* failure pushed through
@@ -548,8 +548,9 @@ mod tests {
         // Replicate the pipeline up to the pre-minimization model verify()
         // is specified on: closure → tableau → deletion → unraveling.
         let (closure, fault_spec, root_label) = problem.tableau_inputs();
-        let mut tableau = build(&closure, &problem.props, root_label, &fault_spec);
-        apply_deletion_rules_mode(&mut tableau, &closure, problem.mode);
+        let mut tableau =
+            build_with_threads(&closure, &problem.props, root_label, &fault_spec, 1).0;
+        apply_deletion_rules_profiled(&mut tableau, &closure, problem.mode);
         assert!(tableau.alive(tableau.root()), "mutex is synthesizable");
         let c0 = tableau
             .alive_succ(tableau.root(), |_| true)

@@ -523,9 +523,9 @@ mod tests {
         let s3 = m.push_state(mk(&[pbad]));
         m.add_init(s0);
         m.add_edge(s0, TransKind::Proc(0), s1);
+        m.add_edge(s0, TransKind::Fault(0), s3);
         m.add_edge(s1, TransKind::Proc(0), s2);
         m.add_edge(s2, TransKind::Proc(0), s0);
-        m.add_edge(s0, TransKind::Fault(0), s3);
         m.add_edge(s3, TransKind::Proc(1), s0);
         (props, m, vec![s0, s1, s2, s3])
     }

@@ -279,10 +279,10 @@ mod tests {
         let s3 = m.push_state(mk(&[]));
         m.add_init(s0);
         m.add_edge(s0, TransKind::Proc(0), s1);
+        m.add_edge(s0, TransKind::Fault(0), s3);
         m.add_edge(s1, TransKind::Proc(0), s2);
         m.add_edge(s1, TransKind::Proc(0), s1);
         m.add_edge(s2, TransKind::Proc(0), s2);
-        m.add_edge(s0, TransKind::Fault(0), s3);
         (arena, props, m.freeze(), vec![s0, s1, s2, s3])
     }
 

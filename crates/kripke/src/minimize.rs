@@ -98,7 +98,11 @@ pub fn bisimulation_quotient(m: &FtKripke) -> Quotient {
         .iter()
         .map(|&r| q.push(m.val_id(r), m.vec_id(r)))
         .collect();
-    for s in m.state_ids() {
+    // Block by block, each block's members in id order: the builder
+    // takes a state's edges together.
+    let mut members: Vec<StateId> = m.state_ids().collect();
+    members.sort_by_key(|s| block[s.index()]);
+    for s in members {
         let from = qids[block[s.index()]];
         for e in m.succ(s) {
             q.add_edge(from, e.kind, qids[block[e.to.index()]]);

@@ -180,24 +180,9 @@ impl FtKripke {
             m.succ_span.push((lo as u32, m.succ.len() as u32));
         }
         // pred in the order of a rebuild adding the edges source by
-        // source: an edge is kept iff it is the next one of its new row.
-        let mut next: Vec<u32> = m.succ_span.iter().map(|&(lo, _)| lo).collect();
-        lay_pred(m, |m, put| {
-            for s in self.state_ids() {
-                let ns = q(s);
-                for e in self.succ(s) {
-                    let e = Edge {
-                        kind: e.kind,
-                        to: q(e.to),
-                    };
-                    let at = &mut next[ns.index()];
-                    if *at < m.succ_span[ns.index()].1 && m.succ[*at as usize] == e {
-                        *at += 1;
-                        put(ns.0, e);
-                    }
-                }
-            }
-        });
+        // source in id order.
+        let n = m.len() as u32;
+        lay_pred(m, 0..n);
         for &i in &self.init {
             let i = q(i);
             if !m.init.contains(&i) {
@@ -483,25 +468,18 @@ impl fmt::Debug for FtKripke {
 /// * `pred(t)`: the kept edges into `t`, in the global call order;
 /// * `init_states()`: in call order, each state once.
 ///
-/// A writer that adds each state's edges together, as every writer
-/// in the pipeline but two does, appends them to `succ` as one block,
-/// which becomes the state's row as it stands. Once a state's edges
-/// resume after another state's, the edges are listed with their
-/// sources, and freezing replays them source by source.
+/// A writer adds all of a state's edges together, states in any order:
+/// each state's edges are appended to `succ` as one block, which
+/// becomes the state's row as it stands. [`KripkeBuilder::add_edge`]
+/// panics on an edge from a state whose block has closed.
 #[derive(Default)]
 pub struct KripkeBuilder {
-    /// The structure under construction. Until `listed`, `m.succ` holds
-    /// one block per source in `blocks`, spanned by `m.succ_span` (the
-    /// last block still open).
+    /// The structure under construction. `m.succ` holds one block per
+    /// source in `blocks`, spanned by `m.succ_span` (the last block
+    /// still open).
     m: FtKripke,
     /// The sources of the blocks, in call order.
     blocks: Vec<u32>,
-    /// Whether a source's edges resumed after another source's.
-    listed: bool,
-    /// Once `listed`, the edges in call order.
-    edges: Vec<Edge>,
-    /// Once `listed`, the source of each edge of `edges`.
-    src: Vec<u32>,
     /// Valuation → id over `m.vals`, built on the first interning.
     val_index: Option<HashMap<PropSet, u32>>,
     /// Vector → id over `m.vectors`, built on the first interning.
@@ -592,50 +570,33 @@ impl KripkeBuilder {
 
     /// Adds a transition. A duplicate of an edge already added from the
     /// same state is dropped.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `from`'s edges were added before and another state's
+    /// since: all of a state's edges are added together.
     pub fn add_edge(&mut self, from: StateId, kind: TransKind, to: StateId) {
-        let e = Edge { kind, to };
-        if !self.listed && self.append(from.0, e).is_none() {
-            // The blocks so far are the edges in call order.
-            self.listed = true;
-            for &s in &self.blocks {
-                let (lo, hi) = self.m.succ_span[s as usize];
-                let hi = hi.min(self.m.succ.len() as u32);
-                self.src.extend((lo..hi).map(|_| s));
+        let (m, f) = (&mut self.m, from.index());
+        if self.blocks.last() != Some(&from.0) {
+            if m.succ_span.len() <= f {
+                m.succ_span.resize(f + 1, NO_ROW);
             }
-            self.edges = std::mem::take(&mut self.m.succ);
-            self.m.succ_span.clear();
-            self.blocks.clear();
-        }
-        if self.listed {
-            self.edges.push(e);
-            self.src.push(from.0);
-        }
-    }
-
-    /// Appends `e` to the block of `from` if that is the last block, or
-    /// to a new block if `from` has none: whether `e` was new to it, or
-    /// `None` if `from`'s block is an earlier one.
-    fn append(&mut self, from: u32, e: Edge) -> Option<bool> {
-        let (m, f) = (&mut self.m, from as usize);
-        if m.succ_span.len() <= f {
-            m.succ_span.resize(f + 1, NO_ROW);
-        }
-        if self.blocks.last() != Some(&from) {
-            if m.succ_span[f] != NO_ROW {
-                return None;
-            }
+            assert!(
+                m.succ_span[f] == NO_ROW,
+                "edges from {from:?} added after another state's: \
+                 all of a state's edges are added together"
+            );
             if let Some(&last) = self.blocks.last() {
                 m.succ_span[last as usize].1 = m.succ.len() as u32;
             }
             m.succ_span[f] = (m.succ.len() as u32, u32::MAX);
-            self.blocks.push(from);
+            self.blocks.push(from.0);
         }
+        let e = Edge { kind, to };
         let lo = m.succ_span[f].0 as usize;
-        let fresh = !m.succ[lo..].contains(&e);
-        if fresh {
+        if !m.succ[lo..].contains(&e) {
             m.succ.push(e);
         }
-        Some(fresh)
     }
 
     /// Lays the edges out and returns the structure.
@@ -643,48 +604,21 @@ impl KripkeBuilder {
     /// # Panics
     ///
     /// Panics if an edge or initial state names a state never added.
-    pub fn freeze(mut self) -> FtKripke {
-        let (n, listed) = (self.m.len(), self.listed);
+    pub fn freeze(self) -> FtKripke {
+        let KripkeBuilder { mut m, blocks, .. } = self;
+        let n = m.len();
         debug_assert!(
-            self.m
-                .vals
+            m.vals
                 .iter()
                 .collect::<std::collections::HashSet<_>>()
                 .len()
-                == self.m.vals.len(),
+                == m.vals.len(),
             "valuation table holds duplicates"
         );
         assert!(
-            self.m.init.iter().all(|s| s.index() < n),
+            m.init.iter().all(|s| s.index() < n),
             "unknown initial state"
         );
-        let (edges, mut src) = (
-            std::mem::take(&mut self.edges),
-            std::mem::take(&mut self.src),
-        );
-        if listed {
-            // Replay the edges source by source (a stable counting sort),
-            // marking each dropped one by the source `u32::MAX`.
-            let mut at = vec![0u32; n + 1];
-            for &s in &src {
-                assert!((s as usize) < n, "edge from an unknown state");
-                at[s as usize + 1] += 1;
-            }
-            for i in 0..n {
-                at[i + 1] += at[i];
-            }
-            let mut order = vec![0; src.len()];
-            for (i, &s) in src.iter().enumerate() {
-                order[at[s as usize] as usize] = i;
-                at[s as usize] += 1;
-            }
-            for i in order {
-                if self.append(src[i], edges[i]) == Some(false) {
-                    src[i] = u32::MAX;
-                }
-            }
-        }
-        let KripkeBuilder { mut m, blocks, .. } = self;
         if let Some(&last) = blocks.last() {
             m.succ_span[last as usize].1 = m.succ.len() as u32;
         }
@@ -695,32 +629,20 @@ impl KripkeBuilder {
                 *span = (0, 0);
             }
         }
-
-        // The kept edges in call order: block order unless listed.
-        lay_pred(&mut m, |m, put| {
-            if !listed {
-                for &s in &blocks {
-                    m.succ(StateId(s)).iter().for_each(|&e| put(s, e));
-                }
-            } else {
-                let kept = src.iter().zip(&edges).filter(|(&s, _)| s != u32::MAX);
-                kept.for_each(|(&s, &e)| put(s, e));
-            }
-        });
+        lay_pred(&mut m, blocks);
         m
     }
 }
 
-/// Lays out `m.pred` from `m.succ`: `walk` hands every `succ` edge,
-/// with its source, to its callback in the order the edges were added,
-/// and a stable counting sort by target keeps that order in each row.
-/// Row `t` is filled at `start[t + 1]`, which ends as row `t + 1`'s
-/// offset.
+/// Lays out `m.pred` from `m.succ`, taking the rows of `sources` in
+/// that order as the order the edges were added, and keeping it in each
+/// row by a stable counting sort by target. Row `t` is filled at
+/// `start[t + 1]`, which ends as row `t + 1`'s offset.
 ///
 /// # Panics
 ///
 /// Panics if an edge targets a state `m` does not have.
-fn lay_pred(m: &mut FtKripke, walk: impl FnOnce(&FtKripke, &mut dyn FnMut(u32, Edge))) {
+fn lay_pred(m: &mut FtKripke, sources: impl IntoIterator<Item = u32>) {
     let n = m.len();
     let mut start = std::mem::take(&mut m.pred_start);
     start.clear();
@@ -735,14 +657,16 @@ fn lay_pred(m: &mut FtKripke, walk: impl FnOnce(&FtKripke, &mut dyn FnMut(u32, E
     let mut pred = std::mem::take(&mut m.pred);
     pred.clear();
     pred.resize(m.succ.len(), NO_EDGE);
-    walk(m, &mut |s, e| {
-        let at = &mut start[e.to.index() + 1];
-        pred[*at as usize] = Edge {
-            kind: e.kind,
-            to: StateId(s),
-        };
-        *at += 1;
-    });
+    for s in sources {
+        for e in m.succ(StateId(s)) {
+            let at = &mut start[e.to.index() + 1];
+            pred[*at as usize] = Edge {
+                kind: e.kind,
+                to: StateId(s),
+            };
+            *at += 1;
+        }
+    }
     start.truncate(n + 1);
     m.pred_start = start;
     m.pred = pred;
@@ -775,8 +699,8 @@ mod tests {
         m.add_init(s0);
         m.add_edge(s0, TransKind::Proc(0), s1);
         m.add_edge(s1, TransKind::Proc(1), s2);
-        m.add_edge(s2, TransKind::Proc(0), s2);
         m.add_edge(s1, TransKind::Fault(0), s3);
+        m.add_edge(s2, TransKind::Proc(0), s2);
         m.add_edge(s3, TransKind::Proc(0), s4);
         m.add_edge(s4, TransKind::Proc(0), s4);
         m.add_edge(s5, TransKind::Proc(0), s5);
@@ -808,6 +732,17 @@ mod tests {
         let m = m.freeze();
         assert_eq!(m.edge_count(), 1);
         assert_eq!(m.pred(b).len(), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "all of a state's edges are added together")]
+    fn edges_resumed_after_another_state_panic() {
+        let mut m = KripkeBuilder::new();
+        let a = m.push_state(mk_state(2, &[0]));
+        let b = m.push_state(mk_state(2, &[1]));
+        m.add_edge(a, TransKind::Proc(0), b);
+        m.add_edge(b, TransKind::Proc(0), a);
+        m.add_edge(a, TransKind::Fault(0), a);
     }
 
     #[test]
@@ -891,10 +826,10 @@ mod tests {
             &[1],
             &[
                 (1, TransKind::Proc(0), 0),
-                (0, TransKind::Fault(1), 2),
-                (2, TransKind::Proc(1), 1),
                 (1, TransKind::Proc(0), 0),
+                (0, TransKind::Fault(1), 2),
                 (0, TransKind::Proc(0), 0),
+                (2, TransKind::Proc(1), 1),
             ],
         );
         let large: Spec = (

@@ -49,7 +49,10 @@ fn build_model(rm: &RandomModel, props: &PropTable) -> (FtKripke, Vec<StateId>) 
         })
         .collect();
     m.add_init(ids[0]);
-    for &(from, kind, to) in &rm.edges {
+    // Source by source, as the builder takes them.
+    let mut edges = rm.edges.clone();
+    edges.sort_by_key(|&(from, _, _)| from);
+    for (from, kind, to) in edges {
         let k = if kind < NUM_PROCS {
             TransKind::Proc(kind)
         } else {

@@ -8,7 +8,7 @@
 //! is a monotonically increasing admission number (the recovery sort
 //! key). A record wraps the already-versioned-and-checksummed
 //! [`Checkpoint`] wire blob with the request id and problem source,
-//! under its own magic/version/checksum header (see [`encode_record`]).
+//! under its own magic/version/checksum header (see `encode_record`).
 //! A separate versioned index file (`index.ftsynidx`) records the
 //! committed id→seq set plus the next sequence number.
 //!
@@ -37,7 +37,7 @@
 //!
 //! # Fault injection
 //!
-//! Named crash points ([`crash_point`]) let the conformance harness
+//! Named crash points (`crash_point`) let the conformance harness
 //! fail-stop the real daemon at the exact seams the atomicity argument
 //! depends on (before a rename, between blob and index, after commit).
 

@@ -13,14 +13,15 @@
 //!
 //! # Deterministic work-stealing expansion scheduler
 //!
-//! The engine ([`build`], [`build_with_threads`],
-//! [`build_shared_cache_governed`]) chunks expansion work into
-//! fixed-size batches carrying dense sequence ids. Worker threads
-//! (`std::thread::scope`, no external dependencies) pull batches from
-//! per-worker queues and *steal* from the most loaded other queue when
-//! theirs runs dry — so a worker that finishes its share of one BFS
-//! level immediately starts on the next level instead of idling at a
-//! barrier. Expansion itself is a pure, read-only computation
+//! The engine ([`build_governed`], and [`build_with_threads`] over it)
+//! chunks expansion work into fixed-size batches carrying dense
+//! sequence ids. Worker threads (`std::thread::scope`, no external
+//! dependencies) pull batches from per-worker queues and *steal* from
+//! the most loaded other queue when theirs runs dry — so a worker that
+//! finishes its share of one BFS level immediately starts on the next
+//! level instead of idling at a barrier. At one thread there are no
+//! workers: the committer pops its one queue and expands each batch
+//! itself, through the same commit loop. Expansion itself is a pure, read-only computation
 //! (`Blocks`/`Tiles` decomposition and fault-outcome enumeration over a
 //! snapshot of the node's label), so batches may complete in any order;
 //! determinism comes from the *commit* side: the main thread applies
@@ -62,7 +63,7 @@ pub struct BuildAbort {
     /// Tableau nodes interned when the build stopped.
     pub nodes: usize,
     /// Resumable snapshot of the abort point (see
-    /// [`build_resume_governed`]).
+    /// [`BuildStart::Resume`]).
     pub checkpoint: Box<Checkpoint>,
     /// `Blocks`/`Tiles` results computed before the abort, still worth
     /// warming a cache with (fills are deferred to the caller).
@@ -269,7 +270,7 @@ impl Step {
 /// emission order. Enabledness, outcomes and [`fault_or_label`] read
 /// nothing of the node but its valuation, and AND-nodes of one
 /// valuation are many (mutex4-failstop has ~24,000 AND-nodes), so each
-/// expansion worker — and the inline one-thread scheduler — keeps one
+/// expansion worker — and the committer, when there are none — keeps one
 /// memo for the whole build. It lives only as long as that build:
 /// checkpoints and the expansion cache never see it.
 type FaultMemo = HashMap<PropSet, Vec<Step>>;
@@ -366,20 +367,10 @@ const MIN_PARALLEL_FRONTIER: usize = 4;
 pub(crate) const BATCH_SIZE: usize = 16;
 
 /// Constructs the tableau `T₀` for the given root label (the temporal
-/// specification) and fault specification.
-pub fn build(
-    closure: &Closure,
-    props: &PropTable,
-    root_label: LabelSet,
-    faults: &FaultSpec,
-) -> Tableau {
-    let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
-    build_with_threads(closure, props, root_label, faults, threads).0
-}
-
-/// [`build`] with an explicit worker-thread budget (1 = fully
-/// sequential). The result is identical for every thread count; the
-/// profile records how the work was scheduled.
+/// specification) and fault specification with `threads` expansion
+/// workers (1 = no workers). The result is identical for every thread
+/// count; the profile records how the work was scheduled. This is
+/// [`build_governed`] from the root with no cache and no governor.
 pub fn build_with_threads(
     closure: &Closure,
     props: &PropTable,
@@ -387,79 +378,10 @@ pub fn build_with_threads(
     faults: &FaultSpec,
     threads: usize,
 ) -> (Tableau, BuildProfile) {
-    let (t, profile, _) = build_ws_core(
-        closure,
-        props,
-        WsStart::Fresh(root_label),
-        faults,
-        threads,
-        None,
-        None,
-    )
-    .unwrap_or_else(|a| panic!("ungoverned tableau build aborted: {}", a.reason));
+    let start = BuildStart::Fresh(root_label);
+    let (t, profile, _) = build_governed(closure, props, start, faults, threads, None, None)
+        .unwrap_or_else(|a| panic!("ungoverned tableau build aborted: {}", a.reason));
     (t, profile)
-}
-
-/// The full-service build entry: optional *shared* cache reference
-/// (lookups only — the deferred [`CacheFill`]s are returned for the
-/// caller to apply, so many concurrent builds can warm one table) and
-/// optional [`Governor`]. The cache never changes the result (the
-/// kernels are pure); hits only occur for labels already expanded by
-/// *earlier* builds through the same cache (see [`ExpansionCache`]).
-///
-/// Under a governor the committer polls the state cap and the realtime
-/// triggers after every in-order batch commit, and a worker panic is
-/// contained (`catch_unwind`) instead of taking the process down. On
-/// abort the workers are drained and shut down cleanly, and the
-/// [`BuildAbort`] carries the partial profile and a resumable
-/// [`Checkpoint`]. With an unlimited governor the result is identical
-/// to [`build_with_threads`].
-pub fn build_shared_cache_governed(
-    closure: &Closure,
-    props: &PropTable,
-    root_label: LabelSet,
-    faults: &FaultSpec,
-    threads: usize,
-    cache: Option<&ExpansionCache>,
-    gov: Option<&Governor>,
-) -> Result<(Tableau, BuildProfile, Vec<CacheFill>), Box<BuildAbort>> {
-    build_ws_core(
-        closure,
-        props,
-        WsStart::Fresh(root_label),
-        faults,
-        threads,
-        cache,
-        gov,
-    )
-}
-
-/// Resumes a build from a [`Checkpoint`] instead of the root label. The
-/// scheduler picks up at the checkpointed commit sequence, so the
-/// finished tableau — and every deterministic profile counter — is
-/// bit-identical to an uninterrupted run at every thread count.
-///
-/// Callers must [`Checkpoint::validate`] the blob against the problem
-/// first; resuming a checkpoint from a different problem is a logic
-/// error (debug builds assert the specification fingerprints match).
-pub fn build_resume_governed(
-    closure: &Closure,
-    props: &PropTable,
-    faults: &FaultSpec,
-    threads: usize,
-    cache: Option<&ExpansionCache>,
-    gov: Option<&Governor>,
-    checkpoint: Checkpoint,
-) -> Result<(Tableau, BuildProfile, Vec<CacheFill>), Box<BuildAbort>> {
-    build_ws_core(
-        closure,
-        props,
-        WsStart::Resume(Box::new(checkpoint)),
-        faults,
-        threads,
-        cache,
-        gov,
-    )
 }
 
 /// The planned materialization of one [`Step`] after interning: which
@@ -534,10 +456,11 @@ struct Scheduler {
 }
 
 impl Scheduler {
-    fn new(workers: usize) -> Scheduler {
+    /// One queue per thread; per-worker counters for `workers` workers.
+    fn new(threads: usize, workers: usize) -> Scheduler {
         Scheduler {
             state: Mutex::new(SchedState {
-                queues: (0..workers).map(|_| VecDeque::new()).collect(),
+                queues: (0..threads).map(|_| VecDeque::new()).collect(),
                 results: Vec::new(),
                 shutdown: false,
                 abort: None,
@@ -794,36 +717,51 @@ fn commit_batch(
     fresh_nodes
 }
 
-/// Where a work-stealing build starts: from a fresh root label, or from
-/// a [`Checkpoint`]'s restored scheduler state.
-enum WsStart {
+/// Where a build starts: from a fresh root label, or from a
+/// [`Checkpoint`]'s restored scheduler state.
+pub enum BuildStart {
+    /// The root OR-node labeled with this label (the temporal
+    /// specification).
     Fresh(LabelSet),
+    /// The exact abort point of an earlier build. Callers must
+    /// [`Checkpoint::validate`] the blob against the problem first;
+    /// resuming a checkpoint from a different problem is a logic error
+    /// (debug builds assert the specification fingerprints match).
     Resume(Box<Checkpoint>),
 }
 
-/// The work-stealing engine core. Fresh nodes discovered by each commit
-/// are chunked into new batches in discovery order and injected with
-/// the next sequence ids, so the global commit order equals the BFS
-/// frontier order of a sequential build — which is what makes the
+/// Builds the tableau from `start`. Fresh nodes discovered by each
+/// commit are chunked into new batches in discovery order and injected
+/// with the next sequence ids, so the global commit order equals the
+/// BFS frontier order of a sequential build — which is what makes the
 /// output bit-identical at every thread count (and to the sequential
 /// `build_reference` oracle in `ftsyn_conformance::reference`).
 ///
-/// The cache is taken by shared reference (so concurrent builds may
-/// warm one table) and the deferred [`CacheFill`]s are *returned*, on
-/// success and on abort alike — applying them is the caller's business.
+/// The cache is taken by shared reference (lookups only, so concurrent
+/// builds may warm one table) and the deferred [`CacheFill`]s are
+/// *returned*, on success and on abort alike — applying them is the
+/// caller's business. The cache never changes the result (the kernels
+/// are pure); hits only occur for labels already expanded by *earlier*
+/// builds through the same cache (see [`ExpansionCache`]).
 ///
-/// On a governed abort the returned [`BuildAbort`] carries a
+/// Under a governor the committer polls the state cap and the realtime
+/// triggers after every in-order batch commit, and a panic in a batch
+/// body is contained (`catch_unwind`) instead of taking the process
+/// down. On abort the workers are drained and shut down cleanly, and
+/// the returned [`BuildAbort`] carries the partial profile and a
 /// [`Checkpoint`] of the exact scheduler state: the partial tableau,
 /// every injected-but-uncommitted batch (in sequence order), the fresh
 /// nodes of the last commit that were never batched (the governor polls
 /// *between* a commit and its fresh-node injection), and the
-/// deterministic counters. Resuming replays the identical commit
-/// sequence, so the finished tableau is bit-identical to an
-/// uninterrupted run at every thread count.
-fn build_ws_core(
+/// deterministic counters. Resuming ([`BuildStart::Resume`]) replays the
+/// identical commit sequence, so the finished tableau — and every
+/// deterministic profile counter — is bit-identical to an uninterrupted
+/// run at every thread count. With an unlimited governor the result is
+/// identical to an ungoverned build.
+pub fn build_governed(
     closure: &Closure,
     props: &PropTable,
-    start: WsStart,
+    start: BuildStart,
     faults: &FaultSpec,
     threads: usize,
     cache: Option<&ExpansionCache>,
@@ -848,14 +786,14 @@ fn build_ws_core(
     // interned, so the snapshots equal the originals) and batches the
     // never-injected fresh nodes with the next sequence ids — exactly
     // the ids an uninterrupted run would have assigned them.
-    let (mut t, spec_hash, mut seeds, mut injected, mut committed, mut level_widths) = match start {
-        WsStart::Fresh(root_label) => {
+    let (mut t, spec_hash, seeds, mut injected, mut committed, mut level_widths) = match start {
+        BuildStart::Fresh(root_label) => {
             let spec_hash = spec_fingerprint(closure, props, &root_label, faults);
             let t = Tableau::with_root(root_label);
             let seeds = vec![make_batch(&t, 0, 0, &[t.root()])];
             (t, spec_hash, seeds, 1usize, 0usize, Vec::new())
         }
-        WsStart::Resume(ck) => {
+        BuildStart::Resume(ck) => {
             let ck = *ck;
             let t = ck.tableau;
             debug_assert_eq!(
@@ -900,22 +838,60 @@ fn build_ws_core(
     // injection, paired with their BFS level.
     let mut abort_fresh: (Vec<NodeId>, usize) = (Vec::new(), 0);
 
+    // One queue per thread, and as many expansion workers at more than
+    // one thread. With no workers the committer expands each batch
+    // itself, just before committing it.
+    let workers = if threads > 1 { threads } else { 0 };
+    let sched = Scheduler::new(threads, workers);
+    {
+        let mut st = lock_recover(&sched.state);
+        for (i, b) in seeds.into_iter().enumerate() {
+            st.queues[i % threads].push_back(b);
+        }
+    }
     let cpu_start = thread_cpu_time();
-    if threads == 1 {
-        // Inline scheduler: same batching and commit order, no workers.
-        // The batch body is the workers' own ([`expand_batch`]), so a
-        // panic or an interrupt aborts identically to the worker path.
-        let mut queue: VecDeque<Batch> = seeds.drain(..).collect();
+    std::thread::scope(|scope| {
+        for w in 0..workers {
+            let sched = &sched;
+            scope.spawn(move || worker_loop(sched, w, closure, props, faults, cache, gov));
+        }
+        // The committer: consume results strictly in sequence order,
+        // inject fresh batches round-robin across the queues. On resume
+        // the sequence picks up at the checkpoint's committed count —
+        // lower ids were committed before the abort and live in the
+        // restored tableau already.
         let mut fault_memo = FaultMemo::new();
-        while let Some(batch) = queue.pop_front() {
-            let t0 = Instant::now();
-            let result = expand_batch(&batch, closure, props, faults, cache, gov, &mut fault_memo);
-            profile.expand_time += t0.elapsed();
-            let output = match result {
-                Ok(o) => o,
-                Err(reason) => {
-                    abort = Some(reason);
-                    break;
+        let mut next_commit = committed;
+        let mut rr = 0usize;
+        'commit: while next_commit < injected {
+            let (batch, output) = if workers == 0 {
+                // The one queue holds exactly the uncommitted batches,
+                // so its front is the next in sequence.
+                let batch = lock_recover(&sched.state).queues[0]
+                    .pop_front()
+                    .expect("the next batch in sequence is queued");
+                let t0 = Instant::now();
+                let result =
+                    expand_batch(&batch, closure, props, faults, cache, gov, &mut fault_memo);
+                profile.expand_time += t0.elapsed();
+                match result {
+                    Ok(output) => (batch, output),
+                    Err(reason) => {
+                        abort = Some(reason);
+                        break 'commit;
+                    }
+                }
+            } else {
+                let mut st = lock_recover(&sched.state);
+                loop {
+                    if let Some(reason) = st.abort.take() {
+                        abort = Some(reason);
+                        break 'commit;
+                    }
+                    if let Some(done) = st.results.get_mut(next_commit).and_then(Option::take) {
+                        break done;
+                    }
+                    st = wait_recover(&sched.done, st);
                 }
             };
             let fresh = commit_batch(
@@ -933,105 +909,44 @@ fn build_ws_core(
             if let Err(reason) = poll_build(gov, t.len()) {
                 abort = Some(reason);
                 abort_fresh = (fresh, batch.level + 1);
-                break;
+                break 'commit;
             }
-            for chunk in fresh.chunks(BATCH_SIZE) {
-                pending.push_back((injected, batch.level + 1, chunk.to_vec()));
-                queue.push_back(make_batch(&t, injected, batch.level + 1, chunk));
-                injected += 1;
+            if !fresh.is_empty() {
+                let mut st = lock_recover(&sched.state);
+                for chunk in fresh.chunks(BATCH_SIZE) {
+                    pending.push_back((injected, batch.level + 1, chunk.to_vec()));
+                    st.queues[rr % threads].push_back(make_batch(
+                        &t,
+                        injected,
+                        batch.level + 1,
+                        chunk,
+                    ));
+                    rr += 1;
+                    injected += 1;
+                }
+                drop(st);
+                sched.work.notify_all();
+            }
+            next_commit += 1;
+        }
+        // Drain/shutdown: on the abort path, clear every queue so
+        // workers stop as soon as their current batch finishes; the
+        // scoped join below then reaps them all cleanly.
+        let mut st = lock_recover(&sched.state);
+        st.shutdown = true;
+        if abort.is_some() {
+            for q in &mut st.queues {
+                q.clear();
             }
         }
-    } else {
-        let sched = Scheduler::new(threads);
-        {
-            let mut st = lock_recover(&sched.state);
-            for (i, b) in seeds.drain(..).enumerate() {
-                st.queues[i % threads].push_back(b);
-            }
-        }
-        let shared_cache: Option<&ExpansionCache> = cache;
-        std::thread::scope(|scope| {
-            for w in 0..threads {
-                let sched = &sched;
-                scope.spawn(move || {
-                    worker_loop(sched, w, closure, props, faults, shared_cache, gov)
-                });
-            }
-            // The committer: consume results strictly in sequence
-            // order, inject fresh batches round-robin across workers.
-            // On resume the sequence picks up at the checkpoint's
-            // committed count — lower ids were committed before the
-            // abort and live in the restored tableau already.
-            let mut next_commit = committed;
-            let mut rr = 0usize;
-            'commit: while next_commit < injected {
-                let (batch, output) = {
-                    let mut st = lock_recover(&sched.state);
-                    loop {
-                        if let Some(reason) = st.abort.take() {
-                            abort = Some(reason);
-                            break 'commit;
-                        }
-                        if let Some(done) = st.results.get_mut(next_commit).and_then(Option::take) {
-                            break done;
-                        }
-                        st = wait_recover(&sched.done, st);
-                    }
-                };
-                let fresh = commit_batch(
-                    &mut t,
-                    &batch,
-                    output,
-                    &mut profile,
-                    &mut fills,
-                    &mut level_widths,
-                    shared_cache.is_some(),
-                );
-                let popped = pending.pop_front();
-                debug_assert_eq!(popped.map(|p| p.0), Some(batch.seq));
-                committed += 1;
-                if let Err(reason) = poll_build(gov, t.len()) {
-                    abort = Some(reason);
-                    abort_fresh = (fresh, batch.level + 1);
-                    break 'commit;
-                }
-                if !fresh.is_empty() {
-                    let mut st = lock_recover(&sched.state);
-                    for chunk in fresh.chunks(BATCH_SIZE) {
-                        pending.push_back((injected, batch.level + 1, chunk.to_vec()));
-                        st.queues[rr % threads].push_back(make_batch(
-                            &t,
-                            injected,
-                            batch.level + 1,
-                            chunk,
-                        ));
-                        rr += 1;
-                        injected += 1;
-                    }
-                    drop(st);
-                    sched.work.notify_all();
-                }
-                next_commit += 1;
-            }
-            // Drain/shutdown: on the abort path, clear every queue so
-            // workers stop as soon as their current batch finishes; the
-            // scoped join below then reaps them all cleanly.
-            let mut st = lock_recover(&sched.state);
-            st.shutdown = true;
-            if abort.is_some() {
-                for q in &mut st.queues {
-                    q.clear();
-                }
-            }
-            drop(st);
-            sched.work.notify_all();
-        });
-        let st = sched.state.into_inner().unwrap_or_else(|e| e.into_inner());
-        profile.steals = st.steals;
-        profile.worker_batches = st.worker_batches;
-        profile.worker_idle = st.worker_idle;
-        profile.expand_time = st.expand_time;
-    }
+        drop(st);
+        sched.work.notify_all();
+    });
+    let st = sched.state.into_inner().unwrap_or_else(|e| e.into_inner());
+    profile.steals = st.steals;
+    profile.worker_batches = st.worker_batches;
+    profile.worker_idle = st.worker_idle;
+    profile.expand_time += st.expand_time;
 
     profile.commit_cpu = thread_cpu_time()
         .zip(cpu_start)
@@ -1102,7 +1017,7 @@ mod tests {
     #[test]
     fn every_alive_node_has_a_successor() {
         let (_, props, cl, root) = simple_setup("p & AG(EX1 true)", 1);
-        let t = build(&cl, &props, root, &FaultSpec::none());
+        let t = build_with_threads(&cl, &props, root, &FaultSpec::none(), 1).0;
         for id in t.node_ids() {
             assert!(
                 !t.node(id).succ.is_empty(),
@@ -1114,7 +1029,7 @@ mod tests {
     #[test]
     fn pure_propositional_gets_dummy_self_loop() {
         let (_, props, cl, root) = simple_setup("p", 1);
-        let t = build(&cl, &props, root, &FaultSpec::none());
+        let t = build_with_threads(&cl, &props, root, &FaultSpec::none(), 1).0;
         // root → AND(p) → dummy OR → same AND.
         let and_nodes: Vec<NodeId> = t
             .node_ids()
@@ -1142,7 +1057,7 @@ mod tests {
         .unwrap();
         let tol = cl.empty_label();
         let fs = FaultSpec::uniform(vec![action], tol);
-        let t = build(&cl, &props, root, &fs);
+        let t = build_with_threads(&cl, &props, root, &fs, 1).0;
         // Find the fault edge and check its OR label pins ¬p and q.
         let mut found = false;
         for id in t.node_ids() {
@@ -1167,7 +1082,7 @@ mod tests {
         let action =
             FaultAction::new("never", BoolExpr::Prop(q), vec![(q, PropAssign::False)]).unwrap();
         let fs = FaultSpec::uniform(vec![action], cl.empty_label());
-        let t = build(&cl, &props, root, &fs);
+        let t = build_with_threads(&cl, &props, root, &fs, 1).0;
         let fault_edges = t
             .node_ids()
             .flat_map(|id| t.node(id).succ.clone())
@@ -1183,7 +1098,7 @@ mod tests {
         let action =
             FaultAction::new("maybe-q", BoolExpr::tru(), vec![(q, PropAssign::NonDet)]).unwrap();
         let fs = FaultSpec::uniform(vec![action], cl.empty_label());
-        let t = build(&cl, &props, root, &fs);
+        let t = build_with_threads(&cl, &props, root, &fs, 1).0;
         let and_with_faults: Vec<usize> = t
             .node_ids()
             .filter(|&id| t.node(id).kind == NodeKind::And)
@@ -1207,7 +1122,7 @@ mod tests {
         let action =
             FaultAction::new("drop-p", BoolExpr::Prop(p), vec![(p, PropAssign::False)]).unwrap();
         let fs = FaultSpec::uniform(vec![action], tol.clone());
-        let t = build(&cl, &props, root, &fs);
+        let t = build_with_threads(&cl, &props, root, &fs, 1).0;
         let mut checked = false;
         for id in t.node_ids() {
             for &(k, d) in &t.node(id).succ {
@@ -1310,10 +1225,10 @@ mod tests {
                 max_states: Some(12),
                 ..Budget::default()
             });
-            let abort = build_shared_cache_governed(
+            let abort = build_governed(
                 &cl,
                 &props,
-                root.clone(),
+                BuildStart::Fresh(root.clone()),
                 &faults,
                 threads,
                 None,
@@ -1333,14 +1248,14 @@ mod tests {
                 root.words().len(),
             )
             .expect("checkpoint matches its own problem");
-            let (resumed, prof, _) = build_resume_governed(
+            let (resumed, prof, _) = build_governed(
                 &cl,
                 &props,
+                BuildStart::Resume(Box::new(ck)),
                 &faults,
                 threads,
                 None,
                 Some(&Governor::unlimited()),
-                ck,
             )
             .expect("unlimited resume completes");
             assert_same_tableau(&format!("resume@{threads}"), &full, &resumed);
@@ -1369,10 +1284,10 @@ mod tests {
         for threads in [1, 2] {
             let gov = Governor::unlimited();
             gov.cancel();
-            let abort = build_shared_cache_governed(
+            let abort = build_governed(
                 &cl,
                 &props,
-                root.clone(),
+                BuildStart::Fresh(root.clone()),
                 &faults,
                 threads,
                 None,
@@ -1381,14 +1296,14 @@ mod tests {
             .expect_err("a cancelled build aborts");
             assert!(matches!(abort.reason, AbortReason::Cancelled));
             assert_eq!(abort.nodes, 1, "nothing past the root was committed");
-            let (resumed, _, _) = build_resume_governed(
+            let (resumed, _, _) = build_governed(
                 &cl,
                 &props,
+                BuildStart::Resume(abort.checkpoint),
                 &faults,
                 threads,
                 None,
                 Some(&Governor::unlimited()),
-                *abort.checkpoint,
             )
             .expect("unlimited resume completes");
             assert_same_tableau(&format!("blocks-resume@{threads}"), &full, &resumed);
@@ -1411,10 +1326,10 @@ mod tests {
                 max_states: Some(8),
                 ..Budget::default()
             });
-            let a1 = build_shared_cache_governed(
+            let a1 = build_governed(
                 &cl,
                 &props,
-                root.clone(),
+                BuildStart::Fresh(root.clone()),
                 &faults,
                 threads,
                 None,
@@ -1425,24 +1340,24 @@ mod tests {
                 max_states: Some(2 * full.len() / 3),
                 ..Budget::default()
             });
-            let a2 = build_resume_governed(
+            let a2 = build_governed(
                 &cl,
                 &props,
+                BuildStart::Resume(a1.checkpoint),
                 &faults,
                 threads,
                 None,
                 Some(&raised),
-                *a1.checkpoint,
             )
             .expect_err("two-thirds cap trips again");
-            let (resumed, _, _) = build_resume_governed(
+            let (resumed, _, _) = build_governed(
                 &cl,
                 &props,
+                BuildStart::Resume(a2.checkpoint),
                 &faults,
                 threads,
                 None,
                 Some(&Governor::unlimited()),
-                *a2.checkpoint,
             )
             .expect("final resume completes");
             assert_same_tableau(&format!("chain@{threads}"), &full, &resumed);
@@ -1450,10 +1365,10 @@ mod tests {
             // Panic abort: the panicked batch was never committed and
             // must re-run on resume.
             let booby = Governor::unlimited().inject_worker_panic_at_batch(2);
-            let a3 = build_shared_cache_governed(
+            let a3 = build_governed(
                 &cl,
                 &props,
-                root.clone(),
+                BuildStart::Fresh(root.clone()),
                 &faults,
                 threads,
                 None,
@@ -1461,14 +1376,14 @@ mod tests {
             )
             .expect_err("injected panic aborts");
             assert!(matches!(a3.reason, AbortReason::WorkerPanic { .. }));
-            let (after_panic, _, _) = build_resume_governed(
+            let (after_panic, _, _) = build_governed(
                 &cl,
                 &props,
+                BuildStart::Resume(a3.checkpoint),
                 &faults,
                 threads,
                 None,
                 Some(&Governor::unlimited()),
-                *a3.checkpoint,
             )
             .expect("resume after panic completes");
             assert_same_tableau(&format!("panic-resume@{threads}"), &full, &after_panic);

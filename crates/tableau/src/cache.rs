@@ -5,8 +5,7 @@
 //! valuations, so different specifications over the same propositions
 //! keep producing the same perturbed labels). An [`ExpansionCache`]
 //! owned by the caller can therefore be threaded through any number of
-//! [`build_shared_cache_governed`](crate::build_shared_cache_governed)
-//! calls.
+//! [`build_governed`](crate::build_governed) calls.
 //!
 //! The memo is sound only across builds that share the same *closure*:
 //! a `LabelSet` key is a bitset of closure formula indices, so the
@@ -217,7 +216,7 @@ impl ExpansionCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::build::{build_shared_cache_governed, build_with_threads};
+    use crate::build::{build_governed, build_with_threads, BuildStart};
     use crate::expand::Tile;
     use crate::FaultSpec;
     use ftsyn_ctl::{parse::parse, Closure, FormulaArena, Owner, PropTable};
@@ -368,10 +367,10 @@ mod tests {
         let (props, cl, root) = setup("p & AG(EX1 true) & AF(q)");
         let (plain, _) = build_with_threads(&cl, &props, root.clone(), &FaultSpec::none(), 1);
         let mut cache = ExpansionCache::new();
-        let (cold, cold_prof, fills) = build_shared_cache_governed(
+        let (cold, cold_prof, fills) = build_governed(
             &cl,
             &props,
-            root.clone(),
+            BuildStart::Fresh(root.clone()),
             &FaultSpec::none(),
             1,
             Some(&cache),
@@ -386,10 +385,10 @@ mod tests {
             "interning makes every label unique within one build"
         );
         assert!(cold_prof.cache_misses > 0);
-        let (warm, warm_prof, fills) = build_shared_cache_governed(
+        let (warm, warm_prof, fills) = build_governed(
             &cl,
             &props,
-            root,
+            BuildStart::Fresh(root),
             &FaultSpec::none(),
             4,
             Some(&cache),

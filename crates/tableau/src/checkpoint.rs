@@ -143,7 +143,7 @@ pub struct PendingBatch {
 /// A resumable snapshot of a governed tableau build at its abort point.
 /// Produced by the build engine on a Build-phase abort (carried by
 /// `BuildAbort::checkpoint` and `AbortedSynthesis::checkpoint`);
-/// consumed by `build_resume` / `synthesize_resume`.
+/// consumed by a resumed build ([`BuildStart::Resume`](crate::BuildStart::Resume)).
 #[derive(Clone, Debug)]
 pub struct Checkpoint {
     /// Specification fingerprint of the problem the build belongs to

@@ -10,7 +10,7 @@
 //!
 //! # Worklist engine
 //!
-//! [`apply_deletion_rules_mode`] is a worklist implementation:
+//! [`apply_deletion_rules_governed`] is a worklist implementation:
 //!
 //! * `DeleteOR`/`DeleteAND` cascade through the graph's [deletion
 //!   log](Tableau::deletion_log) using the per-node alive-successor
@@ -361,24 +361,6 @@ fn live_eventualities(
     live.into_iter().map(|(_, cand)| cand).collect()
 }
 
-/// Applies the deletion rules of Figure 2 until no rule is applicable,
-/// then restricts to the nodes still reachable from the root. Returns
-/// per-rule statistics. (If the root is deleted, the synthesis problem
-/// is impossible — Corollary 7.2.)
-pub fn apply_deletion_rules(t: &mut Tableau, closure: &Closure) -> DeletionStats {
-    apply_deletion_rules_mode(t, closure, CertMode::FaultFree)
-}
-
-/// [`apply_deletion_rules`] with an explicit certificate mode
-/// (Section 8.3's alternative method uses [`CertMode::FaultProne`]).
-pub fn apply_deletion_rules_mode(
-    t: &mut Tableau,
-    closure: &Closure,
-    mode: CertMode,
-) -> DeletionStats {
-    apply_deletion_rules_profiled(t, closure, mode).0
-}
-
 /// Drains the deletion log from `cursor`, cascading `DeleteAND` (any
 /// deleted successor, faults included — Section 5.2) and `DeleteOR`
 /// (alive-successor counter at zero) to predecessors until quiescent.
@@ -427,8 +409,12 @@ fn structural_cascade(
     Ok(())
 }
 
-/// [`apply_deletion_rules_mode`] returning per-rule timings and
-/// worklist counters alongside the deletion statistics.
+/// Applies the deletion rules of Figure 2 until no rule is applicable,
+/// then restricts to the nodes still reachable from the root. Returns
+/// per-rule statistics, timings and worklist counters. (If the root is
+/// deleted, the synthesis problem is impossible — Corollary 7.2.)
+/// `mode` picks the eventuality certificates: Section 8.3's alternative
+/// method uses [`CertMode::FaultProne`].
 pub fn apply_deletion_rules_profiled(
     t: &mut Tableau,
     closure: &Closure,
@@ -591,7 +577,7 @@ fn deletion_core(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::build::{build, FaultSpec};
+    use crate::build::{build_with_threads, FaultSpec};
     use ftsyn_ctl::{parse::parse, FormulaArena, Owner, PropTable};
     use ftsyn_guarded::{BoolExpr, FaultAction, PropAssign};
 
@@ -606,13 +592,13 @@ mod tests {
         let cl = Closure::build(&mut arena, &props, &[f]);
         let mut root = cl.empty_label();
         root.insert(cl.index_of(f).unwrap());
-        let t = build(&cl, &props, root, &FaultSpec::none());
+        let t = build_with_threads(&cl, &props, root, &FaultSpec::none(), 1).0;
         (cl, t)
     }
 
     fn run(spec: &str) -> (Tableau, DeletionStats) {
         let (cl, mut t) = setup(spec);
-        let stats = apply_deletion_rules(&mut t, &cl);
+        let stats = apply_deletion_rules_profiled(&mut t, &cl, CertMode::FaultFree).0;
         (t, stats)
     }
 
@@ -708,8 +694,8 @@ mod tests {
         let action =
             FaultAction::new("kill-p", BoolExpr::Prop(p), vec![(p, PropAssign::False)]).unwrap();
         let fs = FaultSpec::uniform(vec![action], tol);
-        let mut t = build(&cl, &props, root, &fs);
-        let stats = apply_deletion_rules(&mut t, &cl);
+        let mut t = build_with_threads(&cl, &props, root, &fs, 1).0;
+        let stats = apply_deletion_rules_profiled(&mut t, &cl, CertMode::FaultFree).0;
         assert!(!t.alive(t.root()), "stats: {stats:?}");
         assert!(stats.and_missing_successor >= 1);
     }
@@ -759,7 +745,7 @@ mod tests {
                 "closure-side eventuality scan diverges from the label sweep for `{spec}`"
             );
             // Again after deletion, when some labels are no longer alive.
-            apply_deletion_rules(&mut t, &cl);
+            apply_deletion_rules_profiled(&mut t, &cl, CertMode::FaultFree);
             assert_eq!(
                 live_eventualities(&t, &cl),
                 live_eventualities_sweep(&t, &cl),

@@ -8,11 +8,11 @@
 //! * the `Blocks` / `Tiles` expansions of the CTL decision procedure,
 //!   including both `Tiles` special cases ([`blocks`], [`tiles`]);
 //! * fault-successor generation from guarded-command fault actions with
-//!   per-action tolerance labels (multitolerance-ready, [`build`],
+//!   per-action tolerance labels (multitolerance-ready, [`build_governed`],
 //!   [`FaultSpec`]);
 //! * the five deletion rules of Figure 2, with *fault-free* full-subdag
 //!   and fault-free-path certification of eventualities
-//!   ([`apply_deletion_rules`]), exposing the rank certificates the
+//!   ([`apply_deletion_rules_governed`]), exposing the rank certificates the
 //!   unraveling step needs to extract acyclic fragments
 //!   ([`au_fulfillment`], [`eu_fulfillment`], [`Fulfillment`]).
 
@@ -28,8 +28,8 @@ mod governor;
 mod graph;
 
 pub use build::{
-    build, build_resume_governed, build_shared_cache_governed, build_with_threads, valuation_of,
-    BuildAbort, BuildProfile, FaultSpec,
+    build_governed, build_with_threads, valuation_of, BuildAbort, BuildProfile, BuildStart,
+    FaultSpec,
 };
 pub use cache::{CacheFill, CacheLimits, ExpansionCache};
 pub use checkpoint::{
@@ -37,9 +37,8 @@ pub use checkpoint::{
     CHECKPOINT_FORMAT_VERSION, CHECKPOINT_MIN_FORMAT_VERSION,
 };
 pub use delete::{
-    apply_deletion_rules, apply_deletion_rules_governed, apply_deletion_rules_mode,
-    apply_deletion_rules_profiled, au_fulfillment, eu_fulfillment, CertMode, DeletionAbort,
-    DeletionProfile, DeletionStats, Fulfillment,
+    apply_deletion_rules_governed, apply_deletion_rules_profiled, au_fulfillment, eu_fulfillment,
+    CertMode, DeletionAbort, DeletionProfile, DeletionStats, Fulfillment,
 };
 pub use expand::{blocks, blocks_profiled, tiles, BlocksStats, Tile};
 pub use governor::{AbortReason, Budget, Governor, Phase};

@@ -1,5 +1,5 @@
 //! Equivalence regression between the two deletion engines: the
-//! worklist implementation ([`apply_deletion_rules_mode`]) and the
+//! worklist implementation ([`apply_deletion_rules_profiled`]) and the
 //! sweep-based oracle ([`apply_deletion_rules_naive_mode`] in
 //! `ftsyn_conformance::reference`) must produce identical alive-node
 //! sets and identical per-rule [`DeletionStats`](ftsyn::tableau::DeletionStats)
@@ -12,7 +12,8 @@
 use ftsyn::ctl::{parse::parse, Closure, FormulaArena, Owner, PropTable};
 use ftsyn::problems::{barrier, mutex, readers_writers};
 use ftsyn::tableau::{
-    apply_deletion_rules_mode, au_fulfillment, build, eu_fulfillment, CertMode, FaultSpec, Tableau,
+    apply_deletion_rules_profiled, au_fulfillment, build_with_threads, eu_fulfillment, CertMode,
+    FaultSpec, Tableau,
 };
 use ftsyn::{SynthesisProblem, Tolerance};
 use ftsyn_conformance::reference::{
@@ -24,7 +25,7 @@ use ftsyn_conformance::reference::{
 /// synthesis pipeline does before the deletion phase.
 fn tableau_of(problem: &mut SynthesisProblem) -> (Closure, Tableau) {
     let (closure, fault_spec, root) = problem.tableau_inputs();
-    let t = build(&closure, &problem.props, root, &fault_spec);
+    let t = build_with_threads(&closure, &problem.props, root, &fault_spec, 1).0;
     (closure, t)
 }
 
@@ -39,7 +40,7 @@ fn spec_tableau(spec: &str) -> (Closure, Tableau) {
     let cl = Closure::build(&mut arena, &props, &[f]);
     let mut root = cl.empty_label();
     root.insert(cl.index_of(f).unwrap());
-    let t = build(&cl, &props, root, &FaultSpec::none());
+    let t = build_with_threads(&cl, &props, root, &FaultSpec::none(), 1).0;
     (cl, t)
 }
 
@@ -47,7 +48,7 @@ fn assert_engines_agree(name: &str, (closure, t0): (Closure, Tableau)) {
     for mode in [CertMode::FaultFree, CertMode::FaultProne] {
         let mut t_worklist = t0.clone();
         let mut t_reference = t0.clone();
-        let fast = apply_deletion_rules_mode(&mut t_worklist, &closure, mode);
+        let fast = apply_deletion_rules_profiled(&mut t_worklist, &closure, mode).0;
         let slow = apply_deletion_rules_naive_mode(&mut t_reference, &closure, mode);
         assert_eq!(fast, slow, "{name} ({mode:?}): per-rule stats differ");
         for id in t_worklist.node_ids() {
