@@ -171,15 +171,28 @@ pub struct Checker<'m> {
     model: &'m FtKripke,
     semantics: Semantics,
     memo: HashMap<FormulaId, Vec<bool>>,
+    /// Each state's path predecessors, one list per state, collected
+    /// here from `succ` so this labeler shares no layout with the fast
+    /// checker.
+    preds: Vec<Vec<StateId>>,
 }
 
 impl<'m> Checker<'m> {
     /// Creates a labeler for `model` under the given semantics.
     pub fn new(model: &'m FtKripke, semantics: Semantics) -> Checker<'m> {
+        let mut preds = vec![Vec::new(); model.len()];
+        for s in model.state_ids() {
+            for e in model.succ(s) {
+                if semantics == Semantics::IncludeFaults || !e.kind.is_fault() {
+                    preds[e.to.index()].push(s);
+                }
+            }
+        }
         Checker {
             model,
             semantics,
             memo: HashMap::new(),
+            preds,
         }
     }
 
@@ -285,13 +298,8 @@ impl<'m> Checker<'m> {
             .map(StateId)
             .filter(|s| x[s.index()])
             .collect();
-        let include_faults = self.semantics == Semantics::IncludeFaults;
         while let Some(t) = work.pop() {
-            for e in self.model.pred(t) {
-                if !include_faults && e.kind.is_fault() {
-                    continue;
-                }
-                let s = e.to;
+            for &s in &self.preds[t.index()] {
                 if !x[s.index()] && g[s.index()] {
                     x[s.index()] = true;
                     work.push(s);
@@ -310,17 +318,12 @@ impl<'m> Checker<'m> {
             .map(|s| self.path_succ(s).count())
             .collect();
         let has_succ: Vec<bool> = remaining.iter().map(|&c| c > 0).collect();
-        let include_faults = self.semantics == Semantics::IncludeFaults;
         let mut work: Vec<StateId> = (0..n as u32)
             .map(StateId)
             .filter(|s| x[s.index()])
             .collect();
         while let Some(t) = work.pop() {
-            for e in self.model.pred(t) {
-                if !include_faults && e.kind.is_fault() {
-                    continue;
-                }
-                let s = e.to;
+            for &s in &self.preds[t.index()] {
                 remaining[s.index()] = remaining[s.index()].saturating_sub(1);
                 if !x[s.index()] && g[s.index()] && has_succ[s.index()] && remaining[s.index()] == 0
                 {

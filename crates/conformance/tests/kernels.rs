@@ -5,7 +5,7 @@
 //!
 //! The explorer must reproduce the reference structure element for
 //! element — state ids and contents, initial states, and the order of
-//! every `succ`/`pred` list — or fail with the same error. The checker
+//! every `succ` list — or fail with the same error. The checker
 //! must compute the same satisfaction set for every subformula of the
 //! specification and tolerance labels, under both semantics.
 //!
@@ -48,7 +48,6 @@ fn assert_same_kripke(name: &str, got: &FtKripke, want: &FtKripke) {
     for s in want.state_ids() {
         assert_eq!(got.state(s), want.state(s), "{name}: content of {s:?}");
         assert_eq!(got.succ(s), want.succ(s), "{name}: succ of {s:?}");
-        assert_eq!(got.pred(s), want.pred(s), "{name}: pred of {s:?}");
         assert_eq!(
             index.get(got.state(s)).copied(),
             Some(s),

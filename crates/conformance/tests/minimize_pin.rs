@@ -105,7 +105,7 @@ fn mutex4_failstop_masking_is_pinned() {
         &Pin {
             counters: [22_859, 111, 112, 496, 0, 22_363],
             model_states: 391,
-            digest: 0xb5d5_3b74_1a3c_b004,
+            digest: 0xf6e1_5739_964c_fd83,
         },
     );
 }
@@ -118,7 +118,7 @@ fn philosophers5_fault_free_is_pinned() {
         &Pin {
             counters: [53_319, 143, 144, 1_307, 0, 52_012],
             model_states: 363,
-            digest: 0x3538_7cb7_6e00_ddbc,
+            digest: 0x185e_e21b_a0a1_42b9,
         },
     );
 }
@@ -139,7 +139,7 @@ fn mutex3_failstop_multitolerance_is_pinned() {
         &Pin {
             counters: [637, 14, 15, 174, 0, 463],
             model_states: 131,
-            digest: 0xa272_10d9_9338_9bd1,
+            digest: 0x2eab_5858_7c15_2f6c,
         },
     );
 }

@@ -117,8 +117,6 @@ const MAX_CANDIDATES: usize = 512;
 const MAX_UNIVERSE: usize = 4096;
 /// Ceiling on base-graph states per bound.
 const MAX_STATES: usize = 50_000;
-/// Maximum single-edge children proposed per counterexample.
-const MAX_CHILDREN: usize = 12;
 
 /// Deterministic counters of one CEGIS run, reported through
 /// [`SynthesisStats::cegis_profile`] and bench JSON. Identical at every
@@ -1643,7 +1641,7 @@ fn propose_children(
         }
     }
     singles.sort_unstable();
-    for &(_, _, e) in singles.iter().take(MAX_CHILDREN) {
+    for &(_, _, e) in singles.iter() {
         // `e` is a path edge, so not in `deleted`.
         let mut d = Vec::with_capacity(deleted.len() + 1);
         d.extend_from_slice(deleted);

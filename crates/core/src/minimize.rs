@@ -326,6 +326,32 @@ fn uncovered_states(faults: &[FaultAction], num_props: usize, model: &FtKripke) 
     out
 }
 
+/// The perturbed states of `model` (by `roles`), each with the distinct
+/// tolerance indices of the fault actions entering it, in the order
+/// [`FtKripke::entering_fault_actions`] lists the actions.
+fn perturbed_tolerances(
+    env: &Env<'_>,
+    model: &FtKripke,
+    roles: &[StateRole],
+) -> Vec<(StateId, Vec<usize>)> {
+    let entering = model.entering_fault_actions();
+    let mut out = Vec::new();
+    for s in model.state_ids() {
+        if roles[s.index()] != StateRole::Perturbed {
+            continue;
+        }
+        let mut tols: Vec<usize> = Vec::new();
+        for &a in entering.row(s) {
+            let t = env.reqs.tol_of_action[a as usize];
+            if !tols.contains(&t) {
+                tols.push(t);
+            }
+        }
+        out.push((s, tols));
+    }
+    out
+}
+
 fn round_ctx(
     env: &Env<'_>,
     model: &FtKripke,
@@ -342,22 +368,7 @@ fn round_ctx(
     for f in cache.formulas() {
         all_true[f.index()] = cache.all_true(f);
     }
-    let mut perturbed = Vec::new();
-    for s in model.state_ids() {
-        if roles[s.index()] != StateRole::Perturbed {
-            continue;
-        }
-        let mut tols: Vec<usize> = Vec::new();
-        for e in model.pred(s) {
-            if let TransKind::Fault(a) = e.kind {
-                let t = env.reqs.tol_of_action[a];
-                if !tols.contains(&t) {
-                    tols.push(t);
-                }
-            }
-        }
-        perturbed.push((s, tols));
-    }
+    let perturbed = perturbed_tolerances(env, model, roles);
     RoundCtx {
         cache,
         all_true,
@@ -715,20 +726,7 @@ fn decide_on(
             }
         }
     } else {
-        let roles = cand.classify();
-        for s in cand.state_ids() {
-            if roles[s.index()] != StateRole::Perturbed {
-                continue;
-            }
-            let mut tols: Vec<usize> = Vec::new();
-            for e in cand.pred(s) {
-                if let TransKind::Fault(a) = e.kind {
-                    let t = env.reqs.tol_of_action[a];
-                    if !tols.contains(&t) {
-                        tols.push(t);
-                    }
-                }
-            }
+        for (s, tols) in perturbed_tolerances(env, cand, &cand.classify()) {
             for t in tols {
                 for r in &env.reqs.tol_reqs[t] {
                     add(&mut tr, &mut open_plain, &mut ag_open, r, s);

@@ -301,6 +301,7 @@ fn verify_semantic_impl(
     // (2) Perturbed states satisfy their tolerance labels. Each distinct
     // tolerance's label formulas are interned once, on first need.
     let roles = model.classify();
+    let entering = model.entering_fault_actions();
     let mut labels: Vec<(Tolerance, Vec<FormulaId>)> = Vec::new();
     for s in model.state_ids() {
         if roles[s.index()] != StateRole::Perturbed {
@@ -309,12 +310,10 @@ fn verify_semantic_impl(
         v.perturbed_count += 1;
         // Tolerances of the fault actions that can reach s.
         let mut tols = Vec::new();
-        for e in model.pred(s) {
-            if let TransKind::Fault(a) = e.kind {
-                let t = problem.tolerance.of(a);
-                if !tols.contains(&t) {
-                    tols.push(t);
-                }
+        for &a in entering.row(s) {
+            let t = problem.tolerance.of(a as usize);
+            if !tols.contains(&t) {
+                tols.push(t);
             }
         }
         for tol in tols {

@@ -28,13 +28,15 @@
 //! CEGIS's verdict on every candidate, so its work is kept to flat
 //! arrays: satisfaction sets are bitsets memoized densely by formula
 //! id; the path predecessors under the semantics and each process's
-//! program edges are laid out once per checker as `u32` arrays in
-//! compressed-sparse-row form; and the until and unless modalities, and
-//! [`Checker::eu_of`]/[`Checker::au_of`]/[`Checker::ag_of`], are one
-//! worklist fixpoint over the predecessor array.
+//! program edges are laid out once per checker from the structure's
+//! forward edges (`FtKripke` stores no backward view) as `u32` arrays
+//! in compressed-sparse-row form; and the until and unless modalities,
+//! and [`Checker::eu_of`]/[`Checker::au_of`]/[`Checker::ag_of`], are one
+//! worklist fixpoint over the predecessor array, which the witness
+//! search walks too.
 
 use crate::stateset::StateSet;
-use crate::structure::{FtKripke, StateId, TransKind};
+use crate::structure::{Csr, FtKripke, StateId, TransKind};
 use ftsyn_ctl::{Formula, FormulaArena, FormulaId};
 use std::cell::OnceCell;
 
@@ -57,8 +59,9 @@ pub enum Semantics {
 ///
 /// * each state's *path predecessors* — the sources of its incoming
 ///   edges that the semantics follows (fault edges only under
-///   [`Semantics::IncludeFaults`]), in `pred` order — which every
-///   until/unless fixpoint walks backwards;
+///   [`Semantics::IncludeFaults`]), in source id order, laid out from
+///   `succ` by a counting sort by target — which every until/unless
+///   fixpoint walks backwards;
 /// * each process's program edges as `(source, target)` pairs, in source
 ///   order, for the nexttime modalities.
 ///
@@ -288,9 +291,7 @@ impl<'m> Checker<'m> {
     /// (the only fullpath is the single-state path): no edge leads out of
     /// them, so they only enter `X` through `h`.
     fn until(&self, g: &StateSet, h: &StateSet, universal: bool) -> StateSet {
-        let pred = self
-            .path_pred
-            .get_or_init(|| Csr::path_pred(self.model, self.semantics));
+        let pred = self.path_preds();
         let mut remaining = if universal {
             pred.out_degrees()
         } else {
@@ -299,7 +300,7 @@ impl<'m> Checker<'m> {
         let mut x = h.clone();
         let mut work: Vec<u32> = x.iter().map(|s| s.0).collect();
         while let Some(t) = work.pop() {
-            for &s in pred.row(t) {
+            for &s in pred.row(StateId(t)) {
                 if universal {
                     let r = &mut remaining[s as usize];
                     *r -= 1;
@@ -314,48 +315,16 @@ impl<'m> Checker<'m> {
         }
         x
     }
-}
 
-/// An adjacency relation in compressed-sparse-row form: row `i` is
-/// `adj[start[i]..start[i + 1]]`.
-struct Csr {
-    start: Vec<u32>,
-    adj: Vec<u32>,
-}
-
-impl Csr {
-    /// Each state's path predecessors under `semantics`, in `pred`
-    /// order.
-    fn path_pred(m: &FtKripke, semantics: Semantics) -> Csr {
-        let include_faults = semantics == Semantics::IncludeFaults;
-        let mut start = Vec::with_capacity(m.len() + 1);
-        let mut adj = Vec::new();
-        start.push(0);
-        for t in m.state_ids() {
-            adj.extend(
-                m.pred(t)
-                    .iter()
-                    .filter(|e| include_faults || !e.kind.is_fault())
-                    .map(|e| e.to.0),
-            );
-            start.push(adj.len() as u32);
-        }
-        Csr { start, adj }
-    }
-
-    fn row(&self, i: u32) -> &[u32] {
-        let i = i as usize;
-        &self.adj[self.start[i] as usize..self.start[i + 1] as usize]
-    }
-
-    /// How often each row index occurs as an entry: on path
-    /// predecessors, each state's number of path successors.
-    fn out_degrees(&self) -> Vec<u32> {
-        let mut out = vec![0; self.start.len() - 1];
-        for &s in &self.adj {
-            out[s as usize] += 1;
-        }
-        out
+    /// The path predecessors of each state: the sources of the edges
+    /// into it that the semantics follows, in source id order.
+    pub(crate) fn path_preds(&self) -> &Csr {
+        self.path_pred.get_or_init(|| {
+            let include_faults = self.semantics == Semantics::IncludeFaults;
+            Csr::by_target(self.model, |s, e| {
+                (include_faults || !e.kind.is_fault()).then_some(s.0)
+            })
+        })
     }
 }
 

@@ -79,11 +79,8 @@ impl<'m> Checker<'m> {
             r += 1;
             let mut next = Vec::new();
             for &t in &work {
-                for e in self.model().pred(t) {
-                    if self.semantics() == Semantics::FaultFree && e.kind.is_fault() {
-                        continue;
-                    }
-                    let s = e.to;
+                for &s in self.path_preds().row(t) {
+                    let s = StateId(s);
                     if rank[s.index()] == u32::MAX && vg.contains(s) {
                         rank[s.index()] = r;
                         next.push(s);

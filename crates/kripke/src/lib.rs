@@ -35,4 +35,4 @@ pub use evidence::EvidencePath;
 pub use minimize::{bisimulation_quotient, Quotient};
 pub use state::{PropSet, State};
 pub use stateset::StateSet;
-pub use structure::{Edge, FtKripke, KripkeBuilder, StateId, StateRole, TransKind};
+pub use structure::{Csr, Edge, FtKripke, KripkeBuilder, StateId, StateRole, TransKind};

@@ -38,16 +38,18 @@ pub fn bisimulation_quotient(m: &FtKripke) -> Quotient {
     // Initial partition: by state content, that is by (valuation id,
     // vector id).
     let mut block: Vec<usize> = vec![0; n];
-    {
+    let mut block_count = {
         let mut index: HashMap<(u32, u32), usize> = HashMap::new();
         for s in m.state_ids() {
             let next = index.len();
             let b = *index.entry((m.val_id(s), m.vec_id(s))).or_insert(next);
             block[s.index()] = b;
         }
-    }
+        index.len()
+    };
 
-    // Refine until stable.
+    // Refine until stable: each round splits blocks, so it is stable
+    // iff it leaves the number of blocks unchanged.
     loop {
         let mut index: HashMap<(usize, Signature), usize> = HashMap::new();
         let mut next_block = vec![0usize; n];
@@ -67,20 +69,15 @@ pub fn bisimulation_quotient(m: &FtKripke) -> Quotient {
             let b = *index.entry(key).or_insert(next);
             next_block[s.index()] = b;
         }
-        let stable = index.len()
-            == block
-                .iter()
-                .copied()
-                .collect::<std::collections::HashSet<_>>()
-                .len();
+        let stable = index.len() == block_count;
         block = next_block;
+        block_count = index.len();
         if stable {
             break;
         }
     }
 
     // Build the quotient structure.
-    let block_count = block.iter().copied().max().map_or(0, |b| b + 1);
     let mut representative: Vec<Option<StateId>> = vec![None; block_count];
     for s in m.state_ids() {
         let b = block[s.index()];

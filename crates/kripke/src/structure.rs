@@ -77,9 +77,11 @@ pub enum StateRole {
 /// vector id into a table of distinct shared-value vectors (`width`
 /// values each, back to back), so equal ids mean equal content. The
 /// valuation table is shared ([`Arc`]) with the structures built from
-/// this one, and may hold valuations no state carries. `succ` and
-/// `pred` are compressed-sparse-row arrays; `succ` keeps its rows in
-/// the order they were written, each state holding its row's span.
+/// this one, and may hold valuations no state carries. The transition
+/// relation is stored forward only: `succ` is one edge array whose rows
+/// stay in the order they were written, each state holding its row's
+/// span. Backward views are laid out from it by their readers, as
+/// [`Csr`] rows.
 #[derive(Clone, Default)]
 pub struct FtKripke {
     vals: Arc<Vec<PropSet>>,
@@ -92,19 +94,9 @@ pub struct FtKripke {
     /// Row `s` is `succ[lo..hi]` for `(lo, hi) = succ_span[s]`.
     succ_span: Vec<(u32, u32)>,
     succ: Vec<Edge>,
-    /// Row `t` is `pred[pred_start[t]..pred_start[t + 1]]`; `Edge::to`
-    /// holds the source.
-    pred_start: Vec<u32>,
-    pred: Vec<Edge>,
     /// Every state as a [`State`], built on the first [`FtKripke::state`].
     content: OnceLock<Vec<State>>,
 }
-
-/// Fills the edge arrays of a freshly sized slot before they are written.
-const NO_EDGE: Edge = Edge {
-    kind: TransKind::Proc(0),
-    to: StateId(0),
-};
 
 impl FtKripke {
     /// Returns a copy of this structure with state `from` merged into
@@ -179,10 +171,6 @@ impl FtKripke {
             }
             m.succ_span.push((lo as u32, m.succ.len() as u32));
         }
-        // pred in the order of a rebuild adding the edges source by
-        // source in id order.
-        let n = m.len() as u32;
-        lay_pred(m, 0..n);
         for &i in &self.init {
             let i = q(i);
             if !m.init.contains(&i) {
@@ -319,13 +307,6 @@ impl FtKripke {
         &self.succ[lo as usize..hi as usize]
     }
 
-    /// Incoming edges of `s` (the `to` field holds the *source*), in
-    /// the order they were first added to the structure.
-    pub fn pred(&self, s: StateId) -> &[Edge] {
-        let t = s.index();
-        &self.pred[self.pred_start[t] as usize..self.pred_start[t + 1] as usize]
-    }
-
     /// Iterates over all state ids.
     pub fn state_ids(&self) -> impl Iterator<Item = StateId> {
         (0..self.len() as u32).map(StateId)
@@ -341,51 +322,72 @@ impl FtKripke {
         self.succ.iter().filter(|e| e.kind.is_fault()).count()
     }
 
-    /// States reachable from the initial states via the given edge filter.
-    fn reachable_where(&self, include_faults: bool) -> Vec<bool> {
+    /// States reachable from the initial states, over program edges
+    /// only or over all edges, and the targets of the fault edges
+    /// followed (so, with faults, of every fault edge from a reachable
+    /// state).
+    fn reachable_where(&self, include_faults: bool) -> (Vec<bool>, Vec<bool>) {
         let mut seen = vec![false; self.len()];
+        let mut fault_hit = vec![false; self.len()];
         let mut stack: Vec<StateId> = self.init.clone();
         for &s in &self.init {
             seen[s.index()] = true;
         }
         while let Some(s) = stack.pop() {
             for e in self.succ(s) {
-                if (include_faults || !e.kind.is_fault()) && !seen[e.to.index()] {
+                if e.kind.is_fault() {
+                    if !include_faults {
+                        continue;
+                    }
+                    fault_hit[e.to.index()] = true;
+                }
+                if !seen[e.to.index()] {
                     seen[e.to.index()] = true;
                     stack.push(e.to);
                 }
             }
         }
-        seen
+        (seen, fault_hit)
     }
 
     /// Classifies every state per Section 2.4.
     pub fn classify(&self) -> Vec<StateRole> {
-        let normal = self.reachable_where(false);
-        let reachable = self.reachable_where(true);
-        let mut roles = vec![StateRole::Unreachable; self.len()];
-        for s in self.state_ids() {
-            let i = s.index();
-            if !reachable[i] {
-                continue;
-            }
-            roles[i] = if normal[i] {
-                StateRole::Normal
-            } else {
-                // Perturbed iff some fault edge from a reachable state
-                // lands here; otherwise it is a recovery state.
-                let hit_by_fault = self
-                    .pred(s)
-                    .iter()
-                    .any(|e| e.kind.is_fault() && reachable[e.to.index()]);
-                if hit_by_fault {
-                    StateRole::Perturbed
-                } else {
-                    StateRole::Recovery
+        let (normal, _) = self.reachable_where(false);
+        let (reachable, fault_hit) = self.reachable_where(true);
+        (0..self.len())
+            .map(|i| match (reachable[i], normal[i], fault_hit[i]) {
+                (false, _, _) => StateRole::Unreachable,
+                (true, true, _) => StateRole::Normal,
+                (true, false, true) => StateRole::Perturbed,
+                (true, false, false) => StateRole::Recovery,
+            })
+            .collect()
+    }
+
+    /// The fault actions entering each state: row `t` lists the action
+    /// index of every fault edge into `t`, each action once, in the
+    /// order a scan of the sources in id order meets them.
+    pub fn entering_fault_actions(&self) -> Csr {
+        let mut c = Csr::by_target(self, |_, e| match e.kind {
+            TransKind::Fault(a) => Some(a as u32),
+            TransKind::Proc(_) => None,
+        });
+        // Drop repeats row by row, compacting in place.
+        let mut kept = 0;
+        for t in 0..self.len() {
+            let (lo, hi) = (c.start[t] as usize, c.start[t + 1] as usize);
+            c.start[t] = kept as u32;
+            for i in lo..hi {
+                let a = c.adj[i];
+                if !c.adj[c.start[t] as usize..kept].contains(&a) {
+                    c.adj[kept] = a;
+                    kept += 1;
                 }
-            };
+            }
         }
-        roles
+        c.start[self.len()] = kept as u32;
+        c.adj.truncate(kept);
+        c
     }
 
     /// The set of perturbed states `S_F`.
@@ -438,20 +440,16 @@ impl FtKripke {
     }
 }
 
-/// The form of the per-state layout this structure replaced — each
-/// state's content, then its edge lists — which the minimizer's pinned
-/// model digests were recorded on.
+/// Each state's content, the initial states and each state's edges:
+/// the form the minimizer's pinned model digests are recorded on.
 impl fmt::Debug for FtKripke {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let states: Vec<&State> = self.state_ids().map(|s| self.state(s)).collect();
         let succ: Vec<&[Edge]> = self.state_ids().map(|s| self.succ(s)).collect();
-        let pred: Vec<&[Edge]> = self.state_ids().map(|s| self.pred(s)).collect();
         f.debug_struct("FtKripke")
             .field("states", &states)
             .field("init", &self.init)
             .field("succ", &succ)
-            .field("pred", &pred)
-            .field("index", &format_args!("OnceLock(<uninit>)"))
             .finish()
     }
 }
@@ -465,7 +463,6 @@ impl fmt::Debug for FtKripke {
 ///
 /// * `succ(s)`: the edges added from `s`, in call order, each
 ///   `(kind, target)` pair only at its first occurrence;
-/// * `pred(t)`: the kept edges into `t`, in the global call order;
 /// * `init_states()`: in call order, each state once.
 ///
 /// A writer adds all of a state's edges together, states in any order:
@@ -475,11 +472,10 @@ impl fmt::Debug for FtKripke {
 #[derive(Default)]
 pub struct KripkeBuilder {
     /// The structure under construction. `m.succ` holds one block per
-    /// source in `blocks`, spanned by `m.succ_span` (the last block
-    /// still open).
+    /// source that has edges, spanned by `m.succ_span`.
     m: FtKripke,
-    /// The sources of the blocks, in call order.
-    blocks: Vec<u32>,
+    /// The source of the last block, which is still open.
+    open: Option<u32>,
     /// Valuation → id over `m.vals`, built on the first interning.
     val_index: Option<HashMap<PropSet, u32>>,
     /// Vector → id over `m.vectors`, built on the first interning.
@@ -577,7 +573,7 @@ impl KripkeBuilder {
     /// since: all of a state's edges are added together.
     pub fn add_edge(&mut self, from: StateId, kind: TransKind, to: StateId) {
         let (m, f) = (&mut self.m, from.index());
-        if self.blocks.last() != Some(&from.0) {
+        if self.open != Some(from.0) {
             if m.succ_span.len() <= f {
                 m.succ_span.resize(f + 1, NO_ROW);
             }
@@ -586,11 +582,11 @@ impl KripkeBuilder {
                 "edges from {from:?} added after another state's: \
                  all of a state's edges are added together"
             );
-            if let Some(&last) = self.blocks.last() {
+            if let Some(last) = self.open {
                 m.succ_span[last as usize].1 = m.succ.len() as u32;
             }
             m.succ_span[f] = (m.succ.len() as u32, u32::MAX);
-            self.blocks.push(from.0);
+            self.open = Some(from.0);
         }
         let e = Edge { kind, to };
         let lo = m.succ_span[f].0 as usize;
@@ -605,7 +601,7 @@ impl KripkeBuilder {
     ///
     /// Panics if an edge or initial state names a state never added.
     pub fn freeze(self) -> FtKripke {
-        let KripkeBuilder { mut m, blocks, .. } = self;
+        let KripkeBuilder { mut m, open, .. } = self;
         let n = m.len();
         debug_assert!(
             m.vals
@@ -619,7 +615,11 @@ impl KripkeBuilder {
             m.init.iter().all(|s| s.index() < n),
             "unknown initial state"
         );
-        if let Some(&last) = blocks.last() {
+        assert!(
+            m.succ.iter().all(|e| e.to.index() < n),
+            "edge into an unknown state"
+        );
+        if let Some(last) = open {
             m.succ_span[last as usize].1 = m.succ.len() as u32;
         }
         assert!(m.succ_span.len() <= n, "edge from an unknown state");
@@ -629,51 +629,70 @@ impl KripkeBuilder {
                 *span = (0, 0);
             }
         }
-        lay_pred(&mut m, blocks);
         m
     }
 }
 
-/// Lays out `m.pred` from `m.succ`, taking the rows of `sources` in
-/// that order as the order the edges were added, and keeping it in each
-/// row by a stable counting sort by target. Row `t` is filled at
-/// `start[t + 1]`, which ends as row `t + 1`'s offset.
-///
-/// # Panics
-///
-/// Panics if an edge targets a state `m` does not have.
-fn lay_pred(m: &mut FtKripke, sources: impl IntoIterator<Item = u32>) {
-    let n = m.len();
-    let mut start = std::mem::take(&mut m.pred_start);
-    start.clear();
-    start.resize(n + 2, 0);
-    for e in &m.succ {
-        assert!(e.to.index() < n, "edge into an unknown state");
-        start[e.to.index() + 2] += 1;
-    }
-    for i in 0..n {
-        start[i + 2] += start[i + 1];
-    }
-    let mut pred = std::mem::take(&mut m.pred);
-    pred.clear();
-    pred.resize(m.succ.len(), NO_EDGE);
-    for s in sources {
-        for e in m.succ(StateId(s)) {
-            let at = &mut start[e.to.index() + 1];
-            pred[*at as usize] = Edge {
-                kind: e.kind,
-                to: StateId(s),
-            };
-            *at += 1;
-        }
-    }
-    start.truncate(n + 1);
-    m.pred_start = start;
-    m.pred = pred;
-}
-
 /// Marks a state whose `succ` row has not started.
 const NO_ROW: (u32, u32) = (u32::MAX, u32::MAX);
+
+/// A per-state relation in compressed-sparse-row form: row `t` is
+/// `adj[start[t]..start[t + 1]]`. The backward views of an
+/// [`FtKripke`] are laid out this way from its `succ` rows.
+#[derive(Clone, Debug)]
+pub struct Csr {
+    start: Vec<u32>,
+    adj: Vec<u32>,
+}
+
+impl Csr {
+    /// For each state `t`, `entry(s, e)` of every edge `e` from a state
+    /// `s` into `t` where it is `Some`, sources in id order: a counting
+    /// sort of `m`'s edges by target. Row `t` is filled at
+    /// `start[t + 1]`, which ends as row `t + 1`'s offset.
+    pub(crate) fn by_target(m: &FtKripke, entry: impl Fn(StateId, &Edge) -> Option<u32>) -> Csr {
+        let n = m.len();
+        let mut start = vec![0u32; n + 2];
+        for s in m.state_ids() {
+            for e in m.succ(s) {
+                if entry(s, e).is_some() {
+                    start[e.to.index() + 2] += 1;
+                }
+            }
+        }
+        for i in 0..n {
+            start[i + 2] += start[i + 1];
+        }
+        let mut adj = vec![0; start[n + 1] as usize];
+        for s in m.state_ids() {
+            for e in m.succ(s) {
+                if let Some(x) = entry(s, e) {
+                    let at = &mut start[e.to.index() + 1];
+                    adj[*at as usize] = x;
+                    *at += 1;
+                }
+            }
+        }
+        start.truncate(n + 1);
+        Csr { start, adj }
+    }
+
+    /// Row `t`.
+    pub fn row(&self, t: StateId) -> &[u32] {
+        let t = t.index();
+        &self.adj[self.start[t] as usize..self.start[t + 1] as usize]
+    }
+
+    /// How often each row index occurs as an entry: on path
+    /// predecessors, each state's number of path successors.
+    pub(crate) fn out_degrees(&self) -> Vec<u32> {
+        let mut out = vec![0; self.start.len() - 1];
+        for &s in &self.adj {
+            out[s as usize] += 1;
+        }
+        out
+    }
+}
 
 #[cfg(test)]
 mod tests {
@@ -728,10 +747,13 @@ mod tests {
         let a = m.push_state(mk_state(2, &[0]));
         let b = m.push_state(mk_state(2, &[1]));
         m.add_edge(a, TransKind::Proc(0), b);
+        m.add_edge(a, TransKind::Fault(0), b);
         m.add_edge(a, TransKind::Proc(0), b);
+        m.add_edge(a, TransKind::Fault(0), b);
         let m = m.freeze();
-        assert_eq!(m.edge_count(), 1);
-        assert_eq!(m.pred(b).len(), 1);
+        assert_eq!(m.edge_count(), 2);
+        let entering = m.entering_fault_actions();
+        assert_eq!((entering.row(a), entering.row(b)), (&[][..], &[0][..]));
     }
 
     #[test]
@@ -814,7 +836,6 @@ mod tests {
         for s in a.state_ids() {
             assert_eq!(a.state(s), b.state(s));
             assert_eq!(a.succ(s), b.succ(s));
-            assert_eq!(a.pred(s), b.pred(s));
         }
         assert_eq!(format!("{a:?}"), format!("{b:?}"));
     }

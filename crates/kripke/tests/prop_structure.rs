@@ -12,11 +12,12 @@
 //! takes all of a state's edges together; its unit tests check that an
 //! edge from a state whose edges have closed panics). The
 //! frozen structure must agree with the reference on contents, `succ`
-//! and `pred` (with their order), initial states, edge counts and the
-//! state classification; equal valuation and vector ids must mean equal
-//! contents; and `merge_into` (into a buffer that held another
-//! structure) and `reset_states` must equal a fresh build of the same
-//! result.
+//! (with its order), initial states, edge counts, the state
+//! classification and each state's entering fault actions (read off the
+//! reference's predecessor lists in source id order); equal valuation
+//! and vector ids must mean equal contents; and `merge_into` (into a
+//! buffer that held another structure) and `reset_states` must equal a
+//! fresh build of the same result.
 //!
 //! Cases come from a seeded [`XorShift64`] stream; failures print the
 //! case index, so a failing case is reproducible by construction.
@@ -158,6 +159,27 @@ impl Reference {
             })
             .collect()
     }
+
+    /// Each state's fault actions, each once, in the order of its
+    /// predecessor list stably sorted by source.
+    fn entering_fault_actions(&self) -> Vec<Vec<u32>> {
+        self.pred
+            .iter()
+            .map(|pred| {
+                let mut pred = pred.clone();
+                pred.sort_by_key(|e| e.to);
+                let mut actions = Vec::new();
+                for e in pred {
+                    if let TransKind::Fault(a) = e.kind {
+                        if !actions.contains(&(a as u32)) {
+                            actions.push(a as u32);
+                        }
+                    }
+                }
+                actions
+            })
+            .collect()
+    }
 }
 
 fn build(ops: &[Op], width: usize) -> (FtKripke, Reference) {
@@ -191,7 +213,6 @@ fn assert_reads_like(case: usize, m: &FtKripke, r: &Reference) {
         assert_eq!(m.props(s), &r.states[i].props, "case {case}: {s:?}");
         assert_eq!(m.shared(s), &r.states[i].shared[..], "case {case}: {s:?}");
         assert_eq!(m.succ(s), &r.succ[i][..], "case {case}: succ of {s:?}");
-        assert_eq!(m.pred(s), &r.pred[i][..], "case {case}: pred of {s:?}");
     }
     let edges: Vec<&Edge> = r.succ.iter().flatten().collect();
     assert_eq!(m.edge_count(), edges.len(), "case {case}: edge count");
@@ -201,6 +222,11 @@ fn assert_reads_like(case: usize, m: &FtKripke, r: &Reference) {
         "case {case}: fault edge count"
     );
     assert_eq!(m.classify(), r.classify(), "case {case}: classification");
+    let entering = m.entering_fault_actions();
+    let rows: Vec<&[u32]> = m.state_ids().map(|s| entering.row(s)).collect();
+    let want = r.entering_fault_actions();
+    let want: Vec<&[u32]> = want.iter().map(|row| &row[..]).collect();
+    assert_eq!(rows, want, "case {case}: entering fault actions");
 }
 
 /// Equal ids mean equal contents, both ways.

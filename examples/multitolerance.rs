@@ -6,7 +6,7 @@
 //! Run with `cargo run --release --example multitolerance`.
 
 use ftsyn::guarded::{BoolExpr, FaultAction, PropAssign};
-use ftsyn::kripke::{StateRole, TransKind};
+use ftsyn::kripke::StateRole;
 use ftsyn::{problems::mutex, synthesize, SynthesisOutcome, Tolerance, ToleranceAssignment};
 
 fn problem_with_corruption() -> (ftsyn::SynthesisProblem, usize) {
@@ -68,18 +68,14 @@ fn main() {
                 if s.verification.ok() { "PASS" } else { "FAIL" }
             );
             let roles = s.model.classify();
+            let entering = s.model.entering_fault_actions();
             let mut masked = 0;
             let mut ridden = 0;
             for st in s.model.state_ids() {
                 if roles[st.index()] != StateRole::Perturbed {
                     continue;
                 }
-                let via_corrupt = s
-                    .model
-                    .pred(st)
-                    .iter()
-                    .any(|e| e.kind == TransKind::Fault(corrupt_idx));
-                if via_corrupt {
+                if entering.row(st).contains(&(corrupt_idx as u32)) {
                     ridden += 1;
                 } else {
                     masked += 1;

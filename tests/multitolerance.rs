@@ -3,7 +3,7 @@
 //! synthesis.
 
 use ftsyn::guarded::{BoolExpr, FaultAction, PropAssign};
-use ftsyn::kripke::{Checker, Semantics, StateRole, TransKind};
+use ftsyn::kripke::{Checker, Semantics, StateRole};
 use ftsyn::{problems::mutex, synthesize, SynthesisProblem, Tolerance, ToleranceAssignment};
 
 /// Mutex under fail-stop faults *plus* an undetectable corruption fault
@@ -62,18 +62,14 @@ fn multitolerance_masks_fail_stops_and_rides_out_corruption() {
     };
     let af_ag = problem.arena.af(ag_global);
     let roles = s.model.classify();
+    let entering = s.model.entering_fault_actions();
     let mut ck = Checker::new(&s.model, Semantics::FaultFree);
     let mut corruption_targets = 0;
     for st in s.model.state_ids() {
         if roles[st.index()] != StateRole::Perturbed {
             continue;
         }
-        let via_corruption = s
-            .model
-            .pred(st)
-            .iter()
-            .any(|e| e.kind == TransKind::Fault(corrupt_idx));
-        if via_corruption {
+        if entering.row(st).contains(&(corrupt_idx as u32)) {
             corruption_targets += 1;
             assert!(
                 ck.holds(&problem.arena, af_ag, st),
@@ -89,10 +85,10 @@ fn multitolerance_masks_fail_stops_and_rides_out_corruption() {
         if roles[st.index()] != StateRole::Perturbed {
             continue;
         }
-        let via_fail_stop = s.model.pred(st).iter().any(|e| {
-            matches!(e.kind, TransKind::Fault(a)
-                if problem.faults[a].name().starts_with("fail-stop"))
-        });
+        let via_fail_stop = entering
+            .row(st)
+            .iter()
+            .any(|&a| problem.faults[a as usize].name().starts_with("fail-stop"));
         if via_fail_stop {
             assert!(
                 ck.holds(&problem.arena, ag_global, st),
@@ -126,16 +122,15 @@ fn three_process_multitolerance_labels_survive_minimization() {
     };
     let af_ag = problem.arena.af(ag_global);
     let roles = s.model.classify();
+    let entering = s.model.entering_fault_actions();
     let mut ck = Checker::new(&s.model, Semantics::FaultFree);
     let (mut via_p1, mut via_rest) = (0, 0);
     for st in s.model.state_ids() {
         if roles[st.index()] != StateRole::Perturbed {
             continue;
         }
-        for e in s.model.pred(st) {
-            let TransKind::Fault(a) = e.kind else {
-                continue;
-            };
+        for &a in entering.row(st) {
+            let a = a as usize;
             if problem.faults[a].name().contains("P1") {
                 via_p1 += 1;
                 assert!(

@@ -78,17 +78,16 @@ fn check_faulty_semantics(
         "regenerated structure violates the specification at init"
     );
     let roles = m.classify();
+    let entering = m.entering_fault_actions();
     for s in m.state_ids() {
         if roles[s.index()] != StateRole::Perturbed {
             continue;
         }
         let mut tols = Vec::new();
-        for e in m.pred(s) {
-            if let TransKind::Fault(a) = e.kind {
-                let t = problem.tolerance.of(a);
-                if !tols.contains(&t) {
-                    tols.push(t);
-                }
+        for &a in entering.row(s) {
+            let t = problem.tolerance.of(a as usize);
+            if !tols.contains(&t) {
+                tols.push(t);
             }
         }
         for tol in tols {
