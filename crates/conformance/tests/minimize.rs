@@ -183,6 +183,29 @@ fn rejected_then_accepted(problem: &mut SynthesisProblem) -> FtKripke {
     m.freeze()
 }
 
+/// A model for [`ex_ax_problem`] with two initial states. States, by
+/// id: `0 {v}` and `1 {}` (both initial), `2 {p}`, `3 {w}` and `4 {w}`,
+/// `5 {w v}`; edges `0→2`, `1→3`, `1→4`, `2→2`, `3→2`, `4→5`, `5→5`.
+/// Merging the only candidate pair, `(4, 3)`, leaves `1` no witness of
+/// `EX₀ AX₀ p`, while `0` keeps its own.
+fn two_initial_states(problem: &mut SynthesisProblem) -> FtKripke {
+    let props = &problem.props;
+    let state = |names: &[&str]| {
+        let ids = names.iter().map(|n| props.id(n).expect("declared"));
+        State::new(PropSet::from_iter_with_capacity(props.len(), ids))
+    };
+    let mut m = KripkeBuilder::new();
+    for names in [&["v"][..], &[], &["p"], &["w"], &["w"], &["w", "v"]] {
+        m.push_state(state(names));
+    }
+    m.add_init(StateId(0));
+    m.add_init(StateId(1));
+    for (from, to) in [(0, 2), (1, 3), (1, 4), (2, 2), (3, 2), (4, 5), (5, 5)] {
+        m.add_edge(StateId(from), TransKind::Proc(0), StateId(to));
+    }
+    m.freeze()
+}
+
 /// Minimizes `model_of(mk())` with the reference engine and with the
 /// fast engine, asserts the fast run matches it, and returns its
 /// profile.
@@ -267,6 +290,18 @@ fn fast_engine_is_byte_identical_to_reference_engine() {
         [7, 1, 2, 6, 0, 1],
         "kill scores must stay frozen within a round: {p:?}"
     );
+}
+
+/// The spec binds every initial state, not only the first: both
+/// engines reject the merge that breaks the second one.
+#[test]
+fn a_merge_breaking_the_second_initial_state_is_rejected() {
+    let p = assert_matches_reference(
+        "ex-ax/two-initial-states",
+        ex_ax_problem,
+        two_initial_states,
+    );
+    assert_eq!((p.attempts, p.merges), (1, 0), "{p:?}");
 }
 
 /// A one-process problem whose only requirement is `AG(Q ∧ P)` with

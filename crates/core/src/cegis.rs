@@ -92,11 +92,12 @@
 //! counters, and any cap abort — is identical at every thread count.
 
 use crate::problem::{SynthesisProblem, Tolerance};
+use crate::requirements::Requirements;
 use crate::synthesize::{
     aborted, certificate_build, certificate_delete, extract_stage, Impossibility, SynthesisOutcome,
     SynthesisStats, Synthesized, ThreadPlan,
 };
-use crate::verify::{verify_semantic, verify_semantic_ok};
+use crate::verify::check;
 use ftsyn_ctl::{Formula, FormulaArena, FormulaId, Owner, PropId, PropTable};
 use ftsyn_kripke::{FtKripke, PropSet, StateId, TransKind};
 use ftsyn_tableau::{AbortReason, CertMode, Governor, Phase};
@@ -213,6 +214,7 @@ fn search(
     let mut candidates = 0usize;
     let mut exhausted_bound = 0usize;
     if let Some(u) = &universe {
+        let reqs = Requirements::new(problem);
         profile.universe = u.vals.len();
         profile.banned = u.banned_count;
         if u.init_vals.is_empty() {
@@ -230,6 +232,7 @@ fn search(
             };
             profile.peak_base_states = profile.peak_base_states.max(base.states.len());
             let result = explore_bound(
+                &reqs,
                 problem,
                 &classified,
                 u,
@@ -1664,7 +1667,8 @@ enum BoundResult {
 
 #[allow(clippy::too_many_arguments)]
 fn explore_bound(
-    problem: &mut SynthesisProblem,
+    reqs: &Requirements,
+    problem: &SynthesisProblem,
     cls: &Classified,
     u: &Universe,
     base: &BaseGraph,
@@ -1697,8 +1701,8 @@ fn explore_bound(
         sc.mark(&deleted, true);
         let children = if !prune(u, base, &mut sc) {
             Vec::new() // structurally dead; the blocking store remembers
-        } else if verify_semantic_ok(problem, &sc.model) {
-            match accept(problem, std::mem::take(&mut sc.model), gov, stats) {
+        } else if check(reqs, problem, &sc.model, false).ok() {
+            match accept(reqs, problem, std::mem::take(&mut sc.model), gov, stats) {
                 AcceptOutcome::Solved(solved) => return BoundResult::Solved(solved),
                 AcceptOutcome::Rejected => {
                     profile.oracle_rejections += 1;
@@ -1734,12 +1738,13 @@ enum AcceptOutcome {
 /// extraction, and the explore/re-verify refinement loop. A program
 /// that step 5 cannot verify rejects the candidate.
 fn accept(
-    problem: &mut SynthesisProblem,
+    reqs: &Requirements,
+    problem: &SynthesisProblem,
     mut model: FtKripke,
     gov: Option<&Governor>,
     stats: &mut SynthesisStats,
 ) -> AcceptOutcome {
-    let extraction = match extract_stage(problem, &mut model, gov, stats) {
+    let extraction = match extract_stage(reqs, problem, &mut model, gov, stats) {
         Ok(e) => e,
         Err(reason) => return AcceptOutcome::Aborted(reason),
     };
@@ -1748,7 +1753,7 @@ fn accept(
     }
     stats.extract_profile = extraction.profile;
     let t_ver = Instant::now();
-    let verification = verify_semantic(problem, &model);
+    let verification = check(reqs, problem, &model, true);
     stats.verify_time += t_ver.elapsed();
     debug_assert!(verification.ok());
     stats.model_states = model.len();

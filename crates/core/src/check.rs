@@ -28,7 +28,7 @@ pub struct CheckReport {
     /// The global-state structure the program generates (with fault
     /// transitions).
     pub model: FtKripke,
-    /// Verdicts: spec at the initial state under the problem's
+    /// Verdicts: spec at every initial state under the problem's
     /// satisfaction relation, tolerance labels at perturbed states,
     /// fault closure.
     pub verification: Verification,

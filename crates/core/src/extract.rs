@@ -10,9 +10,9 @@
 //! by disjoining their guards (this is how Figure 9's `N2 ∨ C2` guards
 //! arise).
 
-use crate::problem::{SynthesisProblem, Tolerance};
-use crate::verify::semantics_of;
-use ftsyn_ctl::{FormulaId, Owner, PropTable};
+use crate::problem::SynthesisProblem;
+use crate::requirements::Requirements;
+use ftsyn_ctl::{Owner, PropTable};
 use ftsyn_guarded::interp::corrupt_branches;
 use ftsyn_guarded::{BoolExpr, LocalState, ProcArc, Process, Program, SharedVar};
 use ftsyn_kripke::{Checker, FtKripke, PropSet, StateId, TransKind};
@@ -300,6 +300,17 @@ pub fn refine_guards(
     intro: &SharedIntroduction,
     program: &mut Program,
 ) -> usize {
+    refine(&Requirements::new(problem), problem, model, intro, program)
+}
+
+/// [`refine_guards`] for a caller holding the run's [`Requirements`].
+pub(crate) fn refine(
+    reqs: &Requirements,
+    problem: &SynthesisProblem,
+    model: &FtKripke,
+    intro: &SharedIntroduction,
+    program: &mut Program,
+) -> usize {
     let num_procs = program.processes.len();
     let masks = proc_prop_masks(&problem.props, num_procs);
     let n = model.len();
@@ -345,7 +356,8 @@ pub fn refine_guards(
     struct Entry {
         locals: Vec<usize>,
         vector: Vec<u32>,
-        obligations: Vec<Tolerance>,
+        /// Indices into [`Requirements::labels`].
+        obligations: Vec<usize>,
     }
     let mut entry_index: HashMap<(Vec<usize>, Vec<u32>), usize> = HashMap::new();
     let mut entries: Vec<Entry> = Vec::new();
@@ -368,7 +380,7 @@ pub fn refine_guards(
         let group = by_locals[locals.as_slice()].clone();
         for u in group {
             for (a, w) in fault_succ(u) {
-                let tol = problem.tolerance.of(a);
+                let label = reqs.label_of_action[a];
                 for v2 in corrupt_branches(program, &v, &problem.faults[a]) {
                     let key = (state_locals[w].clone(), v2);
                     let idx = match entry_index.get(&key) {
@@ -385,8 +397,8 @@ pub fn refine_guards(
                             i
                         }
                     };
-                    if !entries[idx].obligations.contains(&tol) {
-                        entries[idx].obligations.push(tol);
+                    if !entries[idx].obligations.contains(&label) {
+                        entries[idx].obligations.push(label);
                     }
                 }
             }
@@ -394,29 +406,26 @@ pub fn refine_guards(
     }
 
     // Which model states satisfy which tolerance labels, decided by the
-    // CTL checker on the model itself.
-    let mut needed: Vec<Tolerance> = Vec::new();
+    // CTL checker on the model itself, for the labels some
+    // configuration is obliged to.
+    let mut needed = vec![false; reqs.labels.len()];
     for e in &entries {
-        for &t in &e.obligations {
-            if !needed.contains(&t) {
-                needed.push(t);
-            }
+        for &l in &e.obligations {
+            needed[l] = true;
         }
     }
-    let tol_formulas: Vec<Vec<FormulaId>> = needed
-        .iter()
-        .map(|&t| problem.label_tol_formulas(t))
+    let mut ck = Checker::new(model, reqs.semantics);
+    let sat: Vec<Vec<bool>> = model
+        .state_ids()
+        .map(|s| {
+            let labels = reqs.labels.iter().zip(&needed);
+            labels
+                .map(|((_, fs), &needed)| {
+                    needed && fs.iter().all(|&f| ck.holds(&problem.arena, f, s))
+                })
+                .collect()
+        })
         .collect();
-    let state_ids: Vec<StateId> = model.state_ids().collect();
-    let mut ck = Checker::new(model, semantics_of(problem.mode));
-    let mut sat: Vec<Vec<bool>> = Vec::with_capacity(n);
-    for &s in &state_ids {
-        let mut row = Vec::with_capacity(needed.len());
-        for fs in &tol_formulas {
-            row.push(fs.iter().all(|&f| ck.holds(&problem.arena, f, s)));
-        }
-        sat.push(row);
-    }
 
     // Assign every configuration exactly one owner, collecting each
     // state's owned vectors. The *weak* owner — the member the original
@@ -448,11 +457,7 @@ pub fn refine_guards(
     let mut reowned_groups: HashSet<&[usize]> = HashSet::new();
     for e in &entries {
         let group = &by_locals[e.locals.as_slice()];
-        let satisfies = |u: usize| {
-            e.obligations
-                .iter()
-                .all(|t| sat[u][needed.iter().position(|x| x == t).expect("collected above")])
-        };
+        let satisfies = |u: usize| e.obligations.iter().all(|&l| sat[u][l]);
         let weak = weak_owner(e, group);
         let owner = if satisfies(weak) {
             weak

@@ -57,6 +57,7 @@ mod extract;
 mod fragment;
 mod minimize;
 mod problem;
+mod requirements;
 mod synthesize;
 mod unravel;
 mod verify;

@@ -58,7 +58,7 @@
 //! a finite or infinite `AU` witness path) maps onto a violation in `C'`
 //! (Grumberg & Long's ACTL preservation). Three guards make that hold:
 //!
-//! * `φ` is universal ([`Requirements::universal`]; `AXᵢ` is the weak,
+//! * `φ` is universal ([`Split::universal`]; `AXᵢ` is the weak,
 //!   all-successors form of [`Checker`]);
 //! * `M_k` has no dead ends ([`RoundCtx::no_dead_ends`]): an `AU`
 //!   violation is then an infinite path, not a maximal finite one that
@@ -81,12 +81,9 @@
 //! model — is identical to the reference engine's.
 
 use crate::problem::SynthesisProblem;
-use crate::verify::semantics_of;
+use crate::requirements::{covers, Requirements};
 use ftsyn_ctl::{Formula, FormulaArena, FormulaId};
-use ftsyn_guarded::FaultAction;
-use ftsyn_kripke::{
-    Checker, FtKripke, LabelCache, PropSet, Semantics, StateId, StateRole, StateSet, TransKind,
-};
+use ftsyn_kripke::{Checker, FtKripke, LabelCache, StateId, StateRole, StateSet};
 use ftsyn_tableau::{AbortReason, Governor};
 use std::collections::{HashMap, HashSet};
 
@@ -186,58 +183,36 @@ impl Req {
     }
 }
 
-/// The requirements of the synthesis problem statement, decomposed once
-/// per run. Building this performs every formula-arena mutation up
-/// front, so the arena is only read for the rest of the run.
-struct Requirements {
-    semantics: Semantics,
+/// What the candidate decision procedure adds to the run's
+/// [`Requirements`]: each requirement split into [`Req`]s, and which
+/// formulae are universal.
+struct Split {
     /// Conjuncts of the temporal specification, checked at the initial
-    /// state.
-    spec: Vec<Req>,
-    /// Requirements of each distinct tolerance, checked at perturbed
     /// states.
-    tol_reqs: Vec<Vec<Req>>,
-    /// Fault action index → index into `tol_reqs`.
-    tol_of_action: Vec<usize>,
-    /// All whole requirement formulae, labeled on each accepted model.
-    roots: Vec<FormulaId>,
+    spec: Vec<Req>,
+    /// The conjuncts of each label of [`Requirements::labels`], checked
+    /// at perturbed states.
+    labels: Vec<Vec<Req>>,
     /// Dense by formula id: whether the formula is universal (literals,
     /// `∧`, `∨`, `AXᵢ`, `AU`, `AW` only), i.e. whether its violation on a
     /// candidate survives every further merge (module docs).
     universal: Vec<bool>,
-    num_props: usize,
 }
 
-impl Requirements {
-    fn new(problem: &mut SynthesisProblem) -> Requirements {
-        let semantics = semantics_of(problem.mode);
-        let spec_formula = problem.spec.formula(&mut problem.arena);
-        let distinct = problem.tolerance.distinct();
-        let mut roots = vec![spec_formula];
-        let mut tol_reqs = Vec::new();
-        for &tol in &distinct {
-            let fs = problem.label_tol_formulas(tol);
-            roots.extend(fs.iter().copied());
-            tol_reqs.push(fs.iter().map(|&f| Req::of(&problem.arena, f)).collect());
-        }
-        let tol_of_action = (0..problem.faults.len())
-            .map(|i| {
-                let t = problem.tolerance.of(i);
-                distinct
-                    .iter()
-                    .position(|&d| d == t)
-                    .expect("distinct() covers every action")
-            })
+impl Split {
+    fn new(reqs: &Requirements, arena: &FormulaArena) -> Split {
+        let labels = reqs
+            .labels
+            .iter()
+            .map(|(_, fs)| fs.iter().map(|&f| Req::of(arena, f)).collect())
             .collect();
-        let spec = problem
-            .arena
-            .conjuncts(spec_formula)
+        let spec = arena
+            .conjuncts(reqs.spec)
             .into_iter()
-            .map(|c| Req::of(&problem.arena, c))
+            .map(|c| Req::of(arena, c))
             .collect();
         // Hash-consing gives children smaller ids, so one ascending pass
         // sees every child's verdict first.
-        let arena = &problem.arena;
         let mut universal = vec![false; arena.len()];
         for i in 0..arena.len() {
             let u = |f: FormulaId| universal[f.index()];
@@ -250,14 +225,10 @@ impl Requirements {
                 Formula::Ex(..) | Formula::Eu(..) | Formula::Ew(..) => false,
             };
         }
-        Requirements {
-            semantics,
+        Split {
             spec,
-            tol_reqs,
-            tol_of_action,
-            roots,
+            labels,
             universal,
-            num_props: problem.props.len(),
         }
     }
 }
@@ -265,8 +236,8 @@ impl Requirements {
 /// Read-only inputs of one minimization run.
 struct Env<'a> {
     arena: &'a FormulaArena,
-    faults: &'a [FaultAction],
     reqs: &'a Requirements,
+    split: &'a Split,
 }
 
 /// Per-round context: the full CTL labeling of the current accepted
@@ -280,86 +251,34 @@ struct RoundCtx {
     /// Whether every base state has a path successor (merging never
     /// removes successors, so this carries to every candidate).
     no_dead_ends: bool,
-    /// Base states missing a fault transition for some enabled outcome.
-    /// Empty on fault-closed models, which makes the per-candidate
-    /// closure check O(1). Scanned once per run, for the first round:
-    /// [`closure_ok`] is exact, so the first accepted merge leaves a
-    /// fault-closed model, and merges only union successor sets and
-    /// keep valuations, so every later round's set is empty.
-    uncovered: Vec<StateId>,
+    /// The base model's uncovered fault outcomes
+    /// ([`Requirements::uncovered`]). Empty on fault-closed models, which
+    /// makes the per-candidate closure check O(1). Scanned once per run,
+    /// for the first round: [`closure_ok`] is exact, so the first
+    /// accepted merge leaves a fault-closed model, and merges only union
+    /// successor sets and keep valuations, so every later round's list
+    /// is empty.
+    uncovered: Vec<(StateId, usize, Option<u32>)>,
     /// Dense by base state: reachability including fault transitions
     /// (every role but [`StateRole::Unreachable`]). When a candidate
     /// merges two states of equal reachability, the reachable set — and
     /// with it every state's role — carries over to the candidate
     /// verbatim (see [`decide_on`]).
     reach: Vec<bool>,
-    /// The perturbed base states with the distinct tolerance indices of
-    /// the fault actions reaching each — the obligation sites every
-    /// candidate inherits, computed once per round instead of
-    /// re-classifying every candidate.
+    /// The base model's obligation sites ([`Requirements::sites`]) —
+    /// the sites every candidate inherits, computed once per round
+    /// instead of re-classifying every candidate.
     perturbed: Vec<(StateId, Vec<usize>)>,
-}
-
-fn whether_covered(model: &FtKripke, s: StateId, ai: usize, phi: &PropSet) -> bool {
-    model
-        .succ(s)
-        .iter()
-        .any(|e| e.kind == TransKind::Fault(ai) && model.props(e.to) == phi)
-}
-
-fn uncovered_states(faults: &[FaultAction], num_props: usize, model: &FtKripke) -> Vec<StateId> {
-    let mut out = Vec::new();
-    'states: for s in model.state_ids() {
-        let valuation = model.props(s);
-        for (ai, action) in faults.iter().enumerate() {
-            if !action.enabled(valuation) {
-                continue;
-            }
-            for phi in action.outcomes(valuation, num_props) {
-                if !whether_covered(model, s, ai, &phi) {
-                    out.push(s);
-                    continue 'states;
-                }
-            }
-        }
-    }
-    out
-}
-
-/// The perturbed states of `model` (by `roles`), each with the distinct
-/// tolerance indices of the fault actions entering it, in the order
-/// [`FtKripke::entering_fault_actions`] lists the actions.
-fn perturbed_tolerances(
-    env: &Env<'_>,
-    model: &FtKripke,
-    roles: &[StateRole],
-) -> Vec<(StateId, Vec<usize>)> {
-    let entering = model.entering_fault_actions();
-    let mut out = Vec::new();
-    for s in model.state_ids() {
-        if roles[s.index()] != StateRole::Perturbed {
-            continue;
-        }
-        let mut tols: Vec<usize> = Vec::new();
-        for &a in entering.row(s) {
-            let t = env.reqs.tol_of_action[a as usize];
-            if !tols.contains(&t) {
-                tols.push(t);
-            }
-        }
-        out.push((s, tols));
-    }
-    out
 }
 
 fn round_ctx(
     env: &Env<'_>,
     model: &FtKripke,
     roles: &[StateRole],
-    uncovered: Vec<StateId>,
+    uncovered: Vec<(StateId, usize, Option<u32>)>,
 ) -> RoundCtx {
     let mut ck = Checker::new(model, env.reqs.semantics);
-    for &r in &env.reqs.roots {
+    for r in env.reqs.roots() {
         ck.eval(env.arena, r);
     }
     let no_dead_ends = ck.dead_end_free();
@@ -368,7 +287,7 @@ fn round_ctx(
     for f in cache.formulas() {
         all_true[f.index()] = cache.all_true(f);
     }
-    let perturbed = perturbed_tolerances(env, model, roles);
+    let perturbed = env.reqs.sites(model, roles).collect();
     RoundCtx {
         cache,
         all_true,
@@ -380,47 +299,20 @@ fn round_ctx(
 }
 
 /// Exact fault-closure verdict for the candidate `model.merged(from,
-/// into)` from base-model signatures alone.
+/// into)` from the base model's uncovered outcomes alone.
 ///
 /// Merging preserves every state's valuation and every fault edge's
 /// target valuation, so a state other than `from`/`into` is closed in
-/// the candidate iff it is closed in the base; the merged state is
-/// closed iff each enabled outcome is covered by `from` *or* `into`
-/// (its successor set is the union of theirs). The O(1) fast path:
+/// the candidate iff it is closed in the base; the merged state's
+/// successor set is the union of theirs, so an outcome one of them
+/// misses must be covered by the other. The O(1) fast path:
 /// `RoundCtx::uncovered` is empty — every candidate is closed. That is
 /// every round after the first: the merge that ended the first round
 /// passed this check, so it left a fault-closed model.
-fn closure_ok(
-    env: &Env<'_>,
-    round: &RoundCtx,
-    model: &FtKripke,
-    from: StateId,
-    into: StateId,
-) -> bool {
-    let mut pair_uncovered = false;
-    for &s in &round.uncovered {
-        if s == from || s == into {
-            pair_uncovered = true;
-        } else {
-            return false;
-        }
-    }
-    if pair_uncovered {
-        let valuation = model.props(into);
-        for (ai, action) in env.faults.iter().enumerate() {
-            if !action.enabled(valuation) {
-                continue;
-            }
-            for phi in action.outcomes(valuation, env.reqs.num_props) {
-                if !whether_covered(model, from, ai, &phi)
-                    && !whether_covered(model, into, ai, &phi)
-                {
-                    return false;
-                }
-            }
-        }
-    }
-    true
+fn closure_ok(round: &RoundCtx, model: &FtKripke, from: StateId, into: StateId) -> bool {
+    round.uncovered.iter().all(|&(s, a, phi)| {
+        (s == from && covers(model, into, a, phi)) || (s == into && covers(model, from, a, phi))
+    })
 }
 
 /// The transfer calculus: sound per-formula proofs that base-model
@@ -580,7 +472,7 @@ fn decide(
     buf: &mut (FtKripke, Vec<StateId>),
 ) -> Decision {
     // Lever 2: signature prune (exact, no candidate build).
-    if !closure_ok(env, round, model, from, into) {
+    if !closure_ok(round, model, from, into) {
         return Decision::new(false, Kind::Pruned);
     }
 
@@ -617,10 +509,9 @@ fn decide_on(
     cand: &FtKripke,
 ) -> Decision {
     let merged_state = StateId(into.0 - u32::from(into.0 > from.0));
-    let init_c = cand.init_states()[0];
     let mut tr = Transfer::new(env.arena, round, from, into);
 
-    // Requirement obligations: spec conjuncts at the initial state,
+    // Requirement obligations: spec conjuncts at every initial state,
     // tolerance labels at each perturbed state (per the tolerances of
     // the fault actions reaching it) — exactly `verify_semantic`'s
     // predicate set. The transfer calculus discharges most of them; the
@@ -686,8 +577,10 @@ fn decide_on(
             ReqRes::OpenAg(i) => ag_open[*i].1.push(c),
         }
     };
-    for r in &env.reqs.spec {
-        add(&mut tr, &mut open_plain, &mut ag_open, r, init_c);
+    for &init in cand.init_states() {
+        for r in &env.split.spec {
+            add(&mut tr, &mut open_plain, &mut ag_open, r, init);
+        }
     }
     // Obligation sites. When `from` and `into` have equal reachability,
     // merging preserves the reachable set exactly (a candidate path
@@ -715,20 +608,20 @@ fn decide_on(
             }
             let c = StateId(s.0 - u32::from(s.0 > from.0));
             for &t in tols {
-                for r in &env.reqs.tol_reqs[t] {
+                for r in &env.split.labels[t] {
                     add(&mut tr, &mut open_plain, &mut ag_open, r, c);
                 }
             }
         }
         for &t in &merged_tols {
-            for r in &env.reqs.tol_reqs[t] {
+            for r in &env.split.labels[t] {
                 add(&mut tr, &mut open_plain, &mut ag_open, r, merged_state);
             }
         }
     } else {
-        for (s, tols) in perturbed_tolerances(env, cand, &cand.classify()) {
+        for (s, tols) in env.reqs.sites(cand, &cand.classify()) {
             for t in tols {
-                for r in &env.reqs.tol_reqs[t] {
+                for r in &env.split.labels[t] {
                     add(&mut tr, &mut open_plain, &mut ag_open, r, s);
                 }
             }
@@ -744,7 +637,7 @@ fn decide_on(
     // sees the same order.
     let mut ck = Checker::new(cand, env.reqs.semantics);
     let mut ag_memo: HashMap<FormulaId, StateSet> = HashMap::new();
-    let universal = |f: FormulaId| env.reqs.universal[f.index()];
+    let universal = |f: FormulaId| env.split.universal[f.index()];
     for (parts, sites) in &mut ag_open {
         if sites.is_empty() {
             continue;
@@ -824,11 +717,13 @@ pub fn semantic_minimize_governed(
     let mut profile = MinimizeProfile::default();
     // All arena mutations happen here; afterwards the problem is only
     // read.
-    let reqs = Requirements::new(problem);
+    let reqs = &Requirements::new(problem);
+    let arena = &problem.arena;
+    let split = Split::new(reqs, arena);
     let env = Env {
-        arena: &problem.arena,
-        faults: &problem.faults,
-        reqs: &reqs,
+        arena,
+        reqs,
+        split: &split,
     };
     let mut model = model;
     let mut total_map: Vec<StateId> = model.state_ids().collect();
@@ -838,7 +733,7 @@ pub fn semantic_minimize_governed(
     // Lever 2's closure scan, once per run (module docs): it is handed
     // to the first round only, because reaching a second round takes an
     // accepted merge, after which no state is uncovered.
-    let mut uncovered = uncovered_states(env.faults, env.reqs.num_props, &model);
+    let mut uncovered = reqs.uncovered(&model);
     // Per-run kill scores, dense by formula id (see `decide_on`), and
     // the replay set of lever 3 in the current model's state ids.
     let mut kills = vec![0u32; env.arena.len()];
@@ -950,7 +845,7 @@ pub fn semantic_minimize_governed(
                 let step_map = &buf.1;
                 std::mem::swap(&mut model, &mut buf.0);
                 debug_assert!(
-                    uncovered_states(env.faults, env.reqs.num_props, &model).is_empty(),
+                    reqs.uncovered(&model).is_empty(),
                     "an accepted merge left a state without a fault successor"
                 );
                 for t in total_map.iter_mut() {
@@ -997,7 +892,7 @@ mod tests {
     use crate::problems::mutex;
     use crate::synthesize;
     use crate::verify::verify_semantic;
-    use ftsyn_kripke::TransKind;
+    use ftsyn_kripke::{PropSet, TransKind};
 
     #[test]
     fn merged_redirects_edges() {

@@ -1,6 +1,7 @@
 //! The synthesis problem (Section 3) and tolerance labels
 //! (Definition 2.1, extended to multitolerance per Section 8.2).
 
+use crate::requirements::Requirements;
 use ftsyn_ctl::{Closure, FormulaArena, FormulaId, LabelSet, PropTable, Spec};
 use ftsyn_guarded::FaultAction;
 use ftsyn_tableau::{CertMode, FaultSpec};
@@ -130,11 +131,7 @@ impl SynthesisProblem {
     /// All formulae that must be members of the closure: the temporal
     /// specification and every tolerance label in use.
     pub fn closure_roots(&mut self) -> Vec<FormulaId> {
-        let mut roots = vec![self.spec.formula(&mut self.arena)];
-        for tol in self.tolerance.distinct() {
-            roots.extend(self.label_tol_formulas(tol));
-        }
-        roots
+        Requirements::new(self).roots()
     }
 
     /// Step 0 of the method, the inputs of every tableau build: the
@@ -142,14 +139,14 @@ impl SynthesisProblem {
     /// specification with each action's tolerance label, and the root
     /// label `{spec}`.
     pub fn tableau_inputs(&mut self) -> (Closure, FaultSpec, LabelSet) {
-        let roots = self.closure_roots();
-        let closure = Closure::build(&mut self.arena, &self.props, &roots);
+        let reqs = Requirements::new(self);
+        let closure = Closure::build(&mut self.arena, &self.props, &reqs.roots());
         let fault_spec = FaultSpec {
             actions: self.faults.clone(),
-            tolerance_labels: self.tolerance_label_sets(&closure),
+            tolerance_labels: reqs.label_sets(&closure),
         };
         let mut root_label = closure.empty_label();
-        root_label.insert(closure.index_of(roots[0]).expect("spec is a closure root"));
+        root_label.insert(closure.index_of(reqs.spec).expect("spec is a closure root"));
         (closure, fault_spec, root_label)
     }
 
@@ -161,20 +158,7 @@ impl SynthesisProblem {
     ///
     /// Panics if a tolerance formula is missing from the closure.
     pub fn tolerance_label_sets(&mut self, closure: &Closure) -> Vec<LabelSet> {
-        (0..self.faults.len())
-            .map(|i| {
-                let tol = self.tolerance.of(i);
-                let mut l = closure.empty_label();
-                for f in self.label_tol_formulas(tol) {
-                    l.insert(
-                        closure
-                            .index_of(f)
-                            .expect("tolerance formulae are closure roots"),
-                    );
-                }
-                l
-            })
-            .collect()
+        Requirements::new(self).label_sets(closure)
     }
 }
 

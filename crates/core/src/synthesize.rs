@@ -2,15 +2,14 @@
 
 use crate::cegis::{cegis_synthesize, CegisProfile};
 use crate::extract::{
-    extract_program, introduce_shared_variables, refine_guards, ExtractProfile,
+    extract_program, introduce_shared_variables, refine, ExtractProfile,
     DEFAULT_EXTRACT_REFINE_ROUNDS,
 };
 use crate::minimize::{semantic_minimize_governed, MinimizeProfile};
 use crate::problem::SynthesisProblem;
+use crate::requirements::Requirements;
 use crate::unravel::{unravel_governed, Unraveled};
-use crate::verify::{
-    verify, verify_semantic, verify_semantic_ok, Failure, FailureKind, Verification,
-};
+use crate::verify::{check, verify, Failure, FailureKind, Verification};
 use ftsyn_ctl::{Closure, LabelSet};
 use ftsyn_guarded::interp::{explore, ExploreError};
 use ftsyn_guarded::{fault_set_size, Program};
@@ -490,7 +489,12 @@ impl ExtractionGap {
     /// The [`FailureKind::ExtractionGap`] message. Summarising a
     /// rejection re-runs the full semantic check on the explored
     /// structure, so only the tableau path, which reports it, pays.
-    fn message(self, problem: &mut SynthesisProblem, profile: &ExtractProfile) -> String {
+    fn message(
+        self,
+        reqs: &Requirements,
+        problem: &SynthesisProblem,
+        profile: &ExtractProfile,
+    ) -> String {
         let (explored, what) = match self {
             ExtractionGap::NotExecutable(e) => {
                 return format!("extracted program is not executable: {e}")
@@ -504,7 +508,7 @@ impl ExtractionGap {
             ),
             ExtractionGap::NoProgress(k) => (k, "extraction refinement made no progress".into()),
         };
-        let summary = verify_semantic(problem, &explored).failure_summary();
+        let summary = check(reqs, problem, &explored, true).failure_summary();
         format!(
             "{what}: {summary} ({} explored vs {} model states)",
             explored.len(),
@@ -526,7 +530,8 @@ impl ExtractionGap {
 /// Adds its wall time to `stats.extract_time`; an abort also leaves the
 /// partial profile in `stats.extract_profile`.
 pub(crate) fn extract_stage(
-    problem: &mut SynthesisProblem,
+    reqs: &Requirements,
+    problem: &SynthesisProblem,
     model: &mut FtKripke,
     gov: Option<&Governor>,
     stats: &mut SynthesisStats,
@@ -583,14 +588,14 @@ pub(crate) fn extract_stage(
                 !vec_in_model[k.vec_id(s) as usize].is_some_and(|v| bucket.contains(&v))
             })
             .count();
-        if verify_semantic_ok(problem, &ex.kripke) {
+        if check(reqs, problem, &ex.kripke, false).ok() {
             profile.verified = true;
             break None;
         }
         if profile.refinement_rounds >= refine_cap {
             break Some(ExtractionGap::CapReached(ex.kripke));
         }
-        let changed = refine_guards(problem, model, &intro, &mut program);
+        let changed = refine(reqs, problem, model, &intro, &mut program);
         profile.refinement_rounds += 1;
         profile.refined_arcs += changed;
         if changed == 0 {
@@ -764,11 +769,12 @@ pub fn synthesize_session(
     if let Some(g) = gov {
         g.enter_phase(Phase::Extract);
     }
+    let reqs = Requirements::new(problem);
     let Extraction {
         program,
         profile,
         failure,
-    } = match extract_stage(problem, &mut model, gov, &mut stats) {
+    } = match extract_stage(&reqs, problem, &mut model, gov, &mut stats) {
         Ok(e) => e,
         Err(reason) => return Ok((aborted(Phase::Extract, reason, None, stats, start), fills)),
     };
@@ -780,13 +786,13 @@ pub fn synthesize_session(
     // soundness, Theorem 7.1.9). Every pre-minimization failure is
     // surfaced with its stage tagged, not just the label-related ones.
     let t_ver = Instant::now();
-    let mut verification = verify_semantic(problem, &model);
+    let mut verification = check(&reqs, problem, &model, true);
     verification.merge_pre_minimization(full_verification);
     if let Some(gap) = failure {
         verification.extraction_ok = false;
         verification.failures.push(Failure::pipeline(
             FailureKind::ExtractionGap,
-            gap.message(problem, &profile),
+            gap.message(&reqs, problem, &profile),
         ));
     }
     stats.extract_profile = profile;

@@ -2,12 +2,12 @@
 //! fault-closure theorems of Section 7, re-checked on every produced
 //! structure with the CTL model checker.
 
-use crate::problem::{SynthesisProblem, Tolerance};
+use crate::problem::SynthesisProblem;
+use crate::requirements::Requirements;
 use crate::unravel::Unraveled;
-use ftsyn_ctl::{Closure, FormulaId};
-use ftsyn_kripke::{Checker, PropSet, Semantics, StateRole, TransKind};
-use ftsyn_tableau::{valuation_of, CertMode, Tableau};
-use std::collections::HashMap;
+use ftsyn_ctl::Closure;
+use ftsyn_kripke::{Checker, FtKripke};
+use ftsyn_tableau::{valuation_of, Tableau};
 use std::fmt;
 
 /// Category of a verification failure — which theorem or requirement
@@ -15,7 +15,7 @@ use std::fmt;
 /// human-readable message.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FailureKind {
-    /// The initial state violates the temporal specification
+    /// An initial state violates the temporal specification
     /// (Corollary 7.1(1)).
     Spec,
     /// A perturbed state violates its tolerance label
@@ -124,19 +124,11 @@ impl fmt::Display for Failure {
     }
 }
 
-/// The satisfaction relation matching a synthesis mode: `⊨ₙ` for the
-/// main method, plain `⊨` for Section 8.3's alternative method.
-pub(crate) fn semantics_of(mode: CertMode) -> Semantics {
-    match mode {
-        CertMode::FaultFree => Semantics::FaultFree,
-        CertMode::FaultProne => Semantics::IncludeFaults,
-    }
-}
-
 /// The outcome of verifying a synthesized model.
 #[derive(Clone, Debug, Default)]
 pub struct Verification {
-    /// `M_F, s0 ⊨ₙ init ∧ AG(global) ∧ AG(coupling)` (Corollary 7.1(1)).
+    /// `M_F, S0 ⊨ₙ init ∧ AG(global) ∧ AG(coupling)`: the spec holds at
+    /// every initial state (Corollary 7.1(1)).
     pub init_satisfies_spec: bool,
     /// `M_F, S_F ⊨ₙ Label_TOL(spec)` for every perturbed state, using
     /// the tolerance of the fault action that reached it
@@ -212,15 +204,13 @@ impl Verification {
     }
 }
 
-/// Runs the semantic checks (spec at init, tolerance at perturbed
-/// states, fault closure) on any model — the three requirements of the
-/// synthesis problem statement (Section 3). `labels_sound` is left
-/// `true`; the full [`verify`] additionally checks it.
-pub fn verify_semantic(
-    problem: &mut SynthesisProblem,
-    model: &ftsyn_kripke::FtKripke,
-) -> Verification {
-    verify_semantic_impl(problem, model, true)
+/// Runs the semantic checks (spec at every initial state, tolerance at
+/// perturbed states, fault closure) on any model — the three
+/// requirements of the synthesis problem statement (Section 3).
+/// `labels_sound` is left `true`; the full [`verify`] additionally
+/// checks it.
+pub fn verify_semantic(problem: &mut SynthesisProblem, model: &FtKripke) -> Verification {
+    check(&Requirements::new(problem), problem, model, true)
 }
 
 /// Early-exit form of [`verify_semantic`] for callers that only need
@@ -229,22 +219,34 @@ pub fn verify_semantic(
 /// counterexample extraction and failure-message construction. The
 /// boolean equals `verify_semantic(problem, model).ok()` — the checks
 /// are one shared implementation — but a rejection costs at most one
-/// failed check instead of a full three-pass sweep, which matters to
-/// the semantic minimizer's inner loop (one verification per candidate
-/// merge).
-pub fn verify_semantic_ok(problem: &mut SynthesisProblem, model: &ftsyn_kripke::FtKripke) -> bool {
-    verify_semantic_impl(problem, model, false).ok()
+/// failed check instead of a full three-pass sweep.
+pub fn verify_semantic_ok(problem: &mut SynthesisProblem, model: &FtKripke) -> bool {
+    check(&Requirements::new(problem), problem, model, false).ok()
 }
 
-/// Shared body of [`verify_semantic`] / [`verify_semantic_ok`]. With
-/// `collect` the full diagnostic sweep runs (every violation gets a
-/// [`Failure`] with a rendered message); without it the function
-/// returns at the first violated requirement with only the verdict
-/// flags set. Both modes evaluate the identical predicates in the
-/// identical order, so the [`Verification::ok`] verdict never differs.
-fn verify_semantic_impl(
-    problem: &mut SynthesisProblem,
-    model: &ftsyn_kripke::FtKripke,
+/// Shared body of [`verify_semantic`] / [`verify_semantic_ok`] for
+/// callers that hold the run's [`Requirements`]. With `collect` the
+/// full diagnostic sweep runs (every violation gets a [`Failure`] with
+/// a rendered message); without it the function returns at the first
+/// violated requirement with only the verdict flags set. Both modes
+/// evaluate the identical predicates in the identical order, so the
+/// [`Verification::ok`] verdict never differs.
+pub(crate) fn check(
+    reqs: &Requirements,
+    problem: &SynthesisProblem,
+    model: &FtKripke,
+    collect: bool,
+) -> Verification {
+    let mut ck = Checker::new(model, reqs.semantics);
+    check_on(&mut ck, reqs, problem, collect)
+}
+
+/// [`check`] with the model checker `ck` on the model, left holding
+/// what the checks evaluated.
+fn check_on(
+    ck: &mut Checker<'_>,
+    reqs: &Requirements,
+    problem: &SynthesisProblem,
     collect: bool,
 ) -> Verification {
     let mut v = Verification {
@@ -255,32 +257,33 @@ fn verify_semantic_impl(
         extraction_ok: true,
         ..Verification::default()
     };
-    let spec_formula = problem.spec.formula(&mut problem.arena);
-    let mut ck = Checker::new(model, semantics_of(problem.mode));
+    let model = ck.model();
+    let arena = &problem.arena;
 
-    // (1) Initial state satisfies the temporal specification. On
+    // (1) Every initial state satisfies the temporal specification. On
     // failure, pin down the offending conjunct and, for invariances,
     // attach a counterexample path.
-    let init = model.init_states()[0];
-    if !ck.holds(&problem.arena, spec_formula, init) {
+    for &init in model.init_states() {
+        if ck.holds(arena, reqs.spec, init) {
+            continue;
+        }
         v.init_satisfies_spec = false;
         if !collect {
             return v;
         }
-        let conjuncts = problem.arena.conjuncts(spec_formula);
         let mut detailed = false;
-        for conj in conjuncts {
-            if ck.holds(&problem.arena, conj, init) {
+        for conj in arena.conjuncts(reqs.spec) {
+            if ck.holds(arena, conj, init) {
                 continue;
             }
             detailed = true;
             let mut msg = format!(
                 "initial state violates `{}`",
-                ftsyn_ctl::print::render(&problem.arena, &problem.props, conj)
+                ftsyn_ctl::print::render(arena, &problem.props, conj)
             );
-            if let ftsyn_ctl::Formula::Aw(g, h) = problem.arena.get(conj) {
-                if problem.arena.get(g) == ftsyn_ctl::Formula::False {
-                    if let Some(cex) = ck.counterexample_ag(&problem.arena, h, init) {
+            if let ftsyn_ctl::Formula::Aw(g, h) = arena.get(conj) {
+                if arena.get(g) == ftsyn_ctl::Formula::False {
+                    if let Some(cex) = ck.counterexample_ag(arena, h, init) {
                         msg.push_str(&format!(
                             "; counterexample: {}",
                             cex.display(model, &problem.props)
@@ -298,34 +301,14 @@ fn verify_semantic_impl(
         }
     }
 
-    // (2) Perturbed states satisfy their tolerance labels. Each distinct
-    // tolerance's label formulas are interned once, on first need.
-    let roles = model.classify();
-    let entering = model.entering_fault_actions();
-    let mut labels: Vec<(Tolerance, Vec<FormulaId>)> = Vec::new();
-    for s in model.state_ids() {
-        if roles[s.index()] != StateRole::Perturbed {
-            continue;
-        }
+    // (2) Perturbed states satisfy the labels of the fault actions
+    // entering them.
+    for (s, labels) in reqs.sites(model, &model.classify()) {
         v.perturbed_count += 1;
-        // Tolerances of the fault actions that can reach s.
-        let mut tols = Vec::new();
-        for &a in entering.row(s) {
-            let t = problem.tolerance.of(a as usize);
-            if !tols.contains(&t) {
-                tols.push(t);
-            }
-        }
-        for tol in tols {
-            let at = match labels.iter().position(|(t, _)| *t == tol) {
-                Some(at) => at,
-                None => {
-                    labels.push((tol, problem.label_tol_formulas(tol)));
-                    labels.len() - 1
-                }
-            };
-            for &f in &labels[at].1 {
-                if !ck.holds(&problem.arena, f, s) {
+        for l in labels {
+            let (tol, conjuncts) = &reqs.labels[l];
+            for &f in conjuncts {
+                if !ck.holds(arena, f, s) {
                     v.perturbed_satisfy_tolerance = false;
                     if !collect {
                         return v;
@@ -343,66 +326,20 @@ fn verify_semantic_impl(
     }
 
     // (3) Fault closure: every enabled action is represented, outcome by
-    // outcome, at every state. The enabled actions' outcomes depend only
-    // on the valuation, so they are computed once per valuation id some
-    // state carries and resolved to valuation ids themselves; an outcome
-    // no state carries is covered by no edge.
-    let table = model.valuations();
-    let mut used = vec![false; table.len()];
-    for s in model.state_ids() {
-        used[model.val_id(s) as usize] = true;
-    }
-    let ids: HashMap<&PropSet, u32> = table
-        .iter()
-        .zip(0..)
-        .filter(|&(_, v)| used[v as usize])
-        .collect();
-    let outcomes: Vec<Vec<(usize, Option<u32>)>> = table
-        .iter()
-        .zip(&used)
-        .map(|(valuation, &used)| {
-            if !used {
-                return Vec::new();
-            }
-            problem
-                .faults
-                .iter()
-                .enumerate()
-                .filter(|(_, action)| action.enabled(valuation))
-                .flat_map(|(ai, action)| {
-                    action
-                        .outcomes(valuation, problem.props.len())
-                        .into_iter()
-                        .map(move |phi| (ai, phi))
-                })
-                .map(|(ai, phi)| (ai, ids.get(&phi).copied()))
-                .collect()
-        })
-        .collect();
-    for s in model.state_ids() {
-        let enabled = &outcomes[model.val_id(s) as usize];
-        for &(ai, phi) in enabled.iter() {
-            let covered = phi.is_some_and(|phi| {
-                model
-                    .succ(s)
-                    .iter()
-                    .any(|e| e.kind == TransKind::Fault(ai) && model.val_id(e.to) == phi)
-            });
-            if !covered {
-                v.fault_closed = false;
-                if !collect {
-                    return v;
-                }
-                v.failures.push(Failure::new(
-                    FailureKind::FaultClosure,
-                    format!(
-                        "state {} misses a fault transition for `{}`",
-                        model.display_state(s, &problem.props),
-                        problem.faults[ai].name()
-                    ),
-                ));
-            }
+    // outcome, at every state.
+    for (s, a, _) in reqs.uncovered(model) {
+        v.fault_closed = false;
+        if !collect {
+            return v;
         }
+        v.failures.push(Failure::new(
+            FailureKind::FaultClosure,
+            format!(
+                "state {} misses a fault transition for `{}`",
+                model.display_state(s, &problem.props),
+                problem.faults[a].name()
+            ),
+        ));
     }
 
     v
@@ -410,16 +347,17 @@ fn verify_semantic_impl(
 
 /// Runs all checks on an unraveled model, including label soundness
 /// (Theorem 7.1.9: every formula in a state's tableau label holds at
-/// that state under `⊨ₙ`).
+/// that state under `⊨ₙ`). One model checker serves both.
 pub fn verify(
     problem: &mut SynthesisProblem,
     closure: &Closure,
     tableau: &Tableau,
     unr: &Unraveled,
 ) -> Verification {
-    let mut v = verify_semantic(problem, &unr.model);
+    let reqs = Requirements::new(problem);
     let model = &unr.model;
-    let mut ck = Checker::new(model, semantics_of(problem.mode));
+    let mut ck = Checker::new(model, reqs.semantics);
+    let mut v = check_on(&mut ck, &reqs, problem, true);
     for s in model.state_ids() {
         let label = unr.state_label(tableau, s);
         // Sanity: the state's valuation matches its label's literals.
@@ -530,10 +468,168 @@ mod aggregation_tests {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::problem::{Tolerance, ToleranceAssignment};
     use crate::problems::mutex;
     use crate::unravel::unravel_mode;
+    use ftsyn_ctl::{parse::parse, FormulaArena, Owner, PropTable, Spec};
     use ftsyn_guarded::{BoolExpr, FaultAction, PropAssign};
+    use ftsyn_kripke::{FtKripke, KripkeBuilder, PropSet, State, TransKind};
     use ftsyn_tableau::{apply_deletion_rules_profiled, build_with_threads};
+
+    /// A one-process problem over `a`, `b` with spec `a ∧ AG a`, and two
+    /// fault actions of different tolerances: `set_b` (`a ∧ ¬b → b :=
+    /// true`, masking) and `drop_a` (`true → a := false`, nonmasking).
+    fn two_tolerance_problem() -> SynthesisProblem {
+        let mut props = PropTable::new();
+        let a = props.add("a", Owner::Process(0)).unwrap();
+        let b = props.add("b", Owner::Process(0)).unwrap();
+        let mut arena = FormulaArena::new(1);
+        let init = parse(&mut arena, &mut props, "a", false).unwrap();
+        let global = parse(&mut arena, &mut props, "a", false).unwrap();
+        let spec = Spec::new(&mut arena, init, global);
+        let set_b = FaultAction::new(
+            "set_b",
+            BoolExpr::And(vec![
+                BoolExpr::Prop(a),
+                BoolExpr::Not(Box::new(BoolExpr::Prop(b))),
+            ]),
+            vec![(b, PropAssign::True)],
+        )
+        .unwrap();
+        let drop_a = FaultAction::new(
+            "drop_a",
+            BoolExpr::Const(true),
+            vec![(a, PropAssign::False)],
+        )
+        .unwrap();
+        let mut problem =
+            SynthesisProblem::new(arena, props, spec, vec![set_b, drop_a], Tolerance::Masking);
+        problem.tolerance =
+            ToleranceAssignment::PerFault(vec![Tolerance::Masking, Tolerance::Nonmasking]);
+        problem
+    }
+
+    /// States `{a}` (initial), `{a, b}`, `{}`, `{b}`. The spec fails at
+    /// the initial state (`{a} → {b}`); `{a, b}` is perturbed by `set_b`
+    /// and reaches `{b}` (masking label fails); `{}` is perturbed by
+    /// `drop_a` and stays put (nonmasking label fails); `drop_a` has no
+    /// edge at `{a, b}` or at `{b}` (fault closure fails twice).
+    fn failing_model(problem: &SynthesisProblem) -> FtKripke {
+        let (a, b) = (
+            problem.props.id("a").unwrap(),
+            problem.props.id("b").unwrap(),
+        );
+        let n = problem.props.len();
+        let mut k = KripkeBuilder::new();
+        let mut state = |props: &[ftsyn_ctl::PropId]| {
+            k.push_state(State {
+                props: PropSet::from_iter_with_capacity(n, props.iter().copied()),
+                shared: Vec::new(),
+            })
+        };
+        let s_a = state(&[a]);
+        let s_ab = state(&[a, b]);
+        let s_none = state(&[]);
+        let s_b = state(&[b]);
+        k.add_init(s_a);
+        for (from, kind, to) in [
+            (s_a, TransKind::Proc(0), s_a),
+            (s_a, TransKind::Proc(0), s_b),
+            (s_a, TransKind::Fault(0), s_ab),
+            (s_a, TransKind::Fault(1), s_none),
+            (s_ab, TransKind::Proc(0), s_b),
+            (s_none, TransKind::Proc(0), s_none),
+            (s_none, TransKind::Fault(1), s_none),
+            (s_b, TransKind::Proc(0), s_b),
+        ] {
+            k.add_edge(from, kind, to);
+        }
+        k.freeze()
+    }
+
+    /// Every failure `verify_semantic` reports on [`failing_model`],
+    /// with its kind, stage and message, in order: spec, then tolerance
+    /// by perturbed state, then fault closure by state.
+    #[test]
+    fn semantic_failure_list_is_pinned() {
+        let mut problem = two_tolerance_problem();
+        let model = failing_model(&problem);
+        let v = verify_semantic(&mut problem, &model);
+        let got: Vec<(FailureKind, FailureStage, &str)> = v
+            .failures
+            .iter()
+            .map(|f| (f.kind, f.stage, f.message.as_str()))
+            .collect();
+        use FailureKind::{FaultClosure, Spec as SpecKind, Tolerance as Tol};
+        let fin = FailureStage::Final;
+        assert_eq!(
+            got,
+            [
+                (
+                    SpecKind,
+                    fin,
+                    "initial state violates `AG a`; counterexample: [a] -> [b]"
+                ),
+                (
+                    Tol,
+                    fin,
+                    "perturbed state [a b] violates its Masking tolerance label"
+                ),
+                (
+                    Tol,
+                    fin,
+                    "perturbed state [] violates its Nonmasking tolerance label"
+                ),
+                (
+                    FaultClosure,
+                    fin,
+                    "state [a b] misses a fault transition for `drop_a`"
+                ),
+                (
+                    FaultClosure,
+                    fin,
+                    "state [b] misses a fault transition for `drop_a`"
+                ),
+            ]
+        );
+        assert_eq!(v.perturbed_count, 2);
+        assert!(!v.ok());
+        assert!(!verify_semantic_ok(&mut problem, &model));
+    }
+
+    /// The spec must hold at every initial state: the verdict may not
+    /// depend on the order the initial states were added in.
+    #[test]
+    fn spec_is_checked_at_every_initial_state() {
+        let mut problem = mutex::fault_free(2);
+        let solved = crate::synthesize(&mut problem).unwrap_solved();
+        let m = &solved.model;
+        let init = m.init_states()[0];
+        let other = m
+            .state_ids()
+            .find(|&s| m.props(s) != m.props(init))
+            .expect("a state of another valuation");
+        for order in [[init, other], [other, init]] {
+            let mut k = KripkeBuilder::new();
+            for s in m.state_ids() {
+                k.push_state(m.state(s).clone());
+            }
+            for s in m.state_ids() {
+                for e in m.succ(s) {
+                    k.add_edge(s, e.kind, e.to);
+                }
+            }
+            for s in order {
+                k.add_init(s);
+            }
+            let model = k.freeze();
+            assert_eq!(model.init_states(), &order[..]);
+            let v = verify_semantic(&mut problem, &model);
+            assert!(!v.init_satisfies_spec, "initial states {order:?}");
+            assert!(v.failures.iter().any(|f| f.kind == FailureKind::Spec));
+            assert!(!verify_semantic_ok(&mut problem, &model));
+        }
+    }
 
     /// Regression test for the string-grep failure filter this module's
     /// structured kinds replaced: a *non-label* failure pushed through

@@ -381,7 +381,6 @@ pub struct Service {
     admission: AdmissionGovernor,
     /// What startup recovery found, when a checkpoint dir is attached.
     recovery: Option<Recovery>,
-    default_budget: Budget,
     spec_parser: Option<SpecParser>,
     /// Refuse new work ([`Service::quiesce`] and [`Service::shutdown`]).
     shutting_down: AtomicBool,
@@ -411,8 +410,8 @@ fn write<T>(m: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
 }
 
 impl Service {
-    /// A fresh service with a cold cache and an unlimited default
-    /// budget.
+    /// A fresh service with a cold cache. A request without a budget
+    /// runs unlimited.
     pub fn new() -> Service {
         Service {
             cache: RwLock::new(HashMap::new()),
@@ -424,17 +423,10 @@ impl Service {
             idle: Condvar::new(),
             admission: AdmissionGovernor::new(AdmissionConfig::default()),
             recovery: None,
-            default_budget: Budget::unlimited(),
             spec_parser: None,
             shutting_down: AtomicBool::new(false),
             hard_shutdown: AtomicBool::new(false),
         }
-    }
-
-    /// Sets the budget applied to requests that do not carry their own.
-    pub fn with_default_budget(mut self, budget: Budget) -> Service {
-        self.default_budget = budget;
-        self
     }
 
     /// Applies admission limits (worker slots, bounded queue, load
@@ -454,24 +446,24 @@ impl Service {
     /// Attaches a durable checkpoint store at `dir`, running startup
     /// recovery: validated checkpoints from a previous daemon life are
     /// re-offered (see [`Service::list_checkpoints`] and the
-    /// `list-checkpoints` op), damaged files are quarantined. The
-    /// [`Recovery`] report is kept on the service
-    /// ([`Service::recovery`]).
+    /// `list-checkpoints` op), damaged files are quarantined. Each
+    /// recovered blob moves into the checkpoint map; the [`Recovery`]
+    /// report kept on the service ([`Service::recovery`]) holds ids,
+    /// sources and node counts, with every `blob` empty.
     ///
     /// # Errors
     ///
     /// [`StoreError`] when the directory itself is unusable (cannot be
     /// created, read, or indexed). Damaged records are never fatal.
     pub fn with_checkpoint_dir(mut self, dir: &Path) -> Result<Service, StoreError> {
-        let (store, recovery) = CheckpointStore::open(dir)?;
+        let (store, mut recovery) = CheckpointStore::open(dir)?;
         {
-            let map = lock(&self.checkpoints);
-            let mut map = map;
-            for rec in &recovery.recovered {
+            let mut map = lock(&self.checkpoints);
+            for rec in &mut recovery.recovered {
                 map.mem.insert(
                     rec.id.clone(),
                     Stored {
-                        blob: rec.blob.clone(),
+                        blob: std::mem::take(&mut rec.blob),
                         source: rec.source.clone(),
                         nodes: rec.nodes,
                     },
@@ -635,7 +627,7 @@ impl Service {
             Ok(p) => p,
             Err(reply) => return reply,
         };
-        let budget = req.budget.unwrap_or_else(|| self.default_budget.clone());
+        let budget = req.budget.unwrap_or_default();
         self.run(
             &req.id,
             req.threads,
@@ -734,7 +726,7 @@ impl Service {
                 ),
             );
         }
-        let budget = budget.unwrap_or_else(|| self.default_budget.clone());
+        let budget = budget.unwrap_or_default();
         self.run(
             id,
             threads,
@@ -1348,6 +1340,35 @@ mod tests {
         let baseline = baseline_svc.submit(Request::corpus("b", "mutex2-failstop-masking", 1));
         let (baseline_program, _, _) = solved(&baseline);
         assert_eq!(resumed_program, baseline_program);
+    }
+
+    /// Recovery moves each blob into the checkpoint map instead of
+    /// copying it, so resuming a recovered checkpoint leaves no copy of
+    /// its bytes: not in the map, not in the kept report.
+    #[test]
+    fn a_resumed_recovered_checkpoint_leaves_no_copy_of_its_bytes() {
+        let dir =
+            std::env::temp_dir().join(format!("ftsyn-service-recovered-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let svc = Service::new().with_checkpoint_dir(&dir).unwrap();
+        let aborted = svc.submit(
+            Request::corpus("r1", "mutex2-failstop-masking", 1).with_budget(Budget {
+                max_states: Some(12),
+                ..Budget::unlimited()
+            }),
+        );
+        assert!(matches!(aborted, Reply::Aborted { .. }), "{aborted:?}");
+        drop(svc);
+
+        let svc = Service::new().with_checkpoint_dir(&dir).unwrap();
+        let recovered = &svc.recovery().unwrap().recovered;
+        assert_eq!(recovered.len(), 1);
+        assert!(recovered[0].nodes > 0);
+        assert!(recovered[0].blob.is_empty(), "the report keeps no bytes");
+        assert!(svc.export_checkpoint("r1").is_some_and(|b| !b.is_empty()));
+        solved(&svc.resume("r2", "r1", 1, None));
+        assert!(lock(&svc.checkpoints).mem.is_empty());
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -101,7 +101,9 @@ pub struct RecoveredCheckpoint {
     pub id: String,
     /// Problem source a resume rebuilds the problem from.
     pub source: ProblemSource,
-    /// The encoded [`Checkpoint`] wire blob (already validated).
+    /// The encoded [`Checkpoint`] wire blob (already validated). Empty
+    /// on the report a [`Service`](crate::Service) keeps: the service
+    /// moves the bytes into its checkpoint map.
     pub blob: Vec<u8>,
     /// Tableau nodes in the checkpoint (from the validating decode).
     pub nodes: usize,
