@@ -125,7 +125,7 @@ pub fn explore(
                 if configs.len() > before {
                     work.push(tid);
                 }
-                kripke.add_edge(sid, TransKind::Proc(pi), tid);
+                kripke.add_edge(sid, TransKind::Proc(pi as u32), tid);
             }
         }
 
@@ -156,7 +156,7 @@ pub fn explore(
                     if configs.len() > before {
                         work.push(tid);
                     }
-                    kripke.add_edge(sid, TransKind::Fault(fi), tid);
+                    kripke.add_edge(sid, TransKind::Fault(fi as u32), tid);
                 }
             }
         }
@@ -238,7 +238,7 @@ impl<'m> Checker<'m> {
                         self.model
                             .succ(s)
                             .iter()
-                            .filter(|e| e.kind == TransKind::Proc(i))
+                            .filter(|e| e.kind == TransKind::Proc(i as u32))
                             .all(|e| vg[e.to.index()])
                     })
                     .collect()
@@ -251,7 +251,7 @@ impl<'m> Checker<'m> {
                         self.model
                             .succ(s)
                             .iter()
-                            .filter(|e| e.kind == TransKind::Proc(i))
+                            .filter(|e| e.kind == TransKind::Proc(i as u32))
                             .any(|e| vg[e.to.index()])
                     })
                     .collect()

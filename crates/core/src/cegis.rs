@@ -50,12 +50,37 @@
 //! requirements of Section 3, model-checked) *and* step 5 of the tableau
 //! pipeline — shared-variable introduction, skeleton extraction, the
 //! explore/re-verify refinement loop — so a CEGIS "solved" outcome
-//! carries exactly the guarantees of a tableau one. When the bounded
-//! space is exhausted, the engine builds the tableau certificate: a
-//! deleted root upgrades the outcome to a sound `Impossible`; an alive
-//! root returns [`AbortReason::CegisBoundExhausted`] (satisfiable, but
-//! not within the bound). The engine never claims an impossibility it
-//! cannot prove.
+//! carries exactly the guarantees of a tableau one.
+//!
+//! # The negative certificate
+//!
+//! A bounded search can only find a model; it cannot refute a spec.
+//! The dual object is the tableau certificate (steps 1–2 of the
+//! tableau pipeline): a deleted root is a sound `Impossible`
+//! (Corollary 7.2); an alive root with the bounded space spent returns
+//! [`AbortReason::CegisBoundExhausted`] (satisfiable, but not within
+//! the bound). The engine never claims an impossibility it cannot
+//! prove.
+//!
+//! At one build thread the certificate is built only when the search
+//! spends its space without a checker approval. At `plan.build ≥ 2` it
+//! races the search from the start, on `plan.build − 1` build threads
+//! and a [linked](Governor::linked) governor whose private stop flag
+//! leaves the caller's budget, deadline and cancel flag in force:
+//!
+//! * a dead root stops the search at its next candidate (unless a
+//!   candidate budget is set: the budget then decides where the search
+//!   ends);
+//! * the search's first checker approval stops the certificate — a
+//!   checked model exists, so the root is alive;
+//! * an abort of the search stops it too.
+//!
+//! On barrier3-failstop-impossible the 1,392-node certificate settles
+//! the case before the search's 512 candidates, all rejected at bound
+//! 0, are spent. On a solvable case it mostly costs the idle core;
+//! step 5 waits only until the stopped certificate returns, which on
+//! sub-millisecond solves can be longer than the search itself. All
+//! threads live in one `std::thread::scope`.
 //!
 //! Acceptance calls the tableau pipeline's step-5 function, and the
 //! certificate calls its build and deletion functions (all in
@@ -80,16 +105,24 @@
 //! model leaves the scratch only when it goes to step 5. A candidate then
 //! costs the prune fixpoint and one model rebuild, both linear in the
 //! base graph, plus the model check (`verify_semantic_ok`, the largest
-//! share: about 0.11 ms of a 125-state barrier3 candidate, on a checker
-//! whose memo and edge arrays are flat vectors) and, when the check
-//! rejects it, one path-successor table and the win-set fixpoints.
+//! share, on a checker whose memo and edge arrays are flat vectors)
+//! and, when the check rejects it, one path-successor table and the
+//! win-set fixpoints. On a 125-state barrier3 candidate the check
+//! takes about 69 µs, the prune and rebuild 19 µs and the child
+//! proposals 14 µs (medians of 15 one-thread solves, release, shared
+//! 2-vCPU box).
 //!
 //! # Determinism
 //!
 //! The search is sequential, and every collection it iterates is
 //! index-ordered (hash maps serve only interning and membership), so
-//! the candidate sequence — and therefore the outcome, the profile
-//! counters, and any cap abort — is identical at every thread count.
+//! the candidate sequence is identical at every thread count. A race
+//! cuts the search short only when the root is dead, and then no
+//! candidate could have been accepted; an `Impossible` reports the
+//! certificate alone, with the search's own counters at 0 however far
+//! the search got. The outcome, the profile counters and any cap abort
+//! are therefore a fixed function of the problem and the budget,
+//! identical at 1, 2 and 8 threads.
 
 use crate::problem::{SynthesisProblem, Tolerance};
 use crate::requirements::Requirements;
@@ -98,10 +131,11 @@ use crate::synthesize::{
     SynthesisStats, Synthesized, ThreadPlan,
 };
 use crate::verify::check;
-use ftsyn_ctl::{Formula, FormulaArena, FormulaId, Owner, PropId, PropTable};
+use ftsyn_ctl::{Closure, Formula, FormulaArena, FormulaId, LabelSet, Owner, PropId, PropTable};
 use ftsyn_kripke::{FtKripke, PropSet, StateId, TransKind};
-use ftsyn_tableau::{AbortReason, CertMode, Governor, Phase};
+use ftsyn_tableau::{AbortReason, CertMode, FaultSpec, Governor, Phase};
 use std::collections::{HashMap, HashSet};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -121,7 +155,9 @@ const MAX_STATES: usize = 50_000;
 
 /// Deterministic counters of one CEGIS run, reported through
 /// [`SynthesisStats::cegis_profile`] and bench JSON. Identical at every
-/// thread count.
+/// thread count. The search's counters (`candidates` through
+/// `peak_base_states`) read 0 on an `Impossible`: the certificate
+/// decides it, and a race may stop the search anywhere.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct CegisProfile {
     /// Admissible valuations after the propositional + fault-image
@@ -144,8 +180,9 @@ pub struct CegisProfile {
     pub solved_at_bound: Option<usize>,
     /// Largest base graph (states before deletion) across bounds.
     pub peak_base_states: usize,
-    /// Tableau nodes of the negative certificate (0 when the search
-    /// succeeded and no certificate was needed).
+    /// Tableau nodes of the negative certificate when it decided the
+    /// run (`Impossible`, or the bound exhausted with the spec
+    /// satisfiable); 0 otherwise, including when a race stopped it.
     pub certificate_nodes: usize,
 }
 
@@ -156,7 +193,10 @@ pub struct CegisProfile {
 /// [`SynthesisOutcome::Impossible`] (propositional cascade, or deleted
 /// certificate root), or [`SynthesisOutcome::Aborted`] with
 /// [`Phase::Cegis`] when a budget trips or the bounded space is
-/// exhausted while the certificate shows the spec satisfiable.
+/// exhausted while the certificate shows the spec satisfiable. At
+/// `plan.build ≥ 2` the certificate is built beside the search, on
+/// `plan.build − 1` build threads; the outcome is the same at every
+/// thread count (see the module docs).
 pub fn cegis_synthesize(
     problem: &mut SynthesisProblem,
     plan: ThreadPlan,
@@ -207,77 +247,199 @@ fn search(
     } else {
         // A non-propositional initial condition (or an obligation set
         // beyond any sensible bound) leaves the enumerator nothing
-        // sound to enumerate; the certificate below decides exactly.
+        // sound to enumerate; the certificate decides exactly.
         None
     };
-
-    let mut candidates = 0usize;
-    let mut exhausted_bound = 0usize;
-    if let Some(u) = &universe {
-        let reqs = Requirements::new(problem);
-        profile.universe = u.vals.len();
-        profile.banned = u.banned_count;
-        if u.init_vals.is_empty() {
-            // Sound fast path: the propositional skeleton of the spec
-            // admits no initial state, whatever the transition
-            // structure — see the module docs.
-            return Search::Impossible;
-        }
-        let max_bound = MAX_BOUND.min(classified.af.len());
-        for bound in 0..=max_bound {
-            profile.max_bound_tried = bound;
-            exhausted_bound = bound;
-            let Some(base) = BaseGraph::build(problem, &classified, u, bound) else {
-                continue; // unrepresentable (or too large) at this bound
-            };
-            profile.peak_base_states = profile.peak_base_states.max(base.states.len());
-            let result = explore_bound(
-                &reqs,
-                problem,
-                &classified,
-                u,
-                &base,
-                gov,
-                &mut candidates,
-                profile,
-                stats,
-            );
-            profile.candidates = candidates;
-            match result {
-                BoundResult::Solved(s) => {
-                    profile.solved_at_bound = Some(bound);
-                    return Search::Solved(s);
-                }
-                BoundResult::Exhausted => {}
-                BoundResult::CapHit => break,
-                BoundResult::Aborted(r) => return Search::Aborted(r),
-            }
-        }
-    }
-
-    // ---- Negative certificate ------------------------------------------
-    // The bounded space is spent. Build the tableau certificate (steps
-    // 1–2 of the tableau pipeline, the same code): a dead root is a
-    // complete impossibility proof (Corollary 7.2); an alive root means
-    // the bound was too small — a structured abort, never a false
-    // "impossible". The governor stays in `Phase::Cegis` throughout.
+    let reqs = universe.as_ref().map(|_| Requirements::new(problem));
+    // Step 0 of the certificate, at every thread count whether or not
+    // it is needed (≈0.04 ms), so the search reads one arena however
+    // the certificate is scheduled.
     let inputs = problem.tableau_inputs();
-    let mut tableau = match certificate_build(problem, &inputs, None, None, plan.build, gov, stats)
-    {
-        Ok((tableau, _)) => tableau,
-        Err(a) => return Search::Aborted(a.reason),
+    let problem: &SynthesisProblem = problem;
+    let (Some(u), Some(reqs)) = (&universe, &reqs) else {
+        let cert = certify(problem, &inputs, plan.build, gov);
+        return settle(SearchEnd::Spent, false, Some(cert), 0, stats, profile);
     };
-    profile.certificate_nodes = tableau.len();
-    if let Err(reason) = certificate_delete(problem, &inputs.0, &mut tableau, gov, stats) {
-        return Search::Aborted(reason);
-    }
-    if !tableau.alive(tableau.root()) {
+    profile.universe = u.vals.len();
+    profile.banned = u.banned_count;
+    if u.init_vals.is_empty() {
+        // Sound fast path: the propositional skeleton of the spec
+        // admits no initial state, whatever the transition structure —
+        // see the module docs.
         return Search::Impossible;
     }
-    Search::Aborted(AbortReason::CegisBoundExhausted {
-        bound: exhausted_bound,
-        candidates,
+
+    // ---- Search, raced against the negative certificate ----------------
+    // The certificate is steps 1–2 of the tableau pipeline (the same
+    // code): a dead root is a complete impossibility proof (Corollary
+    // 7.2); an alive root means the bound was too small — a structured
+    // abort, never a false "impossible". The governor stays in
+    // `Phase::Cegis` throughout.
+    let mut searcher = Searcher::new(reqs, problem, &classified, u, gov, std::mem::take(profile));
+    let (step, cert) = if plan.build >= 2 {
+        let (s, step, cert) = race(searcher, problem, &inputs, plan.build - 1, gov);
+        searcher = s;
+        (step, Some(cert))
+    } else {
+        (searcher.next(None), None)
+    };
+    let end = searcher.finish(step, stats);
+    let cert = match cert {
+        None if matches!(end, SearchEnd::Spent) && !searcher.approved => {
+            Some(certify(problem, &inputs, plan.build, gov))
+        }
+        cert => cert,
+    };
+    *profile = searcher.profile;
+    settle(end, searcher.approved, cert, searcher.bound, stats, profile)
+}
+
+/// The name of the thread a race runs the CEGIS search on (as `ps` and
+/// debuggers show it).
+pub const CEGIS_SEARCH_THREAD: &str = "cegis-search";
+
+/// Runs the search and the certificate side by side: the search on a
+/// helper thread up to its first checker approval (or its end), the
+/// certificate on the calling thread with `threads` build threads and
+/// a [linked](Governor::linked) governor. A dead root stops the search
+/// at its next candidate, unless a candidate budget is set (the budget
+/// then decides where the search ends); an approval or an abort of the
+/// search stops the certificate. Step 5 of an approved candidate then
+/// runs on the calling thread, which reuses the memory the stopped
+/// certificate freed.
+fn race<'a>(
+    mut searcher: Searcher<'a>,
+    problem: &SynthesisProblem,
+    inputs: &(Closure, FaultSpec, LabelSet),
+    threads: usize,
+    gov: Option<&Governor>,
+) -> (Searcher<'a>, Step, Certificate) {
+    let refuted = AtomicBool::new(false);
+    let cert_gov = gov.map_or_else(Governor::unlimited, Governor::linked);
+    let capped = gov.is_some_and(|g| g.budget().max_cegis_candidates.is_some());
+    std::thread::scope(|s| {
+        let helper = std::thread::Builder::new()
+            .name(CEGIS_SEARCH_THREAD.into())
+            .spawn_scoped(s, || {
+                let step = searcher.next((!capped).then_some(&refuted));
+                if !matches!(step, Step::End(SearchEnd::Spent | SearchEnd::Refuted)) {
+                    cert_gov.stop();
+                }
+                (searcher, step)
+            })
+            .expect("spawning the CEGIS search thread");
+        let cert = certify(problem, inputs, threads, Some(&cert_gov));
+        if cert.verdict == Ok(true) {
+            refuted.store(true, Ordering::Relaxed);
+        }
+        let (searcher, step) = helper
+            .join()
+            .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+        (searcher, step, cert)
     })
+}
+
+/// What the tableau certificate showed: `Ok(true)` when its root is
+/// deleted, `Ok(false)` when it is alive.
+struct Certificate {
+    verdict: Result<bool, AbortReason>,
+    /// Tableau nodes built (0 when the build aborted).
+    nodes: usize,
+    /// The build and deletion fields of its run.
+    stats: SynthesisStats,
+}
+
+fn certify(
+    problem: &SynthesisProblem,
+    inputs: &(Closure, FaultSpec, LabelSet),
+    threads: usize,
+    gov: Option<&Governor>,
+) -> Certificate {
+    let mut stats = SynthesisStats::default();
+    let (verdict, nodes) =
+        match certificate_build(problem, inputs, None, None, threads, gov, &mut stats) {
+            Err(a) => (Err(a.reason), 0),
+            Ok((mut tableau, _)) => {
+                let verdict = certificate_delete(problem, &inputs.0, &mut tableau, gov, &mut stats)
+                    .map(|()| !tableau.alive(tableau.root()));
+                (verdict, tableau.len())
+            }
+        };
+    Certificate {
+        verdict,
+        nodes,
+        stats,
+    }
+}
+
+/// Decides the run from the search's end and the certificate, in this
+/// order: a solution; an abort of the search; a dead root, which
+/// reports the certificate alone (the search's own counters read 0,
+/// however far a race let it get); a search that spent its space
+/// without a checker approval, which takes the certificate's abort or
+/// [`AbortReason::CegisBoundExhausted`]. After an approval (step 5
+/// rejected the candidate) a model exists, so the certificate is not
+/// consulted. A certificate that does not decide the run is not
+/// reported.
+fn settle(
+    end: SearchEnd,
+    approved: bool,
+    cert: Option<Certificate>,
+    bound: usize,
+    stats: &mut SynthesisStats,
+    profile: &mut CegisProfile,
+) -> Search {
+    let dead = cert.as_ref().is_some_and(|c| c.verdict == Ok(true));
+    debug_assert!(
+        !(approved && dead),
+        "the checker approved a candidate, yet the certificate's root is deleted"
+    );
+    let cert = match end {
+        SearchEnd::Solved(solved) => return Search::Solved(solved),
+        SearchEnd::Aborted(reason) => return Search::Aborted(reason),
+        SearchEnd::Spent if approved => {
+            return Search::Aborted(AbortReason::CegisBoundExhausted {
+                bound,
+                candidates: profile.candidates,
+            })
+        }
+        SearchEnd::Refuted | SearchEnd::Spent => {
+            cert.expect("a search that ends without an approval consults the certificate")
+        }
+    };
+    adopt_certificate(stats, cert.stats);
+    profile.certificate_nodes = cert.nodes;
+    match cert.verdict {
+        Ok(true) => {
+            *profile = CegisProfile {
+                universe: profile.universe,
+                banned: profile.banned,
+                opaque_conjuncts: profile.opaque_conjuncts,
+                certificate_nodes: profile.certificate_nodes,
+                ..CegisProfile::default()
+            };
+            Search::Impossible
+        }
+        Ok(false) => Search::Aborted(AbortReason::CegisBoundExhausted {
+            bound,
+            candidates: profile.candidates,
+        }),
+        Err(reason) => Search::Aborted(reason),
+    }
+}
+
+/// Moves the build and deletion fields of a certificate run into the
+/// run's stats.
+fn adopt_certificate(stats: &mut SynthesisStats, cert: SynthesisStats) {
+    stats.closure_size = cert.closure_size;
+    stats.tableau_nodes = cert.tableau_nodes;
+    stats.build_time = cert.build_time;
+    stats.build_profile = cert.build_profile;
+    stats.deletion_time = cert.deletion_time;
+    stats.alive_and = cert.alive_and;
+    stats.alive_or = cert.alive_or;
+    stats.deletion = cert.deletion;
+    stats.deletion_profile = cert.deletion_profile;
 }
 
 // ====================================================================
@@ -1401,7 +1563,7 @@ fn prune(u: &Universe, base: &BaseGraph, sc: &mut Scratch) -> bool {
             if !deleted[eid as usize] && included[t as usize] {
                 b.add_edge(
                     from,
-                    TransKind::Proc(mover),
+                    TransKind::Proc(mover as u32),
                     StateId(model_of[t as usize].unwrap()),
                 );
             }
@@ -1410,7 +1572,7 @@ fn prune(u: &Universe, base: &BaseGraph, sc: &mut Scratch) -> bool {
             debug_assert!(included[t as usize]);
             b.add_edge(
                 from,
-                TransKind::Fault(ai),
+                TransKind::Fault(ai as u32),
                 StateId(model_of[t as usize].unwrap()),
             );
         }
@@ -1658,73 +1820,181 @@ fn propose_children(
 // The per-bound guess–verify–block loop
 // ====================================================================
 
-enum BoundResult {
+/// How the search ended.
+enum SearchEnd {
+    /// Step 5 accepted an approved candidate.
     Solved(Box<Synthesized>),
-    Exhausted,
-    CapHit,
+    /// Every bound is exhausted, or [`MAX_CANDIDATES`] is reached.
+    Spent,
+    /// The certificate's dead root stopped the search.
+    Refuted,
     Aborted(AbortReason),
 }
 
-#[allow(clippy::too_many_arguments)]
-fn explore_bound(
-    reqs: &Requirements,
-    problem: &SynthesisProblem,
-    cls: &Classified,
-    u: &Universe,
-    base: &BaseGraph,
-    gov: Option<&Governor>,
-    candidates: &mut usize,
-    profile: &mut CegisProfile,
-    stats: &mut SynthesisStats,
-) -> BoundResult {
-    let mut sc = Scratch::new(base);
-    let mut stack: Vec<Vec<u32>> = vec![Vec::new()];
-    let mut blocked: HashSet<Vec<u32>> = HashSet::new();
-    while let Some(deleted) = stack.pop() {
-        if blocked.contains(&deleted) {
-            continue;
-        }
-        profile.blocked += 1;
-        if let Some(g) = gov {
-            if let Err(reason) = g.check_realtime() {
-                return BoundResult::Aborted(reason);
-            }
-            if let Err(reason) = g.check_cegis_candidates(*candidates) {
-                return BoundResult::Aborted(reason);
-            }
-        }
-        if *candidates >= MAX_CANDIDATES {
-            return BoundResult::CapHit;
-        }
-        *candidates += 1;
+/// What [`Searcher::next`] stopped at.
+enum Step {
+    /// The checker approved this candidate model; step 5 decides it.
+    Approved(FtKripke),
+    End(SearchEnd),
+}
 
-        sc.mark(&deleted, true);
-        let children = if !prune(u, base, &mut sc) {
-            Vec::new() // structurally dead; the blocking store remembers
-        } else if check(reqs, problem, &sc.model, false).ok() {
-            match accept(reqs, problem, std::mem::take(&mut sc.model), gov, stats) {
-                AcceptOutcome::Solved(solved) => return BoundResult::Solved(solved),
-                AcceptOutcome::Rejected => {
-                    profile.oracle_rejections += 1;
-                    Vec::new()
+/// The bounded search over `(bound, deletion set)`, resumable between
+/// approvals so that a race can hand it from its helper thread to the
+/// calling thread.
+struct Searcher<'a> {
+    reqs: &'a Requirements,
+    problem: &'a SynthesisProblem,
+    cls: &'a Classified,
+    u: &'a Universe,
+    gov: Option<&'a Governor>,
+    max_bound: usize,
+    /// The bound being searched (the last one tried, once spent).
+    bound: usize,
+    /// The loop state at `bound`; `None` before its base graph is built.
+    at: Option<BoundSearch>,
+    /// Whether the checker approved a candidate (so a model exists).
+    approved: bool,
+    profile: CegisProfile,
+}
+
+/// The guess–verify–block loop's state at one bound.
+struct BoundSearch {
+    base: BaseGraph,
+    sc: Scratch,
+    stack: Vec<Vec<u32>>,
+    blocked: HashSet<Vec<u32>>,
+}
+
+impl<'a> Searcher<'a> {
+    fn new(
+        reqs: &'a Requirements,
+        problem: &'a SynthesisProblem,
+        cls: &'a Classified,
+        u: &'a Universe,
+        gov: Option<&'a Governor>,
+        profile: CegisProfile,
+    ) -> Searcher<'a> {
+        Searcher {
+            reqs,
+            problem,
+            cls,
+            u,
+            gov,
+            max_bound: MAX_BOUND.min(cls.af.len()),
+            bound: 0,
+            at: None,
+            approved: false,
+            profile,
+        }
+    }
+
+    /// Examines candidates until the checker approves one or the search
+    /// ends. A set `refuted` flag stops the search at its next
+    /// candidate.
+    fn next(&mut self, refuted: Option<&AtomicBool>) -> Step {
+        let (problem, u) = (self.problem, self.u);
+        loop {
+            let Some(at) = &mut self.at else {
+                if self.bound > self.max_bound {
+                    self.bound = self.max_bound;
+                    return Step::End(SearchEnd::Spent);
                 }
-                AcceptOutcome::Aborted(r) => return BoundResult::Aborted(r),
+                self.profile.max_bound_tried = self.bound;
+                match BaseGraph::build(problem, self.cls, u, self.bound) {
+                    Some(base) => {
+                        self.profile.peak_base_states =
+                            self.profile.peak_base_states.max(base.states.len());
+                        self.at = Some(BoundSearch {
+                            sc: Scratch::new(&base),
+                            base,
+                            stack: vec![Vec::new()],
+                            blocked: HashSet::new(),
+                        });
+                    }
+                    // Unrepresentable (or too large) at this bound.
+                    None => self.bound += 1,
+                }
+                continue;
+            };
+            let Some(deleted) = at.stack.pop() else {
+                self.at = None;
+                self.bound += 1;
+                continue;
+            };
+            if at.blocked.contains(&deleted) {
+                continue;
             }
-        } else {
-            profile.oracle_rejections += 1;
-            propose_children(problem, cls, u, base, &mut sc, &deleted)
-        };
-        sc.mark(&deleted, false);
-        // Every child strictly extends `deleted`, so blocking it only
-        // now changes no membership test below.
-        blocked.insert(deleted);
-        for child in children.into_iter().rev() {
-            if !blocked.contains(&child) {
-                stack.push(child);
+            let profile = &mut self.profile;
+            profile.blocked += 1;
+            if let Some(g) = self.gov {
+                if let Err(reason) = g
+                    .check_realtime()
+                    .and_then(|()| g.check_cegis_candidates(profile.candidates))
+                {
+                    return Step::End(SearchEnd::Aborted(reason));
+                }
+            }
+            if refuted.is_some_and(|r| r.load(Ordering::Relaxed)) {
+                return Step::End(SearchEnd::Refuted);
+            }
+            if profile.candidates >= MAX_CANDIDATES {
+                return Step::End(SearchEnd::Spent);
+            }
+            profile.candidates += 1;
+
+            let BoundSearch {
+                base,
+                sc,
+                stack,
+                blocked,
+            } = at;
+            sc.mark(&deleted, true);
+            let mut approved = None;
+            let children = if !prune(u, base, sc) {
+                Vec::new() // structurally dead; the blocking store remembers
+            } else if check(self.reqs, problem, &sc.model, false).ok() {
+                approved = Some(std::mem::take(&mut sc.model));
+                Vec::new()
+            } else {
+                profile.oracle_rejections += 1;
+                propose_children(problem, self.cls, u, base, sc, &deleted)
+            };
+            sc.mark(&deleted, false);
+            // Every child strictly extends `deleted`, so blocking it only
+            // now changes no membership test below.
+            blocked.insert(deleted);
+            for child in children.into_iter().rev() {
+                if !blocked.contains(&child) {
+                    stack.push(child);
+                }
+            }
+            if let Some(model) = approved {
+                self.approved = true;
+                return Step::Approved(model);
             }
         }
     }
-    BoundResult::Exhausted
+
+    /// Runs the search on from `step` on the calling thread, sending each
+    /// approved candidate through step 5, until a program is accepted
+    /// or the search ends.
+    fn finish(&mut self, mut step: Step, stats: &mut SynthesisStats) -> SearchEnd {
+        loop {
+            let model = match step {
+                Step::Approved(model) => model,
+                Step::End(end) => return end,
+            };
+            match accept(self.reqs, self.problem, model, self.gov, stats) {
+                AcceptOutcome::Solved(solved) => {
+                    self.profile.solved_at_bound = Some(self.bound);
+                    return SearchEnd::Solved(solved);
+                }
+                AcceptOutcome::Rejected => self.profile.oracle_rejections += 1,
+                AcceptOutcome::Aborted(r) => return SearchEnd::Aborted(r),
+            }
+            step = self.next(None);
+        }
+    }
 }
 
 enum AcceptOutcome {
@@ -1814,6 +2084,29 @@ mod tests {
         let mut problem = barrier::with_fail_stop_impossible(2);
         let tableau = synthesize(&mut problem);
         assert!(matches!(tableau, SynthesisOutcome::Impossible(_)));
+    }
+
+    /// A checker approval proves the spec satisfiable, so a dead
+    /// certificate root beside it is a bug in one of the two deciders.
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "yet the certificate's root is deleted")]
+    fn an_approval_beside_a_dead_root_is_caught() {
+        let dead = Certificate {
+            verdict: Ok(true),
+            nodes: 1,
+            stats: SynthesisStats::default(),
+        };
+        let mut stats = SynthesisStats::default();
+        let mut profile = CegisProfile::default();
+        settle(
+            SearchEnd::Spent,
+            true,
+            Some(dead),
+            0,
+            &mut stats,
+            &mut profile,
+        );
     }
 
     fn outcome_name(o: &SynthesisOutcome) -> String {

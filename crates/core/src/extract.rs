@@ -174,6 +174,7 @@ pub fn extract_program(
     for s in model.state_ids() {
         for e in model.succ(s) {
             let TransKind::Proc(i) = e.kind else { continue };
+            let i = i as usize;
             let from = state_locals[s.index()][i];
             let to = state_locals[e.to.index()][i];
             // Assignments: the full shared vector of the target state.
@@ -334,7 +335,7 @@ pub(crate) fn refine(
     let edges = |u: usize| model.succ(StateId(u as u32)).iter();
     let fault_succ = |u: usize| {
         edges(u).filter_map(|e| match e.kind {
-            TransKind::Fault(a) => Some((a, e.to.index())),
+            TransKind::Fault(a) => Some((a as usize, e.to.index())),
             TransKind::Proc(_) => None,
         })
     };
@@ -487,7 +488,7 @@ pub(crate) fn refine(
     let mut state_arcs: Vec<Vec<(usize, usize)>> = vec![Vec::new(); n];
     let proc_edges = (0..n).flat_map(|u| {
         edges(u).filter_map(move |e| match e.kind {
-            TransKind::Proc(i) => Some((u, i, e.to.index())),
+            TransKind::Proc(i) => Some((u, i as usize, e.to.index())),
             TransKind::Fault(_) => None,
         })
     });

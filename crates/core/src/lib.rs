@@ -64,7 +64,7 @@ mod verify;
 
 pub mod problems;
 
-pub use cegis::{cegis_synthesize, CegisProfile};
+pub use cegis::{cegis_synthesize, CegisProfile, CEGIS_SEARCH_THREAD};
 pub use check::{check_program, CheckError, CheckReport};
 pub use extract::{
     extract_program, introduce_shared_variables, refine_guards, ExtractProfile, SharedIntroduction,

@@ -161,6 +161,6 @@ pub(crate) fn covers(model: &FtKripke, s: StateId, action: usize, outcome: Optio
         model
             .succ(s)
             .iter()
-            .any(|e| e.kind == TransKind::Fault(action) && model.val_id(e.to) == phi)
+            .any(|e| e.kind == TransKind::Fault(action as u32) && model.val_id(e.to) == phi)
     })
 }

@@ -184,8 +184,8 @@ pub fn unravel_governed(
         for &(kind, j) in &n.succ {
             let to = state_at(resolve(j, &nodes), &state_of);
             match kind {
-                EdgeKind::Proc(p) => model.add_edge(from, TransKind::Proc(p), to),
-                EdgeKind::Fault(a) => model.add_edge(from, TransKind::Fault(a), to),
+                EdgeKind::Proc(p) => model.add_edge(from, TransKind::Proc(p as u32), to),
+                EdgeKind::Fault(a) => model.add_edge(from, TransKind::Fault(a as u32), to),
                 // Dummy self-loops are dropped: the state becomes a dead
                 // end, and the finite-fullpath semantics of the checker
                 // agrees with the tableau's treatment.

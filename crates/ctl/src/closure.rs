@@ -600,7 +600,7 @@ impl LabelSet {
     ///
     /// Unlike the `Hash` impl, this does not depend on a per-process
     /// random seed, so it can be computed on worker threads and reused
-    /// across data structures (e.g. the tableau's sharded intern table)
+    /// across data structures (e.g. the tableau's intern table)
     /// without re-reading the label.
     pub fn stable_hash(&self) -> u64 {
         const K: u64 = 0x51_7c_c1_b7_27_22_0a_95;

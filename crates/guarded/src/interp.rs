@@ -198,7 +198,8 @@ pub fn explore(
             if fresh {
                 work.push(tid);
             }
-            ex.kripke.add_edge(sid, TransKind::Proc(process), tid);
+            ex.kripke
+                .add_edge(sid, TransKind::Proc(process as u32), tid);
         }
 
         // Fault transitions: the view's resolved outcomes, each under
@@ -220,7 +221,7 @@ pub fn explore(
                 if fresh {
                     work.push(tid);
                 }
-                ex.kripke.add_edge(sid, TransKind::Fault(fi), tid);
+                ex.kripke.add_edge(sid, TransKind::Fault(fi as u32), tid);
             }
         }
     }

@@ -342,6 +342,7 @@ impl ProcEdges {
         for s in m.state_ids() {
             for e in m.succ(s) {
                 if let TransKind::Proc(i) = e.kind {
+                    let i = i as usize;
                     if start.len() < i + 2 {
                         start.resize(i + 2, 0);
                     }
@@ -358,6 +359,7 @@ impl ProcEdges {
         for s in m.state_ids() {
             for e in m.succ(s) {
                 if let TransKind::Proc(i) = e.kind {
+                    let i = i as usize;
                     let at = fill[i] as usize;
                     src[at] = s.0;
                     dst[at] = e.to.0;

@@ -30,7 +30,7 @@ pub struct Quotient {
 }
 
 /// Successor signature: sorted, deduplicated `(kind-tag, index, block)`.
-type Signature = Vec<(u8, usize, usize)>;
+type Signature = Vec<(u8, u32, usize)>;
 
 /// Computes the quotient of `m` by strong (labeled) bisimulation.
 pub fn bisimulation_quotient(m: &FtKripke) -> Quotient {

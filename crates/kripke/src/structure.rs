@@ -30,14 +30,15 @@ impl fmt::Debug for StateId {
     }
 }
 
-/// The label of a transition.
+/// The label of a transition. Its `u32` payload keeps an [`Edge`] at
+/// 12 bytes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum TransKind {
     /// A program transition of the given 0-based process.
-    Proc(usize),
+    Proc(u32),
     /// A fault transition caused by the fault action with this index in
     /// the fault specification.
-    Fault(usize),
+    Fault(u32),
 }
 
 impl TransKind {
@@ -369,7 +370,7 @@ impl FtKripke {
     /// order a scan of the sources in id order meets them.
     pub fn entering_fault_actions(&self) -> Csr {
         let mut c = Csr::by_target(self, |_, e| match e.kind {
-            TransKind::Fault(a) => Some(a as u32),
+            TransKind::Fault(a) => Some(a),
             TransKind::Proc(_) => None,
         });
         // Drop repeats row by row, compacting in place.
@@ -726,6 +727,14 @@ mod tests {
         m.freeze()
     }
 
+    /// An edge is a `u32` label payload and a `u32` target: the step-5
+    /// explorer's structures hold hundreds of thousands of them.
+    #[test]
+    fn an_edge_takes_twelve_bytes() {
+        assert_eq!(std::mem::size_of::<TransKind>(), 8);
+        assert_eq!(std::mem::size_of::<Edge>(), 12);
+    }
+
     #[test]
     fn interning_dedups() {
         let mut b = KripkeBuilder::new();
@@ -888,11 +897,7 @@ mod tests {
             big.push_state(s);
         }
         for k in 0..8u32 {
-            big.add_edge(
-                StateId(k),
-                TransKind::Proc(k as usize % 2),
-                StateId((k + 1) % 8),
-            );
+            big.add_edge(StateId(k), TransKind::Proc(k % 2), StateId((k + 1) % 8));
             big.add_edge(StateId(k), TransKind::Fault(0), StateId(0));
         }
         big.add_init(StateId(3));

@@ -65,9 +65,9 @@ fn random_ops(rng: &mut XorShift64, width: usize) -> Vec<Op> {
             ops.push(Op::Edge(a, k, b));
         } else {
             let kind = if rng.chance(0.3) {
-                TransKind::Fault(rng.below(2))
+                TransKind::Fault(rng.below(2) as u32)
             } else {
-                TransKind::Proc(rng.below(2))
+                TransKind::Proc(rng.below(2) as u32)
             };
             let e = (
                 rng.below(states as usize) as u32,
@@ -171,8 +171,8 @@ impl Reference {
                 let mut actions = Vec::new();
                 for e in pred {
                     if let TransKind::Fault(a) = e.kind {
-                        if !actions.contains(&(a as u32)) {
-                            actions.push(a as u32);
+                        if !actions.contains(&a) {
+                            actions.push(a);
                         }
                     }
                 }

@@ -1156,7 +1156,7 @@ mod tests {
 
     /// The tableau is bit-identical for every worker-thread count
     /// (labels, kinds, and edges in the same order at the same ids),
-    /// with and without fault actions, through the sharded intern
+    /// with and without fault actions, through the hash-addressed intern
     /// tables.
     #[test]
     fn build_is_deterministic_across_thread_counts() {

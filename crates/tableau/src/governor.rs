@@ -19,6 +19,7 @@
 
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Resource limits for one synthesis run. `None` means unlimited; the
@@ -250,7 +251,12 @@ impl fmt::Display for Phase {
 pub struct Governor {
     budget: Budget,
     start: Instant,
-    cancel: AtomicBool,
+    /// The external cancel flag, shared with every [`Governor::linked`]
+    /// governor.
+    cancel: Arc<AtomicBool>,
+    /// This governor's own stop flag ([`Governor::stop`]), seen by no
+    /// other governor.
+    stop: AtomicBool,
     /// The pipeline phase the governed run is currently in (the run
     /// reports transitions via [`Governor::enter_phase`]); readable by
     /// other threads for live progress.
@@ -277,11 +283,37 @@ impl Governor {
         Governor {
             budget,
             start: Instant::now(),
-            cancel: AtomicBool::new(false),
+            cancel: Arc::default(),
+            stop: AtomicBool::new(false),
             phase: AtomicU8::new(Phase::Build.as_u8()),
             panic_batch: None,
             cancel_phase: None,
         }
+    }
+
+    /// A governor for work that runs beside this governor's run and may
+    /// be stopped on its own: the same budget, deadline clock, cancel
+    /// flag, test hooks and current phase, plus a private stop flag
+    /// ([`Governor::stop`]). Cancelling either governor cancels both;
+    /// stopping the linked one leaves this one running.
+    pub fn linked(&self) -> Governor {
+        Governor {
+            budget: self.budget.clone(),
+            start: self.start,
+            cancel: Arc::clone(&self.cancel),
+            stop: AtomicBool::new(false),
+            phase: AtomicU8::new(self.phase.load(Ordering::Relaxed)),
+            panic_batch: self.panic_batch,
+            cancel_phase: self.cancel_phase,
+        }
+    }
+
+    /// Stops this governor alone: its next realtime poll aborts with
+    /// [`AbortReason::Cancelled`], while the governor it was
+    /// [linked](Governor::linked) from, and its cancel flag, are left
+    /// untouched.
+    pub fn stop(&self) {
+        self.stop.store(true, Ordering::Relaxed);
     }
 
     /// The budget this governor enforces.
@@ -333,7 +365,7 @@ impl Governor {
     /// step (one node's `Blocks` expansion), where the hook would move
     /// the abort points it exists to pin.
     pub fn check_interrupt(&self) -> Result<(), AbortReason> {
-        if self.is_cancelled() {
+        if self.is_cancelled() || self.stop.load(Ordering::Relaxed) {
             return Err(AbortReason::Cancelled);
         }
         if let Some(limit) = self.budget.deadline {
@@ -492,6 +524,25 @@ mod tests {
         g.cancel();
         assert!(g.is_cancelled());
         assert_eq!(g.check_realtime(), Err(AbortReason::Cancelled));
+    }
+
+    #[test]
+    fn a_linked_governor_stops_alone_and_shares_the_cancel_flag() {
+        let g = Governor::unlimited();
+        g.enter_phase(Phase::Cegis);
+        let child = g.linked();
+        assert_eq!(child.current_phase(), Phase::Cegis);
+        child.stop();
+        assert_eq!(child.check_realtime(), Err(AbortReason::Cancelled));
+        assert!(
+            g.check_realtime().is_ok(),
+            "a stop reaches no other governor"
+        );
+        assert!(!child.is_cancelled() && !g.is_cancelled());
+        let child = g.linked();
+        g.cancel();
+        assert!(child.is_cancelled());
+        assert_eq!(child.check_realtime(), Err(AbortReason::Cancelled));
     }
 
     #[test]

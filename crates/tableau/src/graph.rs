@@ -6,7 +6,6 @@
 //! the same type, identify them").
 
 use ftsyn_ctl::LabelSet;
-use std::collections::HashMap;
 use std::fmt;
 
 /// Identifier of a tableau node.
@@ -103,43 +102,72 @@ impl Node {
     }
 }
 
-/// Number of shards in a [`LabelInterner`]; must be a power of two.
-const INTERN_SHARDS: usize = 16;
-
-/// A label → node intern table addressed by *precomputed*
-/// [`LabelSet::stable_hash`] values, sharded by the low hash bits.
+/// A label → node intern table keyed by *precomputed*
+/// [`LabelSet::stable_hash`] values: one open-addressing table of
+/// `(hash, node)` slots, probed linearly from the hash's top bits (the
+/// hash ends in a multiply, which mixes upward). Equal hashes are
+/// told apart by comparing labels.
 ///
 /// Build workers hash every produced label on the (parallel) expansion
 /// side; the sequential apply phase then probes with the ready-made
-/// hash instead of re-reading each label, and the per-shard maps stay
-/// small. Shard choice depends only on the hash, so the table contents
-/// are identical for every thread count.
-#[derive(Clone, Debug)]
+/// hash instead of re-reading each label. Labels are unique per table,
+/// so a lookup's answer does not depend on insertion order or thread
+/// count.
+#[derive(Clone, Debug, Default)]
 struct LabelInterner {
-    /// `hash → candidate nodes` (collision chains are label-checked).
-    shards: Vec<HashMap<u64, Vec<NodeId>>>,
+    /// A power of two in length (or empty); [`EMPTY_SLOT`] marks a free
+    /// slot.
+    slots: Vec<(u64, NodeId)>,
+    len: usize,
 }
 
+/// The node id of a free [`LabelInterner`] slot.
+const EMPTY_SLOT: NodeId = NodeId(u32::MAX);
+
 impl LabelInterner {
-    fn new() -> LabelInterner {
-        LabelInterner {
-            shards: vec![HashMap::new(); INTERN_SHARDS],
-        }
+    /// The slot a probe for `hash` starts at.
+    fn home(&self, hash: u64) -> usize {
+        (hash >> (64 - self.slots.len().trailing_zeros())) as usize
     }
 
     fn get(&self, nodes: &[Node], label: &LabelSet, hash: u64) -> Option<NodeId> {
-        self.shards[hash as usize & (INTERN_SHARDS - 1)]
-            .get(&hash)?
-            .iter()
-            .copied()
-            .find(|id| nodes[id.index()].label == *label)
+        if self.slots.is_empty() {
+            return None;
+        }
+        let mask = self.slots.len() - 1;
+        let mut i = self.home(hash);
+        loop {
+            let (h, id) = self.slots[i];
+            if id == EMPTY_SLOT {
+                return None;
+            }
+            if h == hash && nodes[id.index()].label == *label {
+                return Some(id);
+            }
+            i = (i + 1) & mask;
+        }
     }
 
+    /// Adds `id` (whose label is not in the table) under `hash`.
     fn insert(&mut self, hash: u64, id: NodeId) {
-        self.shards[hash as usize & (INTERN_SHARDS - 1)]
-            .entry(hash)
-            .or_default()
-            .push(id);
+        if 2 * (self.len + 1) > self.slots.len() {
+            let old = std::mem::take(&mut self.slots);
+            self.slots = vec![(0, EMPTY_SLOT); (2 * old.len()).max(16)];
+            for (h, id) in old.into_iter().filter(|&(_, id)| id != EMPTY_SLOT) {
+                self.place(h, id);
+            }
+        }
+        self.place(hash, id);
+        self.len += 1;
+    }
+
+    fn place(&mut self, hash: u64, id: NodeId) {
+        let mask = self.slots.len() - 1;
+        let mut i = self.home(hash);
+        while self.slots[i].1 != EMPTY_SLOT {
+            i = (i + 1) & mask;
+        }
+        self.slots[i] = (hash, id);
     }
 }
 
@@ -171,12 +199,12 @@ impl Tableau {
     /// Creates a tableau containing only the root OR-node with `label`.
     pub fn with_root(label: LabelSet) -> Tableau {
         let root = NodeId(0);
-        let mut or_index = LabelInterner::new();
+        let mut or_index = LabelInterner::default();
         or_index.insert(label.stable_hash(), root);
         Tableau {
             nodes: vec![Node::new(NodeKind::Or, label, false)],
             root,
-            and_index: LabelInterner::new(),
+            and_index: LabelInterner::default(),
             or_index,
             deletion_log: Vec::new(),
         }
@@ -390,8 +418,8 @@ impl Tableau {
     /// are taken during construction, before any deletion).
     pub fn from_build_nodes(parts: Vec<BuildNodeParts>) -> Tableau {
         assert!(!parts.is_empty(), "a tableau has at least its root node");
-        let mut and_index = LabelInterner::new();
-        let mut or_index = LabelInterner::new();
+        let mut and_index = LabelInterner::default();
+        let mut or_index = LabelInterner::default();
         let mut nodes = Vec::with_capacity(parts.len());
         for (i, (kind, label, dummy, succ, pred)) in parts.into_iter().enumerate() {
             let id = NodeId(i as u32);
@@ -482,6 +510,26 @@ mod tests {
         let (o, fresh) = t.intern_or(l);
         assert!(!fresh);
         assert_eq!(o, t.root());
+    }
+
+    /// Two labels under one hash are told apart by comparing labels, and
+    /// the table keeps answering across its growth.
+    #[test]
+    fn equal_hashes_are_told_apart_by_label() {
+        let nodes: Vec<Node> = (0..40)
+            .map(|b| Node::new(NodeKind::And, label_with(&[b]).1, false))
+            .collect();
+        let mut t = LabelInterner::default();
+        for (i, n) in nodes.iter().enumerate() {
+            let hash = if i % 2 == 0 { 7 } else { n.label.stable_hash() };
+            assert_eq!(t.get(&nodes, &n.label, hash), None);
+            t.insert(hash, NodeId(i as u32));
+        }
+        for (i, n) in nodes.iter().enumerate() {
+            let hash = if i % 2 == 0 { 7 } else { n.label.stable_hash() };
+            assert_eq!(t.get(&nodes, &n.label, hash), Some(NodeId(i as u32)));
+        }
+        assert_eq!(t.get(&nodes, &label_with(&[50]).1, 7), None);
     }
 
     #[test]

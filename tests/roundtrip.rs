@@ -45,7 +45,7 @@ fn fault_free_restriction(
         for e in m.succ(s) {
             if let TransKind::Proc(i) = e.kind {
                 if roles[e.to.index()] == StateRole::Normal {
-                    edges.insert((state_key(m, s), i, state_key(m, e.to)));
+                    edges.insert((state_key(m, s), i as usize, state_key(m, e.to)));
                 }
             }
         }
@@ -106,7 +106,9 @@ fn check_faulty_semantics(
         for (ai, a) in problem.faults.iter().enumerate() {
             if a.enabled(v) {
                 assert!(
-                    m.succ(s).iter().any(|e| e.kind == TransKind::Fault(ai)),
+                    m.succ(s)
+                        .iter()
+                        .any(|e| e.kind == TransKind::Fault(ai as u32)),
                     "regenerated structure misses a fault edge for `{}`",
                     a.name()
                 );
